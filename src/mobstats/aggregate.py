@@ -44,7 +44,6 @@ class RegionDayStats:
     m_ch: MetricStats
     m50: float
     m50_index: float | None = None
-    pct_change: float | None = None
 
 
 def summarize(values_sorted: np.ndarray) -> MetricStats:
@@ -97,7 +96,7 @@ def compute_baseline(
     """
     if start > end:
         raise ConfigError(f"baseline window is empty: {start} > {end}")
-    if not _has_weekday(start, end):
+    if not has_weekday(start, end):
         raise ConfigError(f"baseline window {start}..{end} contains no weekdays")
     window: dict[RegionKey, list[float]] = {}
     for s in stats:
@@ -111,7 +110,8 @@ def compute_baseline(
     return table
 
 
-def _has_weekday(start: dt.date, end: dt.date) -> bool:
+def has_weekday(start: dt.date, end: dt.date) -> bool:
+    """True if [start, end] contains at least one Monday-Friday date."""
     if (end - start).days >= 6:
         return True
     d = start
@@ -125,9 +125,8 @@ def _has_weekday(start: dt.date, end: dt.date) -> bool:
 def apply_index(
     stats: RegionDayStats, baseline: dict[RegionKey, float]
 ) -> RegionDayStats:
-    """Fill m50_index and pct_change in place when the region has a baseline."""
+    """Fill m50_index in place when the region has a baseline."""
     norm = baseline.get(stats.region)
     if norm is not None:
         stats.m50_index = 100.0 * stats.m50 / norm
-        stats.pct_change = stats.m50_index - 100.0
     return stats

@@ -10,6 +10,7 @@ codes: 0 ok, 1 config error, 2 IO error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import sys
@@ -18,23 +19,11 @@ from .errors import ConfigError, DataError
 from .pipeline import PipelineConfig, compare_stats, run, write_compare
 from .synth import STYLES, ScenarioSpec, generate
 
+_DATE_KEYS = ("baseline_start", "baseline_end", "date_start", "date_end")
+# PipelineConfig's defaults as config-dump prints them and a config file spells them
 CONFIG_DEFAULTS = {
-    "inputs": [],
-    "gazetteer": None,
-    "output_dir": "out",
-    "format": "both",
-    "accuracy_max_m": 50.0,
-    "min_reports": 10,
-    "min_span_hours": 8.0,
-    "trim_fraction": 0.10,
-    "baseline_start": "2020-02-17",
-    "baseline_end": "2020-03-07",
-    "date_start": None,
-    "date_end": None,
-    "workers": 1,
-    "n_buckets": 8,
-    "scratch_dir": None,
-    "verbose_stats": False,
+    k: v.isoformat() if isinstance(v, dt.date) else v
+    for k, v in dataclasses.asdict(PipelineConfig()).items()
 }
 
 
@@ -48,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"invalid date {text!r}, expected yyyy-mm-dd") from None
 
 
@@ -126,28 +115,17 @@ def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
         if value is not None:
             merged[key] = value
 
-    dates = {
-        k: _parse_date(merged[k]) if isinstance(merged[k], str) else merged[k]
-        for k in ("baseline_start", "baseline_end", "date_start", "date_end")
-    }
-    return PipelineConfig(
-        inputs=list(merged["inputs"]),
-        gazetteer=merged["gazetteer"],
-        output_dir=merged["output_dir"],
-        format=merged["format"],
-        accuracy_max_m=float(merged["accuracy_max_m"]),
-        min_reports=int(merged["min_reports"]),
-        min_span_hours=float(merged["min_span_hours"]),
-        trim_fraction=float(merged["trim_fraction"]),
-        baseline_start=dates["baseline_start"],
-        baseline_end=dates["baseline_end"],
-        date_start=dates["date_start"],
-        date_end=dates["date_end"],
-        workers=int(merged["workers"]),
-        n_buckets=int(merged["n_buckets"]),
-        scratch_dir=merged["scratch_dir"],
-        verbose_stats=bool(merged["verbose_stats"]),
-    )
+    for key, default in CONFIG_DEFAULTS.items():
+        value = merged[key]
+        if key in _DATE_KEYS:
+            merged[key] = None if value is None else _parse_date(value)
+        elif default is not None and value is not None:
+            kind = type(default)
+            try:
+                merged[key] = kind(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}: cannot use {value!r} as {kind.__name__}") from None
+    return PipelineConfig(**merged)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

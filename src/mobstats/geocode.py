@@ -42,7 +42,6 @@ class Region:
     rings: list[Ring]
     bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
     bbox_area: float
-    utc_offset_hours: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +106,7 @@ def load_gazetteer(path: str) -> Gazetteer:
                 ys = [y for ring in rings for _, y in ring]
                 bbox = (min(xs), min(ys), max(xs), max(ys))
                 area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
-                utc = rec.get("utc_offset_hours")
-                regions.append(Region(key, rings, bbox, area, None if utc is None else int(utc)))
+                regions.append(Region(key, rings, bbox, area))
             elif kind == "place":
                 places_raw.append(rec)
             else:

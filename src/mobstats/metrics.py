@@ -57,10 +57,13 @@ def rejection_reason(
 
     Too few reports is checked before short span; both boundaries are
     inclusive (exactly min_reports reports or exactly min_span_hours pass).
+    The span is compared in seconds against min_span_hours * 3600, the
+    oracle's form: dividing instead rounds differently at some boundaries
+    (3,960 s against 1.1 h).
     """
     if len(dd.reports) < min_reports:
         return REASON_TOO_FEW
-    if span_hours(dd) < min_span_hours:
+    if dd.reports[-1][0] - dd.reports[0][0] < min_span_hours * 3600.0:
         return REASON_SHORT_SPAN
     return None
 

@@ -1,14 +1,17 @@
 """End-to-end batch pipeline: scatter, gather, reduce, index, serialize.
 
-Stages communicate through spill files under a scratch directory. The
-scatter phase partitions each input shard into per-(bucket, shard) spill
-files; the gather phase turns one bucket at a time into per-device-day
-metric records; the parent process reduces those into per-(region, date)
-statistics and writes the outputs atomically. Spill files are keyed by
-input shard index and read back in shard order, region-day sample lists
-are value-sorted before any arithmetic, and every output file is written
-in one canonical order, so results are byte-identical for any worker or
-bucket count. Scratch files are deleted on success and kept on failure.
+The scatter phase partitions each input shard into per-(bucket, shard)
+spill files under a scratch directory; spill rows are the accepted reports
+in the ingest wire format. The gather phase turns one bucket at a time into
+device-days with collate.build_device_days, applies the metrics module's
+eligibility rule and measures, geocodes each eligible day, and returns its
+counters and (region, date, metrics) records in memory. The parent process
+reduces those into per-(region, date) statistics and writes the outputs
+atomically. Spill files are keyed by input shard index and read back in
+shard order, region-day sample lists are value-sorted before any
+arithmetic, and every output file is written in one canonical order, so
+results are byte-identical for any worker or bucket count. Each run clears
+the spill tree before scatter; it is deleted on success and kept on failure.
 """
 
 from __future__ import annotations
@@ -22,17 +25,28 @@ import shutil
 from dataclasses import dataclass, field
 
 from . import aggregate, output
-from .collate import bucket_index, date_to_day_number, day_number_to_date, local_day_number
+from .collate import bucket_index, build_device_days
 from .errors import ConfigError
-from .geo import GeoPoint, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, iter_shard_raw
-from .metrics import day_box_and_hull, day_max_distance
+from .metrics import canonical_position, day_box_and_hull, day_max_distance, rejection_reason
 
 FORMATS = ("ndjson", "csv", "both")
 
 DEFAULT_BASELINE_START = aggregate.DEFAULT_BASELINE_START
 DEFAULT_BASELINE_END = aggregate.DEFAULT_BASELINE_END
+
+# per-dataset device-day counters, in run-report order; the two rejected_*
+# keys are "rejected_" + a metrics.REASON_* value
+GATHER_COUNTERS = (
+    "device_days",
+    "device_day_reports",
+    "date_filtered_days",
+    "rejected_too_few_reports",
+    "rejected_short_span",
+    "eligible_device_days",
+    "unmatched_geocode",
+)
 
 
 @dataclass
@@ -73,6 +87,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"baseline window is empty: {self.baseline_start} > {self.baseline_end}"
             )
+        if not aggregate.has_weekday(self.baseline_start, self.baseline_end):
+            raise ConfigError(
+                f"baseline window {self.baseline_start}..{self.baseline_end} contains no weekdays"
+            )
         if self.date_start and self.date_end and self.date_start > self.date_end:
             raise ConfigError(f"date range is empty: {self.date_start} > {self.date_end}")
         if self.workers < 1:
@@ -89,15 +107,12 @@ def _spill_path(scratch: str, bucket: int, shard: int) -> str:
     return os.path.join(scratch, f"spill-{bucket:04d}-{shard:05d}.csv")
 
 
-def _metrics_path(scratch: str, bucket: int) -> str:
-    return os.path.join(scratch, f"metrics-{bucket:04d}.ndjson")
-
-
 def _scatter_shard(task: tuple) -> dict:
     """Partition one input shard into per-bucket spill files.
 
-    Spill rows reuse the ingest wire format plus a trailing
-    tz_offset_hours column.
+    Spill rows are accepted reports in the ingest wire format, appended to
+    spill-<bucket>-<shard>.csv in file order; a bucket with no reports from
+    this shard gets no file.
     """
     shard_idx, path, n_buckets, accuracy_max_m, scratch = task
     stats = IngestStats()
@@ -109,8 +124,7 @@ def _scatter_shard(task: tuple) -> dict:
             if w is None:
                 w = open(_spill_path(scratch, b, shard_idx), "w", encoding="utf-8", newline="\n")
                 writers[b] = w
-            tz = solar_tz_offset_hours(lon)
-            w.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r},{tz}\n")
+            w.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}\n")
     finally:
         for w in writers.values():
             w.close()
@@ -122,84 +136,58 @@ def _scatter_shard(task: tuple) -> dict:
     }
 
 
-def _gather_bucket(task: tuple) -> dict:
-    """Turn one bucket's spill files into per-device-day metric records."""
-    (bucket_idx, spill_paths, metrics_file, min_reports, min_span_hours,
-     trim_fraction, day_lo, day_hi) = task
+def _gather_bucket(task: tuple) -> tuple[dict, list]:
+    """Turn one bucket's spill files into (counters, device-day records).
+
+    Each record is (RegionKey, local_date, (m_max, m_bb, m_ch)) at the
+    admin1 level, followed by an admin2-level twin when the device-day
+    geocodes to a county: both levels reduce from device-days, because
+    medians do not compose upward.
+    """
+    spill_paths, cfg = task
     gaz = _GAZ
     assert gaz is not None, "gazetteer not loaded before gather"
 
-    by_device: dict[str, list[tuple[int, float, float, float]]] = {}
+    rows = []
     for path in spill_paths:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
-                parts = line.rstrip("\n").split(",")
-                by_device.setdefault(parts[0], []).append(
-                    (int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-                )
+                device_id, epoch, lat, lon, acc = line.rstrip("\n").split(",")
+                rows.append((device_id, int(epoch), float(lat), float(lon), float(acc)))
 
-    counters = {
-        "device_days": 0,
-        "device_day_reports": 0,
-        "date_filtered_days": 0,
-        "rejected_too_few_reports": 0,
-        "rejected_short_span": 0,
-        "eligible_device_days": 0,
-        "unmatched_geocode": 0,
-    }
-    min_span_s = min_span_hours * 3600.0
+    counters = dict.fromkeys(GATHER_COUNTERS, 0)
+    records = []
+    for dd in build_device_days(rows):
+        counters["device_days"] += 1
+        counters["device_day_reports"] += len(dd.reports)
+        if (cfg.date_start is not None and dd.local_date < cfg.date_start) or (
+            cfg.date_end is not None and dd.local_date > cfg.date_end
+        ):
+            counters["date_filtered_days"] += 1
+            continue
+        reason = rejection_reason(dd, cfg.min_reports, cfg.min_span_hours)
+        if reason is not None:
+            counters[f"rejected_{reason}"] += 1
+            continue
+        counters["eligible_device_days"] += 1
 
-    with open(metrics_file, "w", encoding="utf-8", newline="\n") as out_fh:
-        for device_id in sorted(by_device):
-            rows = sorted(by_device[device_id])
-            tz = solar_tz_offset_hours(rows[0][2])
-            days: dict[int, list[tuple[int, float, float, float]]] = {}
-            for row in rows:
-                days.setdefault(local_day_number(row[0], tz), []).append(row)
-            for day_number in sorted(days):
-                day_rows = days[day_number]
-                counters["device_days"] += 1
-                counters["device_day_reports"] += len(day_rows)
-                if (day_lo is not None and day_number < day_lo) or (
-                    day_hi is not None and day_number > day_hi
-                ):
-                    counters["date_filtered_days"] += 1
-                    continue
-                n = len(day_rows)
-                if n < min_reports:
-                    counters["rejected_too_few_reports"] += 1
-                    continue
-                if day_rows[-1][0] - day_rows[0][0] < min_span_s:
-                    counters["rejected_short_span"] += 1
-                    continue
-                counters["eligible_device_days"] += 1
-
-                lat0, lon0 = day_rows[0][1], day_rows[0][2]
-                region = reverse_geocode(gaz, GeoPoint(lat0, lon0))
-                if region is None:
-                    counters["unmatched_geocode"] += 1
-                    continue
-
-                m_max = day_max_distance(day_rows, trim_fraction)
-                m_bb, m_ch, _a_bb, _a_ch = day_box_and_hull(day_rows)
-
-                if region.admin1:
-                    a1_id = gaz.admin1_ids.get((region.country_code, region.admin1), "")
-                else:
-                    a1_id = region.region_id
-                rec = {
-                    "c": region.country_code,
-                    "a1": region.admin1,
-                    "a2": region.admin2,
-                    "rid": region.region_id,
-                    "a1id": a1_id,
-                    "d": day_number,
-                    "mm": m_max,
-                    "mb": m_bb,
-                    "mc": m_ch,
-                }
-                out_fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    return counters
+        region = reverse_geocode(gaz, canonical_position(dd))
+        if region is None:
+            counters["unmatched_geocode"] += 1
+            continue
+        m_max = day_max_distance(dd.reports, cfg.trim_fraction)
+        m_bb, m_ch, _a_bb, _a_ch = day_box_and_hull(dd.reports)
+        triple = (m_max, m_bb, m_ch)
+        if region.admin1:
+            a1_id = gaz.admin1_ids.get((region.country_code, region.admin1), "")
+        else:
+            a1_id = region.region_id
+        records.append(
+            (RegionKey(region.country_code, region.admin1, "", a1_id), dd.local_date, triple)
+        )
+        if region.admin2:
+            records.append((region, dd.local_date, triple))
+    return counters, records
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
@@ -230,8 +218,6 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
     for st in _map_tasks(_scatter_shard, scatter_tasks, cfg.workers):
         stats.merge(IngestStats(**st))
 
-    day_lo = None if cfg.date_start is None else date_to_day_number(cfg.date_start)
-    day_hi = None if cfg.date_end is None else date_to_day_number(cfg.date_end)
     gather_tasks = []
     for b in range(cfg.n_buckets):
         spills = [
@@ -239,31 +225,10 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
             for s in range(len(shards))
             if os.path.exists(_spill_path(scratch, b, s))
         ]
-        gather_tasks.append(
-            (b, spills, _metrics_path(scratch, b), cfg.min_reports,
-             cfg.min_span_hours, cfg.trim_fraction, day_lo, day_hi)
-        )
-    counters: dict[str, int] = {}
-    for c in _map_tasks(_gather_bucket, gather_tasks, cfg.workers):
-        for k, v in c.items():
-            counters[k] = counters.get(k, 0) + v
-
-    # reduce: expand each matched device-day into its admin1-level key and,
-    # when present, its admin2-level key (medians do not compose upward)
-    records_stream = []
-    for b in range(cfg.n_buckets):
-        with open(_metrics_path(scratch, b), encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                date = day_number_to_date(rec["d"])
-                triple = (rec["mm"], rec["mb"], rec["mc"])
-                records_stream.append(
-                    (RegionKey(rec["c"], rec["a1"], "", rec["a1id"]), date, triple)
-                )
-                if rec["a2"]:
-                    records_stream.append(
-                        (RegionKey(rec["c"], rec["a1"], rec["a2"], rec["rid"]), date, triple)
-                    )
+        gather_tasks.append((spills, cfg))
+    gathered = _map_tasks(_gather_bucket, gather_tasks, cfg.workers)
+    counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
+    records_stream = [rec for _, recs in gathered for rec in recs]
 
     stats_map = aggregate.reduce_region_day(records_stream)
     baseline = aggregate.compute_baseline(
@@ -295,13 +260,7 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
         "lines_malformed": stats.lines_malformed,
         "reports_accepted": stats.reports_accepted,
         "reports_rejected_accuracy": stats.reports_rejected_accuracy,
-        "device_days": counters.get("device_days", 0),
-        "device_day_reports": counters.get("device_day_reports", 0),
-        "date_filtered_days": counters.get("date_filtered_days", 0),
-        "rejected_too_few_reports": counters.get("rejected_too_few_reports", 0),
-        "rejected_short_span": counters.get("rejected_short_span", 0),
-        "eligible_device_days": counters.get("eligible_device_days", 0),
-        "unmatched_geocode": counters.get("unmatched_geocode", 0),
+        **counters,
         "regions_emitted": len({
             (r.country_code, r.admin_level, r.admin1, r.admin2, r.region_id) for r in records
         }),
@@ -334,6 +293,8 @@ def run(cfg: PipelineConfig) -> list[dict]:
     os.makedirs(cfg.output_dir, exist_ok=True)
     scratch_base = cfg.scratch_dir or os.path.join(cfg.output_dir, ".scratch")
     spill_root = os.path.join(scratch_base, "spill")
+    # spill files left by an earlier failed run would be read as this run's
+    shutil.rmtree(spill_root, ignore_errors=True)
 
     reports: list[dict] = []
     ok = False

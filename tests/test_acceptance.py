@@ -222,7 +222,7 @@ class TestGates:
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
             region = Region(RegionKey("AA", "", "", "R"), [ring],
-                            (min(xs), min(ys), max(xs), max(ys)), 0.0, None)
+                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
             for _ in range(25):
                 x = rng.uniform(min(xs) - 2, max(xs) + 2)
                 y = rng.uniform(min(ys) - 2, max(ys) + 2)

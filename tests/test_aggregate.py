@@ -109,7 +109,6 @@ class TestReduceRegionDay:
         s = out[(R1, MON)]
         assert (s.m_max.mean, s.m_bb.mean, s.m_ch.mean) == (2.0, 1.6, 1.4)
         assert s.m50_index is None
-        assert s.pct_change is None
 
 
 class TestComputeBaseline:
@@ -164,12 +163,10 @@ class TestApplyIndex:
     def test_ratio(self):
         s = apply_index(day_stats(R1, MON, 1.5), {R1: 3.0})
         assert s.m50_index == 50.0
-        assert s.pct_change == -50.0
 
     def test_identity(self):
         s = apply_index(day_stats(R1, MON, 4.0), {R1: 4.0})
         assert s.m50_index == 100.0
-        assert s.pct_change == 0.0
 
     def test_thirty_percent_of_normal(self):
         s = apply_index(day_stats(R1, MON, 1.2), {R1: 4.0})
@@ -178,13 +175,6 @@ class TestApplyIndex:
     def test_region_without_baseline_left_unindexed(self):
         s = apply_index(day_stats(R1, MON, 1.5), {})
         assert s.m50_index is None
-        assert s.pct_change is None
-
-    @given(st.floats(min_value=0.001, max_value=100),
-           st.floats(min_value=0.001, max_value=100))
-    def test_pct_change_exactly_index_minus_100(self, m50, norm):
-        s = apply_index(day_stats(R1, MON, m50), {R1: norm})
-        assert s.pct_change == s.m50_index - 100.0
 
 
 class TestScaleInvariance:

@@ -194,7 +194,7 @@ class TestPointInPolygonOracle:
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
             region = Region(RegionKey("AA", "", "", "R"), [ring],
-                            (min(xs), min(ys), max(xs), max(ys)), 0.0, None)
+                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
             for _ in range(25):
                 x = rng.uniform(min(xs) - 1, max(xs) + 1)
                 y = rng.uniform(min(ys) - 1, max(ys) + 1)
@@ -208,7 +208,7 @@ class TestPointInPolygonOracle:
     @settings(max_examples=100)
     def test_unit_square_agreement(self, x, y):
         ring = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)]
-        region = Region(RegionKey("AA", "", "", "R"), [ring], (0, 0, 2, 2), 4.0, None)
+        region = Region(RegionKey("AA", "", "", "R"), [ring], (0, 0, 2, 2), 4.0)
         assert region_contains(region, x, y) == oracle.winding_number_contains(ring, x, y)
 
 

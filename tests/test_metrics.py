@@ -59,6 +59,13 @@ class TestEligibility:
     def test_span_hours(self):
         assert span_hours(spread(10, span_s=8 * 3600)) == 8.0
 
+    @pytest.mark.parametrize("hours, span_s", [(1.1, 3960), (8.3, 29880)])
+    def test_span_boundary_verdict_matches_oracle(self, hours, span_s):
+        # hours * 3600 rounds just above span_s while span_s / 3600 rounds to hours
+        dd = spread(10, span_s=span_s)
+        ref = oracle.oracle_metrics(dd.reports, min_span_hours=hours)
+        assert rejection_reason(dd, min_span_hours=hours) == ref["reason"]
+
 
 class TestTrimmedMax:
     def test_identical_points(self):

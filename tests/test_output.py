@@ -208,7 +208,7 @@ class TestRecordFromStats:
         stats = RegionDayStats(
             RegionKey("AA", "West", "Westburg", "W-01"), dt.date(2020, 3, 2), 7,
             MetricStats(2.0, 1.8, 1.0, 3.0), MetricStats(1, 1, 1, 1),
-            MetricStats(1, 1, 1, 1), 1.8, 90.0, -10.0)
+            MetricStats(1, 1, 1, 1), 1.8, 90.0)
         r = record_from_stats(stats)
         assert r.admin_level == "admin2"
         assert r.date == "2020-03-02"

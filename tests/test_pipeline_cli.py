@@ -2,11 +2,15 @@ import datetime as dt
 import hashlib
 import io
 import json
+import shutil
 
 import pytest
 
+from mobstats import aggregate
 from mobstats.cli import CONFIG_DEFAULTS, main
 from mobstats.errors import ConfigError
+from mobstats.geo import GeoPoint
+from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, lockdown_spec
@@ -95,6 +99,64 @@ class TestRun:
         with pytest.raises(OSError):
             run(cfg)
         assert (tmp_path / "out" / ".scratch" / "spill").exists()
+
+    def test_stale_spill_from_failed_run_is_not_read(self, scenario, tmp_path):
+        # a run that fails mid-scatter leaves shard 0's spill files behind
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(scenario["shard_paths"][0], data / "part-00.csv")
+        (data / "part-01.csv").mkdir()
+        out = tmp_path / "out"
+        with pytest.raises(OSError):
+            run(base_config(scenario, out, inputs=[str(data / "*.csv")], n_buckets=8))
+        assert list((out / ".scratch" / "spill").rglob("spill-*.csv"))
+
+        small = tmp_path / "small"
+        generate(ScenarioSpec(seed=3, devices=4, start_date=dt.date(2020, 3, 2),
+                              end_date=dt.date(2020, 3, 6), shards=1), str(small))
+        small_cfg = dict(inputs=[str(small / "shards" / "*.csv")],
+                         gazetteer=str(small / "gazetteer.ndjson"), n_buckets=8)
+        after_failure = run(base_config(scenario, out, **small_cfg))
+        clean = run(base_config(scenario, tmp_path / "clean", **small_cfg))
+        assert after_failure == clean
+        assert (out / "stats.ndjson").read_bytes() == \
+            (tmp_path / "clean" / "stats.ndjson").read_bytes()
+
+    def test_weekend_only_baseline_rejected_before_any_work(self, scenario, tmp_path):
+        sat = dt.date(2020, 2, 22)
+        cfg = base_config(scenario, tmp_path / "out", baseline_start=sat,
+                          baseline_end=sat + dt.timedelta(days=1))
+        with pytest.raises(ConfigError, match="no weekdays"):
+            run(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_production_m_max_matches_truth_sidecar(self, scenario, tmp_path, monkeypatch):
+        captured = []
+        reduce_region_day = aggregate.reduce_region_day
+
+        def capture(records):
+            records = list(records)
+            captured.extend(records)
+            return reduce_region_day(records)
+
+        monkeypatch.setattr(aggregate, "reduce_region_day", capture)
+        run(base_config(scenario, tmp_path / "out"))
+
+        got: dict[str, list[float]] = {}
+        for region, date, (m_max, _m_bb, _m_ch) in captured:
+            if not region.admin2:
+                got.setdefault(date.isoformat(), []).append(m_max)
+        gaz = load_gazetteer(scenario["gazetteer_path"])
+        want: dict[str, list[float]] = {}
+        with open(scenario["truth_path"], encoding="utf-8") as fh:
+            for line in fh:
+                t = json.loads(line)
+                if t["eligible"] and reverse_geocode(gaz, GeoPoint(t["lat"], t["lon"])):
+                    want.setdefault(t["date"], []).append(t["m_max"])
+        assert want
+        assert sorted(got) == sorted(want)
+        for date, values in want.items():
+            assert sorted(got[date]) == pytest.approx(sorted(values), rel=1e-9), date
 
     def test_date_filter(self, scenario, tmp_path):
         lo, hi = dt.date(2020, 3, 2), dt.date(2020, 3, 6)
@@ -329,6 +391,20 @@ class TestCli:
         assert (tmp_path / "from_flag" / "stats.ndjson").exists()  # flag wins
         assert not (tmp_path / "from_file").exists()
         assert not (tmp_path / "from_flag" / "stats.csv").exists()  # file format used
+
+    def test_config_defaults_follow_pipeline_config(self):
+        cfg = PipelineConfig()
+        assert list(CONFIG_DEFAULTS) == list(vars(cfg))
+        assert CONFIG_DEFAULTS["baseline_start"] == cfg.baseline_start.isoformat()
+        assert CONFIG_DEFAULTS["n_buckets"] == cfg.n_buckets
+
+    @pytest.mark.parametrize("key, value", [("min_reports", "ten"),
+                                            ("baseline_start", 20200217)])
+    def test_config_file_bad_value_type_exit_1(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"inputs": ["x"], "gazetteer": "g", key: value}))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert str(value) in capsys.readouterr().err
 
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
