@@ -10,7 +10,7 @@ reference implementation to show the two routes agree.
 
 from mobstats import oracle
 from mobstats.collate import build_device_days
-from mobstats.ingest import Malformed, parse_report_line
+from mobstats.ingest import parse_fields
 from mobstats.metrics import compute_metrics, rejection_reason, span_hours
 
 # Twelve reports from one device on 2020-03-16, plus one malformed line
@@ -24,14 +24,13 @@ lines.insert(7, f"phone-1,{T0 + 40000},39.71,-105.01,220.0")
 
 reports = []
 for line in lines:
-    parsed = parse_report_line(line)
-    if isinstance(parsed, Malformed):
-        print(f"dropped (malformed: {parsed.reason}): {line}")
-    elif parsed.accuracy_m > 50.0:
-        print(f"dropped (accuracy {parsed.accuracy_m} m): {line}")
+    parsed = parse_fields(line)
+    if isinstance(parsed, str):
+        print(f"dropped (malformed: {parsed}): {line}")
+    elif parsed[4] > 50.0:
+        print(f"dropped (accuracy {parsed[4]} m): {line}")
     else:
-        reports.append((parsed.device_id, parsed.epoch_s,
-                        parsed.point.lat, parsed.point.lon, parsed.accuracy_m))
+        reports.append(parsed)
 print(f"kept {len(reports)} of {len(lines)} lines\n")
 
 # Collation sorts the reports, takes the solar offset of the first one,

@@ -5,11 +5,11 @@ reference implementations for verifying it.
 """
 
 from .aggregate import RegionDayStats, apply_index, compute_baseline, reduce_region_day
-from .collate import DeviceDay, assign_local_day, bucket_sort, build_device_days
+from .collate import DeviceDay, bucket_sort, build_device_days
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, nearest_place, reverse_geocode
-from .ingest import IngestStats, PositionReport, accuracy_filter, parse_report_line, read_shard
+from .ingest import IngestStats, iter_shard_raw, parse_fields
 from .metrics import MobilityMetrics, compute_metrics, rejection_reason
 from .pipeline import PipelineConfig, compare_stats, run
 from .synth import ScenarioSpec, generate, lockdown_spec
@@ -25,13 +25,10 @@ __all__ = [
     "IngestStats",
     "MobilityMetrics",
     "PipelineConfig",
-    "PositionReport",
     "RegionDayStats",
     "RegionKey",
     "ScenarioSpec",
-    "accuracy_filter",
     "apply_index",
-    "assign_local_day",
     "bucket_sort",
     "build_device_days",
     "compare_stats",
@@ -43,8 +40,8 @@ __all__ = [
     "load_gazetteer",
     "lockdown_spec",
     "nearest_place",
-    "parse_report_line",
-    "read_shard",
+    "iter_shard_raw",
+    "parse_fields",
     "reduce_region_day",
     "rejection_reason",
     "reverse_geocode",

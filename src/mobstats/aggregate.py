@@ -18,12 +18,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .geocode import RegionKey
-from .metrics import MobilityMetrics
 
 DEFAULT_BASELINE_START = dt.date(2020, 2, 17)
 DEFAULT_BASELINE_END = dt.date(2020, 3, 7)
-
-MetricTriple = tuple[float, float, float]  # (m_max, m_bb, m_ch)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +37,6 @@ class RegionDayStats:
     date: dt.date
     samples: int
     m_max: MetricStats
-    m_bb: MetricStats
-    m_ch: MetricStats
     m50: float
     m50_index: float | None = None
 
@@ -53,33 +48,22 @@ def summarize(values_sorted: np.ndarray) -> MetricStats:
 
 
 def reduce_region_day(
-    records: Iterable[tuple[RegionKey, dt.date, MobilityMetrics | MetricTriple]],
+    records: Iterable[tuple[RegionKey, dt.date, float]],
 ) -> dict[tuple[RegionKey, dt.date], RegionDayStats]:
-    """Group device-day metrics by (region, date) and compute exact statistics.
+    """Group device-day m_max values by (region, date) and compute exact statistics.
 
     Order independent: the same multiset of records yields identical output
     however the stream is shuffled.
     """
-    groups: dict[tuple[RegionKey, dt.date], list[MetricTriple]] = {}
-    for region, date, m in records:
-        triple = (m.m_max, m.m_bb, m.m_ch) if isinstance(m, MobilityMetrics) else m
-        groups.setdefault((region, date), []).append(triple)
+    groups: dict[tuple[RegionKey, dt.date], list[float]] = {}
+    for region, date, m_max in records:
+        groups.setdefault((region, date), []).append(m_max)
 
     out: dict[tuple[RegionKey, dt.date], RegionDayStats] = {}
-    for key, triples in groups.items():
-        arr = np.array(triples)
-        m_max = np.sort(arr[:, 0])
-        m_bb = np.sort(arr[:, 1])
-        m_ch = np.sort(arr[:, 2])
-        stats_max = summarize(m_max)
+    for key, values in groups.items():
+        stats = summarize(np.sort(np.array(values)))
         out[key] = RegionDayStats(
-            region=key[0],
-            date=key[1],
-            samples=len(triples),
-            m_max=stats_max,
-            m_bb=summarize(m_bb),
-            m_ch=summarize(m_ch),
-            m50=stats_max.median,
+            region=key[0], date=key[1], samples=len(values), m_max=stats, m50=stats.median
         )
     return out
 

@@ -45,21 +45,6 @@ def day_number_to_date(day_number: int) -> dt.date:
     return dt.date.fromordinal(day_number + _EPOCH_ORDINAL)
 
 
-def date_to_day_number(d: dt.date) -> int:
-    return d.toordinal() - _EPOCH_ORDINAL
-
-
-def assign_local_day(report: RawReport) -> tuple[str, dt.date, int]:
-    """Map one raw report to (device_id, local_date, tz_offset_hours).
-
-    This is the per-report view; device-day construction replaces the
-    per-report offset with the device's single fixed offset.
-    """
-    device_id, epoch, _lat, lon, _acc = report
-    tz = solar_tz_offset_hours(lon)
-    return device_id, day_number_to_date(local_day_number(epoch, tz)), tz
-
-
 def bucket_index(device_id: str, n_buckets: int) -> int:
     """Stable bucket assignment: 64-bit blake2b of the device id, mod n_buckets."""
     digest = hashlib.blake2b(device_id.encode("utf-8"), digest_size=8).digest()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .geo import GeoPoint, haversine_km
-from .ingest import open_shard_text
+from .ingest import gzip_errors_as_io, open_shard_text
 
 Ring = list[tuple[float, float]]
 
@@ -83,12 +83,40 @@ def _validate_key(rec: dict) -> RegionKey:
     return RegionKey(cc, admin1, admin2, rid)
 
 
+def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Place:
+    name = rec.get("name")
+    where = f"gazetteer line {lineno}: place {name!r}"
+    if name is None:
+        raise DataError(f"{where}: no name")
+    rid = str(rec.get("region_id", ""))
+    if rid not in by_id:
+        raise DataError(f"{where}: unknown region_id {rid!r}")
+    try:
+        lat, lon = float(rec["lat"]), float(rec["lon"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{where}: missing or non-numeric lat/lon: {e!r}") from None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise DataError(f"{where}: lat/lon out of range: {lat}, {lon}")
+    return Place(str(name), lat, lon, by_id[rid])
+
+
+def _numbered_lines(fh, path: str):
+    """enumerate(fh, 1), reporting undecodable bytes as a DataError naming the file."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as e:
+        raise DataError(f"gazetteer {path}: not valid UTF-8: {e}") from None
+
+
 def load_gazetteer(path: str) -> Gazetteer:
-    """Load and validate a gazetteer file; raises DataError naming the bad record."""
+    """Load and validate a gazetteer file; raises DataError naming the bad record.
+
+    Decoding is strict UTF-8, because region ids and names flow into the outputs.
+    """
     regions: list[Region] = []
-    places_raw: list[dict] = []
-    with open_shard_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    places_raw: list[tuple[int, dict]] = []
+    with gzip_errors_as_io(path), open_shard_text(path) as fh:
+        for lineno, line in _numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -96,6 +124,8 @@ def load_gazetteer(path: str) -> Gazetteer:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"gazetteer line {lineno}: invalid JSON: {e}") from None
+            if not isinstance(rec, dict):
+                raise DataError(f"gazetteer line {lineno}: record is not a JSON object")
             kind = rec.get("type")
             if kind == "region":
                 key = _validate_key(rec)
@@ -108,17 +138,12 @@ def load_gazetteer(path: str) -> Gazetteer:
                 area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
                 regions.append(Region(key, rings, bbox, area))
             elif kind == "place":
-                places_raw.append(rec)
+                places_raw.append((lineno, rec))
             else:
                 raise DataError(f"gazetteer line {lineno}: unknown record type {kind!r}")
 
     by_id = {r.key.region_id: r.key for r in regions}
-    places = []
-    for rec in places_raw:
-        rid = str(rec.get("region_id", ""))
-        if rid not in by_id:
-            raise DataError(f"place {rec.get('name')!r}: unknown region_id {rid!r}")
-        places.append(Place(str(rec["name"]), float(rec["lat"]), float(rec["lon"]), by_id[rid]))
+    places = [_validate_place(rec, lineno, by_id) for lineno, rec in places_raw]
 
     admin1_ids = {
         (r.key.country_code, r.key.admin1): r.key.region_id

@@ -3,7 +3,9 @@
 Wire format: UTF-8 text, LF or CRLF line endings, one record per line as
 ``device_id,epoch_s,lat,lon,accuracy_m`` with no quoting. A ``.gz`` suffix
 means the shard is gzip-compressed. A first line whose second field is not
-an integer is treated as a vendor header and skipped silently.
+an integer is treated as a vendor header and skipped silently. Bytes that
+are not UTF-8 make their line malformed; a truncated or corrupt ``.gz``
+stream is an IO error naming the shard.
 """
 
 from __future__ import annotations
@@ -11,35 +13,16 @@ from __future__ import annotations
 import gzip
 import io
 import logging
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterator
 
-from .geo import GeoPoint
-
 log = logging.getLogger(__name__)
-
-DEFAULT_ACCURACY_MAX_M = 50.0
 
 # internal row shape used throughout the pipeline: (device_id, epoch_s, lat, lon, accuracy_m)
 RawReport = tuple[str, int, float, float, float]
-
-
-@dataclass(frozen=True, slots=True)
-class PositionReport:
-    """One validated position report."""
-
-    device_id: str
-    epoch_s: int
-    point: GeoPoint
-    accuracy_m: float
-
-
-@dataclass(frozen=True, slots=True)
-class Malformed:
-    """Verdict for a line that failed validation, with the reason."""
-
-    reason: str
 
 
 @dataclass(slots=True)
@@ -66,6 +49,8 @@ def parse_fields(line: str) -> RawReport | str:
     device_id = parts[0]
     if not device_id:
         return "empty_device_id"
+    if not device_id.isascii() and _has_surrogate(device_id):
+        return "bad_utf8"
     try:
         epoch = int(parts[1])
     except ValueError:
@@ -90,25 +75,32 @@ def parse_fields(line: str) -> RawReport | str:
     return device_id, epoch, lat, lon, acc
 
 
-def parse_report_line(line: str) -> PositionReport | Malformed:
-    """Parse and fully validate one input line."""
-    row = parse_fields(line)
-    if isinstance(row, str):
-        return Malformed(row)
-    device_id, epoch, lat, lon, acc = row
-    return PositionReport(device_id, epoch, GeoPoint(lat, lon), acc)
+def _has_surrogate(text: str) -> bool:
+    """True if text holds a lone surrogate: an undecodable byte under surrogateescape."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
-def accuracy_filter(report: PositionReport, threshold_m: float = DEFAULT_ACCURACY_MAX_M) -> bool:
-    """True iff the report passes the accuracy filter (boundary inclusive)."""
-    return report.accuracy_m <= threshold_m
+def open_shard_text(path: str, errors: str = "strict") -> IO[str]:
+    """Open a shard for reading, transparently decompressing ``.gz`` files.
 
-
-def open_shard_text(path: str) -> IO[str]:
-    """Open a shard for reading, transparently decompressing ``.gz`` files."""
+    ``errors`` is the UTF-8 decoding error handler.
+    """
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors=errors, newline="")
+    return open(path, "r", encoding="utf-8", errors=errors, newline="")
+
+
+@contextmanager
+def gzip_errors_as_io(path: str) -> Iterator[None]:
+    """Re-raise a truncated or corrupt gzip stream read inside the block as OSError."""
+    try:
+        yield
+    except (EOFError, zlib.error) as e:
+        raise OSError(f"{path}: truncated or corrupt gzip data: {e}") from None
 
 
 def _looks_like_header(line: str) -> bool:
@@ -126,10 +118,10 @@ def iter_shard_raw(path: str, accuracy_max_m: float, stats: IngestStats) -> Iter
     """Yield accepted raw report tuples from one shard, updating stats in place.
 
     A leading header line is skipped before any counting. IO and
-    decompression failures propagate to the caller; malformed data lines
-    never raise.
+    decompression failures raise OSError; malformed data lines, undecodable
+    bytes included, never raise.
     """
-    with open_shard_text(path) as fh:
+    with gzip_errors_as_io(path), open_shard_text(path, "surrogateescape") as fh:
         first = fh.readline()
         if not first:
             return
@@ -146,19 +138,3 @@ def iter_shard_raw(path: str, accuracy_max_m: float, stats: IngestStats) -> Iter
                 continue
             stats.reports_accepted += 1
             yield row
-
-
-def read_shard(
-    path: str,
-    accuracy_max_m: float = DEFAULT_ACCURACY_MAX_M,
-    stats: IngestStats | None = None,
-) -> Iterator[PositionReport]:
-    """Yield accepted PositionReports from one shard in file order.
-
-    Pass an IngestStats to receive line accounting; it is complete once the
-    iterator is exhausted.
-    """
-    if stats is None:
-        stats = IngestStats()
-    for device_id, epoch, lat, lon, acc in iter_shard_raw(path, accuracy_max_m, stats):
-        yield PositionReport(device_id, epoch, GeoPoint(lat, lon), acc)

@@ -1,9 +1,10 @@
 """Per-device-day eligibility rules and mobility measures.
 
-Three measures per eligible device-day: the trimmed maximum haversine
-distance from the day's first report (m_max), and the linearized bounding
-box and convex hull measures (m_bb, m_ch) obtained from square-degree
-areas via 111 * sqrt(area) * cos(mean latitude).
+The pipeline publishes one measure per eligible device-day: the trimmed
+maximum haversine distance from the day's first report (m_max). The
+linearized bounding box and convex hull measures (m_bb, m_ch), obtained
+from square-degree areas via 111 * sqrt(area) * cos(mean latitude), are
+library measures checked against the oracle; no pipeline output uses them.
 """
 
 from __future__ import annotations
@@ -106,16 +107,6 @@ def day_box_and_hull(rows: Sequence[DayReport]) -> tuple[float, float, float, fl
     )
 
 
-def max_distance_mobility(dd: DeviceDay, trim_fraction: float = DEFAULT_TRIM_FRACTION) -> float:
-    """Trimmed maximum haversine distance (km) from the day's first report."""
-    return day_max_distance(dd.reports, trim_fraction)
-
-
-def box_and_hull_mobility(dd: DeviceDay) -> tuple[float, float, float, float]:
-    """(m_bb, m_ch, a_bb, a_ch) for the day's full point set."""
-    return day_box_and_hull(dd.reports)
-
-
 def canonical_position(dd: DeviceDay) -> GeoPoint:
     """The day's representative point: its first report (canonical sort order)."""
     first = dd.reports[0]
@@ -124,9 +115,9 @@ def canonical_position(dd: DeviceDay) -> GeoPoint:
 
 def compute_metrics(dd: DeviceDay, trim_fraction: float = DEFAULT_TRIM_FRACTION) -> MobilityMetrics:
     """Full metrics for an eligible device-day; eligibility is the caller's check."""
-    m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dd)
+    m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dd.reports)
     return MobilityMetrics(
-        m_max=max_distance_mobility(dd, trim_fraction),
+        m_max=day_max_distance(dd.reports, trim_fraction),
         m_bb=m_bb,
         m_ch=m_ch,
         a_bb=a_bb,

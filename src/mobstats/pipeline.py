@@ -4,14 +4,16 @@ The scatter phase partitions each input shard into per-(bucket, shard)
 spill files under a scratch directory; spill rows are the accepted reports
 in the ingest wire format. The gather phase turns one bucket at a time into
 device-days with collate.build_device_days, applies the metrics module's
-eligibility rule and measures, geocodes each eligible day, and returns its
-counters and (region, date, metrics) records in memory. The parent process
-reduces those into per-(region, date) statistics and writes the outputs
-atomically. Spill files are keyed by input shard index and read back in
-shard order, region-day sample lists are value-sorted before any
-arithmetic, and every output file is written in one canonical order, so
-results are byte-identical for any worker or bucket count. Each run clears
-the spill tree before scatter; it is deleted on success and kept on failure.
+eligibility rule, geocodes each eligible day, measures its trimmed maximum
+distance m_max (the one per-device-day value any output depends on), and
+returns its counters and (region, date, m_max) records in memory. The
+parent process reduces those into per-(region, date) statistics and writes
+the outputs atomically. Spill files are keyed by input shard index and
+read back in shard order, region-day sample lists are value-sorted before
+any arithmetic, and every output file is written in one canonical order,
+so results are byte-identical for any worker or bucket count. Each run
+clears the spill tree before scatter; it is deleted on success and kept
+on failure.
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from . import aggregate, output
+from . import aggregate, metrics, output
 from .collate import bucket_index, build_device_days
 from .errors import ConfigError
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, iter_shard_raw
-from .metrics import canonical_position, day_box_and_hull, day_max_distance, rejection_reason
+from .metrics import canonical_position, day_max_distance, rejection_reason
 
 FORMATS = ("ndjson", "csv", "both")
-
-DEFAULT_BASELINE_START = aggregate.DEFAULT_BASELINE_START
-DEFAULT_BASELINE_END = aggregate.DEFAULT_BASELINE_END
 
 # per-dataset device-day counters, in run-report order; the two rejected_*
 # keys are "rejected_" + a metrics.REASON_* value
@@ -56,11 +55,11 @@ class PipelineConfig:
     output_dir: str = "out"
     format: str = "both"
     accuracy_max_m: float = 50.0
-    min_reports: int = 10
-    min_span_hours: float = 8.0
-    trim_fraction: float = 0.10
-    baseline_start: dt.date = DEFAULT_BASELINE_START
-    baseline_end: dt.date = DEFAULT_BASELINE_END
+    min_reports: int = metrics.DEFAULT_MIN_REPORTS
+    min_span_hours: float = metrics.DEFAULT_MIN_SPAN_HOURS
+    trim_fraction: float = metrics.DEFAULT_TRIM_FRACTION
+    baseline_start: dt.date = aggregate.DEFAULT_BASELINE_START
+    baseline_end: dt.date = aggregate.DEFAULT_BASELINE_END
     date_start: dt.date | None = None
     date_end: dt.date | None = None
     workers: int = 1
@@ -139,7 +138,7 @@ def _scatter_shard(task: tuple) -> dict:
 def _gather_bucket(task: tuple) -> tuple[dict, list]:
     """Turn one bucket's spill files into (counters, device-day records).
 
-    Each record is (RegionKey, local_date, (m_max, m_bb, m_ch)) at the
+    Each record is (RegionKey, local_date, m_max) at the
     admin1 level, followed by an admin2-level twin when the device-day
     geocodes to a county: both levels reduce from device-days, because
     medians do not compose upward.
@@ -176,17 +175,15 @@ def _gather_bucket(task: tuple) -> tuple[dict, list]:
             counters["unmatched_geocode"] += 1
             continue
         m_max = day_max_distance(dd.reports, cfg.trim_fraction)
-        m_bb, m_ch, _a_bb, _a_ch = day_box_and_hull(dd.reports)
-        triple = (m_max, m_bb, m_ch)
         if region.admin1:
             a1_id = gaz.admin1_ids.get((region.country_code, region.admin1), "")
         else:
             a1_id = region.region_id
         records.append(
-            (RegionKey(region.country_code, region.admin1, "", a1_id), dd.local_date, triple)
+            (RegionKey(region.country_code, region.admin1, "", a1_id), dd.local_date, m_max)
         )
         if region.admin2:
-            records.append((region, dd.local_date, triple))
+            records.append((region, dd.local_date, m_max))
     return counters, records
 
 

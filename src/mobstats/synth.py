@@ -96,7 +96,6 @@ def toy_gazetteer_records() -> list[dict]:
                 "admin1": admin1,
                 "admin2": "",
                 "region_id": rid,
-                "utc_offset_hours": 0,
                 "polygons": [_box_ring(lon0, lon1, -4.0, 4.0)],
             }
         )
@@ -108,7 +107,6 @@ def toy_gazetteer_records() -> list[dict]:
                 "admin1": admin1,
                 "admin2": admin2,
                 "region_id": rid,
-                "utc_offset_hours": 0,
                 "polygons": [_box_ring(lon0, lon1, lat0, lat1)],
             }
         )

@@ -182,7 +182,7 @@ class TestGates:
 
     def test_5_geometry_invariants(self, corpus, oracle_sweep):
         # hull measure bounded by box measure on every eligible device-day,
-        # on both the pipeline route and the oracle route
+        # on both the metrics module's route and the oracle route
         checked = 0
         for m in oracle_sweep["metrics"]:
             assert m.m_ch <= m.m_bb

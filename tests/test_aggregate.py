@@ -27,12 +27,12 @@ MON = dt.date(2020, 3, 2)
 
 
 def rec(m_max, region=R1, date=MON):
-    return (region, date, (float(m_max), float(m_max) * 0.8, float(m_max) * 0.7))
+    return (region, date, float(m_max))
 
 
 def day_stats(region, date, m50):
     s = MetricStats(m50, m50, m50, m50)
-    return RegionDayStats(region, date, 1, s, s, s, m50)
+    return RegionDayStats(region, date, 1, s, m50)
 
 
 class TestSummarize:
@@ -71,8 +71,6 @@ class TestReduceRegionDay:
         assert stats.samples == 5
         assert stats.m50 == 3.0
         assert stats.m50 == stats.m_max.median
-        assert stats.m_bb.median == pytest.approx(3.0 * 0.8)
-        assert stats.m_ch.median == pytest.approx(3.0 * 0.7)
 
     def test_keys_kept_separate(self):
         out = reduce_region_day([rec(1), rec(9, region=R2),
@@ -107,7 +105,7 @@ class TestReduceRegionDay:
     def test_pipeline_values_survive(self):
         out = reduce_region_day([rec(2.0)])
         s = out[(R1, MON)]
-        assert (s.m_max.mean, s.m_bb.mean, s.m_ch.mean) == (2.0, 1.6, 1.4)
+        assert s.m_max.mean == 2.0
         assert s.m50_index is None
 
 

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from mobstats.collate import (
     DeviceDay,
-    assign_local_day,
     bucket_index,
     bucket_sort,
     build_device_days,
-    date_to_day_number,
     day_number_to_date,
     local_day_number,
 )
@@ -25,21 +23,28 @@ def raw(device_id, epoch, lat=0.0, lon=0.0, acc=5.0):
     return (device_id, epoch, lat, lon, acc)
 
 
+def single_report_day(lon):
+    """(device_id, local_date, tz_offset_hours) of a one-report device-day at T0."""
+    (dd,) = build_device_days([raw("a", T0, lon=lon)])
+    return dd.device_id, dd.local_date, dd.tz_offset_hours
+
+
 class TestAssignLocalDay:
     def test_utc_identity(self):
-        assert assign_local_day(raw("a", T0, lon=0.0)) == ("a", dt.date(2020, 3, 16), 0)
+        assert single_report_day(0.0) == ("a", dt.date(2020, 3, 16), 0)
 
     def test_negative_offset_shifts_back_a_day(self):
         # offset round(-106/15) = -7 puts the instant at 2020-03-15T17:00 local
-        assert assign_local_day(raw("a", T0, lon=-106.0)) == ("a", dt.date(2020, 3, 15), -7)
+        assert single_report_day(-106.0) == ("a", dt.date(2020, 3, 15), -7)
 
     def test_positive_offset_same_day(self):
         # offset +12 puts it at 2020-03-16T12:00 local
-        assert assign_local_day(raw("a", T0, lon=174.8)) == ("a", dt.date(2020, 3, 16), 12)
+        assert single_report_day(174.8) == ("a", dt.date(2020, 3, 16), 12)
 
     def test_day_number_round_trip(self):
         for day in (0, 1, 18337, 20000):
-            assert date_to_day_number(day_number_to_date(day)) == day
+            assert local_day_number(day * 86400, 0) == day
+            assert (day_number_to_date(day) - dt.date(1970, 1, 1)).days == day
         assert day_number_to_date(0) == dt.date(1970, 1, 1)
 
     @given(st.integers(min_value=0, max_value=2**33), st.integers(min_value=-12, max_value=12))

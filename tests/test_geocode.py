@@ -72,6 +72,36 @@ class TestLoadGazetteer:
         with pytest.raises(DataError, match="Nowhere"):
             load_gazetteer(p)
 
+    @pytest.mark.parametrize("fields", [
+        {"lat": 0.5}, {"lon": 0.5}, {"lat": "north", "lon": 0.5}, {"lat": None, "lon": 0.5},
+        {"lat": [0.5], "lon": 0.5}, {"lat": 95.0, "lon": 0.5}, {"lat": "nan", "lon": 0.5},
+    ])
+    def test_place_with_bad_coordinates_rejected(self, tmp_path, fields):
+        recs = [region_rec("R1", [square_ring(0, 0, 1, 1)]),
+                {"type": "place", "name": "Spot", "region_id": "R1", **fields}]
+        p = write_gaz(tmp_path / "g.ndjson", recs)
+        with pytest.raises(DataError, match="line 2: place 'Spot'"):
+            load_gazetteer(p)
+
+    def test_place_without_name_rejected(self, tmp_path):
+        recs = [region_rec("R1", [square_ring(0, 0, 1, 1)]),
+                {"type": "place", "lat": 0.5, "lon": 0.5, "region_id": "R1"}]
+        p = write_gaz(tmp_path / "g.ndjson", recs)
+        with pytest.raises(DataError, match="line 2: .*no name"):
+            load_gazetteer(p)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        p = write_gaz(tmp_path / "g.ndjson", [["region", "R1"]])
+        with pytest.raises(DataError, match="line 1: record is not a JSON object"):
+            load_gazetteer(p)
+
+    def test_non_utf8_gazetteer_rejected(self, tmp_path):
+        p = tmp_path / "g.ndjson"
+        rec = region_rec("R\u00e9", [square_ring(0, 0, 1, 1)])
+        p.write_bytes(json.dumps(rec, ensure_ascii=False).encode("latin-1") + b"\n")
+        with pytest.raises(DataError, match="g.ndjson: not valid UTF-8"):
+            load_gazetteer(str(p))
+
     @pytest.mark.parametrize("cc", ["A", "AAA", "aa", "A1", "ÁÉ"])
     def test_bad_country_code_rejected(self, tmp_path, cc):
         p = write_gaz(tmp_path / "g.ndjson",

@@ -1,32 +1,23 @@
 import gzip
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobstats.geo import GeoPoint
-from mobstats.ingest import (
-    IngestStats,
-    Malformed,
-    PositionReport,
-    accuracy_filter,
-    iter_shard_raw,
-    parse_fields,
-    parse_report_line,
-    read_shard,
-)
+from mobstats.ingest import IngestStats, iter_shard_raw, parse_fields
 from mobstats.synth import MALFORMED_LINES
 
 
 class TestParseReportLine:
     def test_valid_line(self):
-        r = parse_report_line("abc,1584316800,40.7,-74.0,12.5")
-        assert r == PositionReport("abc", 1584316800, GeoPoint(40.7, -74.0), 12.5)
+        r = parse_fields("abc,1584316800,40.7,-74.0,12.5")
+        assert r == ("abc", 1584316800, 40.7, -74.0, 12.5)
 
     def test_crlf_stripped(self):
-        r = parse_report_line("abc,1584316800,40.7,-74.0,12.5\r\n")
-        assert isinstance(r, PositionReport)
-        assert r.point.lat == 40.7
+        r = parse_fields("abc,1584316800,40.7,-74.0,12.5\r\n")
+        assert isinstance(r, tuple)
+        assert r[2] == 40.7
 
     @pytest.mark.parametrize("line,reason", [
         ("abc,1584316800,95.0,-74.0,12.5", "lat_range"),
@@ -43,11 +34,16 @@ class TestParseReportLine:
         ("", "field_count"),
     ])
     def test_malformed(self, line, reason):
-        assert parse_report_line(line) == Malformed(reason)
+        assert parse_fields(line) == reason
+
+    def test_undecodable_device_id(self):
+        # a lone surrogate is what surrogateescape decoding makes of a non-UTF-8 byte
+        assert parse_fields("ab\udcff,1584316800,40.7,-74.0,12.5") == "bad_utf8"
+        assert parse_fields("caf\u00e9,1584316800,40.7,-74.0,12.5")[0] == "caf\u00e9"
 
     def test_lon_180_normalized(self):
-        r = parse_report_line("abc,0,0.0,180.0,1.0")
-        assert r.point.lon == -180.0
+        r = parse_fields("abc,0,0.0,180.0,1.0")
+        assert r[3] == -180.0
 
     def test_generator_malformed_samples_all_rejected(self):
         for line in MALFORMED_LINES:
@@ -55,26 +51,12 @@ class TestParseReportLine:
 
     def test_never_raises_on_noise(self):
         for junk in ["\x00,\x00", "a,b,c,d,e", ",,,,", "a,1,2,3,4,5,6,7", "\n"]:
-            assert parse_report_line(junk) is not None
+            assert parse_fields(junk) is not None
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))
     def test_total_on_arbitrary_text(self, line):
-        out = parse_report_line(line.replace("\n", " "))
-        assert isinstance(out, (PositionReport, Malformed))
-
-
-class TestAccuracyFilter:
-    def test_below_threshold_kept(self):
-        r = parse_report_line("abc,0,0.0,0.0,12.5")
-        assert accuracy_filter(r, 50.0)
-
-    def test_boundary_inclusive(self):
-        r = parse_report_line("abc,0,0.0,0.0,50.0")
-        assert accuracy_filter(r, 50.0)
-
-    def test_above_threshold_dropped(self):
-        r = parse_report_line("abc,0,0.0,0.0,50.1")
-        assert not accuracy_filter(r, 50.0)
+        out = parse_fields(line.replace("\n", " "))
+        assert isinstance(out, (tuple, str))
 
 
 GOOD = [
@@ -103,7 +85,7 @@ class TestReadShard:
     def test_counts(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [BAD])
         stats = IngestStats()
-        reports = list(read_shard(p, stats=stats))
+        reports = list(iter_shard_raw(p, 50.0, stats))
         assert len(reports) == 3
         assert stats.lines_read == 4
         assert stats.lines_malformed == 1
@@ -113,7 +95,7 @@ class TestReadShard:
     def test_accuracy_rejection_counted(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [REJ])
         stats = IngestStats()
-        reports = list(read_shard(p, accuracy_max_m=50.0, stats=stats))
+        reports = list(iter_shard_raw(p, 50.0, stats))
         assert len(reports) == 3
         assert stats.reports_rejected_accuracy == 1
 
@@ -121,18 +103,19 @@ class TestReadShard:
         lines = GOOD + [BAD, REJ]
         plain = write_shard(tmp_path / "a.csv", lines)
         packed = write_shard(tmp_path / "a.csv.gz", lines, compress=True)
-        assert list(read_shard(plain)) == list(read_shard(packed))
+        assert list(iter_shard_raw(plain, 50.0, IngestStats())) == \
+            list(iter_shard_raw(packed, 50.0, IngestStats()))
 
     def test_empty_file(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", [])
         stats = IngestStats()
-        assert list(read_shard(p, stats=stats)) == []
+        assert list(iter_shard_raw(p, 50.0, stats)) == []
         assert stats.lines_read == 0
 
     def test_header_skipped_silently(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD, header="device_id,epoch_s,lat,lon,accuracy_m")
         stats = IngestStats()
-        reports = list(read_shard(p, stats=stats))
+        reports = list(iter_shard_raw(p, 50.0, stats))
         assert len(reports) == 3
         # header is not a data line, so it lands in no stats bucket
         assert stats.lines_read == 3
@@ -140,21 +123,44 @@ class TestReadShard:
 
     def test_first_data_line_not_eaten_as_header(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        assert len(list(read_shard(p))) == 3
+        assert len(list(iter_shard_raw(p, 50.0, IngestStats()))) == 3
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            list(read_shard(str(tmp_path / "nope.csv")))
+            list(iter_shard_raw(str(tmp_path / "nope.csv"), 50.0, IngestStats()))
 
     def test_corrupt_gzip_raises(self, tmp_path):
         p = tmp_path / "s.csv.gz"
         p.write_bytes(b"this is not gzip data")
         with pytest.raises(OSError):
-            list(read_shard(str(p)))
+            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+
+    def test_truncated_gzip_raises_oserror_naming_path(self, tmp_path):
+        packed = write_shard(tmp_path / "s.csv.gz", GOOD * 50, compress=True)
+        p = tmp_path / "cut.csv.gz"
+        p.write_bytes(Path(packed).read_bytes()[:-20])
+        with pytest.raises(OSError, match="cut.csv.gz"):
+            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+
+    def test_corrupt_deflate_block_raises_oserror_naming_path(self, tmp_path):
+        p = tmp_path / "bad.csv.gz"
+        # a valid gzip header followed by a deflate block of reserved type 3
+        p.write_bytes(gzip.compress(b"")[:10] + b"\xff" * 32)
+        with pytest.raises(OSError, match="bad.csv.gz"):
+            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+
+    def test_non_utf8_byte_is_a_malformed_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes("\n".join(GOOD).encode() + b"\nd\xff9,1584316800,1.0,2.0,3.0\n"
+                      + b"d5,15843\xe96800,1.0,2.0,3.0\n")
+        stats = IngestStats()
+        reports = list(iter_shard_raw(str(p), 50.0, stats))
+        assert [r[0] for r in reports] == ["d1", "d1", "d2"]
+        assert (stats.lines_read, stats.lines_malformed, stats.reports_accepted) == (5, 2, 3)
 
     def test_file_order_preserved(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        epochs = [r.epoch_s for r in read_shard(p)]
+        epochs = [r[1] for r in iter_shard_raw(p, 50.0, IngestStats())]
         assert epochs == [1584316800, 1584320400, 1584316900]
 
     def test_stats_merge_is_fieldwise_sum(self):

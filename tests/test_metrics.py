@@ -10,12 +10,13 @@ from mobstats import oracle
 from mobstats.collate import DeviceDay, build_device_days
 from mobstats.geo import GeoPoint, haversine_km
 from mobstats.metrics import (
+    DEFAULT_TRIM_FRACTION,
     REASON_SHORT_SPAN,
     REASON_TOO_FEW,
-    box_and_hull_mobility,
     canonical_position,
     compute_metrics,
-    max_distance_mobility,
+    day_box_and_hull,
+    day_max_distance,
     rejection_reason,
     span_hours,
     trimmed_max_distance,
@@ -69,7 +70,7 @@ class TestEligibility:
 
 class TestTrimmedMax:
     def test_identical_points(self):
-        assert max_distance_mobility(spread(10)) == 0.0
+        assert day_max_distance(spread(10).reports, DEFAULT_TRIM_FRACTION) == 0.0
 
     def test_outlier_dropped(self):
         # 9 reports within ~1 km of the anchor plus one 100 km outlier;
@@ -77,7 +78,7 @@ class TestTrimmedMax:
         rows = [(T0 + i * 3600, 0.0002 * i, 0.0003 * i, 5.0) for i in range(9)]
         rows.append((T0 + 9 * 3600, 0.9, 0.0, 5.0))
         dd = dday(rows)
-        m = max_distance_mobility(dd)
+        m = day_max_distance(dd.reports, DEFAULT_TRIM_FRACTION)
         assert m <= 1.0
         ref = oracle.oracle_metrics(rows)
         assert ref["eligible"]
@@ -88,7 +89,8 @@ class TestTrimmedMax:
         rows = [(T0 + i * 1800, 0.001 * i, 0.0, 5.0) for i in range(19)]
         dd = dday(rows)
         second_farthest = haversine_km(GeoPoint(0, 0), GeoPoint(0.001 * 17, 0.0))
-        assert max_distance_mobility(dd) == pytest.approx(second_farthest, rel=1e-12)
+        assert day_max_distance(dd.reports, DEFAULT_TRIM_FRACTION) == \
+            pytest.approx(second_farthest, rel=1e-12)
 
     def test_k_zero_returns_plain_max(self):
         d = np.array([3.0, 1.0, 2.0])
@@ -108,7 +110,7 @@ class TestTrimmedMax:
 
 class TestBoxAndHull:
     def test_identical_points_all_zero(self):
-        assert box_and_hull_mobility(spread(12)) == (0.0, 0.0, 0.0, 0.0)
+        assert day_box_and_hull(spread(12).reports) == (0.0, 0.0, 0.0, 0.0)
 
     def test_square_at_equator(self):
         # corners of a 0.01 x 0.01 degree square centered on the equator;
@@ -117,7 +119,7 @@ class TestBoxAndHull:
         corners = [(-0.005, 10.0), (-0.005, 10.01), (0.005, 10.0), (0.005, 10.01)]
         rows = [(T0 + i * 3600, lat, lon, 5.0)
                 for i, (lat, lon) in enumerate(corners * 3)]
-        m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dday(rows))
+        m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
         assert m_bb == pytest.approx(1.11, rel=1e-12)
         assert m_ch == pytest.approx(1.11, rel=1e-12)
         assert a_bb == pytest.approx(0.0001, rel=1e-12)
@@ -125,14 +127,14 @@ class TestBoxAndHull:
 
     def test_collinear_day_has_zero_hull_area(self):
         rows = [(T0 + i * 3600, 0.001 * i, 20.0, 5.0) for i in range(10)]
-        m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dday(rows))
+        m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
         assert (m_bb, m_ch, a_bb, a_ch) == (0.0, 0.0, 0.0, 0.0)
 
     def test_hull_strictly_inside_box(self):
         # diamond: hull area is half the box area, so m_ch = m_bb / sqrt(2)
         pts = [(0.01, 20.0), (-0.01, 20.0), (0.0, 19.99), (0.0, 20.01)]
         rows = [(T0 + i * 3600, lat, lon, 5.0) for i, (lat, lon) in enumerate(pts * 3)]
-        m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dday(rows))
+        m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
         assert a_ch == pytest.approx(a_bb / 2, rel=1e-9)
         assert m_ch == pytest.approx(m_bb / np.sqrt(2), rel=1e-9)
 
@@ -141,7 +143,7 @@ class TestBoxAndHull:
             (T0, 0.0, 179.99, 5.0), (T0 + 3600, 0.01, -179.99, 5.0),
             (T0 + 7200, 0.0, -179.99, 5.0), (T0 + 10800, 0.01, 179.99, 5.0),
         ] * 3
-        m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dday(rows))
+        m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
         assert a_bb == pytest.approx(0.02 * 0.01, rel=1e-9)
         assert m_ch <= m_bb
 
@@ -189,7 +191,7 @@ class TestInvariants:
     @given(rows_st)
     @settings(max_examples=80)
     def test_hull_measure_never_exceeds_box_measure(self, rows):
-        m_bb, m_ch, a_bb, a_ch = box_and_hull_mobility(dday(rows))
+        m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
         assert 0.0 <= a_ch <= a_bb
         assert 0.0 <= m_ch <= m_bb
 
@@ -213,8 +215,8 @@ class TestInvariants:
     def test_longitude_translation_leaves_areas_unchanged(self, rows, shift):
         # scoped away from the antimeridian: unwrap must not fire on either copy
         moved = [(e, lat, lon + shift, acc) for e, lat, lon, acc in rows]
-        _, _, a_bb, a_ch = box_and_hull_mobility(dday(rows))
-        _, _, a_bb2, a_ch2 = box_and_hull_mobility(dday(moved))
+        _, _, a_bb, a_ch = day_box_and_hull(dday(rows).reports)
+        _, _, a_bb2, a_ch2 = day_box_and_hull(dday(moved).reports)
         assert a_bb2 == pytest.approx(a_bb, rel=1e-9, abs=1e-12)
         assert a_ch2 == pytest.approx(a_ch, rel=1e-9, abs=1e-12)
 
@@ -235,7 +237,7 @@ class TestCanonicalPosition:
         dd = dday(rows)
         anchor = canonical_position(dd)
         far = GeoPoint(0.01, 0.01)
-        assert max_distance_mobility(dd, trim_fraction=0.0) == pytest.approx(
+        assert day_max_distance(dd.reports, 0.0) == pytest.approx(
             haversine_km(anchor, far), rel=1e-12)
 
 

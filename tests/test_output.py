@@ -207,8 +207,7 @@ class TestRecordFromStats:
     def test_admin2_level(self):
         stats = RegionDayStats(
             RegionKey("AA", "West", "Westburg", "W-01"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), MetricStats(1, 1, 1, 1),
-            MetricStats(1, 1, 1, 1), 1.8, 90.0)
+            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8, 90.0)
         r = record_from_stats(stats)
         assert r.admin_level == "admin2"
         assert r.date == "2020-03-02"
@@ -218,8 +217,7 @@ class TestRecordFromStats:
     def test_admin1_level_has_empty_admin2(self):
         stats = RegionDayStats(
             RegionKey("AA", "West", "", "W"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), MetricStats(1, 1, 1, 1),
-            MetricStats(1, 1, 1, 1), 1.8)
+            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8)
         r = record_from_stats(stats)
         assert r.admin_level == "admin1"
         assert r.admin2 == ""
@@ -228,8 +226,7 @@ class TestRecordFromStats:
     def test_verbose_carries_spread(self):
         stats = RegionDayStats(
             RegionKey("AA", "West", "", "W"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), MetricStats(1, 1, 1, 1),
-            MetricStats(1, 1, 1, 1), 1.8)
+            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8)
         r = record_from_stats(stats, verbose=True)
         assert (r.m_max_mean, r.m_max_q1, r.m_max_q3) == (2.0, 1.0, 3.0)
 

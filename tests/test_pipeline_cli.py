@@ -1,8 +1,10 @@
 import datetime as dt
+import gzip
 import hashlib
 import io
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +145,7 @@ class TestRun:
         run(base_config(scenario, tmp_path / "out"))
 
         got: dict[str, list[float]] = {}
-        for region, date, (m_max, _m_bb, _m_ch) in captured:
+        for region, date, m_max in captured:
             if not region.admin2:
                 got.setdefault(date.isoformat(), []).append(m_max)
         gaz = load_gazetteer(scenario["gazetteer_path"])
@@ -157,6 +159,32 @@ class TestRun:
         assert sorted(got) == sorted(want)
         for date, values in want.items():
             assert sorted(got[date]) == pytest.approx(sorted(values), rel=1e-9), date
+
+    def test_non_utf8_lines_counted_malformed_and_report_reconciles(self, scenario, tmp_path):
+        data = tmp_path / "shards"
+        shutil.copytree(scenario["root"] / "shards", data)
+        first = sorted(data.glob("*.csv"))[0]
+        with open(first, "ab") as fh:
+            fh.write(b"dev-\xff\xfe,1583150400,1.0,2.0,3.0\n")  # device id not UTF-8
+            fh.write(b"dev-1,15831\xe90400,1.0,2.0,3.0\n")      # epoch not UTF-8
+        clean = run(base_config(scenario, tmp_path / "clean"))[0]
+        report = run(base_config(scenario, tmp_path / "out", inputs=[str(data / "*.csv")]))[0]
+        reconcile(report)
+        assert report["lines_read"] == clean["lines_read"] + 2
+        assert report["lines_malformed"] == clean["lines_malformed"] + 2
+        assert (tmp_path / "out" / "stats.ndjson").read_bytes() == \
+            (tmp_path / "clean" / "stats.ndjson").read_bytes()
+
+    def test_box_and_hull_not_computed(self, scenario, tmp_path, monkeypatch):
+        # no output carries a box or hull measure, so no run may build a hull
+        from mobstats import metrics
+
+        def no_hull(_pts):
+            raise AssertionError("convex hull computed on the pipeline path")
+
+        monkeypatch.setattr(metrics, "convex_hull_xy", no_hull)
+        reports = run(base_config(scenario, tmp_path / "out", verbose_stats=True))
+        assert reports[0]["eligible_device_days"] > 0
 
     def test_date_filter(self, scenario, tmp_path):
         lo, hi = dt.date(2020, 3, 2), dt.date(2020, 3, 6)
@@ -351,6 +379,37 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: io:")
         assert "nope.ndjson" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])
+    def test_damaged_gzip_shard_exit_2_names_path(self, scenario, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        data.mkdir()
+        shard = sorted((scenario["root"] / "shards").glob("*.csv"))[0]
+        packed = gzip.compress(shard.read_bytes())
+        if damage == "truncated":
+            packed = packed[: len(packed) // 2]
+        else:
+            packed = packed[:10] + b"\xff" * 64  # deflate block of reserved type 3
+        (data / "part-00.csv.gz").write_bytes(packed)
+        rc = main(["run", "--input", str(data / "*.csv.gz"),
+                   "--gazetteer", scenario["gazetteer_path"],
+                   "--output-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: io:")
+        assert "part-00.csv.gz" in err
+
+    @pytest.mark.parametrize("bad_line", [
+        b'{"type":"place","name":"Lost","lon":1.0,"region_id":"AA-W"}\n',
+        b'{"type":"place","name":"Caf\xe9","lat":1.0,"lon":1.0,"region_id":"AA-W"}\n',
+    ], ids=["place_without_lat", "non_utf8"])
+    def test_bad_gazetteer_record_exit_3(self, scenario, tmp_path, capsys, bad_line):
+        gaz = tmp_path / "gaz.ndjson"
+        gaz.write_bytes(Path(scenario["gazetteer_path"]).read_bytes() + bad_line)
+        rc = main(["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                   "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: data:")
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["run", "--no-such-flag"]) == 1
