@@ -13,6 +13,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .geo import solar_tz_offset_hours
 from .ingest import RawReport
 
@@ -36,13 +38,40 @@ class DeviceDay:
     reports: list[DayReport]
 
 
-def local_day_number(epoch_s: int, tz_offset_hours: int) -> int:
-    """Day index since 1970-01-01 of the instant shifted to local time."""
+@dataclass(slots=True)
+class DayColumns:
+    """One bucket's reports regrouped into device-days, as columns.
+
+    Rows are sorted by (device code, epoch, lat, lon, accuracy); device-day
+    i is rows starts[i] : starts[i] + counts[i], and day[i] and tz[i] are
+    its local day number and its device's solar offset.
+    """
+
+    code: np.ndarray
+    epoch: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    acc: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    day: np.ndarray
+    tz: np.ndarray
+
+
+def local_day_number(epoch_s, tz_offset_hours):
+    """Day index since 1970-01-01 of the instant shifted to local time.
+
+    Works on ints and, element-wise, on int64 arrays.
+    """
     return (epoch_s + 3600 * tz_offset_hours) // 86400
 
 
 def day_number_to_date(day_number: int) -> dt.date:
     return dt.date.fromordinal(day_number + _EPOCH_ORDINAL)
+
+
+def date_to_day_number(date: dt.date) -> int:
+    return date.toordinal() - _EPOCH_ORDINAL
 
 
 def bucket_index(device_id: str, n_buckets: int) -> int:
@@ -65,22 +94,54 @@ def bucket_sort(reports: Iterable[RawReport], n_buckets: int) -> list[list[RawRe
     return buckets
 
 
+def _run_starts(n: int, *keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal key tuples starts, over n rows."""
+    change = np.zeros(n, bool)
+    change[:1] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(change)
+
+
+def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
+    """Regroup one bucket's report columns into device-days, in canonical order.
+
+    code must number the device ids in sorted order. Per device: reports are
+    sorted by (epoch, lat, lon, accuracy), stably, the solar offset of the
+    first report becomes the device's single offset, every report is
+    re-dated with it, and each local day is one device-day. Devices come
+    in code order, days in date order.
+    """
+    order = np.lexsort((acc, lon, lat, epoch, code))
+    code, epoch, lat, lon, acc = (a[order] for a in (code, epoch, lat, lon, acc))
+    n = len(code)
+    devices = _run_starts(n, code)
+    tz_by_device = [solar_tz_offset_hours(x) for x in lon[devices].tolist()]
+    tz = np.repeat(np.array(tz_by_device, np.int64), np.diff(devices, append=n))
+    day = local_day_number(epoch, tz)
+    starts = _run_starts(n, code, day)
+    counts = np.diff(starts, append=n)
+    return DayColumns(code, epoch, lat, lon, acc, starts, counts, day[starts], tz[starts])
+
+
 def build_device_days(bucket: Iterable[RawReport]) -> Iterator[DeviceDay]:
     """Regroup one bucket's reports into DeviceDays, in canonical order.
 
-    Per device: reports are sorted by (epoch, lat, lon, accuracy), the solar
-    offset of the first report becomes the device's single offset, every
-    report is re-dated with it, and one DeviceDay is emitted per local day.
-    Devices are emitted in device_id order, days in date order.
+    Row-wise view of group_device_days: devices are emitted in device_id
+    order, days in date order, reports sorted by (epoch, lat, lon, accuracy).
     """
-    by_device: dict[str, list[DayReport]] = {}
-    for device_id, epoch, lat, lon, acc in bucket:
-        by_device.setdefault(device_id, []).append((epoch, lat, lon, acc))
-    for device_id in sorted(by_device):
-        rows = sorted(by_device[device_id])
-        tz = solar_tz_offset_hours(rows[0][2])
-        days: dict[int, list[DayReport]] = {}
-        for row in rows:
-            days.setdefault(local_day_number(row[0], tz), []).append(row)
-        for day_number in sorted(days):
-            yield DeviceDay(device_id, day_number_to_date(day_number), tz, days[day_number])
+    rows = list(bucket)
+    names = sorted({r[0] for r in rows})
+    code_of = {name: i for i, name in enumerate(names)}
+    dd = group_device_days(
+        np.array([code_of[r[0]] for r in rows], np.int64),
+        *(np.array([r[j] for r in rows], dtype) for j, dtype in
+          ((1, np.int64), (2, np.float64), (3, np.float64), (4, np.float64))),
+    )
+    reports = list(zip(dd.epoch.tolist(), dd.lat.tolist(), dd.lon.tolist(), dd.acc.tolist()))
+    codes = dd.code.tolist()
+    for start, count, day, tz in zip(
+        dd.starts.tolist(), dd.counts.tolist(), dd.day.tolist(), dd.tz.tolist()
+    ):
+        yield DeviceDay(names[codes[start]], day_number_to_date(day), tz,
+                        reports[start:start + count])

@@ -53,13 +53,20 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
-def haversine_km_arr(lat0: float, lon0: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    """Vectorized haversine: distances from one anchor to many points, in km."""
-    phi0 = math.radians(lat0)
+def haversine_km_arr(lat0, lon0, lats: np.ndarray, lons: np.ndarray, cos_lat0=None) -> np.ndarray:
+    """Vectorized haversine: distances from anchors to many points, in km.
+
+    The anchor (lat0, lon0) is one point, or one per point as arrays; then
+    cos_lat0 must hold each anchor's math.cos(math.radians(lat0)). The
+    anchor cosine stays on math.cos in both forms, so a distance does not
+    depend on which form computed it.
+    """
+    if cos_lat0 is None:
+        cos_lat0 = math.cos(math.radians(lat0))
     phis = np.radians(lats)
     dphi = np.radians(lats - lat0)
     dlam = np.radians(lons - lon0)
-    h = np.sin(dphi / 2.0) ** 2 + math.cos(phi0) * np.cos(phis) * np.sin(dlam / 2.0) ** 2
+    h = np.sin(dphi / 2.0) ** 2 + cos_lat0 * np.cos(phis) * np.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 

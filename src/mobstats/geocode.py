@@ -4,12 +4,15 @@ The gazetteer is newline-delimited JSON: region records carry one or more
 closed polygon rings as [lon, lat] pairs, place records are named points.
 Containment uses even-odd ray casting with boundary points counting as
 inside; when several regions contain a point, the deepest admin level
-wins, then the smallest bounding box, then the smallest region_id.
+wins, then the smallest bounding box, then the smallest region_id. A
+uniform grid over the regions' bounding boxes limits each lookup to the
+regions listed in the point's cell.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -52,20 +55,79 @@ class Place:
     region: RegionKey
 
 
+def _grid_cell(v: float, v0: float, step: float, n: int) -> int:
+    """Cell index of coordinate v >= v0: floor((v - v0) / step), at most n - 1."""
+    t = (v - v0) / step
+    return int(t) if t < n - 1 else n - 1
+
+
+@dataclass(slots=True)
+class RegionGrid:
+    """A uniform n-by-n grid over the union of the regions' bounding boxes.
+
+    Each cell lists, in gazetteer order, the regions whose bounding box
+    touches it. Cell indices are monotone in the coordinate, so a point
+    inside a region's bounding box lies in one of that region's cells.
+    """
+
+    bounds: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
+    step: tuple[float, float]
+    n: int
+    cells: list[list[Region]]
+
+    @classmethod
+    def build(cls, regions: list[Region]) -> "RegionGrid":
+        if not regions:
+            return cls((0.0, 0.0, 0.0, 0.0), (1.0, 1.0), 1, [[]])
+        x0 = min(r.bbox[0] for r in regions)
+        y0 = min(r.bbox[1] for r in regions)
+        x1 = max(r.bbox[2] for r in regions)
+        y1 = max(r.bbox[3] for r in regions)
+        n = max(1, round(math.sqrt(len(regions))))
+        # a zero extent gets any positive step: every coordinate maps to cell 0
+        step = ((x1 - x0) / n or 1.0, (y1 - y0) / n or 1.0)
+        grid = cls((x0, y0, x1, y1), step, n, [[] for _ in range(n * n)])
+        for region in regions:
+            bx0, by0, bx1, by1 = region.bbox
+            i0, j0 = grid.cell_of(bx0, by0)
+            i1, j1 = grid.cell_of(bx1, by1)
+            for j in range(j0, j1 + 1):
+                for i in range(i0, i1 + 1):
+                    grid.cells[j * n + i].append(region)
+        return grid
+
+    def cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return (_grid_cell(x, self.bounds[0], self.step[0], self.n),
+                _grid_cell(y, self.bounds[1], self.step[1], self.n))
+
+    def candidates(self, x: float, y: float) -> list[Region]:
+        """The regions whose bounding box may contain (x, y), in gazetteer order."""
+        x0, y0, x1, y1 = self.bounds
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            return []
+        i, j = self.cell_of(x, y)
+        return self.cells[j * self.n + i]
+
+
 @dataclass(slots=True)
 class Gazetteer:
     regions: list[Region]
     places: list[Place]
     admin1_ids: dict[tuple[str, str], str]  # (country_code, admin1) -> region_id
+    grid: RegionGrid
 
 
 def _validate_ring(ring: list, region_id: str) -> Ring:
+    if not isinstance(ring, list):
+        raise DataError(f"region {region_id}: ring is not a list of points: {ring!r}")
     if len(ring) < 4:
         raise DataError(f"region {region_id}: ring has fewer than 4 points")
     try:
         pts = [(float(x), float(y)) for x, y in ring]
     except (TypeError, ValueError) as e:
         raise DataError(f"region {region_id}: bad ring point: {e}") from None
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise DataError(f"region {region_id}: ring point is not finite")
     if pts[0] != pts[-1]:
         raise DataError(f"region {region_id}: ring is not closed")
     return pts
@@ -74,10 +136,14 @@ def _validate_ring(ring: list, region_id: str) -> Ring:
 def _validate_key(rec: dict) -> RegionKey:
     cc = rec.get("country_code", "")
     rid = str(rec.get("region_id", ""))
-    if len(cc) != 2 or not cc.isascii() or not cc.isalpha() or not cc.isupper():
+    if (not isinstance(cc, str) or len(cc) != 2 or not cc.isascii() or not cc.isalpha()
+            or not cc.isupper()):
         raise DataError(f"region {rid}: bad country_code {cc!r}")
     admin1 = rec.get("admin1", "") or ""
     admin2 = rec.get("admin2", "") or ""
+    for name, value in (("admin1", admin1), ("admin2", admin2)):
+        if not isinstance(value, str):
+            raise DataError(f"region {rid}: {name} is not a string: {value!r}")
     if admin2 and not admin1:
         raise DataError(f"region {rid}: admin2 without admin1")
     return RegionKey(cc, admin1, admin2, rid)
@@ -129,7 +195,10 @@ def load_gazetteer(path: str) -> Gazetteer:
             kind = rec.get("type")
             if kind == "region":
                 key = _validate_key(rec)
-                rings = [_validate_ring(r, key.region_id) for r in rec.get("polygons", [])]
+                polygons = rec.get("polygons", [])
+                if not isinstance(polygons, list):
+                    raise DataError(f"region {key.region_id}: polygons is not a list of rings")
+                rings = [_validate_ring(r, key.region_id) for r in polygons]
                 if not rings:
                     raise DataError(f"region {key.region_id}: no polygons")
                 xs = [x for ring in rings for x, _ in ring]
@@ -150,7 +219,7 @@ def load_gazetteer(path: str) -> Gazetteer:
         for r in regions
         if r.key.level == 1
     }
-    return Gazetteer(regions, places, admin1_ids)
+    return Gazetteer(regions, places, admin1_ids, RegionGrid.build(regions))
 
 
 def point_on_ring_boundary(ring: Ring, x: float, y: float) -> bool:
@@ -198,7 +267,7 @@ def reverse_geocode(gaz: Gazetteer, p: GeoPoint) -> RegionKey | None:
     """Most specific region containing p, or None when nothing matches."""
     best: tuple[int, float, str] | None = None
     best_key: RegionKey | None = None
-    for region in gaz.regions:
+    for region in gaz.grid.candidates(p.lon, p.lat):
         if not region_contains(region, p.lon, p.lat):
             continue
         rank = (-region.key.level, region.bbox_area, region.key.region_id)

@@ -1,11 +1,17 @@
 """Reading raw position-report shards.
 
-Wire format: UTF-8 text, LF or CRLF line endings, one record per line as
-``device_id,epoch_s,lat,lon,accuracy_m`` with no quoting. A ``.gz`` suffix
-means the shard is gzip-compressed. A first line whose second field is not
-an integer is treated as a vendor header and skipped silently. Bytes that
-are not UTF-8 make their line malformed; a truncated or corrupt ``.gz``
-stream is an IO error naming the shard.
+Wire format: UTF-8 text, one record per line as
+``device_id,epoch_s,lat,lon,accuracy_m`` with no quoting; LF, CRLF and a
+lone CR each end a line. A ``.gz`` suffix means the shard is
+gzip-compressed. A first line whose second field is not an integer is
+treated as a vendor header and skipped silently. Bytes that are not UTF-8
+make their line malformed; a truncated or corrupt ``.gz`` stream is an IO
+error naming the shard.
+
+Shards are streamed in binary blocks into numpy columns. A line in the
+canonical form (see ``_CANONICAL``) is parsed in bulk and range-checked
+column-wise with parse_fields' comparisons; every other line is decoded
+and handed to parse_fields, the one per-line validation rule.
 """
 
 from __future__ import annotations
@@ -13,16 +19,29 @@ from __future__ import annotations
 import gzip
 import io
 import logging
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from typing import IO, Iterator
+from itertools import compress
+from typing import IO, BinaryIO, Iterator
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
 # internal row shape used throughout the pipeline: (device_id, epoch_s, lat, lon, accuracy_m)
 RawReport = tuple[str, int, float, float, float]
+
+# shards are read in binary blocks of this size, never whole
+BLOCK_BYTES = 256 * 1024
+
+# the canonical line, parsed in bulk: five fields that int()/float() read
+# from bytes exactly as parse_fields reads them from text. A printable-ASCII
+# id without a comma, an unsigned epoch short enough for int64, and plain
+# decimal or exponent floats.
+_FLOAT = rb"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_CANONICAL = re.compile(rb"[\x20-\x2b\x2d-\x7e]+,[0-9]{1,18}," + b",".join([_FLOAT] * 3))
 
 
 @dataclass(slots=True)
@@ -84,14 +103,16 @@ def _has_surrogate(text: str) -> bool:
     return False
 
 
-def open_shard_text(path: str, errors: str = "strict") -> IO[str]:
-    """Open a shard for reading, transparently decompressing ``.gz`` files.
-
-    ``errors`` is the UTF-8 decoding error handler.
-    """
+def _open_shard_binary(path: str) -> BinaryIO:
+    """Open a shard for reading bytes, transparently decompressing ``.gz`` files."""
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors=errors, newline="")
-    return open(path, "r", encoding="utf-8", errors=errors, newline="")
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
+def open_shard_text(path: str) -> IO[str]:
+    """Open a shard as strict UTF-8 text, transparently decompressing ``.gz`` files."""
+    return io.TextIOWrapper(_open_shard_binary(path), encoding="utf-8", newline="")
 
 
 @contextmanager
@@ -114,27 +135,131 @@ def _looks_like_header(line: str) -> bool:
     return False
 
 
-def iter_shard_raw(path: str, accuracy_max_m: float, stats: IngestStats) -> Iterator[RawReport]:
-    """Yield accepted raw report tuples from one shard, updating stats in place.
+@dataclass(slots=True)
+class ShardColumns:
+    """A shard's accepted reports as columns, in file order.
+
+    Row i is (names[code[i]], epoch[i], lat[i], lon[i], acc[i]); a code is the
+    device id's position in names, which holds each id of the shard once.
+    """
+
+    names: list[str]
+    code: np.ndarray  # int32
+    epoch: np.ndarray  # int64
+    lat: np.ndarray
+    lon: np.ndarray
+    acc: np.ndarray
+
+    def rows(self) -> Iterator[RawReport]:
+        names = self.names
+        return zip(
+            [names[c] for c in self.code.tolist()],
+            self.epoch.tolist(), self.lat.tolist(), self.lon.tolist(), self.acc.tolist(),
+        )
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
+    """The shard's data lines, terminators removed, in lists of one block's worth.
+
+    Lines end at LF, CRLF or a lone CR, as in a newline="" text reader; a
+    blank line is a line, and so is a last line without a terminator. A
+    leading header line is dropped.
+    """
+    tail = b""
+    first = True
+    while True:
+        block = fh.read(BLOCK_BYTES)
+        data = tail + block
+        if block:
+            # a CR ending the data may be the first half of a CRLF: keep it back
+            end = len(data) - 1 if data.endswith(b"\r") else len(data)
+            cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+            lines = data[:cut].splitlines()
+            tail = data[cut:]
+        else:
+            lines = data.splitlines()
+        if first and lines:
+            first = False
+            if _looks_like_header(lines[0].decode("utf-8", "surrogateescape")):
+                del lines[0]
+        if lines:
+            yield lines
+        if not block:
+            return
+
+
+def _in_range(lat: np.ndarray, lon: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """parse_fields' range rules over columns, with its comparisons; nan and inf fail."""
+    return (
+        (-90.0 <= lat) & (lat <= 90.0)
+        & (-180.0 <= lon) & (lon <= 180.0)
+        & (0.0 <= acc) & (acc < float("inf"))
+    )
+
+
+def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: IngestStats) -> list:
+    """Valid rows of one block, in line order, as [code, epoch, lat, lon, acc] columns."""
+    stats.lines_read += len(lines)
+    canonical = [m is not None for m in map(_CANONICAL.fullmatch, lines)]
+    fast = list(compress(lines, canonical))
+    fields = b",".join(fast).split(b",") if fast else []
+    n = len(fast)
+    local = {}
+    for raw_id in dict.fromkeys(fields[0::5]):
+        local[raw_id] = ids.setdefault(raw_id.decode("ascii"), len(ids))
+    cols = [
+        np.flatnonzero(canonical),
+        np.fromiter(map(local.__getitem__, fields[0::5]), np.int32, n),
+        np.fromiter(map(int, fields[1::5]), np.int64, n),
+        *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
+    ]
+    valid = _in_range(*cols[3:])
+    stats.lines_malformed += n - int(np.count_nonzero(valid))
+    cols = [c[valid] for c in cols]
+
+    slow = []
+    for i, ok in enumerate(canonical):
+        if ok:
+            continue
+        row = parse_fields(lines[i].decode("utf-8", "surrogateescape"))
+        if isinstance(row, str):
+            stats.lines_malformed += 1
+            log.debug("malformed line in %s: %s", path, row)
+            continue
+        slow.append((i, ids.setdefault(row[0], len(ids))) + row[1:])
+    if slow:
+        # back into line order
+        for j, column in enumerate(zip(*slow)):
+            cols[j] = np.concatenate([cols[j], np.array(column, cols[j].dtype)])
+        order = np.argsort(cols[0], kind="stable")
+        cols = [c[order] for c in cols]
+    cols[4][cols[4] == 180.0] = -180.0
+    return cols[1:]
+
+
+def read_shard_columns(path: str, accuracy_max_m: float, stats: IngestStats) -> ShardColumns:
+    """Read one shard into columns of its accepted reports, updating stats in place.
 
     A leading header line is skipped before any counting. IO and
     decompression failures raise OSError; malformed data lines, undecodable
     bytes included, never raise.
     """
-    with gzip_errors_as_io(path), open_shard_text(path, "surrogateescape") as fh:
-        first = fh.readline()
-        if not first:
-            return
-        lines = iter(fh) if _looks_like_header(first) else chain([first], fh)
-        for line in lines:
-            stats.lines_read += 1
-            row = parse_fields(line)
-            if isinstance(row, str):
-                stats.lines_malformed += 1
-                log.debug("malformed line in %s: %s", path, row)
-                continue
-            if row[4] > accuracy_max_m:
-                stats.reports_rejected_accuracy += 1
-                continue
-            stats.reports_accepted += 1
-            yield row
+    ids: dict[str, int] = {}
+    with gzip_errors_as_io(path), _open_shard_binary(path) as fh:
+        blocks = [_parse_block(lines, ids, path, stats) for lines in _line_blocks(fh)]
+    # an empty block gives an empty shard its column types
+    cols = [np.concatenate(c) for c in zip(*(blocks or [_parse_block([], ids, path, stats)]))]
+    keep = cols[4] <= accuracy_max_m
+    accepted = int(np.count_nonzero(keep))
+    stats.reports_accepted += accepted
+    stats.reports_rejected_accuracy += len(keep) - accepted
+    return ShardColumns(list(ids), *(c[keep] for c in cols))
+
+
+def iter_shard_raw(path: str, accuracy_max_m: float, stats: IngestStats) -> Iterator[RawReport]:
+    """Yield accepted raw report tuples from one shard in file order, updating stats.
+
+    Row-wise view of read_shard_columns, which reads the whole shard at the
+    first next().
+    """
+    yield from read_shard_columns(path, accuracy_max_m, stats).rows()

@@ -9,6 +9,7 @@ library measures checked against the oracle; no pipeline output uses them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,41 +50,81 @@ def span_hours(dd: DeviceDay) -> float:
     return (dd.reports[-1][0] - dd.reports[0][0]) / 3600.0
 
 
+def day_rejections(counts, spans_s, min_reports: int, min_span_hours: float):
+    """Per device-day (too_few, short_span) masks; a day in neither is eligible.
+
+    counts and spans_s (last minus first epoch) are arrays with one entry per
+    device-day. Too few reports is checked before short span; both
+    boundaries are inclusive (exactly min_reports reports or exactly
+    min_span_hours pass). The span is compared in seconds against
+    min_span_hours * 3600, the oracle's form: dividing instead rounds
+    differently at some boundaries (3,960 s against 1.1 h).
+    """
+    too_few = counts < min_reports
+    short_span = ~too_few & (spans_s < min_span_hours * 3600.0)
+    return too_few, short_span
+
+
 def rejection_reason(
     dd: DeviceDay,
     min_reports: int = DEFAULT_MIN_REPORTS,
     min_span_hours: float = DEFAULT_MIN_SPAN_HOURS,
 ) -> str | None:
-    """None if the device-day is eligible, otherwise the rejection reason.
-
-    Too few reports is checked before short span; both boundaries are
-    inclusive (exactly min_reports reports or exactly min_span_hours pass).
-    The span is compared in seconds against min_span_hours * 3600, the
-    oracle's form: dividing instead rounds differently at some boundaries
-    (3,960 s against 1.1 h).
-    """
-    if len(dd.reports) < min_reports:
+    """None if the device-day is eligible, otherwise the rejection reason (day_rejections)."""
+    span_s = dd.reports[-1][0] - dd.reports[0][0] if dd.reports else 0
+    too_few, short_span = day_rejections(
+        np.array([len(dd.reports)]), np.array([span_s]), min_reports, min_span_hours
+    )
+    if too_few[0]:
         return REASON_TOO_FEW
-    if dd.reports[-1][0] - dd.reports[0][0] < min_span_hours * 3600.0:
+    if short_span[0]:
         return REASON_SHORT_SPAN
     return None
+
+
+def segment_trimmed_max(distances_km: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                        trim_fraction: float) -> np.ndarray:
+    """Per segment, the largest distance after dropping its top floor(trim_fraction * n).
+
+    Segment i is distances_km[starts[i] : starts[i] + counts[i]]; segments
+    are contiguous and in order.
+    """
+    segment = np.repeat(np.arange(len(starts)), counts)
+    order = np.lexsort((distances_km, segment))
+    k = (trim_fraction * counts).astype(np.int64)
+    return distances_km[order[starts + counts - 1 - k]]
 
 
 def trimmed_max_distance(distances_km: np.ndarray, trim_fraction: float) -> float:
     """Largest distance after dropping the top floor(trim_fraction * n) values."""
     n = distances_km.shape[0]
-    k = int(trim_fraction * n)
-    if k == 0:
-        return float(distances_km.max())
-    return float(np.sort(distances_km)[n - 1 - k])
+    return float(segment_trimmed_max(distances_km, np.array([0]), np.array([n]), trim_fraction)[0])
+
+
+def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                      trim_fraction: float) -> np.ndarray:
+    """m_max of each device-day: trimmed maximum haversine distance (km) from its first row.
+
+    Device-day i is rows starts[i] : starts[i] + counts[i] of the lat/lon
+    columns; the days need not be adjacent.
+    """
+    offsets = np.cumsum(counts) - counts
+    rows = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+    anchor_lat, anchor_lon = lat[starts], lon[starts]
+    cos_lat0 = np.array([math.cos(math.radians(a)) for a in anchor_lat.tolist()])
+    distances = haversine_km_arr(
+        np.repeat(anchor_lat, counts), np.repeat(anchor_lon, counts),
+        lat[rows], lon[rows], np.repeat(cos_lat0, counts),
+    )
+    return segment_trimmed_max(distances, offsets, counts, trim_fraction)
 
 
 def day_max_distance(rows: Sequence[DayReport], trim_fraction: float) -> float:
-    """Trimmed maximum haversine distance (km) from the first row."""
-    lat0, lon0 = rows[0][1], rows[0][2]
+    """Trimmed maximum haversine distance (km) from the first row (day_max_distances)."""
     lats = np.array([r[1] for r in rows])
     lons = np.array([r[2] for r in rows])
-    return trimmed_max_distance(haversine_km_arr(lat0, lon0, lats, lons), trim_fraction)
+    return float(day_max_distances(lats, lons, np.array([0]), np.array([len(rows)]),
+                                   trim_fraction)[0])
 
 
 def day_box_and_hull(rows: Sequence[DayReport]) -> tuple[float, float, float, float]:

@@ -1,19 +1,22 @@
 """End-to-end batch pipeline: scatter, gather, reduce, index, serialize.
 
-The scatter phase partitions each input shard into per-(bucket, shard)
-spill files under a scratch directory; spill rows are the accepted reports
-in the ingest wire format. The gather phase turns one bucket at a time into
-device-days with collate.build_device_days, applies the metrics module's
-eligibility rule, geocodes each eligible day, measures its trimmed maximum
-distance m_max (the one per-device-day value any output depends on), and
-returns its counters and (region, date, m_max) records in memory. The
-parent process reduces those into per-(region, date) statistics and writes
-the outputs atomically. Spill files are keyed by input shard index and
-read back in shard order, region-day sample lists are value-sorted before
-any arithmetic, and every output file is written in one canonical order,
-so results are byte-identical for any worker or bucket count. Each run
-clears the spill tree before scatter; it is deleted on success and kept
-on failure.
+The scatter phase reads each input shard into numpy columns
+(ingest.read_shard_columns), hashes each distinct device id to a bucket
+once, and spills each bucket's rows as .npy columns to one
+per-(bucket, shard) file under a scratch directory. The gather phase
+concatenates one bucket's spills, regroups them into device-days with
+collate.group_device_days, applies the metrics module's eligibility rule
+to all days at once, geocodes each eligible day, measures the trimmed
+maximum distance m_max (the one per-device-day value any output depends
+on) for all matched days at once, and returns its counters and (region,
+date, m_max) records in memory. The parent process reduces those into
+per-(region, date) statistics and writes the outputs atomically. Spill
+files are keyed by input shard index and read back in shard order,
+device codes are renumbered in device id order, region-day sample lists
+are value-sorted before any arithmetic, and every output file is written
+in one canonical order, so results are byte-identical for any worker or
+bucket count. Each run clears the spill tree before scatter; it is
+deleted on success and kept on failure.
 """
 
 from __future__ import annotations
@@ -26,12 +29,15 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import aggregate, metrics, output
-from .collate import bucket_index, build_device_days
+from .collate import bucket_index, date_to_day_number, day_number_to_date, group_device_days
 from .errors import ConfigError
+from .geo import GeoPoint
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
-from .ingest import IngestStats, iter_shard_raw
-from .metrics import canonical_position, day_max_distance, rejection_reason
+from .ingest import IngestStats, read_shard_columns
+from .metrics import day_max_distances, day_rejections
 
 FORMATS = ("ndjson", "csv", "both")
 
@@ -103,36 +109,66 @@ _GAZ: Gazetteer | None = None
 
 
 def _spill_path(scratch: str, bucket: int, shard: int) -> str:
-    return os.path.join(scratch, f"spill-{bucket:04d}-{shard:05d}.csv")
+    return os.path.join(scratch, f"spill-{bucket:04d}-{shard:05d}.npy")
+
+
+def _write_spill(path: str, names: list[str], columns: list[np.ndarray]) -> None:
+    """A spill file is consecutive .npy arrays: the device ids, then the row columns.
+
+    The ids are newline-joined UTF-8 bytes (a line never holds a newline);
+    the columns are (code, epoch, lat, lon, acc), code indexing the ids.
+    """
+    with open(path, "wb") as fh:
+        np.save(fh, np.frombuffer("\n".join(names).encode("utf-8"), np.uint8), allow_pickle=False)
+        for column in columns:
+            np.save(fh, column, allow_pickle=False)
+
+
+def _read_spill(path: str) -> tuple[list[str], list[np.ndarray]]:
+    with open(path, "rb") as fh:
+        names = np.load(fh, allow_pickle=False).tobytes().decode("utf-8").split("\n")
+        return names, [np.load(fh, allow_pickle=False) for _ in range(5)]
 
 
 def _scatter_shard(task: tuple) -> dict:
     """Partition one input shard into per-bucket spill files.
 
-    Spill rows are accepted reports in the ingest wire format, appended to
-    spill-<bucket>-<shard>.csv in file order; a bucket with no reports from
-    this shard gets no file.
+    Each bucket's accepted reports go, in file order, to
+    spill-<bucket>-<shard>.npy; a bucket with no reports from this shard
+    gets no file. Buckets are hashed once per distinct device id.
     """
     shard_idx, path, n_buckets, accuracy_max_m, scratch = task
     stats = IngestStats()
-    writers: dict[int, object] = {}
-    try:
-        for device_id, epoch, lat, lon, acc in iter_shard_raw(path, accuracy_max_m, stats):
-            b = bucket_index(device_id, n_buckets)
-            w = writers.get(b)
-            if w is None:
-                w = open(_spill_path(scratch, b, shard_idx), "w", encoding="utf-8", newline="\n")
-                writers[b] = w
-            w.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}\n")
-    finally:
-        for w in writers.values():
-            w.close()
+    shard = read_shard_columns(path, accuracy_max_m, stats)
+    present = np.unique(shard.code)
+    bucket_of = np.zeros(len(shard.names), np.int64)
+    bucket_of[present] = [bucket_index(shard.names[c], n_buckets) for c in present.tolist()]
+    row_bucket = bucket_of[shard.code]
+    columns = (shard.code, shard.epoch, shard.lat, shard.lon, shard.acc)
+    for b in np.unique(row_bucket).tolist():
+        rows = np.flatnonzero(row_bucket == b)
+        used, code = np.unique(shard.code[rows], return_inverse=True)
+        _write_spill(
+            _spill_path(scratch, b, shard_idx),
+            [shard.names[c] for c in used.tolist()],
+            [code.astype(np.int32)] + [c[rows] for c in columns[1:]],
+        )
     return {
         "lines_read": stats.lines_read,
         "lines_malformed": stats.lines_malformed,
         "reports_accepted": stats.reports_accepted,
         "reports_rejected_accuracy": stats.reports_rejected_accuracy,
     }
+
+
+def _read_bucket(spill_paths: list[str]) -> list[np.ndarray]:
+    """A bucket's spill columns, concatenated in shard order, codes renumbered in id order."""
+    spills = [_read_spill(p) for p in spill_paths]
+    ids = sorted({name for names, _ in spills for name in names})
+    code_of = {name: i for i, name in enumerate(ids)}
+    for names, columns in spills:
+        columns[0] = np.array([code_of[n] for n in names], np.int32)[columns[0]]
+    return [np.concatenate(c) for c in zip(*(columns for _, columns in spills))]
 
 
 def _gather_bucket(task: tuple) -> tuple[dict, list]:
@@ -147,43 +183,49 @@ def _gather_bucket(task: tuple) -> tuple[dict, list]:
     gaz = _GAZ
     assert gaz is not None, "gazetteer not loaded before gather"
 
-    rows = []
-    for path in spill_paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                device_id, epoch, lat, lon, acc = line.rstrip("\n").split(",")
-                rows.append((device_id, int(epoch), float(lat), float(lon), float(acc)))
-
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
-    records = []
-    for dd in build_device_days(rows):
-        counters["device_days"] += 1
-        counters["device_day_reports"] += len(dd.reports)
-        if (cfg.date_start is not None and dd.local_date < cfg.date_start) or (
-            cfg.date_end is not None and dd.local_date > cfg.date_end
-        ):
-            counters["date_filtered_days"] += 1
-            continue
-        reason = rejection_reason(dd, cfg.min_reports, cfg.min_span_hours)
-        if reason is not None:
-            counters[f"rejected_{reason}"] += 1
-            continue
-        counters["eligible_device_days"] += 1
+    if not spill_paths:
+        return counters, []
+    dd = group_device_days(*_read_bucket(spill_paths))
+    counters["device_days"] = len(dd.starts)
+    counters["device_day_reports"] = len(dd.code)
 
-        region = reverse_geocode(gaz, canonical_position(dd))
+    in_dates = np.ones(len(dd.starts), bool)
+    if cfg.date_start is not None:
+        in_dates &= dd.day >= date_to_day_number(cfg.date_start)
+    if cfg.date_end is not None:
+        in_dates &= dd.day <= date_to_day_number(cfg.date_end)
+    spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
+    too_few, short_span = day_rejections(dd.counts, spans, cfg.min_reports, cfg.min_span_hours)
+    eligible = np.flatnonzero(in_dates & ~too_few & ~short_span)
+    counters["date_filtered_days"] = int(np.count_nonzero(~in_dates))
+    counters["rejected_too_few_reports"] = int(np.count_nonzero(in_dates & too_few))
+    counters["rejected_short_span"] = int(np.count_nonzero(in_dates & short_span))
+    counters["eligible_device_days"] = len(eligible)
+
+    # each day geocodes at its first report, metrics.canonical_position
+    matched, regions = [], []
+    first = dd.starts[eligible]
+    for i, lat, lon in zip(eligible.tolist(), dd.lat[first].tolist(), dd.lon[first].tolist()):
+        region = reverse_geocode(gaz, GeoPoint(lat, lon))
         if region is None:
             counters["unmatched_geocode"] += 1
             continue
-        m_max = day_max_distance(dd.reports, cfg.trim_fraction)
+        matched.append(i)
+        regions.append(region)
+    m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
+                              cfg.trim_fraction)
+
+    records = []
+    for i, region, m in zip(matched, regions, m_max.tolist()):
+        local_date = day_number_to_date(int(dd.day[i]))
         if region.admin1:
             a1_id = gaz.admin1_ids.get((region.country_code, region.admin1), "")
         else:
             a1_id = region.region_id
-        records.append(
-            (RegionKey(region.country_code, region.admin1, "", a1_id), dd.local_date, m_max)
-        )
+        records.append((RegionKey(region.country_code, region.admin1, "", a1_id), local_date, m))
         if region.admin2:
-            records.append((region, dd.local_date, m_max))
+            records.append((region, local_date, m))
     return counters, records
 
 

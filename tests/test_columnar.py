@@ -1,0 +1,326 @@
+"""The columnar reader and the scatter/gather kernel against slow line-by-line references.
+
+The references below are kept deliberately naive: a newline="" text reader
+feeding ingest.parse_fields one line at a time, and a per-report route
+that builds each device-day from sorted tuples and measures m_max with a
+per-day haversine. The kernel must reproduce them exactly.
+"""
+
+import datetime as dt
+import gzip
+import io
+import math
+import re
+from collections import Counter
+from itertools import chain
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobstats import aggregate, ingest
+from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
+from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
+from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
+from mobstats.pipeline import GATHER_COUNTERS, PipelineConfig, run
+from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate
+
+T0 = 1584316800  # 2020-03-16T00:00:00Z
+
+
+# ---------------------------------------------------------------- slow reader
+
+
+def _header_like(line: str) -> bool:
+    parts = line.rstrip("\r\n").split(",")
+    if len(parts) < 2:
+        return True
+    try:
+        int(parts[1])
+    except ValueError:
+        return True
+    return False
+
+
+def reference_read(path: str, accuracy_max_m: float) -> tuple[IngestStats, list]:
+    """Accepted rows and counters of one shard, one parse_fields call per line."""
+    stats = IngestStats()
+    rows = []
+    raw = gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        first = fh.readline()
+        if not first:
+            return stats, rows
+        for line in fh if _header_like(first) else chain([first], fh):
+            stats.lines_read += 1
+            row = parse_fields(line)
+            if isinstance(row, str):
+                stats.lines_malformed += 1
+            elif row[4] > accuracy_max_m:
+                stats.reports_rejected_accuracy += 1
+            else:
+                stats.reports_accepted += 1
+                rows.append(row)
+    return stats, rows
+
+
+def counts(stats: IngestStats) -> tuple:
+    return (stats.lines_read, stats.lines_malformed, stats.reports_accepted,
+            stats.reports_rejected_accuracy)
+
+
+# near-misses of the canonical grammar, field by field; parse_fields decides them
+NEAR_MISS_NUMBERS = ["+1", "1_0", " 1.5", "1.5 ", "1e999", "-1e999", "nan", "inf", "-0.0",
+                     "180", "180.0", "-180", "90.0000001", "-90", "", "0x10", "1e", ".", "-",
+                     "\u0661\u0662", "1,5", "50.0", "50.1", "0", "-0", "00012", "4e1", "1."]
+NEAR_MISS_IDS = ["", " ", "d\x00", "d\x85", "d ", "caf\u00e9", "a b", "+1", "\t"]
+
+ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters=","),
+              min_size=1, max_size=8)
+epochs = st.integers(0, 2**40).map(str)
+numbers = st.one_of(
+    st.floats(-200, 200, allow_nan=False).map(repr),
+    st.floats(-100, 100, allow_nan=False).map(lambda x: f"{x:.3f}"),
+    st.floats(0, 1e6, allow_nan=False).map(lambda x: f"{x:e}"),
+    st.integers(-200, 200).map(str),
+)
+fields = st.tuples(
+    st.one_of(ids, st.sampled_from(NEAR_MISS_IDS)),
+    st.one_of(epochs, st.sampled_from(["-5", "+7", " 12", "1_0", "x", "", "9" * 18])),
+    *[st.one_of(numbers, st.sampled_from(NEAR_MISS_NUMBERS))] * 3,
+)
+text_lines = st.one_of(
+    fields.map(",".join),
+    fields.map(lambda f: ",".join(f[:4])),
+    fields.map(lambda f: ",".join(f) + ",extra"),
+    st.sampled_from(["", "garbage", ",,,,", "device_id,epoch_s,lat,lon,accuracy_m"]),
+)
+byte_lines = st.one_of(
+    text_lines.map(lambda s: s.encode("utf-8")),
+    st.sampled_from([b"d\xff,1584316800,1.0,2.0,3.0", b"d1,15843\xe96800,1.0,2.0,3.0",
+                     b"\xe2\x82,1,1.0,2.0,3.0", b"d\xc3\xa9,1,1.0,2.0,3.0"]),
+)
+headers = st.sampled_from([None, b"device_id,epoch_s,lat,lon,accuracy_m", b"a,b", b"x", b"",
+                           b"d1,12,1.0,2.0,3.0", b"d1,+12,1.0,2.0,3.0", b"h,\xff"])
+shards = st.tuples(
+    headers,
+    st.lists(st.tuples(byte_lines, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=30),
+    st.booleans(),  # final newline
+)
+
+
+def shard_bytes(header, lines, final_newline) -> bytes:
+    parts = [] if header is None else [header + b"\n"]
+    parts += [line + end for line, end in lines]
+    data = b"".join(parts)
+    if not final_newline and data.endswith(b"\n"):
+        data = data[:-1]
+    return data
+
+
+class TestReaderParity:
+    @settings(max_examples=300)
+    @given(shard=shards, block=st.sampled_from([1, 2, 3, 7, 64, ingest.BLOCK_BYTES]),
+           compressed=st.booleans())
+    def test_columns_match_line_by_line_parse_fields(self, tmp_path_factory, shard, block,
+                                                     compressed):
+        data = shard_bytes(*shard)
+        path = tmp_path_factory.mktemp("shard") / ("s.csv.gz" if compressed else "s.csv")
+        path.write_bytes(gzip.compress(data) if compressed else data)
+        want_stats, want_rows = reference_read(str(path), 50.0)
+
+        stats = IngestStats()
+        with mock.patch.object(ingest, "BLOCK_BYTES", block):
+            got = read_shard_columns(str(path), 50.0, stats)
+        assert counts(stats) == counts(want_stats)
+        got_rows = list(got.rows())
+        assert got_rows == want_rows
+        # == cannot tell -0.0 from 0.0; repr can
+        assert [tuple(map(repr, r)) for r in got_rows] == [tuple(map(repr, r)) for r in want_rows]
+
+    def test_range_boundaries_match_parse_fields(self, tmp_path):
+        numbers = ["90", "90.0", "-90", "-90.0", "90.0000001", "-90.0000001", "180", "180.0",
+                   "-180", "-180.0", "180.0000001", "-180.0000001", "0", "-0.0", "0.0",
+                   "50", "50.0", "50.0000001", "-1e-300", "1e999", "-1e999", "1e-400"]
+        lines = [f"d{i},{T0 + i},{lat},{lon},{acc}"
+                 for i, (lat, lon, acc) in enumerate(
+                     (a, b, c) for a in numbers for b in numbers for c in numbers[12:])]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want_stats, want_rows = reference_read(str(path), 50.0)
+        stats = IngestStats()
+        got = list(read_shard_columns(str(path), 50.0, stats).rows())
+        assert counts(stats) == counts(want_stats)
+        assert want_stats.lines_malformed and want_stats.reports_rejected_accuracy
+        assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want_rows]
+
+    @pytest.mark.parametrize("data", [
+        b"d1,1,1.0,2.0,3.0\r\nd2,2,1.0,2.0,3.0\rd3,3,1.0,2.0,3.0\n",
+        b"\r\n\r\n\rd1,1,1.0,2.0,3.0",
+        b"h,x\r\nd1,1,1.0,2.0,3.0\r",
+        b"d1,1,1.0,2.0,3.0\r\r\n\n",
+    ])
+    @pytest.mark.parametrize("block", [1, 2, 5, 17])
+    def test_line_endings_across_block_boundaries(self, tmp_path, data, block):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        want_stats, want_rows = reference_read(str(path), 50.0)
+        stats = IngestStats()
+        with mock.patch.object(ingest, "BLOCK_BYTES", block):
+            got = read_shard_columns(str(path), 50.0, stats)
+        assert counts(stats) == counts(want_stats)
+        assert list(got.rows()) == want_rows
+
+
+# ------------------------------------------------------------- slow gather
+
+
+def parent_m_max(rows, trim_fraction: float) -> float:
+    """Per-day trimmed max distance: one anchor, one haversine_km_arr call, np.sort."""
+    lat0, lon0 = rows[0][1], rows[0][2]
+    lats = np.array([r[1] for r in rows])
+    lons = np.array([r[2] for r in rows])
+    phi0 = math.radians(lat0)
+    phis = np.radians(lats)
+    dphi = np.radians(lats - lat0)
+    dlam = np.radians(lons - lon0)
+    h = np.sin(dphi / 2.0) ** 2 + math.cos(phi0) * np.cos(phis) * np.sin(dlam / 2.0) ** 2
+    d = 2.0 * EARTH_RADIUS_KM * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+    n = d.shape[0]
+    k = int(trim_fraction * n)
+    return float(d.max()) if k == 0 else float(np.sort(d)[n - 1 - k])
+
+
+def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
+    """Counters and records of the per-report DeviceDay route."""
+    by_device: dict[str, list] = {}
+    for device_id, epoch, lat, lon, acc in rows:
+        by_device.setdefault(device_id, []).append((epoch, lat, lon, acc))
+    counters = dict.fromkeys(GATHER_COUNTERS, 0)
+    records = []
+    for device_id in sorted(by_device):
+        reports = sorted(by_device[device_id])
+        tz = solar_tz_offset_hours(reports[0][2])
+        days: dict[int, list] = {}
+        for r in reports:
+            days.setdefault((r[0] + 3600 * tz) // 86400, []).append(r)
+        for day in sorted(days):
+            day_rows = days[day]
+            date = dt.date(1970, 1, 1) + dt.timedelta(days=day)
+            counters["device_days"] += 1
+            counters["device_day_reports"] += len(day_rows)
+            if (cfg.date_start and date < cfg.date_start) or (cfg.date_end and date > cfg.date_end):
+                counters["date_filtered_days"] += 1
+                continue
+            if len(day_rows) < cfg.min_reports:
+                counters["rejected_too_few_reports"] += 1
+                continue
+            if day_rows[-1][0] - day_rows[0][0] < cfg.min_span_hours * 3600.0:
+                counters["rejected_short_span"] += 1
+                continue
+            counters["eligible_device_days"] += 1
+            region = reverse_geocode(gaz, GeoPoint(day_rows[0][1], day_rows[0][2]))
+            if region is None:
+                counters["unmatched_geocode"] += 1
+                continue
+            m_max = parent_m_max(day_rows, cfg.trim_fraction)
+            a1_id = (gaz.admin1_ids.get((region.country_code, region.admin1), "")
+                     if region.admin1 else region.region_id)
+            records.append((RegionKey(region.country_code, region.admin1, "", a1_id), date, m_max))
+            if region.admin2:
+                records.append((region, date, m_max))
+    return counters, records
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kernel")
+    spec = ScenarioSpec(
+        seed=23, devices=24, start_date=dt.date(2020, 2, 24), end_date=dt.date(2020, 3, 10),
+        styles=ELIGIBLE_STYLES, malformed_fraction=0.05, accuracy_reject_fraction=0.1,
+        ineligible_fraction=0.2, shards=3,
+    )
+    return {"root": root, "spec": spec, **generate(spec, str(root))}
+
+
+def run_captured(cfg: PipelineConfig) -> tuple[dict, list]:
+    """(gather counters, records) of a pipeline run, records as reduce sees them."""
+    captured = []
+    reduce_region_day = aggregate.reduce_region_day
+
+    def capture(records):
+        records = list(records)
+        captured.extend(records)
+        return reduce_region_day(records)
+
+    with mock.patch.object(aggregate, "reduce_region_day", capture):
+        (report,) = run(cfg)
+    return {k: report[k] for k in GATHER_COUNTERS}, captured
+
+
+class TestGatherKernel:
+    @pytest.mark.parametrize("n_buckets", [1, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window", [None, (dt.date(2020, 3, 1), dt.date(2020, 3, 6))])
+    def test_matches_device_day_reference(self, scenario, tmp_path, n_buckets, workers, window):
+        cfg = PipelineConfig(
+            inputs=[str(scenario["root"] / "shards" / "*.csv")],
+            gazetteer=scenario["gazetteer_path"], output_dir=str(tmp_path / "out"),
+            workers=workers, n_buckets=n_buckets,
+            date_start=window and window[0], date_end=window and window[1],
+        )
+        rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
+        want_counters, want_records = reference_gather(
+            rows, load_gazetteer(scenario["gazetteer_path"]), cfg)
+        got_counters, got_records = run_captured(cfg)
+        assert got_counters == want_counters
+        assert want_counters["eligible_device_days"] > 0
+        # m_max compares with ==: the kernel's values are the per-day formula's, bit for bit
+        assert Counter(got_records) == Counter(want_records)
+        if n_buckets == 1:  # one bucket: devices in id order, days in date order
+            assert got_records == want_records
+
+    def test_device_ids_survive_spill_round_trip(self, scenario, tmp_path):
+        # ids a numpy U array, str.splitlines or a strip would merge or split
+        names = ["a", "a\x00", "b", "b\x85", "c", "c\u2028", "d", "d\x1c"]
+        lines = [
+            f"{name},{T0 + 8 * 3600 + i * 3600},{1.0 + 0.001 * i},{2.0 + 0.001 * k},5.0"
+            for k, name in enumerate(names) for i in range(11)
+        ]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "part-00.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=scenario["gazetteer_path"],
+                             output_dir=str(tmp_path / "out"), n_buckets=3)
+        counters, records = run_captured(cfg)
+        want_counters, want_records = reference_gather(
+            reference_read(str(data / "part-00.csv"), 50.0)[1],
+            load_gazetteer(scenario["gazetteer_path"]), cfg)
+        assert counters == want_counters
+        assert counters["device_days"] == counters["eligible_device_days"] == len(names)
+        assert Counter(records) == Counter(want_records)
+
+    def test_parse_fields_runs_only_on_non_canonical_lines(self, scenario, tmp_path):
+        # an independent statement of the grammar the bulk path accepts
+        number = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+        canonical = re.compile(rf"[ -+\--~]+,\d{{1,18}},{number},{number},{number}", re.ASCII)
+        lines = non_canonical = 0
+        for path in scenario["shard_paths"]:
+            with open(path, encoding="utf-8", newline="") as fh:
+                for i, line in enumerate(fh):
+                    if i == 0 and _header_like(line):
+                        continue
+                    lines += 1
+                    non_canonical += canonical.fullmatch(line.rstrip("\r\n")) is None
+
+        calls = []
+        with mock.patch.object(ingest, "parse_fields",
+                               lambda line: calls.append(line) or parse_fields(line)):
+            (report,) = run(PipelineConfig(
+                inputs=[str(scenario["root"] / "shards" / "*.csv")],
+                gazetteer=scenario["gazetteer_path"], output_dir=str(tmp_path / "out")))
+        assert report["lines_read"] == lines
+        assert 0 < non_canonical < lines / 10
+        assert len(calls) == non_canonical

@@ -1,6 +1,8 @@
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,3 +296,110 @@ class TestToyGazetteerRecords:
         for r in gaz.regions:
             if r.key.level == 2:
                 assert (r.key.country_code, r.key.admin1) in gaz.admin1_ids
+
+
+class TestRegionFieldTypes:
+    @pytest.mark.parametrize("fields", [
+        {"country_code": 5},
+        {"polygons": 7},
+        {"polygons": [7]},
+        {"admin1": ["A"]},
+        {"polygons": [[[0, 0], ["nan", 0], [1, 1], [0, 0]]]},
+        {"polygons": [[[0, 0], [1, 0], [1, float("inf")], [0, 0]]]},
+    ], ids=["country_code_int", "polygons_int", "ring_int", "admin1_list", "nan_point",
+            "inf_point"])
+    def test_wrong_typed_region_field_rejected(self, tmp_path, fields):
+        rec = {**region_rec("R7", [square_ring(0, 0, 1, 1)]), **fields}
+        p = write_gaz(tmp_path / "g.ndjson", [rec])
+        with pytest.raises(DataError, match="region R7"):
+            load_gazetteer(p)
+
+
+def linear_scan(gaz, p):
+    """reverse_geocode without the grid: every region, in gazetteer order."""
+    best = best_key = None
+    for region in gaz.regions:
+        if region_contains(region, p.lon, p.lat):
+            rank = (-region.key.level, region.bbox_area, region.key.region_id)
+            if best is None or rank < best:
+                best, best_key = rank, region.key
+    return best_key
+
+
+def probe_points(gaz, rng, n_random=300):
+    """Ring vertices and edge midpoints, grid cell corners, random points in and around."""
+    pts = set()
+    for region in gaz.regions:
+        for ring in region.rings:
+            for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+                pts.add((x1, y1))
+                pts.add(((x1 + x2) / 2.0, (y1 + y2) / 2.0))
+    grid = gaz.grid
+    x0, y0, x1, y1 = grid.bounds
+    for i in range(grid.n + 1):
+        for j in range(grid.n + 1):
+            pts.add((min(x0 + i * grid.step[0], x1), min(y0 + j * grid.step[1], y1)))
+    for _ in range(n_random):
+        pts.add((rng.uniform(x0 - 1, x1 + 1), rng.uniform(y0 - 1, y1 + 1)))
+    return sorted((x, y) for x, y in pts if -180 <= x < 180 and -90 <= y <= 90)
+
+
+def bench_grid_gazetteer(path):
+    """The benchmark's 1,026-region grid gazetteer, written to path."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(perfbench)
+        import workloads
+    return workloads.write_grid_gazetteer(str(path))
+
+
+class TestRegionGrid:
+    def test_toy_matches_linear_scan(self, toy):
+        pts = probe_points(toy, random.Random(5), n_random=2000)
+        for x, y in pts:
+            p = GeoPoint(y, x)
+            assert reverse_geocode(toy, p) == linear_scan(toy, p), (x, y)
+
+    def test_one_region_matches_linear_scan(self, tmp_path):
+        ring = [[0, 0], [3, 1], [1, 2], [0, 0]]
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", [ring])]))
+        assert gaz.grid.n == 1
+        for x, y in probe_points(gaz, random.Random(6)):
+            p = GeoPoint(y, x)
+            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+
+    @pytest.mark.parametrize("ring", [
+        [[2, 0], [2, 1], [2, 3], [2, 0]],  # zero width
+        [[0, 5], [1, 5], [4, 5], [0, 5]],  # zero height
+        [[1, 1], [1, 1], [1, 1], [1, 1]],  # a point
+    ])
+    def test_zero_extent(self, tmp_path, ring):
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", [ring])]))
+        for x, y in probe_points(gaz, random.Random(7)):
+            p = GeoPoint(y, x)
+            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+        x, y = ring[1]
+        assert reverse_geocode(gaz, GeoPoint(y, x)) is not None
+
+    def test_bench_grid_matches_linear_scan(self, tmp_path):
+        gaz = load_gazetteer(bench_grid_gazetteer(tmp_path / "grid.ndjson"))
+        assert len(gaz.regions) == 1026
+        assert gaz.grid.n == 32
+        pts = probe_points(gaz, random.Random(8), n_random=1500)
+        bx0, by0, bx1, by1 = (np.array([r.bbox[i] for r in gaz.regions]) for i in range(4))
+        position = {id(r): i for i, r in enumerate(gaz.regions)}
+        for x, y in pts:
+            # every region whose box holds the point is a candidate, in gazetteer order
+            holding = np.flatnonzero((bx0 <= x) & (x <= bx1) & (by0 <= y) & (y <= by1))
+            listed = [position[id(r)] for r in gaz.grid.candidates(x, y)]
+            assert listed == sorted(listed)
+            assert set(holding.tolist()) <= set(listed), (x, y)
+        # the full lookup on a sample: random points, corners and one ring in 16
+        rng = random.Random(9)
+        for x, y in rng.sample(pts, 1500) + [(bx0.min(), by0.min()), (bx1.max(), by1.max())]:
+            p = GeoPoint(y, x)
+            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+        for region in gaz.regions[::16]:
+            for x, y in region.rings[0]:
+                p = GeoPoint(y, x)
+                assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)

@@ -111,7 +111,7 @@ class TestRun:
         out = tmp_path / "out"
         with pytest.raises(OSError):
             run(base_config(scenario, out, inputs=[str(data / "*.csv")], n_buckets=8))
-        assert list((out / ".scratch" / "spill").rglob("spill-*.csv"))
+        assert list((out / ".scratch" / "spill").rglob("spill-*"))
 
         small = tmp_path / "small"
         generate(ScenarioSpec(seed=3, devices=4, start_date=dt.date(2020, 3, 2),
@@ -410,6 +410,17 @@ class TestCli:
                    "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: data:")
+
+    def test_wrong_typed_region_field_exit_3(self, scenario, tmp_path, capsys):
+        gaz = tmp_path / "gaz.ndjson"
+        bad = {"type": "region", "country_code": 5, "region_id": "R7",
+               "polygons": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
+        gaz.write_bytes(Path(scenario["gazetteer_path"]).read_bytes()
+                        + json.dumps(bad).encode() + b"\n")
+        rc = main(["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                   "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert "region R7" in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["run", "--no-such-flag"]) == 1
