@@ -8,7 +8,7 @@ from .aggregate import RegionDayStats, apply_index, compute_baseline, reduce_reg
 from .collate import DeviceDay, bucket_sort, build_device_days
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
-from .geocode import Gazetteer, RegionKey, load_gazetteer, nearest_place, reverse_geocode
+from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, iter_shard_raw, parse_fields
 from .metrics import MobilityMetrics, compute_metrics, rejection_reason
 from .pipeline import PipelineConfig, compare_stats, run
@@ -39,7 +39,6 @@ __all__ = [
     "haversine_km",
     "load_gazetteer",
     "lockdown_spec",
-    "nearest_place",
     "iter_shard_raw",
     "parse_fields",
     "reduce_region_day",

@@ -78,10 +78,7 @@ def compute_baseline(
     Regions with no weekday data in the window, or whose norm is zero, are
     absent from the table (an index against them would be undefined).
     """
-    if start > end:
-        raise ConfigError(f"baseline window is empty: {start} > {end}")
-    if not has_weekday(start, end):
-        raise ConfigError(f"baseline window {start}..{end} contains no weekdays")
+    check_baseline_window(start, end)
     window: dict[RegionKey, list[float]] = {}
     for s in stats:
         if start <= s.date <= end and s.date.weekday() < 5:
@@ -94,16 +91,13 @@ def compute_baseline(
     return table
 
 
-def has_weekday(start: dt.date, end: dt.date) -> bool:
-    """True if [start, end] contains at least one Monday-Friday date."""
-    if (end - start).days >= 6:
-        return True
-    d = start
-    while d <= end:
-        if d.weekday() < 5:
-            return True
-        d += dt.timedelta(days=1)
-    return False
+def check_baseline_window(start: dt.date, end: dt.date) -> None:
+    """Raise ConfigError unless [start, end] holds at least one Monday-Friday date."""
+    if start > end:
+        raise ConfigError(f"baseline window is empty: {start} > {end}")
+    week = range(min((end - start).days + 1, 7))
+    if all((start + dt.timedelta(days=i)).weekday() >= 5 for i in week):
+        raise ConfigError(f"baseline window {start}..{end} contains no weekdays")
 
 
 def apply_index(

@@ -16,7 +16,8 @@ import json
 import sys
 
 from .errors import ConfigError, DataError
-from .pipeline import PipelineConfig, compare_stats, run, write_compare
+from .output import write_compare
+from .pipeline import PipelineConfig, compare_stats, run
 from .synth import STYLES, ScenarioSpec, generate
 
 _DATE_KEYS = ("baseline_start", "baseline_end", "date_start", "date_end")

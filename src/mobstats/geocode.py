@@ -15,8 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
-from .geo import GeoPoint, haversine_km
+from .errors import DataError, numbered_lines
+from .geo import GeoPoint
 from .ingest import gzip_errors_as_io, open_shard_text
 
 Ring = list[tuple[float, float]]
@@ -166,14 +166,6 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
     return Place(str(name), lat, lon, by_id[rid])
 
 
-def _numbered_lines(fh, path: str):
-    """enumerate(fh, 1), reporting undecodable bytes as a DataError naming the file."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as e:
-        raise DataError(f"gazetteer {path}: not valid UTF-8: {e}") from None
-
-
 def load_gazetteer(path: str) -> Gazetteer:
     """Load and validate a gazetteer file; raises DataError naming the bad record.
 
@@ -182,7 +174,7 @@ def load_gazetteer(path: str) -> Gazetteer:
     regions: list[Region] = []
     places_raw: list[tuple[int, dict]] = []
     with gzip_errors_as_io(path), open_shard_text(path) as fh:
-        for lineno, line in _numbered_lines(fh, path):
+        for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -276,14 +268,3 @@ def reverse_geocode(gaz: Gazetteer, p: GeoPoint) -> RegionKey | None:
             best_key = region.key
     return best_key
 
-
-def nearest_place(gaz: Gazetteer, p: GeoPoint, max_km: float) -> str | None:
-    """Name of the haversine-nearest place within max_km; ties alphabetical."""
-    if max_km <= 0:
-        raise ValueError(f"max_km must be positive, got {max_km}")
-    best: tuple[float, str] | None = None
-    for place in gaz.places:
-        d = haversine_km(p, GeoPoint(place.lat, place.lon))
-        if d <= max_km and (best is None or (d, place.name) < best):
-            best = (d, place.name)
-    return best[1] if best else None

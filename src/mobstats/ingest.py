@@ -16,6 +16,7 @@ and handed to parse_fields, the one per-line validation rule.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import io
 import logging
@@ -32,6 +33,10 @@ log = logging.getLogger(__name__)
 
 # internal row shape used throughout the pipeline: (device_id, epoch_s, lat, lon, accuracy_m)
 RawReport = tuple[str, int, float, float, float]
+
+# the last epoch whose local date, at a solar offset of up to +12 h, is a
+# datetime.date: 9999-12-31T11:59:59Z
+MAX_EPOCH = 253_402_257_599
 
 # shards are read in binary blocks of this size, never whole
 BLOCK_BYTES = 256 * 1024
@@ -54,10 +59,8 @@ class IngestStats:
     reports_rejected_accuracy: int = 0
 
     def merge(self, other: "IngestStats") -> None:
-        self.lines_read += other.lines_read
-        self.lines_malformed += other.lines_malformed
-        self.reports_accepted += other.reports_accepted
-        self.reports_rejected_accuracy += other.reports_rejected_accuracy
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def parse_fields(line: str) -> RawReport | str:
@@ -76,6 +79,8 @@ def parse_fields(line: str) -> RawReport | str:
         return "bad_epoch"
     if epoch < 0:
         return "negative_epoch"
+    if epoch > MAX_EPOCH:
+        return "epoch_range"
     try:
         lat = float(parts[2])
         lon = float(parts[3])
@@ -188,10 +193,12 @@ def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
             return
 
 
-def _in_range(lat: np.ndarray, lon: np.ndarray, acc: np.ndarray) -> np.ndarray:
+def _in_range(epoch: np.ndarray, lat: np.ndarray, lon: np.ndarray,
+              acc: np.ndarray) -> np.ndarray:
     """parse_fields' range rules over columns, with its comparisons; nan and inf fail."""
     return (
-        (-90.0 <= lat) & (lat <= 90.0)
+        (epoch <= MAX_EPOCH)
+        & (-90.0 <= lat) & (lat <= 90.0)
         & (-180.0 <= lon) & (lon <= 180.0)
         & (0.0 <= acc) & (acc < float("inf"))
     )
@@ -213,7 +220,7 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: Inge
         np.fromiter(map(int, fields[1::5]), np.int64, n),
         *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
     ]
-    valid = _in_range(*cols[3:])
+    valid = _in_range(*cols[2:])
     stats.lines_malformed += n - int(np.count_nonzero(valid))
     cols = [c[valid] for c in cols]
 

@@ -1,33 +1,74 @@
 """Serialization of region-day statistics to NDJSON and CSV.
 
-Both formats carry identical values: m50 fixed to 3 decimals, m50_index to
-1 decimal (JSON null / empty CSV cell when absent). Records are written in
-a canonical sort order with a fixed key order, so identical inputs always
-produce byte-identical files. UTF-8, LF line endings.
+Each serialized table is an ordered (name, kind) field table; the writers
+and readers are loops over it. Both formats carry identical values: m50
+fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
+when absent). Records are written in a canonical sort order with a fixed
+key order, so identical inputs always produce byte-identical files.
+UTF-8, LF line endings.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Sequence
 
 from .aggregate import RegionDayStats
-from .errors import DataError
+from .errors import DataError, numbered_lines
 
-CSV_HEADER = [
-    "country_code",
-    "admin_level",
-    "admin1",
-    "admin2",
-    "region_id",
-    "date",
-    "samples",
-    "m50",
-    "m50_index",
-]
-VERBOSE_EXTRA = ["m_max_mean", "m_max_q1", "m_max_q3"]
+
+@dataclass(frozen=True, slots=True)
+class Kind:
+    """A field's value type: text (str), a count (int) or a float with fixed decimals."""
+
+    type: type
+    places: int = 0
+    nullable: bool = False
+
+    def cell(self, value, in_csv: bool) -> str:
+        """The value as NDJSON text, or as a CSV cell; null or an empty cell for None."""
+        if value is None:
+            return "" if in_csv else "null"
+        if self.type is str:
+            return value if in_csv else json.dumps(value)
+        return f"{value:.{self.places}f}" if self.type is float else str(value)
+
+    def parse(self, value, in_csv: bool):
+        """A JSON value or CSV cell read back; ValueError when it is not of this kind."""
+        if value is None or (in_csv and value == "" and self.type is not str):
+            if self.nullable:
+                return None
+        elif in_csv or type(value) is self.type or (self.type is float and type(value) is int):
+            parsed = self.type(value)
+            # nan and inf would be written back as bare nan/inf, which is not JSON
+            if self.type is not float or math.isfinite(parsed):
+                return parsed
+        raise ValueError
+
+
+Fields = tuple[tuple[str, Kind], ...]
+
+KEY_FIELDS: Fields = tuple(
+    (name, Kind(str))
+    for name in ("country_code", "admin_level", "admin1", "admin2", "region_id", "date")
+)
+STATS_FIELDS: Fields = KEY_FIELDS + (
+    ("samples", Kind(int)),
+    ("m50", Kind(float, 3)),
+    ("m50_index", Kind(float, 1, nullable=True)),
+)
+# appended by --verbose-stats; None in records built without it
+VERBOSE_FIELDS: Fields = tuple(
+    (name, Kind(float, 3, nullable=True)) for name in ("m_max_mean", "m_max_q1", "m_max_q3")
+)
+COMPARE_FIELDS: Fields = KEY_FIELDS + tuple(
+    (name, Kind(float, 1, nullable=True)) for name in ("m50_index_a", "m50_index_b", "delta")
+) + (("status", Kind(str)),)
+CSV_HEADER = [name for name, _ in STATS_FIELDS]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,120 +110,74 @@ def record_from_stats(stats: RegionDayStats, verbose: bool = False) -> OutputRec
     )
 
 
-def _fmt3(x: float) -> str:
-    return f"{x:.3f}"
-
-
-def _fmt1(x: float | None) -> str | None:
-    return None if x is None else f"{x:.1f}"
+def _write_ndjson(rows: Iterable, fields: Fields, getter, sink: IO[str]) -> None:
+    """One JSON object per row, LF-terminated, keys in table order; getter(*names) reads a row."""
+    values_of = getter(*(name for name, _ in fields))
+    keyed = [(f'"{name}":', kind.cell) for name, kind in fields]
+    for values in map(values_of, rows):
+        cells = [key + cell(v, False) for (key, cell), v in zip(keyed, values)]
+        sink.write("{" + ",".join(cells) + "}\n")
 
 
 def write_ndjson(records: Iterable[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
-    """One JSON object per record, LF-terminated, keys in schema order."""
-    for r in records:
-        parts = [
-            f'"country_code":{json.dumps(r.country_code)}',
-            f'"admin_level":{json.dumps(r.admin_level)}',
-            f'"admin1":{json.dumps(r.admin1)}',
-            f'"admin2":{json.dumps(r.admin2)}',
-            f'"region_id":{json.dumps(r.region_id)}',
-            f'"date":{json.dumps(r.date)}',
-            f'"samples":{r.samples}',
-            f'"m50":{_fmt3(r.m50)}',
-            f'"m50_index":{_fmt1(r.m50_index) or "null"}',
-        ]
-        if verbose:
-            parts += [
-                f'"m_max_mean":{_fmt3(r.m_max_mean)}',
-                f'"m_max_q1":{_fmt3(r.m_max_q1)}',
-                f'"m_max_q3":{_fmt3(r.m_max_q3)}',
-            ]
-        sink.write("{" + ",".join(parts) + "}\n")
+    _write_ndjson(records, STATS_FIELDS + (VERBOSE_FIELDS if verbose else ()), attrgetter, sink)
+
+
+def write_compare(rows: Iterable[dict], sink: IO[str]) -> None:
+    _write_ndjson(rows, COMPARE_FIELDS, itemgetter, sink)
 
 
 def write_csv(records: Iterable[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
     """Header plus one row per record, RFC-4180 quoting, LF line endings."""
+    fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_HEADER + (VERBOSE_EXTRA if verbose else []))
-    for r in records:
-        row = [
-            r.country_code,
-            r.admin_level,
-            r.admin1,
-            r.admin2,
-            r.region_id,
-            r.date,
-            str(r.samples),
-            _fmt3(r.m50),
-            _fmt1(r.m50_index) or "",
-        ]
-        if verbose:
-            row += [_fmt3(r.m_max_mean), _fmt3(r.m_max_q1), _fmt3(r.m_max_q3)]
-        writer.writerow(row)
+    writer.writerow(name for name, _ in fields)
+    for values in map(attrgetter(*(name for name, _ in fields)), records):
+        writer.writerow([kind.cell(v, True) for (_, kind), v in zip(fields, values)])
+
+
+def _parse_record(cells: dict, where: str, in_csv: bool) -> OutputRecord:
+    """An OutputRecord from a name -> value mapping; an absent verbose field reads as None."""
+    values = {}
+    for name, kind in STATS_FIELDS + VERBOSE_FIELDS:
+        try:
+            values[name] = kind.parse(cells.get(name), in_csv)
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: bad {name} value {cells.get(name)!r}") from None
+    return OutputRecord(**values)
 
 
 def read_ndjson(path: str) -> list[OutputRecord]:
     """Parse a stats NDJSON file back into records; raises DataError on bad schema."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            missing = [k for k in CSV_HEADER if k not in obj]
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: record is not a JSON object")
+            missing = [name for name in CSV_HEADER if name not in obj]
             if missing:
                 raise DataError(f"{path}:{lineno}: missing fields {missing}")
-            records.append(
-                OutputRecord(
-                    country_code=obj["country_code"],
-                    admin_level=obj["admin_level"],
-                    admin1=obj["admin1"],
-                    admin2=obj["admin2"],
-                    region_id=obj["region_id"],
-                    date=obj["date"],
-                    samples=int(obj["samples"]),
-                    m50=float(obj["m50"]),
-                    m50_index=None if obj["m50_index"] is None else float(obj["m50_index"]),
-                    m_max_mean=_opt_float(obj.get("m_max_mean")),
-                    m_max_q1=_opt_float(obj.get("m_max_q1")),
-                    m_max_q3=_opt_float(obj.get("m_max_q3")),
-                )
-            )
+            records.append(_parse_record(obj, f"{path}:{lineno}", in_csv=False))
     return records
-
-
-def _opt_float(x) -> float | None:
-    return None if x is None else float(x)
 
 
 def read_csv(path: str) -> list[OutputRecord]:
     """Parse a stats CSV file back into records (RFC-4180)."""
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(line for _, line in numbered_lines(fh, path))
         header = next(reader, None)
         if header is None or header[: len(CSV_HEADER)] != CSV_HEADER:
             raise DataError(f"{path}: unexpected CSV header {header!r}")
-        verbose = header == CSV_HEADER + VERBOSE_EXTRA
         for row in reader:
-            rec = dict(zip(header, row))
-            records.append(
-                OutputRecord(
-                    country_code=rec["country_code"],
-                    admin_level=rec["admin_level"],
-                    admin1=rec["admin1"],
-                    admin2=rec["admin2"],
-                    region_id=rec["region_id"],
-                    date=rec["date"],
-                    samples=int(rec["samples"]),
-                    m50=float(rec["m50"]),
-                    m50_index=float(rec["m50_index"]) if rec["m50_index"] else None,
-                    m_max_mean=_opt_float(rec.get("m_max_mean")) if verbose else None,
-                    m_max_q1=_opt_float(rec.get("m_max_q1")) if verbose else None,
-                    m_max_q3=_opt_float(rec.get("m_max_q3")) if verbose else None,
-                )
-            )
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: {len(row)} cells under a {len(header)}-cell header")
+            records.append(_parse_record(dict(zip(header, row)), where, in_csv=True))
     return records
 
 

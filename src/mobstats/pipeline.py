@@ -27,7 +27,8 @@ import json
 import multiprocessing as mp
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .geo import GeoPoint
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
+from .output import write_compare
 
 FORMATS = ("ndjson", "csv", "both")
 
@@ -88,14 +90,7 @@ class PipelineConfig:
             raise ConfigError(f"min_span_hours must be >= 0, got {self.min_span_hours}")
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
-        if self.baseline_start > self.baseline_end:
-            raise ConfigError(
-                f"baseline window is empty: {self.baseline_start} > {self.baseline_end}"
-            )
-        if not aggregate.has_weekday(self.baseline_start, self.baseline_end):
-            raise ConfigError(
-                f"baseline window {self.baseline_start}..{self.baseline_end} contains no weekdays"
-            )
+        aggregate.check_baseline_window(self.baseline_start, self.baseline_end)
         if self.date_start and self.date_end and self.date_start > self.date_end:
             raise ConfigError(f"date range is empty: {self.date_start} > {self.date_end}")
         if self.workers < 1:
@@ -130,7 +125,7 @@ def _read_spill(path: str) -> tuple[list[str], list[np.ndarray]]:
         return names, [np.load(fh, allow_pickle=False) for _ in range(5)]
 
 
-def _scatter_shard(task: tuple) -> dict:
+def _scatter_shard(task: tuple) -> IngestStats:
     """Partition one input shard into per-bucket spill files.
 
     Each bucket's accepted reports go, in file order, to
@@ -153,12 +148,7 @@ def _scatter_shard(task: tuple) -> dict:
             [shard.names[c] for c in used.tolist()],
             [code.astype(np.int32)] + [c[rows] for c in columns[1:]],
         )
-    return {
-        "lines_read": stats.lines_read,
-        "lines_malformed": stats.lines_malformed,
-        "reports_accepted": stats.reports_accepted,
-        "reports_rejected_accuracy": stats.reports_rejected_accuracy,
-    }
+    return stats
 
 
 def _read_bucket(spill_paths: list[str]) -> list[np.ndarray]:
@@ -254,8 +244,8 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
         (s, path, cfg.n_buckets, cfg.accuracy_max_m, scratch)
         for s, path in enumerate(shards)
     ]
-    for st in _map_tasks(_scatter_shard, scatter_tasks, cfg.workers):
-        stats.merge(IngestStats(**st))
+    for shard_stats in _map_tasks(_scatter_shard, scatter_tasks, cfg.workers):
+        stats.merge(shard_stats)
 
     gather_tasks = []
     for b in range(cfg.n_buckets):
@@ -295,10 +285,7 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
     report = {
         "dataset": ds_idx,
         "shards": len(shards),
-        "lines_read": stats.lines_read,
-        "lines_malformed": stats.lines_malformed,
-        "reports_accepted": stats.reports_accepted,
-        "reports_rejected_accuracy": stats.reports_rejected_accuracy,
+        **asdict(stats),
         **counters,
         "regions_emitted": len({
             (r.country_code, r.admin_level, r.admin1, r.admin2, r.region_id) for r in records
@@ -371,57 +358,25 @@ def run(cfg: PipelineConfig) -> list[dict]:
 
 
 def compare_stats(path_a: str, path_b: str) -> list[dict]:
-    """Join two stats files on region and date; delta = index_b - index_a.
+    """Join two stats files on their KEY_FIELDS values; delta = index_b - index_a.
 
     Rows missing on either side, or missing an index, carry a null delta;
     status says which side(s) the key appeared on.
     """
-    a = {_join_key(r): r for r in output.read_ndjson(path_a)}
-    b = {_join_key(r): r for r in output.read_ndjson(path_b)}
+    key_names = [name for name, _ in output.KEY_FIELDS]
+    key_of = attrgetter(*key_names)
+    a = {key_of(r): r for r in output.read_ndjson(path_a)}
+    b = {key_of(r): r for r in output.read_ndjson(path_b)}
     rows = []
     for key in sorted(set(a) | set(b)):
         ra, rb = a.get(key), b.get(key)
-        status = "both" if ra and rb else ("only_a" if ra else "only_b")
         idx_a = ra.m50_index if ra else None
         idx_b = rb.m50_index if rb else None
-        delta = idx_b - idx_a if idx_a is not None and idx_b is not None else None
-        rows.append(
-            {
-                "country_code": key[0],
-                "admin_level": key[1],
-                "admin1": key[2],
-                "admin2": key[3],
-                "region_id": key[4],
-                "date": key[5],
-                "m50_index_a": idx_a,
-                "m50_index_b": idx_b,
-                "delta": delta,
-                "status": status,
-            }
-        )
+        rows.append({
+            **dict(zip(key_names, key)),
+            "m50_index_a": idx_a,
+            "m50_index_b": idx_b,
+            "delta": idx_b - idx_a if idx_a is not None and idx_b is not None else None,
+            "status": "both" if ra and rb else ("only_a" if ra else "only_b"),
+        })
     return rows
-
-
-def _join_key(r: output.OutputRecord) -> tuple:
-    return (r.country_code, r.admin_level, r.admin1, r.admin2, r.region_id, r.date)
-
-
-def write_compare(rows: list[dict], sink) -> None:
-    for row in rows:
-        parts = [
-            f'"country_code":{json.dumps(row["country_code"])}',
-            f'"admin_level":{json.dumps(row["admin_level"])}',
-            f'"admin1":{json.dumps(row["admin1"])}',
-            f'"admin2":{json.dumps(row["admin2"])}',
-            f'"region_id":{json.dumps(row["region_id"])}',
-            f'"date":{json.dumps(row["date"])}',
-            f'"m50_index_a":{_fmt_nullable(row["m50_index_a"])}',
-            f'"m50_index_b":{_fmt_nullable(row["m50_index_b"])}',
-            f'"delta":{_fmt_nullable(row["delta"])}',
-            f'"status":{json.dumps(row["status"])}',
-        ]
-        sink.write("{" + ",".join(parts) + "}\n")
-
-
-def _fmt_nullable(x: float | None) -> str:
-    return "null" if x is None else f"{x:.1f}"

@@ -79,7 +79,8 @@ NEAR_MISS_IDS = ["", " ", "d\x00", "d\x85", "d ", "caf\u00e9", "a b", "+1", "\
 
 ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters=","),
               min_size=1, max_size=8)
-epochs = st.integers(0, 2**40).map(str)
+# 12 to 19 digits reach past ingest.MAX_EPOCH and past int64
+epochs = st.one_of(st.integers(0, 2**40), st.integers(10**11, 10**19 - 1)).map(str)
 numbers = st.one_of(
     st.floats(-200, 200, allow_nan=False).map(repr),
     st.floats(-100, 100, allow_nan=False).map(lambda x: f"{x:.3f}"),
@@ -88,7 +89,8 @@ numbers = st.one_of(
 )
 fields = st.tuples(
     st.one_of(ids, st.sampled_from(NEAR_MISS_IDS)),
-    st.one_of(epochs, st.sampled_from(["-5", "+7", " 12", "1_0", "x", "", "9" * 18])),
+    st.one_of(epochs, st.sampled_from(["-5", "+7", " 12", "1_0", "x", "", "9" * 18, str(2**63),
+                                        str(ingest.MAX_EPOCH), str(ingest.MAX_EPOCH + 1)])),
     *[st.one_of(numbers, st.sampled_from(NEAR_MISS_NUMBERS))] * 3,
 )
 text_lines = st.one_of(

@@ -14,7 +14,6 @@ from mobstats.geocode import (
     Region,
     RegionKey,
     load_gazetteer,
-    nearest_place,
     point_on_ring_boundary,
     region_contains,
     reverse_geocode,
@@ -251,39 +250,6 @@ class TestBoundary:
         assert point_on_ring_boundary(ring, 0.0, 0.0)
         assert not point_on_ring_boundary(ring, 1.0, 1.0)
         assert not point_on_ring_boundary(ring, 3.0, 0.0)  # collinear but off-segment
-
-
-class TestNearestPlace:
-    def test_within_radius(self, tmp_path):
-        recs = [region_rec("R1", [square_ring(0, 0, 2, 2)]),
-                {"type": "place", "name": "Soleton", "lat": 1.0, "lon": 1.0,
-                 "region_id": "R1"}]
-        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", recs))
-        # ~1.1 km north of the place
-        assert nearest_place(gaz, GeoPoint(1.01, 1.0), 5.0) == "Soleton"
-
-    def test_beyond_radius(self, tmp_path):
-        recs = [region_rec("R1", [square_ring(0, 0, 2, 2)]),
-                {"type": "place", "name": "Soleton", "lat": 1.0, "lon": 1.0,
-                 "region_id": "R1"}]
-        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", recs))
-        # ~11 km away with a 5 km radius
-        assert nearest_place(gaz, GeoPoint(1.1, 1.0), 5.0) is None
-
-    def test_equidistant_tie_alphabetical(self, tmp_path):
-        # +-0.25 deg latitude at the same longitude is a bit-exact distance tie
-        recs = [region_rec("R1", [square_ring(0, 0, 2, 2)]),
-                {"type": "place", "name": "Zeta", "lat": 1.25, "lon": 1.0, "region_id": "R1"},
-                {"type": "place", "name": "Alpha", "lat": 0.75, "lon": 1.0, "region_id": "R1"}]
-        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", recs))
-        assert nearest_place(gaz, GeoPoint(1.0, 1.0), 50.0) == "Alpha"
-
-    def test_nonpositive_radius_rejected(self, toy):
-        with pytest.raises(ValueError):
-            nearest_place(toy, GeoPoint(0, 0), 0.0)
-
-    def test_toy_places_resolve(self, toy):
-        assert nearest_place(toy, GeoPoint(2.0, 2.0), 10.0) is not None
 
 
 class TestToyGazetteerRecords:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobstats.ingest import IngestStats, iter_shard_raw, parse_fields
+from mobstats.ingest import MAX_EPOCH, IngestStats, iter_shard_raw, parse_fields
 from mobstats.synth import MALFORMED_LINES
 
 
@@ -32,9 +32,15 @@ class TestParseReportLine:
         ("abc,1584316800,nan,-74.0,12.5", "lat_range"),
         ("abc,1584316800,40.7,-74.0,inf", "bad_accuracy"),
         ("", "field_count"),
+        # a local date after 9999-12-31 is past datetime.date
+        ("abc,253402257600,40.7,-74.0,12.5", "epoch_range"),
+        ("abc,9223372036854775808,40.7,-74.0,12.5", "epoch_range"),
     ])
     def test_malformed(self, line, reason):
         assert parse_fields(line) == reason
+
+    def test_last_datable_epoch_accepted(self):
+        assert parse_fields(f"d1,{MAX_EPOCH},1.0,2.0,5.0")[1] == MAX_EPOCH
 
     def test_undecodable_device_id(self):
         # a lone surrogate is what surrogateescape decoding makes of a non-UTF-8 byte

@@ -176,6 +176,42 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="missing fields"):
             read_ndjson(str(p))
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", "12.5"), ("m50", ""), ("m50_index", "high"), ("m50", "inf"),
+    ])
+    def test_bad_csv_cell_names_line_and_field(self, tmp_path, field, value):
+        header, row = csv_text([rec()]).splitlines()
+        cells = row.split(",")
+        cells[CSV_HEADER.index(field)] = value
+        p = tmp_path / "stats.csv"
+        p.write_text(f"{header}\n{row}\n{','.join(cells)}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"stats.csv:3: bad {field} value"):
+            read_csv(str(p))
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", "12"), ("samples", True), ("samples", 12.0), ("m50", None),
+        ("m50", "1.2"), ("admin1", None), ("m50_index", [1]), ("m50_index", float("nan")),
+    ])
+    def test_wrong_typed_ndjson_value_names_line_and_field(self, tmp_path, field, value):
+        obj = json.loads(ndjson_text([rec()]))
+        obj[field] = value
+        p = tmp_path / "stats.ndjson"
+        p.write_text(ndjson_text([rec()]) + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"stats.ndjson:2: bad {field} value"):
+            read_ndjson(str(p))
+
+    def test_short_csv_row_rejected(self, tmp_path):
+        p = tmp_path / "stats.csv"
+        p.write_text(csv_text([rec()]) + "AA,admin1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="stats.csv:3: 2 cells"):
+            read_csv(str(p))
+
+    def test_non_utf8_csv_rejected(self, tmp_path):
+        p = tmp_path / "stats.csv"
+        p.write_bytes(csv_text([rec()]).encode() + b"\xff\n")
+        with pytest.raises(DataError, match="stats.csv: not valid UTF-8"):
+            read_csv(str(p))
+
     def test_wrong_csv_header_rejected(self, tmp_path):
         p = tmp_path / "stats.csv"
         p.write_text("a,b,c\n", encoding="utf-8")

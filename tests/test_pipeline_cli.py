@@ -15,7 +15,8 @@ from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
-from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, lockdown_spec
+from mobstats.synth import (ELIGIBLE_STYLES, ScenarioSpec, generate, lockdown_spec,
+                            write_toy_gazetteer)
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +260,17 @@ class TestRun:
             else:
                 assert row["delta"] is None
 
+    def test_run_compare_matches_compare_subcommand(self, scenario, tmp_path):
+        out = tmp_path / "out"
+        pattern = str(scenario["root"] / "shards" / "*.csv")
+        cfg = base_config(scenario, out, verbose_stats=True, date_end=dt.date(2020, 3, 5))
+        cfg.inputs = [pattern, str(scenario["root"] / "shards" / "part-0[01].csv")]
+        run(cfg)
+        rc = main(["compare", str(out / "dataset-00" / "stats.ndjson"),
+                   str(out / "dataset-01" / "stats.ndjson"), "--out", str(tmp_path / "c.ndjson")])
+        assert rc == 0
+        assert (tmp_path / "c.ndjson").read_bytes() == (out / "compare.ndjson").read_bytes()
+
 
 class TestLockdownScenario:
     def test_index_tracks_scale(self, tmp_path):
@@ -338,6 +350,18 @@ class TestCompare:
         obj = json.loads(sink.getvalue())
         assert obj["delta"] == 50.0
         assert obj["status"] == "both"
+
+    def test_write_compare_line_exact(self):
+        rows = [{"country_code": "AA", "admin_level": "admin2", "admin1": "West",
+                 "admin2": "Westburg", "region_id": "W-01", "date": "2020-03-09",
+                 "m50_index_a": 50.04, "m50_index_b": None, "delta": None,
+                 "status": "only_a"}]
+        sink = io.StringIO()
+        write_compare(rows, sink)
+        assert sink.getvalue() == (
+            '{"country_code":"AA","admin_level":"admin2","admin1":"West",'
+            '"admin2":"Westburg","region_id":"W-01","date":"2020-03-09",'
+            '"m50_index_a":50.0,"m50_index_b":null,"delta":null,"status":"only_a"}\n')
 
 
 class TestCli:
@@ -506,6 +530,37 @@ class TestCli:
         rc = main(["compare", str(good), str(bad)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: data:")
+
+    @pytest.mark.parametrize("bad", [
+        b'{"samples":"x"}', b'{"m50":null}', b'{"country_code":5}', b'7', b'\xff',
+    ])
+    def test_compare_bad_stats_file_exit_3(self, tmp_path, capsys, bad):
+        from mobstats.output import OutputRecord
+        good = tmp_path / "a.ndjson"
+        with open(good, "w", newline="\n") as fh:
+            write_ndjson([OutputRecord("AA", "admin1", "W", "", "W", "2020-03-02",
+                                       5, 1.0, 100.0)], fh)
+        if bad.startswith(b"{"):
+            bad = json.dumps({**json.loads(good.read_text()), **json.loads(bad)}).encode()
+        (tmp_path / "b.ndjson").write_bytes(bad + b"\n")
+        rc = main(["compare", str(good), str(tmp_path / "b.ndjson")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:")
+        assert "b.ndjson" in err
+
+    @pytest.mark.parametrize("epoch, reports", [(2**63, 1), (10**12, 12)])
+    def test_epoch_past_year_9999_is_malformed(self, tmp_path, capsys, epoch, reports):
+        # twelve reports over 11 hours at one place make an eligible device-day
+        shard = tmp_path / "s.csv"
+        shard.write_text("".join(f"d1,{epoch + 3600 * i},1.0,1.0,5.0\n" for i in range(reports)))
+        rc = main(["run", "--input", str(shard),
+                   "--gazetteer", write_toy_gazetteer(str(tmp_path / "g.ndjson")),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lines_malformed"] == reports
+        reconcile(report)
 
     def test_compare_to_stdout(self, tmp_path, capsys):
         from mobstats.output import OutputRecord
