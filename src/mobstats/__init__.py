@@ -5,7 +5,7 @@ reference implementations for verifying it.
 """
 
 from .aggregate import RegionDayStats, apply_index, compute_baseline, reduce_region_day
-from .collate import DeviceDay, bucket_sort, build_device_days
+from .collate import DeviceDay, build_device_days
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
@@ -29,7 +29,6 @@ __all__ = [
     "RegionKey",
     "ScenarioSpec",
     "apply_index",
-    "bucket_sort",
     "build_device_days",
     "compare_stats",
     "compute_baseline",

@@ -3,19 +3,24 @@
 m50 is the median across a region-date's eligible device-days of the
 trimmed max-distance measure; m50_index = 100 * m50 / m50_norm, where
 m50_norm is the region's median weekday m50 inside the baseline window.
-Quartiles use linear interpolation at p * (n - 1) between order
-statistics. Sample lists are value-sorted before any arithmetic so
-results do not depend on arrival order.
+The reduce takes columns (a key-table index, a local day number and
+m_max per device-day record) and orders them with one lexsort by
+(region, day, m_max), so each (region, date) group is a value-sorted
+segment. Quartiles and means are computed for all segments at once with
+numpy's own linear-quantile and pairwise-sum arithmetic, so they equal
+np.quantile and .mean() bit for bit; key, date and statistics objects are
+built only for the output groups. Results do not depend on arrival order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .collate import day_number_to_date, run_starts
 from .errors import ConfigError
 from .geocode import RegionKey
 
@@ -41,30 +46,64 @@ class RegionDayStats:
     m50_index: float | None = None
 
 
+def segment_quantile(values: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                     q: float) -> np.ndarray:
+    """np.quantile(segment, q) of each ascending segment values[start : start + count].
+
+    numpy's linear method: the virtual index v = (n - 1) * q falls between
+    order statistics floor(v) and the next one, and is interpolated with
+    _lerp's a + d*t, or b - d*(1 - t) from t >= 0.5, which keeps the floats
+    equal to np.quantile's.
+    """
+    v = (counts - 1) * q
+    prev = np.floor(v)
+    t = v - prev
+    a = values[starts + prev.astype(np.intp)]
+    b = values[starts + np.minimum(prev + 1, counts - 1).astype(np.intp)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
+def segment_stats(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """(mean, median, q1, q3) arrays over the ascending segments of values.
+
+    Each mean is one np.add.reduce, numpy's pairwise sum as in .mean();
+    np.add.reduceat sums in sequence and can differ in the last bit.
+    """
+    sums = [np.add.reduce(values[s:s + n]) for s, n in zip(starts.tolist(), counts.tolist())]
+    mean = np.array(sums, np.float64) / counts
+    q1, median, q3 = (segment_quantile(values, starts, counts, q) for q in (0.25, 0.5, 0.75))
+    return mean, median, q1, q3
+
+
 def summarize(values_sorted: np.ndarray) -> MetricStats:
-    """Mean, median and quartiles of an ascending-sorted sample array."""
-    q1, median, q3 = np.quantile(values_sorted, (0.25, 0.5, 0.75))
-    return MetricStats(float(values_sorted.mean()), float(median), float(q1), float(q3))
+    """Mean, median and quartiles of an ascending-sorted sample array (one segment)."""
+    stats = segment_stats(values_sorted, np.array([0]), np.array([len(values_sorted)]))
+    return MetricStats(*(float(s[0]) for s in stats))
 
 
 def reduce_region_day(
-    records: Iterable[tuple[RegionKey, dt.date, float]],
+    keys: Sequence[RegionKey], region: np.ndarray, day: np.ndarray, m_max: np.ndarray,
 ) -> dict[tuple[RegionKey, dt.date], RegionDayStats]:
-    """Group device-day m_max values by (region, date) and compute exact statistics.
+    """Group device-day m_max values by (region, day) and compute exact statistics.
 
+    Row i is one record: keys[region[i]], local day number day[i], m_max[i].
     Order independent: the same multiset of records yields identical output
-    however the stream is shuffled.
+    however the rows are shuffled.
     """
-    groups: dict[tuple[RegionKey, dt.date], list[float]] = {}
-    for region, date, m_max in records:
-        groups.setdefault((region, date), []).append(m_max)
+    order = np.lexsort((m_max, day, region))
+    region, day, values = region[order], day[order], m_max[order]
+    starts = run_starts(len(values), region, day)
+    counts = np.diff(starts, append=len(values))
+    columns = segment_stats(values, starts, counts)
 
     out: dict[tuple[RegionKey, dt.date], RegionDayStats] = {}
-    for key, values in groups.items():
-        stats = summarize(np.sort(np.array(values)))
-        out[key] = RegionDayStats(
-            region=key[0], date=key[1], samples=len(values), m_max=stats, m50=stats.median
-        )
+    for r, d, n, mean, median, q1, q3 in zip(
+        region[starts].tolist(), day[starts].tolist(), counts.tolist(),
+        *(c.tolist() for c in columns),
+    ):
+        key, date = keys[r], day_number_to_date(d)
+        out[(key, date)] = RegionDayStats(key, date, n, MetricStats(mean, median, q1, q3), median)
     return out
 
 

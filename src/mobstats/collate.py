@@ -80,21 +80,7 @@ def bucket_index(device_id: str, n_buckets: int) -> int:
     return int.from_bytes(digest, "big") % n_buckets
 
 
-def bucket_sort(reports: Iterable[RawReport], n_buckets: int) -> list[list[RawReport]]:
-    """Partition reports into n_buckets lists keyed by device id hash.
-
-    In-memory form of the scatter phase; the pipeline streams the same
-    partition to spill files instead.
-    """
-    if n_buckets < 1:
-        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
-    buckets: list[list[RawReport]] = [[] for _ in range(n_buckets)]
-    for r in reports:
-        buckets[bucket_index(r[0], n_buckets)].append(r)
-    return buckets
-
-
-def _run_starts(n: int, *keys: np.ndarray) -> np.ndarray:
+def run_starts(n: int, *keys: np.ndarray) -> np.ndarray:
     """Indices where a run of equal key tuples starts, over n rows."""
     change = np.zeros(n, bool)
     change[:1] = True
@@ -115,11 +101,11 @@ def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
     order = np.lexsort((acc, lon, lat, epoch, code))
     code, epoch, lat, lon, acc = (a[order] for a in (code, epoch, lat, lon, acc))
     n = len(code)
-    devices = _run_starts(n, code)
+    devices = run_starts(n, code)
     tz_by_device = [solar_tz_offset_hours(x) for x in lon[devices].tolist()]
     tz = np.repeat(np.array(tz_by_device, np.int64), np.diff(devices, append=n))
     day = local_day_number(epoch, tz)
-    starts = _run_starts(n, code, day)
+    starts = run_starts(n, code, day)
     counts = np.diff(starts, append=n)
     return DayColumns(code, epoch, lat, lon, acc, starts, counts, day[starts], tz[starts])
 

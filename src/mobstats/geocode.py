@@ -6,7 +6,9 @@ Containment uses even-odd ray casting with boundary points counting as
 inside; when several regions contain a point, the deepest admin level
 wins, then the smallest bounding box, then the smallest region_id. A
 uniform grid over the regions' bounding boxes limits each lookup to the
-regions listed in the point's cell.
+regions listed in the point's cell. A loaded gazetteer also holds the
+output key table: every region's key and admin1 twin, numbered once, so
+gather workers can hand the reduce integer key indices.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError, numbered_lines
 from .geo import GeoPoint
@@ -115,6 +119,32 @@ class Gazetteer:
     places: list[Place]
     admin1_ids: dict[tuple[str, str], str]  # (country_code, admin1) -> region_id
     grid: RegionGrid
+    # the output key table: every region's key, then the admin1 twins no region holds
+    keys: list[RegionKey]
+    key_index: dict[RegionKey, int]
+    # row k, for region key k: the key indices a device-day in that region feeds,
+    # its admin1 twin's and, for a county, its own (-1 otherwise)
+    key_rows: np.ndarray
+
+
+def _key_table(regions: list[Region], admin1_ids: dict[tuple[str, str], str]):
+    """(keys, key_index, key_rows) of a gazetteer, as Gazetteer describes them.
+
+    A region's admin1 twin is the admin1 record's key when the region has an
+    admin1 (region_id "" when the gazetteer holds no such record), else the
+    region itself: a country-only region counts at admin1 level.
+    """
+    key_index: dict[RegionKey, int] = {}
+    for region in regions:
+        key_index.setdefault(region.key, len(key_index))
+    rows = []
+    for key, k in list(key_index.items()):
+        twin = key
+        if key.admin1:
+            a1_id = admin1_ids.get((key.country_code, key.admin1), "")
+            twin = RegionKey(key.country_code, key.admin1, "", a1_id)
+        rows.append((key_index.setdefault(twin, len(key_index)), k if key.admin2 else -1))
+    return list(key_index), key_index, np.array(rows, np.int32).reshape(-1, 2)
 
 
 def _validate_ring(ring: list, region_id: str) -> Ring:
@@ -211,7 +241,8 @@ def load_gazetteer(path: str) -> Gazetteer:
         for r in regions
         if r.key.level == 1
     }
-    return Gazetteer(regions, places, admin1_ids, RegionGrid.build(regions))
+    return Gazetteer(regions, places, admin1_ids, RegionGrid.build(regions),
+                     *_key_table(regions, admin1_ids))
 
 
 def point_on_ring_boundary(ring: Ring, x: float, y: float) -> bool:

@@ -8,12 +8,15 @@ concatenates one bucket's spills, regroups them into device-days with
 collate.group_device_days, applies the metrics module's eligibility rule
 to all days at once, geocodes each eligible day, measures the trimmed
 maximum distance m_max (the one per-device-day value any output depends
-on) for all matched days at once, and returns its counters and (region,
-date, m_max) records in memory. The parent process reduces those into
-per-(region, date) statistics and writes the outputs atomically. Spill
+on) for all matched days at once, and returns its counters and its
+records as three columns: an index into the gazetteer's output key
+table (built once in the parent, before any fork), the local day number
+and m_max. The parent concatenates the buckets' columns, reduces them
+with one lexsort into per-(region, date) statistics, building objects
+only for the output rows, and writes the outputs atomically. Spill
 files are keyed by input shard index and read back in shard order,
-device codes are renumbered in device id order, region-day sample lists
-are value-sorted before any arithmetic, and every output file is written
+device codes are renumbered in device id order, region-day samples are
+value-sorted before any arithmetic, and every output file is written
 in one canonical order, so results are byte-identical for any worker or
 bucket count. Each run clears the spill tree before scatter; it is
 deleted on success and kept on failure.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import datetime as dt
 import glob as globmod
 import json
-import multiprocessing as mp
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -33,10 +35,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import aggregate, metrics, output
-from .collate import bucket_index, date_to_day_number, day_number_to_date, group_device_days
-from .errors import ConfigError
+from .collate import bucket_index, date_to_day_number, group_device_days
+from .errors import ConfigError, DataError
 from .geo import GeoPoint
-from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
+from .geocode import Gazetteer, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 from .output import write_compare
@@ -161,13 +163,13 @@ def _read_bucket(spill_paths: list[str]) -> list[np.ndarray]:
     return [np.concatenate(c) for c in zip(*(columns for _, columns in spills))]
 
 
-def _gather_bucket(task: tuple) -> tuple[dict, list]:
-    """Turn one bucket's spill files into (counters, device-day records).
+def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Turn one bucket's spill files into (counters, record columns).
 
-    Each record is (RegionKey, local_date, m_max) at the
-    admin1 level, followed by an admin2-level twin when the device-day
-    geocodes to a county: both levels reduce from device-days, because
-    medians do not compose upward.
+    The columns are (key index into Gazetteer.keys, local day number,
+    m_max): each matched device-day gives a record for its region's admin1
+    twin, followed by one for the region itself when it is a county. Both
+    levels reduce from device-days, because medians do not compose upward.
     """
     spill_paths, cfg = task
     gaz = _GAZ
@@ -175,7 +177,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, list]:
 
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
     if not spill_paths:
-        return counters, []
+        return counters, (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
     dd = group_device_days(*_read_bucket(spill_paths))
     counters["device_days"] = len(dd.starts)
     counters["device_day_reports"] = len(dd.code)
@@ -194,7 +196,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, list]:
     counters["eligible_device_days"] = len(eligible)
 
     # each day geocodes at its first report, metrics.canonical_position
-    matched, regions = [], []
+    matched, key_ids = [], []
     first = dd.starts[eligible]
     for i, lat, lon in zip(eligible.tolist(), dd.lat[first].tolist(), dd.lon[first].tolist()):
         region = reverse_geocode(gaz, GeoPoint(lat, lon))
@@ -202,28 +204,22 @@ def _gather_bucket(task: tuple) -> tuple[dict, list]:
             counters["unmatched_geocode"] += 1
             continue
         matched.append(i)
-        regions.append(region)
+        key_ids.append(gaz.key_index[region])
     m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
                               cfg.trim_fraction)
 
-    records = []
-    for i, region, m in zip(matched, regions, m_max.tolist()):
-        local_date = day_number_to_date(int(dd.day[i]))
-        if region.admin1:
-            a1_id = gaz.admin1_ids.get((region.country_code, region.admin1), "")
-        else:
-            a1_id = region.region_id
-        records.append((RegionKey(region.country_code, region.admin1, "", a1_id), local_date, m))
-        if region.admin2:
-            records.append((region, local_date, m))
-    return counters, records
+    rows = gaz.key_rows[np.array(key_ids, np.intp)].ravel()
+    keep = rows >= 0
+    return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
     """Run tasks in order, inline or on a fork pool; results in task order."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    ctx = mp.get_context("fork")
+    import multiprocessing  # only here: a one-worker run never pays for the import
+
+    ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks)
 
@@ -235,7 +231,7 @@ def _atomic_write(path: str, write_fn) -> None:
     os.replace(tmp, path)
 
 
-def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
+def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazetteer,
                  scratch: str, out_dir: str) -> dict:
     os.makedirs(scratch, exist_ok=True)
 
@@ -257,9 +253,9 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig,
         gather_tasks.append((spills, cfg))
     gathered = _map_tasks(_gather_bucket, gather_tasks, cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
-    records_stream = [rec for _, recs in gathered for rec in recs]
+    columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
 
-    stats_map = aggregate.reduce_region_day(records_stream)
+    stats_map = aggregate.reduce_region_day(gaz.keys, *columns)
     baseline = aggregate.compute_baseline(
         stats_map.values(), cfg.baseline_start, cfg.baseline_end
     )
@@ -332,7 +328,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
                 else os.path.join(cfg.output_dir, f"dataset-{i:02d}")
             )
             scratch = os.path.join(spill_root, f"ds{i:02d}")
-            reports.append(_run_dataset(i, shards, cfg, scratch, out_dir))
+            reports.append(_run_dataset(i, shards, cfg, gaz, scratch, out_dir))
 
         _atomic_write(
             os.path.join(cfg.output_dir, "run_report.ndjson"),
@@ -361,12 +357,24 @@ def compare_stats(path_a: str, path_b: str) -> list[dict]:
     """Join two stats files on their KEY_FIELDS values; delta = index_b - index_a.
 
     Rows missing on either side, or missing an index, carry a null delta;
-    status says which side(s) the key appeared on.
+    status says which side(s) the key appeared on. A key held by two rows
+    of one file is a DataError naming the second row's path:line.
     """
     key_names = [name for name, _ in output.KEY_FIELDS]
     key_of = attrgetter(*key_names)
-    a = {key_of(r): r for r in output.read_ndjson(path_a)}
-    b = {key_of(r): r for r in output.read_ndjson(path_b)}
+
+    def by_key(path: str) -> dict:
+        rows, line_of = {}, {}
+        # read_ndjson rejects blank lines, so record i is line i + 1
+        for lineno, r in enumerate(output.read_ndjson(path), 1):
+            key = key_of(r)
+            if key in rows:
+                raise DataError(f"{path}:{lineno}: duplicate key {dict(zip(key_names, key))}, "
+                                f"first on line {line_of[key]}")
+            rows[key], line_of[key] = r, lineno
+        return rows
+
+    a, b = by_key(path_a), by_key(path_b)
     rows = []
     for key in sorted(set(a) | set(b)):
         ra, rb = a.get(key), b.get(key)

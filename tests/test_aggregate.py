@@ -14,8 +14,10 @@ from mobstats.aggregate import (
     apply_index,
     compute_baseline,
     reduce_region_day,
+    segment_stats,
     summarize,
 )
+from mobstats.collate import date_to_day_number
 from mobstats.errors import ConfigError
 from mobstats.geocode import RegionKey
 
@@ -28,6 +30,18 @@ MON = dt.date(2020, 3, 2)
 
 def rec(m_max, region=R1, date=MON):
     return (region, date, float(m_max))
+
+
+def reduce_rows(records):
+    """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns."""
+    keys = list(dict.fromkeys(region for region, _, _ in records))
+    index = {key: i for i, key in enumerate(keys)}
+    return reduce_region_day(
+        keys,
+        np.array([index[region] for region, _, _ in records], np.int32),
+        np.array([date_to_day_number(date) for _, date, _ in records], np.int64),
+        np.array([m for _, _, m in records], np.float64),
+    )
 
 
 def day_stats(region, date, m50):
@@ -64,16 +78,79 @@ class TestSummarize:
         assert min(values) <= s.median <= max(values)
 
 
+# a few repeated values, so segments hold ties, mixed with arbitrary m_max-like floats
+SAMPLE = st.one_of(st.sampled_from([0.0, 0.2, 1.9, 2.5]), st.floats(min_value=0, max_value=1e4))
+
+
+def numpy_stats(values):
+    """(mean, median, q1, q3) of a sample by np.quantile and .mean()."""
+    arr = np.sort(np.array(values, np.float64))
+    q1, median, q3 = np.quantile(arr, (0.25, 0.5, 0.75))
+    return arr.mean(), median, q1, q3
+
+
+class TestSegmentStats:
+    """The segment arithmetic held bit-equal (==) to numpy's own functions."""
+
+    def check(self, segments):
+        values = np.concatenate([np.sort(np.array(seg, np.float64)) for seg in segments])
+        counts = np.array([len(seg) for seg in segments])
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        got = segment_stats(values, starts, counts)
+        for i, seg in enumerate(segments):
+            assert tuple(c[i] for c in got) == numpy_stats(seg), (len(seg), i)
+
+    @given(st.lists(st.lists(SAMPLE, min_size=1, max_size=40), min_size=1, max_size=12))
+    @settings(max_examples=200)
+    def test_mixed_segments_equal_numpy(self, segments):
+        self.check(segments)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 128, 129, 130, 300])
+    def test_segment_sizes_around_the_pairwise_blocks(self, n):
+        rng = random.Random(n)
+        # next to short segments, one of n values, one of n with ties
+        self.check([[rng.uniform(0, 50)], [rng.uniform(0, 50) for _ in range(n)],
+                    [rng.choice([1.1, 2.2, 3.3]) for _ in range(n)], [4.0, 0.3]])
+
+    @given(st.lists(st.tuples(st.sampled_from([R1, R2]), st.integers(0, 3), SAMPLE),
+                    min_size=1, max_size=120))
+    @settings(max_examples=100)
+    def test_reduce_groups_equal_numpy(self, rows):
+        # one shuffled column set, lexsorted into mixed-size (region, date) segments
+        records = [(region, MON + dt.timedelta(days=d), m) for region, d, m in rows]
+        groups = {}
+        for region, date, m in records:
+            groups.setdefault((region, date), []).append(m)
+        out = reduce_rows(records)
+        assert set(out) == set(groups)
+        for key, values in groups.items():
+            s = out[key]
+            assert (s.region, s.date, s.samples) == (*key, len(values))
+            assert (s.m_max.mean, s.m_max.median, s.m_max.q1, s.m_max.q3) == numpy_stats(values)
+            assert s.m50 == s.m_max.median
+
+    def test_median_is_the_lerp_but_the_baseline_is_np_median(self):
+        # the two middle values 0.2 and 1.9: np.median averages them, (a + b) / 2,
+        # while np.quantile's lerp gives b - (b - a) * 0.5, one ulp lower
+        a, b = 0.2, 1.9
+        assert np.median([a, b]) == (a + b) / 2 == 1.05
+        assert np.quantile([a, b], 0.5) == b - (b - a) * 0.5 == 1.0499999999999998
+        assert summarize(np.array([a, b])).median == 1.0499999999999998
+        tue = MON + dt.timedelta(days=1)
+        stats = [day_stats(R1, MON, a), day_stats(R1, tue, b)]
+        assert compute_baseline(stats, MON, tue) == {R1: 1.05}
+
+
 class TestReduceRegionDay:
     def test_m50_is_median_of_m_max(self):
-        out = reduce_region_day([rec(1), rec(2), rec(3), rec(4), rec(5)])
+        out = reduce_rows([rec(1), rec(2), rec(3), rec(4), rec(5)])
         stats = out[(R1, MON)]
         assert stats.samples == 5
         assert stats.m50 == 3.0
         assert stats.m50 == stats.m_max.median
 
     def test_keys_kept_separate(self):
-        out = reduce_region_day([rec(1), rec(9, region=R2),
+        out = reduce_rows([rec(1), rec(9, region=R2),
                                  rec(5, date=MON + dt.timedelta(days=1))])
         assert len(out) == 3
         assert out[(R1, MON)].m50 == 1.0
@@ -84,10 +161,10 @@ class TestReduceRegionDay:
         records = [rec(rng.uniform(0, 30), region=rng.choice([R1, R2]),
                        date=MON + dt.timedelta(days=rng.randrange(4)))
                    for _ in range(300)]
-        base = reduce_region_day(records)
+        base = reduce_rows(records)
         shuffled = records[:]
         rng.shuffle(shuffled)
-        again = reduce_region_day(shuffled)
+        again = reduce_rows(shuffled)
         assert base == again  # exact float equality: sorted before arithmetic
 
     def test_admin1_from_device_days_equals_union_of_admin2_sets(self):
@@ -98,12 +175,12 @@ class TestReduceRegionDay:
         records += [rec(v, region=RegionKey("AA", "West", "Westfield", "W-02"))
                     for v in east]
         records += [rec(v, region=R2) for v in west + east]
-        out = reduce_region_day(records)
+        out = reduce_rows(records)
         assert out[(R2, MON)].m50 == 3.0  # median of the union, not of medians
         assert out[(R2, MON)].samples == 5
 
     def test_pipeline_values_survive(self):
-        out = reduce_region_day([rec(2.0)])
+        out = reduce_rows([rec(2.0)])
         s = out[(R1, MON)]
         assert s.m_max.mean == 2.0
         assert s.m50_index is None
@@ -186,7 +263,7 @@ class TestScaleInvariance:
         def table_and_stats(scale):
             records = [rec(v * scale, date=base_date) for v in m_maxes]
             records += [rec(v * scale * 0.5, date=target) for v in m_maxes]
-            out = reduce_region_day(records)
+            out = reduce_rows(records)
             baseline = compute_baseline(out.values())
             return [apply_index(s, baseline) for s in out.values()]
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mobstats.collate import (
     DeviceDay,
     bucket_index,
-    bucket_sort,
     build_device_days,
     day_number_to_date,
     local_day_number,
@@ -21,6 +20,20 @@ T0 = 1584316800
 
 def raw(device_id, epoch, lat=0.0, lon=0.0, acc=5.0):
     return (device_id, epoch, lat, lon, acc)
+
+
+def bucket_sort(reports, n_buckets):
+    """Partition reports into n_buckets lists keyed by device id hash.
+
+    In-memory reference for the scatter phase, which streams the same
+    partition to spill files.
+    """
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    buckets = [[] for _ in range(n_buckets)]
+    for r in reports:
+        buckets[bucket_index(r[0], n_buckets)].append(r)
+    return buckets
 
 
 def single_report_day(lon):

@@ -9,6 +9,7 @@ per-day haversine. The kernel must reproduce them exactly.
 import datetime as dt
 import gzip
 import io
+import json
 import math
 import re
 from collections import Counter
@@ -21,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobstats import aggregate, ingest
+from mobstats.collate import day_number_to_date
 from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
 from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
 from mobstats.pipeline import GATHER_COUNTERS, PipelineConfig, run
-from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate
+from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, toy_gazetteer_records
 
 T0 = 1584316800  # 2020-03-16T00:00:00Z
 
@@ -248,14 +250,20 @@ def scenario(tmp_path_factory):
 
 
 def run_captured(cfg: PipelineConfig) -> tuple[dict, list]:
-    """(gather counters, records) of a pipeline run, records as reduce sees them."""
+    """(gather counters, records) of a pipeline run, records as reduce sees them.
+
+    Reduce takes columns; each row is mapped back through the key table to
+    a (RegionKey, date, m_max) record.
+    """
     captured = []
     reduce_region_day = aggregate.reduce_region_day
 
-    def capture(records):
-        records = list(records)
-        captured.extend(records)
-        return reduce_region_day(records)
+    def capture(keys, region, day, m_max):
+        captured.extend(
+            (keys[r], day_number_to_date(d), m)
+            for r, d, m in zip(region.tolist(), day.tolist(), m_max.tolist())
+        )
+        return reduce_region_day(keys, region, day, m_max)
 
     with mock.patch.object(aggregate, "reduce_region_day", capture):
         (report,) = run(cfg)
@@ -283,6 +291,42 @@ class TestGatherKernel:
         assert Counter(got_records) == Counter(want_records)
         if n_buckets == 1:  # one bucket: devices in id order, days in date order
             assert got_records == want_records
+
+    def test_key_table_twins_without_region_records(self, scenario, tmp_path):
+        # no "East" admin1 record, so Eastburg County's admin1 twin has region_id "";
+        # the Eastfield quarter is the country-only region BB, its own twin
+        recs = [r for r in toy_gazetteer_records()
+                if r["type"] == "region" and r["region_id"] not in ("AA-E", "AA-E-02")]
+        recs.append({"type": "region", "country_code": "BB", "admin1": "", "admin2": "",
+                     "region_id": "BB", "polygons": [[[4, -4], [8, -4], [8, 0], [4, 0], [4, -4]]]})
+        gaz_path = tmp_path / "gaz.ndjson"
+        gaz_path.write_text("".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+        gaz = load_gazetteer(str(gaz_path))
+        ghost = RegionKey("AA", "East", "", "")
+        assert ghost in gaz.keys and ghost not in {r.key for r in gaz.regions}
+
+        rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
+        outputs = set()
+        for workers in (1, 2):
+            for n_buckets in (1, 3, 8):
+                out = tmp_path / f"out-{workers}-{n_buckets}"
+                cfg = PipelineConfig(inputs=[str(scenario["root"] / "shards" / "*.csv")],
+                                     gazetteer=str(gaz_path), output_dir=str(out),
+                                     workers=workers, n_buckets=n_buckets)
+                want_counters, want_records = reference_gather(rows, gaz, cfg)
+                counters, records = run_captured(cfg)
+                assert counters == want_counters
+                assert Counter(records) == Counter(want_records)
+                if n_buckets == 1:
+                    assert records == want_records
+                outputs.add(tuple((out / name).read_bytes()
+                                  for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
+        assert len(outputs) == 1
+        stats = outputs.pop()[0].decode()
+        emitted = {(r["country_code"], r["admin1"], r["admin2"], r["region_id"])
+                   for r in map(json.loads, stats.splitlines())}
+        assert {("AA", "East", "", ""), ("AA", "East", "Eastburg County", "AA-E-01"),
+                ("BB", "", "", "BB"), ("AA", "West", "", "AA-W")} <= emitted
 
     def test_device_ids_survive_spill_round_trip(self, scenario, tmp_path):
         # ids a numpy U array, str.splitlines or a strip would merge or split

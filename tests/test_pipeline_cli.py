@@ -3,13 +3,17 @@ import gzip
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mobstats import aggregate
 from mobstats.cli import CONFIG_DEFAULTS, main
+from mobstats.collate import day_number_to_date
 from mobstats.errors import ConfigError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
@@ -137,18 +141,17 @@ class TestRun:
         captured = []
         reduce_region_day = aggregate.reduce_region_day
 
-        def capture(records):
-            records = list(records)
-            captured.extend(records)
-            return reduce_region_day(records)
+        def capture(keys, region, day, m_max):
+            captured.extend(zip((keys[r] for r in region.tolist()), day.tolist(), m_max.tolist()))
+            return reduce_region_day(keys, region, day, m_max)
 
         monkeypatch.setattr(aggregate, "reduce_region_day", capture)
         run(base_config(scenario, tmp_path / "out"))
 
         got: dict[str, list[float]] = {}
-        for region, date, m_max in captured:
+        for region, day, m_max in captured:
             if not region.admin2:
-                got.setdefault(date.isoformat(), []).append(m_max)
+                got.setdefault(day_number_to_date(day).isoformat(), []).append(m_max)
         gaz = load_gazetteer(scenario["gazetteer_path"])
         want: dict[str, list[float]] = {}
         with open(scenario["truth_path"], encoding="utf-8") as fh:
@@ -548,6 +551,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: data:")
         assert "b.ndjson" in err
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # the fork pool is imported only by a run that uses it
+        import mobstats
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, mobstats.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_compare_duplicate_key_exit_3(self, tmp_path, capsys, side):
+        # two rows with the same key values must not silently collapse to the last
+        from mobstats.output import OutputRecord
+        rows = [OutputRecord("AA", "admin1", "W", "", "W", date, 5, 1.0, index)
+                for date, index in (("2020-03-02", 90.0), ("2020-03-03", 95.0),
+                                    ("2020-03-02", 110.0))]
+        with open(tmp_path / "dup.ndjson", "w", newline="\n") as fh:
+            write_ndjson(rows, fh)
+        with open(tmp_path / "ok.ndjson", "w", newline="\n") as fh:
+            write_ndjson(rows[:2], fh)
+        paths = [str(tmp_path / "ok.ndjson")] * 2
+        paths[side] = str(tmp_path / "dup.ndjson")
+        rc = main(["compare", *paths])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:")
+        assert "dup.ndjson:3" in err and "line 1" in err
 
     @pytest.mark.parametrize("epoch, reports", [(2**63, 1), (10**12, 12)])
     def test_epoch_past_year_9999_is_malformed(self, tmp_path, capsys, epoch, reports):
