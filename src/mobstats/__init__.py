@@ -1,10 +1,11 @@
 """Batch pipeline turning raw device position reports into per-region
-daily mobility statistics (m50 and the m50 mobility index), plus a
-deterministic synthetic-data generator and independent brute-force
-reference implementations for verifying it.
+daily mobility statistics (m50 and the m50 mobility index). The
+deterministic synthetic-data generator (mobstats.synth) and the
+brute-force reference implementations (mobstats.oracle) that verify it
+are imported from their modules, so the CLI does not load them.
 """
 
-from .aggregate import RegionDayStats, apply_index, compute_baseline, reduce_region_day
+from .aggregate import apply_index, compute_baseline, reduce_region_day
 from .collate import DeviceDay, build_device_days
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
@@ -12,7 +13,6 @@ from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, iter_shard_raw, parse_fields
 from .metrics import MobilityMetrics, compute_metrics, rejection_reason
 from .pipeline import PipelineConfig, compare_stats, run
-from .synth import ScenarioSpec, generate, lockdown_spec
 
 __version__ = "0.1.0"
 
@@ -25,19 +25,15 @@ __all__ = [
     "IngestStats",
     "MobilityMetrics",
     "PipelineConfig",
-    "RegionDayStats",
     "RegionKey",
-    "ScenarioSpec",
     "apply_index",
     "build_device_days",
     "compare_stats",
     "compute_baseline",
     "compute_metrics",
     "convex_hull",
-    "generate",
     "haversine_km",
     "load_gazetteer",
-    "lockdown_spec",
     "iter_shard_raw",
     "parse_fields",
     "reduce_region_day",

@@ -1,4 +1,4 @@
-"""Reduction of device-day metrics into per-(region, date) statistics.
+"""Reduction of device-day metrics into per-(region, date) output records.
 
 m50 is the median across a region-date's eligible device-days of the
 trimmed max-distance measure; m50_index = 100 * m50 / m50_norm, where
@@ -8,14 +8,14 @@ m_max per device-day record) and orders them with one lexsort by
 (region, day, m_max), so each (region, date) group is a value-sorted
 segment. Quartiles and means are computed for all segments at once with
 numpy's own linear-quantile and pairwise-sum arithmetic, so they equal
-np.quantile and .mean() bit for bit; key, date and statistics objects are
-built only for the output groups. Results do not depend on arrival order.
+np.quantile and .mean() bit for bit; each group becomes one
+output.OutputRecord, which the baseline and the index then read and fill.
+Results do not depend on arrival order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,27 +23,10 @@ import numpy as np
 from .collate import day_number_to_date, run_starts
 from .errors import ConfigError
 from .geocode import RegionKey
+from .output import OutputRecord, region_of
 
 DEFAULT_BASELINE_START = dt.date(2020, 2, 17)
 DEFAULT_BASELINE_END = dt.date(2020, 3, 7)
-
-
-@dataclass(frozen=True, slots=True)
-class MetricStats:
-    mean: float
-    median: float
-    q1: float
-    q3: float
-
-
-@dataclass(slots=True)
-class RegionDayStats:
-    region: RegionKey
-    date: dt.date
-    samples: int
-    m_max: MetricStats
-    m50: float
-    m50_index: float | None = None
 
 
 def segment_quantile(values: np.ndarray, starts: np.ndarray, counts: np.ndarray,
@@ -76,16 +59,10 @@ def segment_stats(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return mean, median, q1, q3
 
 
-def summarize(values_sorted: np.ndarray) -> MetricStats:
-    """Mean, median and quartiles of an ascending-sorted sample array (one segment)."""
-    stats = segment_stats(values_sorted, np.array([0]), np.array([len(values_sorted)]))
-    return MetricStats(*(float(s[0]) for s in stats))
-
-
 def reduce_region_day(
     keys: Sequence[RegionKey], region: np.ndarray, day: np.ndarray, m_max: np.ndarray,
-) -> dict[tuple[RegionKey, dt.date], RegionDayStats]:
-    """Group device-day m_max values by (region, day) and compute exact statistics.
+) -> list[OutputRecord]:
+    """One record per (region, day) group of device-day m_max values; m50_index None.
 
     Row i is one record: keys[region[i]], local day number day[i], m_max[i].
     Order independent: the same multiset of records yields identical output
@@ -97,32 +74,33 @@ def reduce_region_day(
     counts = np.diff(starts, append=len(values))
     columns = segment_stats(values, starts, counts)
 
-    out: dict[tuple[RegionKey, dt.date], RegionDayStats] = {}
-    for r, d, n, mean, median, q1, q3 in zip(
-        region[starts].tolist(), day[starts].tolist(), counts.tolist(),
-        *(c.tolist() for c in columns),
-    ):
-        key, date = keys[r], day_number_to_date(d)
-        out[(key, date)] = RegionDayStats(key, date, n, MetricStats(mean, median, q1, q3), median)
-    return out
+    group_keys = [keys[r] for r in region[starts].tolist()]
+    return [
+        OutputRecord(k.country_code, "admin2" if k.admin2 else "admin1", k.admin1, k.admin2,
+                     k.region_id, day_number_to_date(d).isoformat(), n, median, None, mean, q1, q3)
+        for k, d, n, mean, median, q1, q3 in zip(
+            group_keys, day[starts].tolist(), counts.tolist(), *(c.tolist() for c in columns))
+    ]
 
 
 def compute_baseline(
-    stats: Iterable[RegionDayStats],
+    records: Iterable[OutputRecord],
     start: dt.date = DEFAULT_BASELINE_START,
     end: dt.date = DEFAULT_BASELINE_END,
-) -> dict[RegionKey, float]:
-    """Per-region m50_norm: median weekday m50 over dates in [start, end].
+) -> dict[tuple, float]:
+    """Per-region m50_norm, keyed by output.region_of: median weekday m50 in [start, end].
 
     Regions with no weekday data in the window, or whose norm is zero, are
     absent from the table (an index against them would be undefined).
     """
     check_baseline_window(start, end)
-    window: dict[RegionKey, list[float]] = {}
-    for s in stats:
-        if start <= s.date <= end and s.date.weekday() < 5:
-            window.setdefault(s.region, []).append(s.m50)
-    table: dict[RegionKey, float] = {}
+    # ISO dates compare in date order, so only the window's dates are parsed
+    first, last = start.isoformat(), end.isoformat()
+    window: dict[tuple, list[float]] = {}
+    for r in records:
+        if first <= r.date <= last and dt.date.fromisoformat(r.date).weekday() < 5:
+            window.setdefault(region_of(r), []).append(r.m50)
+    table: dict[tuple, float] = {}
     for region, values in window.items():
         norm = float(np.median(np.sort(np.array(values))))
         if norm > 0.0:
@@ -139,11 +117,9 @@ def check_baseline_window(start: dt.date, end: dt.date) -> None:
         raise ConfigError(f"baseline window {start}..{end} contains no weekdays")
 
 
-def apply_index(
-    stats: RegionDayStats, baseline: dict[RegionKey, float]
-) -> RegionDayStats:
-    """Fill m50_index in place when the region has a baseline."""
-    norm = baseline.get(stats.region)
+def apply_index(record: OutputRecord, baseline: dict[tuple, float]) -> OutputRecord:
+    """Fill m50_index in place when the record's region has a baseline."""
+    norm = baseline.get(region_of(record))
     if norm is not None:
-        stats.m50_index = 100.0 * stats.m50 / norm
-    return stats
+        record.m50_index = 100.0 * record.m50 / norm
+    return record

@@ -18,7 +18,6 @@ import sys
 from .errors import ConfigError, DataError
 from .output import write_compare
 from .pipeline import PipelineConfig, compare_stats, run
-from .synth import STYLES, ScenarioSpec, generate
 
 _DATE_KEYS = ("baseline_start", "baseline_end", "date_start", "date_end")
 # PipelineConfig's defaults as config-dump prints them and a config file spells them
@@ -76,8 +75,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--scale", type=float, default=1.0,
                        help="mobility scale factor applied from --scale-start onward")
     p_gen.add_argument("--scale-start", default="2020-03-09", metavar="DATE")
-    p_gen.add_argument("--styles", default="planned",
-                       help=f"comma list from {','.join(STYLES)}")
+    p_gen.add_argument("--styles", default="planned", help="comma list of device styles")
     p_gen.add_argument("--reports-min", type=int, default=12)
     p_gen.add_argument("--reports-max", type=int, default=24)
     p_gen.add_argument("--accuracy-reject-fraction", type=float, default=0.0)
@@ -86,27 +84,48 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--shards", type=int, default=4)
     p_gen.add_argument("--gzip", action="store_true")
 
-    p_cmp = sub.add_parser("compare", help="join two stats.ndjson files on region and date")
-    p_cmp.add_argument("stats_a", metavar="A.ndjson")
-    p_cmp.add_argument("stats_b", metavar="B.ndjson")
+    p_cmp = sub.add_parser("compare", help="join two stats files on region and date")
+    p_cmp.add_argument("stats_a", metavar="A")
+    p_cmp.add_argument("stats_b", metavar="B")
     p_cmp.add_argument("--out", metavar="FILE", help="write NDJSON here instead of stdout")
 
     sub.add_parser("config-dump", help="print the effective default configuration")
     return parser
 
 
+def _read_config_file(path: str) -> dict:
+    """A JSON config file's object, each value of its default's JSON type.
+
+    A float field also takes an int, and a field whose default is null a string.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config file {path}: {e}") from None
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {path}: not a JSON object: {file_cfg!r}")
+    unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        default = CONFIG_DEFAULTS[key]
+        kind = str if default is None else type(default)
+        if kind is float and type(value) is int:
+            file_cfg[key] = float(value)
+        elif value is None and default is None:
+            continue
+        elif type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
+            want = "a list of strings" if kind is list else kind.__name__
+            raise ConfigError(f"config file {path}: {key} must be {want}"
+                              f"{' or null' if default is None else ''}, got {value!r}")
+    return file_cfg
+
+
 def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
     merged = dict(CONFIG_DEFAULTS)
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {args.config}: {e}") from None
-        unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-        merged.update(file_cfg)
+        merged.update(_read_config_file(args.config))
     for key in CONFIG_DEFAULTS:
         if key == "inputs":
             if args.input is not None:
@@ -115,17 +134,9 @@ def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-
-    for key, default in CONFIG_DEFAULTS.items():
-        value = merged[key]
-        if key in _DATE_KEYS:
-            merged[key] = None if value is None else _parse_date(value)
-        elif default is not None and value is not None:
-            kind = type(default)
-            try:
-                merged[key] = kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: cannot use {value!r} as {kind.__name__}") from None
+    for key in _DATE_KEYS:
+        if merged[key] is not None:
+            merged[key] = _parse_date(merged[key])
     return PipelineConfig(**merged)
 
 
@@ -137,6 +148,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .synth import STYLES, ScenarioSpec, generate  # only here: a run never loads it
+
     styles = tuple(s.strip() for s in args.styles.split(",") if s.strip())
     bad = [s for s in styles if s not in STYLES]
     if bad:

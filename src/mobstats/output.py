@@ -1,7 +1,8 @@
-"""Serialization of region-day statistics to NDJSON and CSV.
+"""The region-day row, OutputRecord, and its serialization to NDJSON and CSV.
 
 Each serialized table is an ordered (name, kind) field table; the writers
-and readers are loops over it. Both formats carry identical values: m50
+and readers are loops over it, so a record's verbose values are written
+only under --verbose-stats. Both formats carry identical values: m50
 fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
 when absent). Records are written in a canonical sort order with a fixed
 key order, so identical inputs always produce byte-identical files.
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Sequence
 
-from .aggregate import RegionDayStats
 from .errors import DataError, numbered_lines
 
 
@@ -61,7 +61,7 @@ STATS_FIELDS: Fields = KEY_FIELDS + (
     ("m50", Kind(float, 3)),
     ("m50_index", Kind(float, 1, nullable=True)),
 )
-# appended by --verbose-stats; None in records built without it
+# appended by --verbose-stats; None in records read from a file without them
 VERBOSE_FIELDS: Fields = tuple(
     (name, Kind(float, 3, nullable=True)) for name in ("m_max_mean", "m_max_q1", "m_max_q3")
 )
@@ -71,7 +71,7 @@ COMPARE_FIELDS: Fields = KEY_FIELDS + tuple(
 CSV_HEADER = [name for name, _ in STATS_FIELDS]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OutputRecord:
     country_code: str
     admin_level: str  # "admin1" | "admin2"
@@ -81,7 +81,7 @@ class OutputRecord:
     date: str  # yyyy-mm-dd
     samples: int
     m50: float
-    m50_index: float | None
+    m50_index: float | None  # filled in place by aggregate.apply_index
     m_max_mean: float | None = None
     m_max_q1: float | None = None
     m_max_q3: float | None = None
@@ -91,23 +91,8 @@ class OutputRecord:
                 self.admin_level, self.region_id)
 
 
-def record_from_stats(stats: RegionDayStats, verbose: bool = False) -> OutputRecord:
-    region = stats.region
-    level = "admin2" if region.admin2 else "admin1"
-    return OutputRecord(
-        country_code=region.country_code,
-        admin_level=level,
-        admin1=region.admin1,
-        admin2=region.admin2,
-        region_id=region.region_id,
-        date=stats.date.isoformat(),
-        samples=stats.samples,
-        m50=stats.m50,
-        m50_index=stats.m50_index,
-        m_max_mean=stats.m_max.mean if verbose else None,
-        m_max_q1=stats.m_max.q1 if verbose else None,
-        m_max_q3=stats.m_max.q3 if verbose else None,
-    )
+# a record's region: its key field values but the date
+region_of = attrgetter(*(name for name, _ in KEY_FIELDS if name != "date"))
 
 
 def _write_ndjson(rows: Iterable, fields: Fields, getter, sink: IO[str]) -> None:

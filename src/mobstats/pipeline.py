@@ -12,8 +12,9 @@ on) for all matched days at once, and returns its counters and its
 records as three columns: an index into the gazetteer's output key
 table (built once in the parent, before any fork), the local day number
 and m_max. The parent concatenates the buckets' columns, reduces them
-with one lexsort into per-(region, date) statistics, building objects
-only for the output rows, and writes the outputs atomically. Spill
+with one lexsort into one output.OutputRecord per (region, date), fills
+in each record's index against its region's baseline, and writes the
+outputs atomically. Spill
 files are keyed by input shard index and read back in shard order,
 device codes are renumbered in device id order, region-day samples are
 value-sorted before any arithmetic, and every output file is written
@@ -255,15 +256,11 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
 
-    stats_map = aggregate.reduce_region_day(gaz.keys, *columns)
-    baseline = aggregate.compute_baseline(
-        stats_map.values(), cfg.baseline_start, cfg.baseline_end
-    )
-    for s in stats_map.values():
-        aggregate.apply_index(s, baseline)
-    records = output.sorted_records(
-        [output.record_from_stats(s, cfg.verbose_stats) for s in stats_map.values()]
-    )
+    records = aggregate.reduce_region_day(gaz.keys, *columns)
+    baseline = aggregate.compute_baseline(records, cfg.baseline_start, cfg.baseline_end)
+    for r in records:
+        aggregate.apply_index(r, baseline)
+    records = output.sorted_records(records)
 
     os.makedirs(out_dir, exist_ok=True)
     if cfg.format in ("ndjson", "both"):
@@ -283,9 +280,7 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
         "shards": len(shards),
         **asdict(stats),
         **counters,
-        "regions_emitted": len({
-            (r.country_code, r.admin_level, r.admin1, r.admin2, r.region_id) for r in records
-        }),
+        "regions_emitted": len(set(map(output.region_of, records))),
         "region_day_rows": len(records),
         "admin1_level_samples": admin1_samples,
     }
@@ -296,9 +291,9 @@ def run(cfg: PipelineConfig) -> list[dict]:
     """Run the full pipeline; returns the run-report record for each dataset.
 
     Output layout: a single dataset writes stats.ndjson / stats.csv directly
-    under output_dir; multiple datasets write under dataset-NN/ plus a
-    compare.ndjson when there are exactly two. run_report.ndjson collects
-    one line of deterministic counters per dataset.
+    under output_dir; multiple datasets write under dataset-NN/ plus, when
+    there are two, a compare.ndjson joined from the stats files written, in
+    either format. run_report.ndjson holds one line of counters per dataset.
     """
     cfg.validate()
     datasets: list[list[str]] = []
@@ -337,10 +332,11 @@ def run(cfg: PipelineConfig) -> list[dict]:
             ),
         )
 
-        if len(datasets) == 2 and cfg.format in ("ndjson", "both"):
+        if len(datasets) == 2:
+            name = "stats.csv" if cfg.format == "csv" else "stats.ndjson"
             rows = compare_stats(
-                os.path.join(cfg.output_dir, "dataset-00", "stats.ndjson"),
-                os.path.join(cfg.output_dir, "dataset-01", "stats.ndjson"),
+                os.path.join(cfg.output_dir, "dataset-00", name),
+                os.path.join(cfg.output_dir, "dataset-01", name),
             )
             _atomic_write(
                 os.path.join(cfg.output_dir, "compare.ndjson"),
@@ -356,17 +352,21 @@ def run(cfg: PipelineConfig) -> list[dict]:
 def compare_stats(path_a: str, path_b: str) -> list[dict]:
     """Join two stats files on their KEY_FIELDS values; delta = index_b - index_a.
 
-    Rows missing on either side, or missing an index, carry a null delta;
-    status says which side(s) the key appeared on. A key held by two rows
-    of one file is a DataError naming the second row's path:line.
+    A path ending in .csv is read as CSV, any other as NDJSON. Rows missing
+    on either side, or missing an index, carry a null delta; status says
+    which side(s) the key appeared on. A key held by two rows of one file
+    is a DataError naming the second row's path:line.
     """
     key_names = [name for name, _ in output.KEY_FIELDS]
     key_of = attrgetter(*key_names)
 
     def by_key(path: str) -> dict:
         rows, line_of = {}, {}
-        # read_ndjson rejects blank lines, so record i is line i + 1
-        for lineno, r in enumerate(output.read_ndjson(path), 1):
+        in_csv = path.endswith(".csv")
+        # read_ndjson rejects blank lines, so record i is line i + 1; a CSV
+        # adds its header line, and a cell holding a newline would add more
+        read = output.read_csv if in_csv else output.read_ndjson
+        for lineno, r in enumerate(read(path), 1 + in_csv):
             key = key_of(r)
             if key in rows:
                 raise DataError(f"{path}:{lineno}: duplicate key {dict(zip(key_names, key))}, "

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from mobstats.aggregate import (
     DEFAULT_BASELINE_END,
     DEFAULT_BASELINE_START,
-    MetricStats,
-    RegionDayStats,
     apply_index,
     compute_baseline,
     reduce_region_day,
     segment_stats,
-    summarize,
 )
 from mobstats.collate import date_to_day_number
 from mobstats.errors import ConfigError
 from mobstats.geocode import RegionKey
+from mobstats.output import OutputRecord, region_of
 
 R1 = RegionKey("AA", "West", "Westburg", "W-01")
 R2 = RegionKey("AA", "West", "", "W")
@@ -33,49 +31,65 @@ def rec(m_max, region=R1, date=MON):
 
 
 def reduce_rows(records):
-    """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns."""
+    """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns.
+
+    The returned records are indexed by (RegionKey, date).
+    """
     keys = list(dict.fromkeys(region for region, _, _ in records))
     index = {key: i for i, key in enumerate(keys)}
-    return reduce_region_day(
+    out = reduce_region_day(
         keys,
         np.array([index[region] for region, _, _ in records], np.int32),
         np.array([date_to_day_number(date) for _, date, _ in records], np.int64),
         np.array([m for _, _, m in records], np.float64),
     )
+    return {(RegionKey(r.country_code, r.admin1, r.admin2, r.region_id),
+             dt.date.fromisoformat(r.date)): r for r in out}
 
 
 def day_stats(region, date, m50):
-    s = MetricStats(m50, m50, m50, m50)
-    return RegionDayStats(region, date, 1, s, m50)
+    level = "admin2" if region.admin2 else "admin1"
+    return OutputRecord(region.country_code, level, region.admin1, region.admin2,
+                        region.region_id, date.isoformat(), 1, m50, None, m50, m50, m50)
+
+
+def rid(region):
+    """The baseline table's key for a RegionKey."""
+    return region_of(day_stats(region, MON, 0.0))
+
+
+def summarize(values_sorted):
+    """segment_stats of one ascending segment, as (mean, median, q1, q3) floats."""
+    stats = segment_stats(values_sorted, np.array([0]), np.array([len(values_sorted)]))
+    return tuple(float(s[0]) for s in stats)
 
 
 class TestSummarize:
     def test_hand_evaluated_quartiles(self):
-        s = summarize(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        assert (s.median, s.q1, s.q3) == (3.0, 2.0, 4.0)
-        assert s.mean == 3.0
+        mean, median, q1, q3 = summarize(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert (median, q1, q3) == (3.0, 2.0, 4.0)
+        assert mean == 3.0
 
     def test_single_sample(self):
-        s = summarize(np.array([7.0]))
-        assert (s.mean, s.median, s.q1, s.q3) == (7.0, 7.0, 7.0, 7.0)
+        assert summarize(np.array([7.0])) == (7.0, 7.0, 7.0, 7.0)
 
     def test_constant_samples(self):
-        s = summarize(np.array([2.5] * 9))
-        assert s.mean == s.median
-        assert s.q1 == s.q3 == 2.5
+        mean, median, q1, q3 = summarize(np.array([2.5] * 9))
+        assert mean == median
+        assert q1 == q3 == 2.5
 
     def test_interpolated_quartiles(self):
         # 4 samples: q1 at position 0.75 between 1 and 2 -> 1.75
-        s = summarize(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert s.q1 == 1.75
-        assert s.median == 2.5
-        assert s.q3 == 3.25
+        _, median, q1, q3 = summarize(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert q1 == 1.75
+        assert median == 2.5
+        assert q3 == 3.25
 
     @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=50))
     def test_quartiles_ordered(self, values):
-        s = summarize(np.sort(np.array(values)))
-        assert s.q1 <= s.median <= s.q3
-        assert min(values) <= s.median <= max(values)
+        _, median, q1, q3 = summarize(np.sort(np.array(values)))
+        assert q1 <= median <= q3
+        assert min(values) <= median <= max(values)
 
 
 # a few repeated values, so segments hold ties, mixed with arbitrary m_max-like floats
@@ -125,9 +139,8 @@ class TestSegmentStats:
         assert set(out) == set(groups)
         for key, values in groups.items():
             s = out[key]
-            assert (s.region, s.date, s.samples) == (*key, len(values))
-            assert (s.m_max.mean, s.m_max.median, s.m_max.q1, s.m_max.q3) == numpy_stats(values)
-            assert s.m50 == s.m_max.median
+            assert s.samples == len(values)
+            assert (s.m_max_mean, s.m50, s.m_max_q1, s.m_max_q3) == numpy_stats(values)
 
     def test_median_is_the_lerp_but_the_baseline_is_np_median(self):
         # the two middle values 0.2 and 1.9: np.median averages them, (a + b) / 2,
@@ -135,10 +148,10 @@ class TestSegmentStats:
         a, b = 0.2, 1.9
         assert np.median([a, b]) == (a + b) / 2 == 1.05
         assert np.quantile([a, b], 0.5) == b - (b - a) * 0.5 == 1.0499999999999998
-        assert summarize(np.array([a, b])).median == 1.0499999999999998
+        assert summarize(np.array([a, b]))[1] == 1.0499999999999998
         tue = MON + dt.timedelta(days=1)
         stats = [day_stats(R1, MON, a), day_stats(R1, tue, b)]
-        assert compute_baseline(stats, MON, tue) == {R1: 1.05}
+        assert compute_baseline(stats, MON, tue) == {rid(R1): 1.05}
 
 
 class TestReduceRegionDay:
@@ -147,7 +160,6 @@ class TestReduceRegionDay:
         stats = out[(R1, MON)]
         assert stats.samples == 5
         assert stats.m50 == 3.0
-        assert stats.m50 == stats.m_max.median
 
     def test_keys_kept_separate(self):
         out = reduce_rows([rec(1), rec(9, region=R2),
@@ -182,7 +194,7 @@ class TestReduceRegionDay:
     def test_pipeline_values_survive(self):
         out = reduce_rows([rec(2.0)])
         s = out[(R1, MON)]
-        assert s.m_max.mean == 2.0
+        assert s.m_max_mean == 2.0
         assert s.m50_index is None
 
 
@@ -192,25 +204,25 @@ class TestComputeBaseline:
         values = [4.0, 5.0, 6.0, 5.0, 4.0]
         stats = [day_stats(R1, MON + dt.timedelta(days=i), v)
                  for i, v in enumerate(values)]
-        assert compute_baseline(stats, MON, MON + dt.timedelta(days=4)) == {R1: 5.0}
+        assert compute_baseline(stats, MON, MON + dt.timedelta(days=4)) == {rid(R1): 5.0}
 
     def test_weekend_data_ignored(self):
         sat = dt.date(2020, 2, 22)
         stats = [day_stats(R1, sat, 100.0), day_stats(R1, sat + dt.timedelta(days=1), 100.0),
                  day_stats(R1, MON, 7.0)]
         table = compute_baseline(stats, dt.date(2020, 2, 17), dt.date(2020, 3, 7))
-        assert table == {R1: 7.0}
+        assert table == {rid(R1): 7.0}
 
     def test_weekend_only_region_absent(self):
         sat = dt.date(2020, 2, 22)
         stats = [day_stats(R1, sat, 5.0), day_stats(R2, MON, 3.0)]
         table = compute_baseline(stats)
-        assert R1 not in table
-        assert table[R2] == 3.0
+        assert rid(R1) not in table
+        assert table[rid(R2)] == 3.0
 
     def test_out_of_window_dates_ignored(self):
         stats = [day_stats(R1, MON, 5.0), day_stats(R1, dt.date(2020, 3, 9), 50.0)]
-        assert compute_baseline(stats) == {R1: 5.0}
+        assert compute_baseline(stats) == {rid(R1): 5.0}
 
     def test_zero_norm_region_excluded(self):
         stats = [day_stats(R1, MON, 0.0)]
@@ -236,15 +248,15 @@ class TestComputeBaseline:
 
 class TestApplyIndex:
     def test_ratio(self):
-        s = apply_index(day_stats(R1, MON, 1.5), {R1: 3.0})
+        s = apply_index(day_stats(R1, MON, 1.5), {rid(R1): 3.0})
         assert s.m50_index == 50.0
 
     def test_identity(self):
-        s = apply_index(day_stats(R1, MON, 4.0), {R1: 4.0})
+        s = apply_index(day_stats(R1, MON, 4.0), {rid(R1): 4.0})
         assert s.m50_index == 100.0
 
     def test_thirty_percent_of_normal(self):
-        s = apply_index(day_stats(R1, MON, 1.2), {R1: 4.0})
+        s = apply_index(day_stats(R1, MON, 1.2), {rid(R1): 4.0})
         assert s.m50_index == pytest.approx(30.0)
 
     def test_region_without_baseline_left_unindexed(self):
@@ -267,7 +279,7 @@ class TestScaleInvariance:
             baseline = compute_baseline(out.values())
             return [apply_index(s, baseline) for s in out.values()]
 
-        plain = {(s.region, s.date): s.m50_index for s in table_and_stats(1.0)}
-        scaled = {(s.region, s.date): s.m50_index for s in table_and_stats(c)}
+        plain = {(region_of(s), s.date): s.m50_index for s in table_and_stats(1.0)}
+        scaled = {(region_of(s), s.date): s.m50_index for s in table_and_stats(c)}
         for key, idx in plain.items():
             assert scaled[key] == pytest.approx(idx, rel=1e-9)

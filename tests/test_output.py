@@ -2,11 +2,13 @@ import datetime as dt
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats.aggregate import MetricStats, RegionDayStats
+from mobstats.aggregate import reduce_region_day
+from mobstats.collate import date_to_day_number
 from mobstats.errors import DataError
 from mobstats.geocode import RegionKey
 from mobstats.output import (
@@ -14,7 +16,6 @@ from mobstats.output import (
     OutputRecord,
     read_csv,
     read_ndjson,
-    record_from_stats,
     sorted_records,
     write_csv,
     write_ndjson,
@@ -88,6 +89,12 @@ class TestWriteNdjson:
         obj = json.loads(ndjson_text([r], verbose=True))
         assert list(obj)[-3:] == ["m_max_mean", "m_max_q1", "m_max_q3"]
         assert obj["m_max_q3"] == 4.0
+
+    def test_verbose_values_written_only_under_verbose(self):
+        spread = rec(m_max_mean=2.0, m_max_q1=1.0, m_max_q3=3.0)
+        assert ndjson_text([spread]) == ndjson_text([rec()])
+        assert csv_text([spread]) == csv_text([rec()])
+        assert ndjson_text([spread], verbose=True) != ndjson_text([rec()], verbose=True)
 
 
 class TestWriteCsv:
@@ -239,32 +246,35 @@ class TestRoundTrip:
                [(r.date, r.samples, r.m50, r.m50_index) for r in records]
 
 
+def reduced(key, m_max=(0.2, 1.0, 1.8, 3.0, 4.0)):
+    """The one record reduce_region_day makes of a region's m_max values on 2020-03-02."""
+    day = date_to_day_number(dt.date(2020, 3, 2))
+    (record,) = reduce_region_day([key], np.zeros(len(m_max), np.int32),
+                                  np.full(len(m_max), day), np.array(m_max))
+    return record
+
+
 class TestRecordFromStats:
+    """Records as reduce_region_day builds them from a segment's statistics."""
+
     def test_admin2_level(self):
-        stats = RegionDayStats(
-            RegionKey("AA", "West", "Westburg", "W-01"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8, 90.0)
-        r = record_from_stats(stats)
+        r = reduced(RegionKey("AA", "West", "Westburg", "W-01"))
         assert r.admin_level == "admin2"
         assert r.date == "2020-03-02"
         assert r.m50 == 1.8
-        assert r.m_max_mean is None
+        assert "m_max_mean" not in json.loads(ndjson_text([r]))
 
     def test_admin1_level_has_empty_admin2(self):
-        stats = RegionDayStats(
-            RegionKey("AA", "West", "", "W"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8)
-        r = record_from_stats(stats)
+        r = reduced(RegionKey("AA", "West", "", "W"))
         assert r.admin_level == "admin1"
         assert r.admin2 == ""
         assert r.m50_index is None
 
     def test_verbose_carries_spread(self):
-        stats = RegionDayStats(
-            RegionKey("AA", "West", "", "W"), dt.date(2020, 3, 2), 7,
-            MetricStats(2.0, 1.8, 1.0, 3.0), 1.8)
-        r = record_from_stats(stats, verbose=True)
+        r = reduced(RegionKey("AA", "West", "", "W"))
         assert (r.m_max_mean, r.m_max_q1, r.m_max_q3) == (2.0, 1.0, 3.0)
+        obj = json.loads(ndjson_text([r], verbose=True))
+        assert (obj["m_max_mean"], obj["m_max_q1"], obj["m_max_q3"]) == (2.0, 1.0, 3.0)
 
 
 class TestSortedRecords:

@@ -14,7 +14,7 @@ import pytest
 from mobstats import aggregate
 from mobstats.cli import CONFIG_DEFAULTS, main
 from mobstats.collate import day_number_to_date
-from mobstats.errors import ConfigError
+from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
@@ -263,6 +263,18 @@ class TestRun:
             else:
                 assert row["delta"] is None
 
+    def test_csv_only_run_writes_the_same_compare(self, scenario, tmp_path):
+        pattern = str(scenario["root"] / "shards" / "*.csv")
+        compare = {}
+        for fmt in ("csv", "both"):
+            cfg = base_config(scenario, tmp_path / fmt, format=fmt, date_end=dt.date(2020, 3, 5))
+            cfg.inputs = [pattern, str(scenario["root"] / "shards" / "part-0[01].csv")]
+            run(cfg)
+            compare[fmt] = (tmp_path / fmt / "compare.ndjson").read_bytes()
+        assert not (tmp_path / "csv" / "dataset-00" / "stats.ndjson").exists()
+        assert b'"status":"only_a"' in compare["both"]
+        assert compare["csv"] == compare["both"]
+
     def test_run_compare_matches_compare_subcommand(self, scenario, tmp_path):
         out = tmp_path / "out"
         pattern = str(scenario["root"] / "shards" / "*.csv")
@@ -342,6 +354,20 @@ class TestCompare:
         rows = compare_stats(a, b)
         assert rows[0]["status"] == "both"
         assert rows[0]["delta"] is None
+
+    def test_csv_stats_joined_and_duplicate_named_by_line(self, tmp_path):
+        from mobstats.output import write_csv
+        records = [self.make_record("2020-03-02", 100.0), self.make_record("2020-03-09", 55.5)]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.ndjson")
+        with open(a, "w", encoding="utf-8", newline="\n") as fh:
+            write_csv(records + records[:1], fh)
+        self.write_stats(b, records)
+        # the header is line 1, so the third record is line 4
+        with pytest.raises(DataError, match=r"a\.csv:4: duplicate key .*first on line 2"):
+            compare_stats(a, b)
+        with open(a, "w", encoding="utf-8", newline="\n") as fh:
+            write_csv(records, fh)
+        assert [r["delta"] for r in compare_stats(a, b)] == [0.0, 0.0]
 
     def test_write_compare_format(self):
         rows = [{"country_code": "AA", "admin_level": "admin2", "admin1": "West",
@@ -495,13 +521,36 @@ class TestCli:
         assert CONFIG_DEFAULTS["baseline_start"] == cfg.baseline_start.isoformat()
         assert CONFIG_DEFAULTS["n_buckets"] == cfg.n_buckets
 
-    @pytest.mark.parametrize("key, value", [("min_reports", "ten"),
-                                            ("baseline_start", 20200217)])
+    @pytest.mark.parametrize("key, value", [
+        ("min_reports", "ten"), ("baseline_start", 20200217),
+        # each of these was coerced into a wrong value or ended in a traceback
+        ("verbose_stats", "false"), ("gazetteer", 7), ("inputs", "data/*.csv"),
+        ("inputs", ["a", 1]), ("workers", 2.7), ("workers", True), ("n_buckets", None),
+        ("baseline_start", None), ("format", ["csv"]),
+    ])
     def test_config_file_bad_value_type_exit_1(self, tmp_path, capsys, key, value):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"inputs": ["x"], "gazetteer": "g", key: value}))
         assert main(["run", "--config", str(cfg_file)]) == 1
-        assert str(value) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert key in err and repr(value) in err
+
+    @pytest.mark.parametrize("text", ["5", '[{"a": 1}]'])
+    def test_config_file_not_an_object_exit_1(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_config_file_int_for_float_and_null_for_null_default(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"inputs": [str(tmp_path / "none-*.csv")],
+                                        "gazetteer": "g", "accuracy_max_m": 40,
+                                        "date_start": None, "scratch_dir": None}))
+        # the values are taken, and the run gets as far as globbing the inputs
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert "no input files match" in capsys.readouterr().err
 
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -553,11 +602,13 @@ class TestCli:
         assert "b.ndjson" in err
 
     def test_cli_import_leaves_multiprocessing_out(self):
-        # the fork pool is imported only by a run that uses it
+        # the fork pool is imported only by a run that uses it, the generator
+        # and the oracle only by generate
         import mobstats
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, mobstats.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+        code = ("import sys, mobstats.cli; print(sorted(m for m in sys.modules if m in "
+                "('mobstats.synth', 'mobstats.oracle') or 'multiprocessing' in m))")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
