@@ -4,11 +4,12 @@ The gazetteer is newline-delimited JSON: region records carry one or more
 closed polygon rings as [lon, lat] pairs, place records are named points.
 Containment uses even-odd ray casting with boundary points counting as
 inside; when several regions contain a point, the deepest admin level
-wins, then the smallest bounding box, then the smallest region_id. A
-uniform grid over the regions' bounding boxes limits each lookup to the
-regions listed in the point's cell. A loaded gazetteer also holds the
-output key table: every region's key and admin1 twin, numbered once, so
-gather workers can hand the reduce integer key indices.
+wins, then the smallest bounding box, the smallest region_id and the
+first listed. The loader turns the regions into arrays (one edge table,
+bounding boxes, winner ranks and a CSR grid over the boxes), and locate
+geocodes an array of points in one pass over them. A loaded gazetteer
+also holds the output key table: every region's key and admin1 twin,
+numbered once, so gather workers can hand the reduce integer key indices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import DataError, numbered_lines
 from .geo import GeoPoint
 from .ingest import gzip_errors_as_io, open_shard_text
 
-Ring = list[tuple[float, float]]
+# (point, edge) rows per pass of the edge kernel: bounds locate's transient arrays
+EDGE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +48,7 @@ class RegionKey:
 @dataclass(slots=True)
 class Region:
     key: RegionKey
-    rings: list[Ring]
+    rings: list  # closed rings of [lon, lat] points, as (n, 2) float arrays when loaded
     bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
     bbox_area: float
 
@@ -59,58 +61,53 @@ class Place:
     region: RegionKey
 
 
-def _grid_cell(v: float, v0: float, step: float, n: int) -> int:
-    """Cell index of coordinate v >= v0: floor((v - v0) / step), at most n - 1."""
-    t = (v - v0) / step
-    return int(t) if t < n - 1 else n - 1
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[k], starts[k] + counts[k]), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
+
+
+def _grid_cell(v: np.ndarray, v0: float, step: float, n: int) -> np.ndarray:
+    """Cell index of coordinates v >= v0: floor((v - v0) / step), at most n - 1."""
+    return np.minimum((v - v0) / step, n - 1).astype(np.intp)
 
 
 @dataclass(slots=True)
 class RegionGrid:
-    """A uniform n-by-n grid over the union of the regions' bounding boxes.
+    """A uniform n-by-n grid over the union of the regions' bounding boxes, as CSR.
 
-    Each cell lists, in gazetteer order, the regions whose bounding box
-    touches it. Cell indices are monotone in the coordinate, so a point
-    inside a region's bounding box lies in one of that region's cells.
+    Cell c = j * n + i (column i, row j) lists cell_regions[cell_ptr[c]:
+    cell_ptr[c + 1]]: the indices, in gazetteer order, of the regions whose
+    bounding box touches it. Cell indices are monotone in the coordinate,
+    so a point inside a region's bounding box lies in one of that region's
+    cells.
     """
 
     bounds: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
     step: tuple[float, float]
     n: int
-    cells: list[list[Region]]
+    cell_ptr: np.ndarray
+    cell_regions: np.ndarray
 
     @classmethod
-    def build(cls, regions: list[Region]) -> "RegionGrid":
-        if not regions:
-            return cls((0.0, 0.0, 0.0, 0.0), (1.0, 1.0), 1, [[]])
-        x0 = min(r.bbox[0] for r in regions)
-        y0 = min(r.bbox[1] for r in regions)
-        x1 = max(r.bbox[2] for r in regions)
-        y1 = max(r.bbox[3] for r in regions)
-        n = max(1, round(math.sqrt(len(regions))))
+    def build(cls, bbox: np.ndarray) -> "RegionGrid":
+        """The grid over the regions' (R, 4) bounding box rows."""
+        if not len(bbox):
+            return cls((0.0, 0.0, 0.0, 0.0), (1.0, 1.0), 1, np.zeros(2, np.intp),
+                       np.zeros(0, np.intp))
+        x0, y0 = bbox[:, :2].min(axis=0).tolist()
+        x1, y1 = bbox[:, 2:].max(axis=0).tolist()
+        n = max(1, round(math.sqrt(len(bbox))))
         # a zero extent gets any positive step: every coordinate maps to cell 0
         step = ((x1 - x0) / n or 1.0, (y1 - y0) / n or 1.0)
-        grid = cls((x0, y0, x1, y1), step, n, [[] for _ in range(n * n)])
-        for region in regions:
-            bx0, by0, bx1, by1 = region.bbox
-            i0, j0 = grid.cell_of(bx0, by0)
-            i1, j1 = grid.cell_of(bx1, by1)
-            for j in range(j0, j1 + 1):
-                for i in range(i0, i1 + 1):
-                    grid.cells[j * n + i].append(region)
-        return grid
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (_grid_cell(x, self.bounds[0], self.step[0], self.n),
-                _grid_cell(y, self.bounds[1], self.step[1], self.n))
-
-    def candidates(self, x: float, y: float) -> list[Region]:
-        """The regions whose bounding box may contain (x, y), in gazetteer order."""
-        x0, y0, x1, y1 = self.bounds
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            return []
-        i, j = self.cell_of(x, y)
-        return self.cells[j * self.n + i]
+        i0, i1 = (_grid_cell(bbox[:, c], x0, step[0], n) for c in (0, 2))
+        j0, j1 = (_grid_cell(bbox[:, c], y0, step[1], n) for c in (1, 3))
+        width, size = i1 - i0 + 1, (i1 - i0 + 1) * (j1 - j0 + 1)
+        region = np.repeat(np.arange(len(bbox)), size)
+        k = _ranges(np.zeros_like(size), size)
+        cell = (j0[region] + k // width[region]) * n + i0[region] + k % width[region]
+        cell_ptr = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=n * n))))
+        return cls((x0, y0, x1, y1), step, n, cell_ptr, region[np.argsort(cell, kind="stable")])
 
 
 @dataclass(slots=True)
@@ -118,25 +115,33 @@ class Gazetteer:
     regions: list[Region]
     places: list[Place]
     admin1_ids: dict[tuple[str, str], str]  # (country_code, admin1) -> region_id
+    # row r for region r: its bounding box, and its ring edges (x1, y1, x2, y2)
+    # at edges[edge_ptr[r]:edge_ptr[r + 1]]
+    bbox: np.ndarray
+    edges: np.ndarray
+    edge_ptr: np.ndarray
+    # rank[r] is region r's place in winner order (deepest level, smallest
+    # bbox area, smallest region_id, first listed); by_rank inverts it, -1 last
+    rank: np.ndarray
+    by_rank: np.ndarray
     grid: RegionGrid
     # the output key table: every region's key, then the admin1 twins no region holds
     keys: list[RegionKey]
-    key_index: dict[RegionKey, int]
+    region_key: np.ndarray  # region -> index of its key
     # row k, for region key k: the key indices a device-day in that region feeds,
     # its admin1 twin's and, for a county, its own (-1 otherwise)
     key_rows: np.ndarray
 
 
 def _key_table(regions: list[Region], admin1_ids: dict[tuple[str, str], str]):
-    """(keys, key_index, key_rows) of a gazetteer, as Gazetteer describes them.
+    """(keys, region_key, key_rows) of a gazetteer, as Gazetteer describes them.
 
     A region's admin1 twin is the admin1 record's key when the region has an
     admin1 (region_id "" when the gazetteer holds no such record), else the
     region itself: a country-only region counts at admin1 level.
     """
     key_index: dict[RegionKey, int] = {}
-    for region in regions:
-        key_index.setdefault(region.key, len(key_index))
+    region_key = [key_index.setdefault(region.key, len(key_index)) for region in regions]
     rows = []
     for key, k in list(key_index.items()):
         twin = key
@@ -144,21 +149,22 @@ def _key_table(regions: list[Region], admin1_ids: dict[tuple[str, str], str]):
             a1_id = admin1_ids.get((key.country_code, key.admin1), "")
             twin = RegionKey(key.country_code, key.admin1, "", a1_id)
         rows.append((key_index.setdefault(twin, len(key_index)), k if key.admin2 else -1))
-    return list(key_index), key_index, np.array(rows, np.int32).reshape(-1, 2)
+    return (list(key_index), np.array(region_key, np.int32),
+            np.array(rows, np.int32).reshape(-1, 2))
 
 
-def _validate_ring(ring: list, region_id: str) -> Ring:
+def _validate_ring(ring: list, region_id: str) -> np.ndarray:
     if not isinstance(ring, list):
         raise DataError(f"region {region_id}: ring is not a list of points: {ring!r}")
     if len(ring) < 4:
         raise DataError(f"region {region_id}: ring has fewer than 4 points")
     try:
-        pts = [(float(x), float(y)) for x, y in ring]
-    except (TypeError, ValueError) as e:
+        pts = np.array(ring, float)
+    except (TypeError, ValueError, OverflowError) as e:
         raise DataError(f"region {region_id}: bad ring point: {e}") from None
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
-        raise DataError(f"region {region_id}: ring point is not finite")
-    if pts[0] != pts[-1]:
+    if pts.shape != (len(ring), 2) or not np.isfinite(pts).all():
+        raise DataError(f"region {region_id}: bad ring point: not a finite [lon, lat] pair")
+    if (pts[0] != pts[-1]).any():
         raise DataError(f"region {region_id}: ring is not closed")
     return pts
 
@@ -189,7 +195,7 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
         raise DataError(f"{where}: unknown region_id {rid!r}")
     try:
         lat, lon = float(rec["lat"]), float(rec["lon"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{where}: missing or non-numeric lat/lon: {e!r}") from None
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise DataError(f"{where}: lat/lon out of range: {lat}, {lon}")
@@ -201,7 +207,7 @@ def load_gazetteer(path: str) -> Gazetteer:
 
     Decoding is strict UTF-8, because region ids and names flow into the outputs.
     """
-    regions: list[Region] = []
+    parsed: list[tuple[RegionKey, list[np.ndarray]]] = []
     places_raw: list[tuple[int, dict]] = []
     with gzip_errors_as_io(path), open_shard_text(path) as fh:
         for lineno, line in numbered_lines(fh, path):
@@ -223,15 +229,25 @@ def load_gazetteer(path: str) -> Gazetteer:
                 rings = [_validate_ring(r, key.region_id) for r in polygons]
                 if not rings:
                     raise DataError(f"region {key.region_id}: no polygons")
-                xs = [x for ring in rings for x, _ in ring]
-                ys = [y for ring in rings for _, y in ring]
-                bbox = (min(xs), min(ys), max(xs), max(ys))
-                area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
-                regions.append(Region(key, rings, bbox, area))
+                parsed.append((key, rings))
             elif kind == "place":
                 places_raw.append((lineno, rec))
             else:
                 raise DataError(f"gazetteer line {lineno}: unknown record type {kind!r}")
+
+    edges = _ring_edges([ring for _, rings in parsed for ring in rings] or [np.zeros((0, 2))])
+    edge_ptr = np.cumsum([0] + [sum(len(r) - 1 for r in rings) for _, rings in parsed])
+    # every ring point but the closing one starts an edge
+    starts = edge_ptr[:-1]
+    bbox = np.hstack((np.minimum.reduceat(edges[:, :2], starts),
+                      np.maximum.reduceat(edges[:, :2], starts))).reshape(-1, 4)
+    area = (bbox[:, 2] - bbox[:, 0]) * (bbox[:, 3] - bbox[:, 1])
+    regions = [Region(key, rings, tuple(box), a)
+               for (key, rings), box, a in zip(parsed, bbox.tolist(), area.tolist())]
+    order = sorted(range(len(regions)), key=lambda r: (
+        -regions[r].key.level, regions[r].bbox_area, regions[r].key.region_id, r))
+    rank = np.empty(len(regions), np.intp)
+    rank[order] = np.arange(len(regions))
 
     by_id = {r.key.region_id: r.key for r in regions}
     places = [_validate_place(rec, lineno, by_id) for lineno, rec in places_raw]
@@ -241,61 +257,105 @@ def load_gazetteer(path: str) -> Gazetteer:
         for r in regions
         if r.key.level == 1
     }
-    return Gazetteer(regions, places, admin1_ids, RegionGrid.build(regions),
+    return Gazetteer(regions, places, admin1_ids, bbox, edges, edge_ptr, rank,
+                     np.array(order + [-1], np.int32), RegionGrid.build(bbox),
                      *_key_table(regions, admin1_ids))
 
 
-def point_on_ring_boundary(ring: Ring, x: float, y: float) -> bool:
+def _ring_edges(rings: list) -> np.ndarray:
+    """The (E, 4) edge rows (x1, y1, x2, y2) of closed rings, ring after ring."""
+    pts = np.concatenate(rings, dtype=float)
+    seams = np.cumsum([len(r) for r in rings], dtype=np.intp)[:-1] - 1
+    return np.delete(np.hstack((pts[:-1], pts[1:])), seams, axis=0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _edge_hits(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(on the edge, crosses the ray to +x) for each row k: point (x[k], y[k]), edge k.
+
+    The tests and their operand order are those of a scalar loop over the
+    ring's edges, so the floats are too: the point is on the edge when
+    (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) is 0.0 and the point is in
+    the edge's bounding box; the edge crosses the ray when
+    (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x.
+    """
+    x1, y1, x2, y2 = edges.T
+    on = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) == 0.0
+    k = np.flatnonzero(on)
+    on[k] = ((np.minimum(x1[k], x2[k]) <= x[k]) & (x[k] <= np.maximum(x1[k], x2[k]))
+             & (np.minimum(y1[k], y2[k]) <= y[k]) & (y[k] <= np.maximum(y1[k], y2[k])))
+    crossing = (y1 > y) != (y2 > y)
+    k = np.flatnonzero(crossing)
+    crossing[k] = x1[k] + (y[k] - y1[k]) * (x2[k] - x1[k]) / (y2[k] - y1[k]) > x[k]
+    return on, crossing
+
+
+def _pairs_inside(x: np.ndarray, y: np.ndarray, edges: np.ndarray, start: np.ndarray,
+                  count: np.ndarray) -> np.ndarray:
+    """Whether point (x[k], y[k]) is inside the rings of edges[start[k]:start[k] + count[k]].
+
+    Even-odd over all the rings, boundary inclusive. Holes need no special
+    casing: a point inside a hole ring crosses an even number of edges in
+    total. The pairs go through the kernel in runs of about EDGE_ROWS
+    (point, edge) rows.
+    """
+    inside = np.zeros(len(x), bool)
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(x):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + EDGE_ROWS, "right")))
+        pair = np.repeat(np.arange(hi - lo), count[lo:hi])
+        on, crossing = _edge_hits(x[lo:hi][pair], y[lo:hi][pair],
+                                  edges[_ranges(start[lo:hi], count[lo:hi])])
+        inside[lo:hi] = ((np.bincount(pair[on], minlength=hi - lo) > 0)
+                         | (np.bincount(pair[crossing], minlength=hi - lo) % 2 == 1))
+        lo = hi
+    return inside
+
+
+def locate(gaz: Gazetteer, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """The int32 index into gaz.regions of the most specific region holding each point.
+
+    -1 where no region holds it. Each point's grid cell lists its candidate
+    regions; those whose bounding box holds the point go through the edge
+    kernel, and the lowest rank among the regions that contain it wins.
+    """
+    x, y = np.asarray(lon, float), np.asarray(lat, float)
+    grid = gaz.grid
+    (x0, y0, x1, y1), n = grid.bounds, grid.n
+    point = np.flatnonzero((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+    cell = _grid_cell(y[point], y0, grid.step[1], n) * n + _grid_cell(x[point], x0, grid.step[0], n)
+    n_candidates = grid.cell_ptr[cell + 1] - grid.cell_ptr[cell]
+    point = np.repeat(point, n_candidates)
+    region = grid.cell_regions[_ranges(grid.cell_ptr[cell], n_candidates)]
+    px, py, (bx0, by0, bx1, by1) = x[point], y[point], gaz.bbox[region].T
+    held = np.flatnonzero((bx0 <= px) & (px <= bx1) & (by0 <= py) & (py <= by1))
+    point, region = point[held], region[held]
+    start = gaz.edge_ptr[region]
+    inside = _pairs_inside(px[held], py[held], gaz.edges, start, gaz.edge_ptr[region + 1] - start)
+    best = np.full(len(x), len(gaz.regions), np.intp)
+    np.minimum.at(best, point[inside], gaz.rank[region[inside]])
+    return gaz.by_rank[best]
+
+
+def point_on_ring_boundary(ring, x: float, y: float) -> bool:
     """True if (x, y) lies on any edge of the closed ring."""
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i]
-        x2, y2 = ring[i + 1]
-        if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) != 0.0:
-            continue
-        if min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2):
-            return True
-    return False
-
-
-def _ray_crossings(ring: Ring, x: float, y: float) -> int:
-    crossings = 0
-    for i in range(len(ring) - 1):
-        x1, y1 = ring[i]
-        x2, y2 = ring[i + 1]
-        if (y1 > y) != (y2 > y):
-            x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x_at > x:
-                crossings += 1
-    return crossings
+    edges = _ring_edges([ring])
+    on, _ = _edge_hits(np.full(len(edges), x, float), np.full(len(edges), y, float), edges)
+    return bool(on.any())
 
 
 def region_contains(region: Region, x: float, y: float) -> bool:
-    """Even-odd containment over all of the region's rings, boundary inclusive.
-
-    Holes need no special casing: a point inside a hole ring crosses an even
-    number of edges in total.
-    """
+    """Even-odd containment over all of the region's rings, boundary inclusive."""
     bx0, by0, bx1, by1 = region.bbox
     if not (bx0 <= x <= bx1 and by0 <= y <= by1):
         return False
-    crossings = 0
-    for ring in region.rings:
-        if point_on_ring_boundary(ring, x, y):
-            return True
-        crossings += _ray_crossings(ring, x, y)
-    return crossings % 2 == 1
+    edges = _ring_edges(region.rings)
+    return bool(_pairs_inside(np.array([x], float), np.array([y], float), edges,
+                              np.zeros(1, np.intp), np.array([len(edges)]))[0])
 
 
 def reverse_geocode(gaz: Gazetteer, p: GeoPoint) -> RegionKey | None:
     """Most specific region containing p, or None when nothing matches."""
-    best: tuple[int, float, str] | None = None
-    best_key: RegionKey | None = None
-    for region in gaz.grid.candidates(p.lon, p.lat):
-        if not region_contains(region, p.lon, p.lat):
-            continue
-        rank = (-region.key.level, region.bbox_area, region.key.region_id)
-        if best is None or rank < best:
-            best = rank
-            best_key = region.key
-    return best_key
-
+    r = int(locate(gaz, np.array([p.lat]), np.array([p.lon]))[0])
+    return gaz.regions[r].key if r >= 0 else None

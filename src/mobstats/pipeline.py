@@ -6,15 +6,15 @@ once, and spills each bucket's rows as .npy columns to one
 per-(bucket, shard) file under a scratch directory. The gather phase
 concatenates one bucket's spills, regroups them into device-days with
 collate.group_device_days, applies the metrics module's eligibility rule
-to all days at once, geocodes each eligible day, measures the trimmed
-maximum distance m_max (the one per-device-day value any output depends
-on) for all matched days at once, and returns its counters and its
-records as three columns: an index into the gazetteer's output key
-table (built once in the parent, before any fork), the local day number
-and m_max. The parent concatenates the buckets' columns, reduces them
-with one lexsort into one output.OutputRecord per (region, date), fills
-in each record's index against its region's baseline, and writes the
-outputs atomically. Spill
+to all days at once, geocodes the eligible days with one geocode.locate
+call, measures the trimmed maximum distance m_max (the one per-device-day
+value any output depends on) for all matched days at once, and returns
+its counters and its records as three columns: an index into the
+gazetteer's output key table (built once in the parent, before any
+fork), the local day number and m_max. The parent concatenates the
+buckets' columns, reduces them with one lexsort into one
+output.OutputRecord per (region, date), fills in each record's index
+against its region's baseline, and writes the outputs atomically. Spill
 files are keyed by input shard index and read back in shard order,
 device codes are renumbered in device id order, region-day samples are
 value-sorted before any arithmetic, and every output file is written
@@ -38,8 +38,7 @@ import numpy as np
 from . import aggregate, metrics, output
 from .collate import bucket_index, date_to_day_number, group_device_days
 from .errors import ConfigError, DataError
-from .geo import GeoPoint
-from .geocode import Gazetteer, load_gazetteer, reverse_geocode
+from .geocode import Gazetteer, load_gazetteer, locate
 from .ingest import IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 from .output import write_compare
@@ -85,11 +84,11 @@ class PipelineConfig:
             raise ConfigError("no gazetteer path given")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.accuracy_max_m <= 0:
+        if not self.accuracy_max_m > 0:
             raise ConfigError(f"accuracy_max_m must be positive, got {self.accuracy_max_m}")
         if self.min_reports < 1:
             raise ConfigError(f"min_reports must be >= 1, got {self.min_reports}")
-        if self.min_span_hours < 0:
+        if not self.min_span_hours >= 0:
             raise ConfigError(f"min_span_hours must be >= 0, got {self.min_span_hours}")
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
@@ -197,19 +196,14 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     counters["eligible_device_days"] = len(eligible)
 
     # each day geocodes at its first report, metrics.canonical_position
-    matched, key_ids = [], []
     first = dd.starts[eligible]
-    for i, lat, lon in zip(eligible.tolist(), dd.lat[first].tolist(), dd.lon[first].tolist()):
-        region = reverse_geocode(gaz, GeoPoint(lat, lon))
-        if region is None:
-            counters["unmatched_geocode"] += 1
-            continue
-        matched.append(i)
-        key_ids.append(gaz.key_index[region])
+    region = locate(gaz, dd.lat[first], dd.lon[first])
+    matched, region = eligible[region >= 0], region[region >= 0]
+    counters["unmatched_geocode"] = len(eligible) - len(matched)
     m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
                               cfg.trim_fraction)
 
-    rows = gaz.key_rows[np.array(key_ids, np.intp)].ravel()
+    rows = gaz.key_rows[gaz.region_key[region]].ravel()
     keep = rows >= 0
     return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 

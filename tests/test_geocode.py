@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats import oracle
+from mobstats import geocode, oracle
 from mobstats.errors import DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import (
     Region,
     RegionKey,
+    _grid_cell,
     load_gazetteer,
+    locate,
     point_on_ring_boundary,
     region_contains,
     reverse_geocode,
@@ -76,6 +78,7 @@ class TestLoadGazetteer:
     @pytest.mark.parametrize("fields", [
         {"lat": 0.5}, {"lon": 0.5}, {"lat": "north", "lon": 0.5}, {"lat": None, "lon": 0.5},
         {"lat": [0.5], "lon": 0.5}, {"lat": 95.0, "lon": 0.5}, {"lat": "nan", "lon": 0.5},
+        {"lat": 10 ** 400, "lon": 0.5},
     ])
     def test_place_with_bad_coordinates_rejected(self, tmp_path, fields):
         recs = [region_rec("R1", [square_ring(0, 0, 1, 1)]),
@@ -235,6 +238,31 @@ class TestPointInPolygonOracle:
                 checked += 1
         assert checked >= 900
 
+    def test_agrees_with_winding_number_level_with_vertices(self):
+        # a ray through a vertex or along a horizontal edge is the even-odd corner case
+        from mobstats.geo import convex_hull
+        rng = random.Random(99)
+        rings = [[(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 2.0), (2.0, 4.0), (0.0, 4.0),
+                  (0.0, 0.0)]]
+        while len(rings) < 30:
+            hull = convex_hull([GeoPoint(rng.uniform(-30, 30), rng.uniform(-30, 30))
+                                for _ in range(rng.randint(4, 20))])
+            if len(hull) >= 3:
+                rings.append([(x, y) for x, y in hull] + [hull[0]])
+        checked = 0
+        for ring in rings:
+            xs, ys = [x for x, _ in ring], [y for _, y in ring]
+            region = Region(RegionKey("AA", "", "", "R"), [ring],
+                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
+            probe_xs = xs + [min(xs) - 1, max(xs) + 1] + [rng.uniform(min(xs), max(xs))
+                                                          for _ in range(5)]
+            for y in ys:
+                for x in probe_xs:
+                    want = oracle.winding_number_contains(ring, x, y)
+                    assert region_contains(region, x, y) == want, (ring, x, y)
+                    checked += 1
+        assert checked >= 1000
+
     @given(st.floats(min_value=-1, max_value=3), st.floats(min_value=-1, max_value=3))
     @settings(max_examples=100)
     def test_unit_square_agreement(self, x, y):
@@ -272,8 +300,17 @@ class TestRegionFieldTypes:
         {"admin1": ["A"]},
         {"polygons": [[[0, 0], ["nan", 0], [1, 1], [0, 0]]]},
         {"polygons": [[[0, 0], [1, 0], [1, float("inf")], [0, 0]]]},
+        # a float() of this int overflows instead of raising ValueError
+        {"polygons": [[[0, 0], [10 ** 400, 0], [1, 1], [0, 0]]]},
+        {"polygons": [[[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]]]},
+        {"polygons": [[[0, 0], [None, 0], [1, 1], [0, 0]]]},
+        {"polygons": [[[0, 0], 5, [1, 1], [0, 0]]]},
+        {"polygons": [[[0, 0], [1, 0, 0], [1, 1], [0, 0]]]},
+        {"polygons": [[0, 0, 0, 0]]},
+        {"polygons": [[[[0, 0]], [[1, 0]], [[1, 1]], [[0, 0]]]]},
     ], ids=["country_code_int", "polygons_int", "ring_int", "admin1_list", "nan_point",
-            "inf_point"])
+            "inf_point", "huge_int_point", "three_coordinates", "null_coordinate",
+            "non_list_point", "ragged_ring", "scalar_points", "nested_points"])
     def test_wrong_typed_region_field_rejected(self, tmp_path, fields):
         rec = {**region_rec("R7", [square_ring(0, 0, 1, 1)]), **fields}
         p = write_gaz(tmp_path / "g.ndjson", [rec])
@@ -290,6 +327,17 @@ def linear_scan(gaz, p):
             if best is None or rank < best:
                 best, best_key = rank, region.key
     return best_key
+
+
+def candidates(gaz, x, y):
+    """The region indices the grid's CSR tables list in (x, y)'s cell."""
+    grid = gaz.grid
+    x0, y0, x1, y1 = grid.bounds
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        return []
+    c = (int(_grid_cell(y, y0, grid.step[1], grid.n)) * grid.n
+         + int(_grid_cell(x, x0, grid.step[0], grid.n)))
+    return grid.cell_regions[grid.cell_ptr[c]:grid.cell_ptr[c + 1]].tolist()
 
 
 def probe_points(gaz, rng, n_random=300):
@@ -353,11 +401,10 @@ class TestRegionGrid:
         assert gaz.grid.n == 32
         pts = probe_points(gaz, random.Random(8), n_random=1500)
         bx0, by0, bx1, by1 = (np.array([r.bbox[i] for r in gaz.regions]) for i in range(4))
-        position = {id(r): i for i, r in enumerate(gaz.regions)}
         for x, y in pts:
             # every region whose box holds the point is a candidate, in gazetteer order
             holding = np.flatnonzero((bx0 <= x) & (x <= bx1) & (by0 <= y) & (y <= by1))
-            listed = [position[id(r)] for r in gaz.grid.candidates(x, y)]
+            listed = candidates(gaz, x, y)
             assert listed == sorted(listed)
             assert set(holding.tolist()) <= set(listed), (x, y)
         # the full lookup on a sample: random points, corners and one ring in 16
@@ -369,3 +416,68 @@ class TestRegionGrid:
             for x, y in region.rings[0]:
                 p = GeoPoint(y, x)
                 assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+
+
+LOCATE_CASES = ["toy", "one_region", "zero_width", "zero_height", "a_point", "bench_grid"]
+
+
+def locate_gazetteer(tmp_path, name):
+    """The gazetteers of TestRegionGrid, by name."""
+    if name == "toy":
+        return load_gazetteer(write_toy_gazetteer(str(tmp_path / "gaz.ndjson")))
+    if name == "bench_grid":
+        return load_gazetteer(bench_grid_gazetteer(tmp_path / "grid.ndjson"))
+    ring = {"one_region": [[0, 0], [3, 1], [1, 2], [0, 0]],
+            "zero_width": [[2, 0], [2, 1], [2, 3], [2, 0]],
+            "zero_height": [[0, 5], [1, 5], [4, 5], [0, 5]],
+            "a_point": [[1, 1], [1, 1], [1, 1], [1, 1]]}[name]
+    return load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", [ring])]))
+
+
+def key_of(gaz, r):
+    return gaz.regions[r].key if r >= 0 else None
+
+
+class TestLocate:
+    @pytest.mark.parametrize("name", LOCATE_CASES)
+    def test_one_call_matches_linear_scan(self, tmp_path, name):
+        gaz = locate_gazetteer(tmp_path, name)
+        pts = probe_points(gaz, random.Random(10))
+        lon, lat = (np.array(c) for c in zip(*pts))
+        got = locate(gaz, lat, lon)
+        assert got.dtype == np.int32 and got.shape == (len(pts),)
+        # the bench grid has 66,861 probe points; the linear scan checks a sample
+        checked = range(len(pts)) if len(pts) < 5000 else \
+            random.Random(11).sample(range(len(pts)), 2500)
+        for k in checked:
+            assert key_of(gaz, got[k]) == linear_scan(gaz, GeoPoint(lat[k], lon[k])), pts[k]
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    @pytest.mark.parametrize("name", LOCATE_CASES)
+    def test_small_edge_row_cap_changes_nothing(self, tmp_path, monkeypatch, name, rows):
+        gaz = locate_gazetteer(tmp_path, name)
+        pts = probe_points(gaz, random.Random(12))
+        pts = random.Random(13).sample(pts, min(len(pts), 800))
+        lon, lat = (np.array(c) for c in zip(*pts))
+        want = locate(gaz, lat, lon)
+        assert (want >= 0).any() and (want < 0).any()
+        monkeypatch.setattr(geocode, "EDGE_ROWS", rows)
+        assert locate(gaz, lat, lon).tolist() == want.tolist()
+
+    def test_zero_points(self, toy):
+        got = locate(toy, np.zeros(0), np.zeros(0))
+        assert got.dtype == np.int32 and got.shape == (0,)
+
+    def test_points_outside_the_grid_bounds(self, toy):
+        x0, y0, x1, y1 = toy.grid.bounds
+        xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+        lon = np.array([x0 - 1, x1 + 1, xm, xm, np.nextafter(x0, -np.inf), x1])
+        lat = np.array([ym, ym, y0 - 1, y1 + 1, ym, np.nextafter(y1, np.inf)])
+        assert locate(toy, lat, lon).tolist() == [-1] * 6
+        assert locate(toy, np.array([ym]), np.array([xm])).tolist() != [-1]
+
+    def test_gazetteer_without_regions(self, tmp_path):
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", []))
+        assert gaz.regions == [] and gaz.edges.shape == (0, 4)
+        assert locate(gaz, np.array([0.0, 10.0]), np.array([0.0, -5.0])).tolist() == [-1, -1]
+        assert reverse_geocode(gaz, GeoPoint(0.0, 0.0)) is None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mobstats import aggregate
+from mobstats import aggregate, pipeline
 from mobstats.cli import CONFIG_DEFAULTS, main
 from mobstats.collate import day_number_to_date
 from mobstats.errors import ConfigError, DataError
@@ -474,6 +474,45 @@ class TestCli:
                    "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
         assert rc == 3
         assert "region R7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ring", [
+        [[0, 0], [10 ** 400, 0], [1, 1], [0, 0]],
+        [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]],
+        [[0, 0], [None, 0], [1, 1], [0, 0]],
+        [[0, 0], 5, [1, 1], [0, 0]],
+        [[0, 0], [1, 0, 0], [1, 1], [0, 0]],
+    ], ids=["huge_int", "three_coordinates", "null_coordinate", "non_list_point", "ragged"])
+    def test_bad_ring_point_exit_3(self, scenario, tmp_path, capsys, ring):
+        gaz = tmp_path / "gaz.ndjson"
+        bad = {"type": "region", "country_code": "AA", "region_id": "R8", "polygons": [ring]}
+        gaz.write_bytes(Path(scenario["gazetteer_path"]).read_bytes()
+                        + json.dumps(bad).encode() + b"\n")
+        rc = main(["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                   "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "region R8" in err
+
+    @pytest.mark.parametrize("key", ["accuracy_max_m", "min_span_hours"])
+    @pytest.mark.parametrize("source", ["flag", "config_file"])
+    def test_nan_value_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
+                                                       monkeypatch, key, source):
+        def no_read(*args):
+            raise AssertionError("a shard was read")
+
+        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), "nan"]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text('{"%s": NaN}' % key)
+            args += ["--config", str(cfg_file)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and key in err and "nan" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["run", "--no-such-flag"]) == 1
