@@ -4,9 +4,10 @@ m50 is the median across a region-date's eligible device-days of the
 trimmed max-distance measure; m50_index = 100 * m50 / m50_norm, where
 m50_norm is the region's median weekday m50 inside the baseline window.
 The reduce takes columns (a key-table index, a local day number and
-m_max per device-day record) and orders them with one lexsort by
-(region, day, m_max), so each (region, date) group is a value-sorted
-segment. Quartiles and means are computed for all segments at once with
+m_max per device-day record), orders them with one lexsort by
+(region, day) and sorts each (region, date) group's m_max values with
+collate.segment_sort, so each group is a value-sorted segment.
+Quartiles and means are computed for all segments at once with
 numpy's own linear-quantile and pairwise-sum arithmetic, so they equal
 np.quantile and .mean() bit for bit; each group becomes one
 output.OutputRecord, which the baseline and the index then read and fill.
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .collate import day_number_to_date, run_starts
+from .collate import day_number_to_date, run_starts, same_length_segments, segment_sort
 from .errors import ConfigError
 from .geocode import RegionKey
 from .output import OutputRecord, region_of
@@ -50,11 +51,15 @@ def segment_quantile(values: np.ndarray, starts: np.ndarray, counts: np.ndarray,
 def segment_stats(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     """(mean, median, q1, q3) arrays over the ascending segments of values.
 
-    Each mean is one np.add.reduce, numpy's pairwise sum as in .mean();
-    np.add.reduceat sums in sequence and can differ in the last bit.
+    Each sum is numpy's pairwise sum, as in .mean(): np.add.reduce along
+    the rows of a C-contiguous 2-D array runs it per row, so all segments
+    of one length sum in one call; np.add.reduceat sums in sequence and can
+    differ in the last bit.
     """
-    sums = [np.add.reduce(values[s:s + n]) for s, n in zip(starts.tolist(), counts.tolist())]
-    mean = np.array(sums, np.float64) / counts
+    sums = np.zeros(len(counts))
+    for seg, rows in same_length_segments(starts, counts):
+        sums[seg] = np.add.reduce(values[rows], axis=1)
+    mean = sums / counts
     q1, median, q3 = (segment_quantile(values, starts, counts, q) for q in (0.25, 0.5, 0.75))
     return mean, median, q1, q3
 
@@ -68,18 +73,21 @@ def reduce_region_day(
     Order independent: the same multiset of records yields identical output
     however the rows are shuffled.
     """
-    order = np.lexsort((m_max, day, region))
-    region, day, values = region[order], day[order], m_max[order]
-    starts = run_starts(len(values), region, day)
-    counts = np.diff(starts, append=len(values))
+    order = np.lexsort((day, region))
+    region, day = region[order], day[order]
+    starts = run_starts(len(order), region, day)
+    counts = np.diff(starts, append=len(order))
+    values = segment_sort(m_max[order], starts, counts)
     columns = segment_stats(values, starts, counts)
 
     group_keys = [keys[r] for r in region[starts].tolist()]
+    group_days = day[starts].tolist()
+    iso = {d: day_number_to_date(d).isoformat() for d in set(group_days)}
     return [
         OutputRecord(k.country_code, "admin2" if k.admin2 else "admin1", k.admin1, k.admin2,
-                     k.region_id, day_number_to_date(d).isoformat(), n, median, None, mean, q1, q3)
+                     k.region_id, iso[d], n, median, None, mean, q1, q3)
         for k, d, n, mean, median, q1, q3 in zip(
-            group_keys, day[starts].tolist(), counts.tolist(), *(c.tolist() for c in columns))
+            group_keys, group_days, counts.tolist(), *(c.tolist() for c in columns))
     ]
 
 
@@ -102,7 +110,11 @@ def compute_baseline(
             window.setdefault(region_of(r), []).append(r.m50)
     table: dict[tuple, float] = {}
     for region, values in window.items():
-        norm = float(np.median(np.sort(np.array(values))))
+        # np.median's arithmetic, the middle value or (a + b) / 2 of the middle
+        # two; np.median itself imports numpy.ma on its first call (about 15 ms)
+        v = np.sort(np.array(values))
+        mid = len(v) // 2
+        norm = float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
         if norm > 0.0:
             table[region] = norm
     return table

@@ -101,7 +101,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {path}: {e}") from None
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"config file {path}: not a JSON object: {file_cfg!r}")
@@ -158,6 +158,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     end = _parse_date(args.end_date)
     if start > end:
         raise ConfigError(f"date range is empty: {start} > {end}")
+    if args.shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {args.shards}")
+    if not 1 <= args.reports_min <= args.reports_max:
+        raise ConfigError(f"need 1 <= reports_min <= reports_max, "
+                          f"got {args.reports_min} and {args.reports_max}")
+    for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
+        if not 0.0 <= getattr(args, name) <= 1.0:
+            raise ConfigError(f"{name} must be in [0, 1], got {getattr(args, name)}")
     scale_start = _parse_date(args.scale_start)
     overrides = {}
     if args.scale != 1.0:

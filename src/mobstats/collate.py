@@ -89,6 +89,31 @@ def run_starts(n: int, *keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
+def same_length_segments(starts: np.ndarray, counts: np.ndarray):
+    """Per distinct segment length: (segment indices, their rows as one 2-D index array).
+
+    Row i of the index array is segment seg[i]'s rows starts[seg[i]] + 0..n-1.
+    """
+    lengths = np.sort(counts)
+    for n in lengths[run_starts(len(lengths), lengths)].tolist():
+        seg = np.flatnonzero(counts == n)
+        yield seg, starts[seg][:, None] + np.arange(n)
+
+
+def segment_sort(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """values with each segment values[start : start + count] sorted ascending, stably.
+
+    Segments must not overlap. All segments of one length are sorted
+    together as the rows of one 2-D array, so the work is one np.sort per
+    distinct length; the rows sort by value alone, as a stable lexsort on
+    (value, segment) would.
+    """
+    out = values.copy()
+    for _, rows in same_length_segments(starts, counts):
+        out[rows] = np.sort(values[rows], axis=1, kind="stable")
+    return out
+
+
 def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
     """Regroup one bucket's report columns into device-days, in canonical order.
 
@@ -98,9 +123,25 @@ def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
     re-dated with it, and each local day is one device-day. Devices come
     in code order, days in date order.
     """
-    order = np.lexsort((acc, lon, lat, epoch, code))
-    code, epoch, lat, lon, acc = (a[order] for a in (code, epoch, lat, lon, acc))
     n = len(code)
+    # a stable sort of the int64 key code * span + (epoch - min epoch) is
+    # np.lexsort((epoch, code)), and runs of rows in arrival order make it
+    # cheap; the lexsort is the route when the key would overflow
+    span = int(epoch.max()) - int(epoch.min()) + 1 if n else 1
+    if n and (int(code.max()) + 1) * span < 2**63:
+        order = np.argsort(code.astype(np.int64) * span + (epoch - epoch.min()), kind="stable")
+    else:
+        order = np.lexsort((epoch, code))
+    code, epoch = code[order], epoch[order]
+    # only rows tied on (code, epoch) need the float keys: the sort is
+    # stable, so re-sorting each tie run by (lat, lon, acc) alone gives the
+    # order of the five-key lexsort
+    tied = (code[1:] == code[:-1]) & (epoch[1:] == epoch[:-1])
+    if tied.any():
+        rows = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        t = order[rows]
+        order[rows] = t[np.lexsort((acc[t], lon[t], lat[t], epoch[rows], code[rows]))]
+    lat, lon, acc = lat[order], lon[order], acc[order]
     devices = run_starts(n, code)
     tz_by_device = [solar_tz_offset_hours(x) for x in lon[devices].tolist()]
     tz = np.repeat(np.array(tz_by_device, np.int64), np.diff(devices, append=n))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collate import DayReport, DeviceDay
+from .collate import DayReport, DeviceDay, segment_sort
 from .geo import (
     GeoPoint,
     area_to_linear_km,
@@ -87,12 +87,10 @@ def segment_trimmed_max(distances_km: np.ndarray, starts: np.ndarray, counts: np
     """Per segment, the largest distance after dropping its top floor(trim_fraction * n).
 
     Segment i is distances_km[starts[i] : starts[i] + counts[i]]; segments
-    are contiguous and in order.
+    do not overlap.
     """
-    segment = np.repeat(np.arange(len(starts)), counts)
-    order = np.lexsort((distances_km, segment))
     k = (trim_fraction * counts).astype(np.int64)
-    return distances_km[order[starts + counts - 1 - k]]
+    return segment_sort(distances_km, starts, counts)[starts + counts - 1 - k]
 
 
 def trimmed_max_distance(distances_km: np.ndarray, trim_fraction: float) -> float:

@@ -2,25 +2,26 @@
 
 The scatter phase reads each input shard into numpy columns
 (ingest.read_shard_columns), hashes each distinct device id to a bucket
-once, and spills each bucket's rows as .npy columns to one
-per-(bucket, shard) file under a scratch directory. The gather phase
-concatenates one bucket's spills, regroups them into device-days with
-collate.group_device_days, applies the metrics module's eligibility rule
-to all days at once, geocodes the eligible days with one geocode.locate
-call, measures the trimmed maximum distance m_max (the one per-device-day
-value any output depends on) for all matched days at once, and returns
-its counters and its records as three columns: an index into the
-gazetteer's output key table (built once in the parent, before any
-fork), the local day number and m_max. The parent concatenates the
-buckets' columns, reduces them with one lexsort into one
+once, groups the rows by bucket with one stable argsort and writes the
+shard to one spill file under a scratch directory: a table of section
+offsets, then one section per non-empty bucket. A gather task reads its
+bucket's section of each shard's file, concatenates them, regroups them
+into device-days with collate.group_device_days, applies the metrics
+module's eligibility rule to all days at once, geocodes the eligible
+days with one geocode.locate call, measures the trimmed maximum distance
+m_max (the one per-device-day value any output depends on) for all
+matched days at once, and returns its counters and its records as three
+columns: an index into the gazetteer's output key table (built once in
+the parent, before any fork), the local day number and m_max. The parent
+concatenates the buckets' columns, reduces them into one
 output.OutputRecord per (region, date), fills in each record's index
 against its region's baseline, and writes the outputs atomically. Spill
-files are keyed by input shard index and read back in shard order,
-device codes are renumbered in device id order, region-day samples are
-value-sorted before any arithmetic, and every output file is written
-in one canonical order, so results are byte-identical for any worker or
-bucket count. Each run clears the spill tree before scatter; it is
-deleted on success and kept on failure.
+files are keyed by input shard index and their sections read back in
+shard order, device codes are renumbered in device id order, region-day
+samples are value-sorted before any arithmetic, and every output file is
+written in one canonical order, so results are byte-identical for any
+worker or bucket count. Each run clears the spill tree before scatter;
+it is deleted on success and kept on failure.
 """
 
 from __future__ import annotations
@@ -105,57 +106,88 @@ class PipelineConfig:
 _GAZ: Gazetteer | None = None
 
 
-def _spill_path(scratch: str, bucket: int, shard: int) -> str:
-    return os.path.join(scratch, f"spill-{bucket:04d}-{shard:05d}.npy")
+def _spill_path(scratch: str, shard: int) -> str:
+    return os.path.join(scratch, f"spill-{shard:05d}.bin")
 
 
-def _write_spill(path: str, names: list[str], columns: list[np.ndarray]) -> None:
-    """A spill file is consecutive .npy arrays: the device ids, then the row columns.
-
-    The ids are newline-joined UTF-8 bytes (a line never holds a newline);
-    the columns are (code, epoch, lat, lon, acc), code indexing the ids.
-    """
-    with open(path, "wb") as fh:
-        np.save(fh, np.frombuffer("\n".join(names).encode("utf-8"), np.uint8), allow_pickle=False)
-        for column in columns:
-            np.save(fh, column, allow_pickle=False)
-
-
-def _read_spill(path: str) -> tuple[list[str], list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        names = np.load(fh, allow_pickle=False).tobytes().decode("utf-8").split("\n")
-        return names, [np.load(fh, allow_pickle=False) for _ in range(5)]
+# a spill section's columns, after its int64 row count and before its ids
+_SECTION_COLUMNS = (np.int32, np.int64, np.float64, np.float64, np.float64)
 
 
 def _scatter_shard(task: tuple) -> IngestStats:
-    """Partition one input shard into per-bucket spill files.
+    """Write one input shard's accepted reports to its spill file, grouped by bucket.
 
-    Each bucket's accepted reports go, in file order, to
-    spill-<bucket>-<shard>.npy; a bucket with no reports from this shard
-    gets no file. Buckets are hashed once per distinct device id.
+    The file starts with n_buckets + 1 int64 offsets: bucket b's section is
+    bytes offsets[b] : offsets[b + 1], empty when the bucket has no report
+    from this shard. A section is its int64 row count, the columns (code,
+    epoch, lat, lon, acc) of its rows in file order, and to its end the
+    UTF-8 device ids joined by newlines (a line never holds one), which the
+    codes index. Buckets are hashed once per distinct device id.
     """
     shard_idx, path, n_buckets, accuracy_max_m, scratch = task
     stats = IngestStats()
     shard = read_shard_columns(path, accuracy_max_m, stats)
-    present = np.unique(shard.code)
+    present = np.flatnonzero(np.bincount(shard.code))
+    device_bucket = np.array([bucket_index(shard.names[c], n_buckets) for c in present.tolist()],
+                             np.int64)
+    # devices grouped by bucket; a device's code in its section is its rank there
+    by_bucket = np.argsort(device_bucket, kind="stable")
+    device_bucket, devices = device_bucket[by_bucket], present[by_bucket]
+    local = np.zeros(len(shard.names), np.int32)
+    local[devices] = np.arange(len(devices)) - np.searchsorted(device_bucket, device_bucket)
     bucket_of = np.zeros(len(shard.names), np.int64)
-    bucket_of[present] = [bucket_index(shard.names[c], n_buckets) for c in present.tolist()]
+    bucket_of[devices] = device_bucket
+
     row_bucket = bucket_of[shard.code]
-    columns = (shard.code, shard.epoch, shard.lat, shard.lon, shard.acc)
-    for b in np.unique(row_bucket).tolist():
-        rows = np.flatnonzero(row_bucket == b)
-        used, code = np.unique(shard.code[rows], return_inverse=True)
-        _write_spill(
-            _spill_path(scratch, b, shard_idx),
-            [shard.names[c] for c in used.tolist()],
-            [code.astype(np.int32)] + [c[rows] for c in columns[1:]],
-        )
+    order = np.argsort(row_bucket, kind="stable")
+    columns = [local[shard.code[order]]] + [c[order] for c in
+                                            (shard.epoch, shard.lat, shard.lon, shard.acc)]
+    buckets = np.flatnonzero(np.bincount(device_bucket))
+    row_bounds = np.searchsorted(row_bucket[order], buckets, "right").tolist()
+    device_bounds = np.searchsorted(device_bucket, buckets, "right").tolist()
+    sizes = np.zeros(n_buckets, np.int64)
+    sections = []
+    r0 = d0 = 0
+    for b, r1, d1 in zip(buckets.tolist(), row_bounds, device_bounds):
+        ids = "\n".join([shard.names[c] for c in devices[d0:d1].tolist()]).encode("utf-8")
+        section = b"".join([np.int64(r1 - r0).tobytes(),
+                            *(c[r0:r1].tobytes() for c in columns), ids])
+        sections.append(section)
+        sizes[b] = len(section)
+        r0, d0 = r1, d1
+    offsets = 8 * (n_buckets + 1) + np.concatenate([[0], np.cumsum(sizes)])
+    with open(_spill_path(scratch, shard_idx), "wb") as fh:
+        fh.write(offsets.astype(np.int64).tobytes())
+        fh.writelines(sections)
     return stats
 
 
-def _read_bucket(spill_paths: list[str]) -> list[np.ndarray]:
-    """A bucket's spill columns, concatenated in shard order, codes renumbered in id order."""
-    spills = [_read_spill(p) for p in spill_paths]
+def _read_section(path: str, bucket: int) -> tuple[list[str], list[np.ndarray]] | None:
+    """One bucket's (device ids, columns) from a spill file, None if it has no rows there.
+
+    Only the bucket's two offsets and its own section are read.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(8 * bucket)
+        start, end = np.frombuffer(fh.read(16), np.int64).tolist()
+        if start == end:
+            return None
+        fh.seek(start)
+        section = fh.read(end - start)
+    n = int(np.frombuffer(section, np.int64, 1)[0])
+    columns, pos = [], 8
+    for dtype in _SECTION_COLUMNS:
+        columns.append(np.frombuffer(section, dtype, n, pos))
+        pos += n * np.dtype(dtype).itemsize
+    return section[pos:].decode("utf-8").split("\n"), columns
+
+
+def _read_bucket(spill_paths: list[str], bucket: int) -> list[np.ndarray] | None:
+    """A bucket's columns from every shard, concatenated in shard order, codes renumbered
+    in id order; None if no shard has rows in the bucket."""
+    spills = [s for s in (_read_section(p, bucket) for p in spill_paths) if s is not None]
+    if not spills:
+        return None
     ids = sorted({name for names, _ in spills for name in names})
     code_of = {name: i for i, name in enumerate(ids)}
     for names, columns in spills:
@@ -164,21 +196,22 @@ def _read_bucket(spill_paths: list[str]) -> list[np.ndarray]:
 
 
 def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Turn one bucket's spill files into (counters, record columns).
+    """Turn one bucket's sections of the spill files into (counters, record columns).
 
     The columns are (key index into Gazetteer.keys, local day number,
     m_max): each matched device-day gives a record for its region's admin1
     twin, followed by one for the region itself when it is a county. Both
     levels reduce from device-days, because medians do not compose upward.
     """
-    spill_paths, cfg = task
+    bucket, spill_paths, cfg = task
     gaz = _GAZ
     assert gaz is not None, "gazetteer not loaded before gather"
 
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
-    if not spill_paths:
+    columns = _read_bucket(spill_paths, bucket)
+    if columns is None:
         return counters, (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
-    dd = group_device_days(*_read_bucket(spill_paths))
+    dd = group_device_days(*columns)
     counters["device_days"] = len(dd.starts)
     counters["device_day_reports"] = len(dd.code)
 
@@ -238,14 +271,8 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
     for shard_stats in _map_tasks(_scatter_shard, scatter_tasks, cfg.workers):
         stats.merge(shard_stats)
 
-    gather_tasks = []
-    for b in range(cfg.n_buckets):
-        spills = [
-            _spill_path(scratch, b, s)
-            for s in range(len(shards))
-            if os.path.exists(_spill_path(scratch, b, s))
-        ]
-        gather_tasks.append((spills, cfg))
+    spill_paths = [_spill_path(scratch, s) for s in range(len(shards))]
+    gather_tasks = [(b, spill_paths, cfg) for b in range(cfg.n_buckets)]
     gathered = _map_tasks(_gather_bucket, gather_tasks, cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]

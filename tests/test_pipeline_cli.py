@@ -62,6 +62,25 @@ def reconcile(report):
                                               + report["unmatched_geocode"])
 
 
+def fail_mid_scatter(scenario, tmp_path):
+    """Output dir of an 8-bucket run that scattered shard 0, then failed on shard 1."""
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(scenario["shard_paths"][0], data / "part-00.csv")
+    (data / "part-01.csv").mkdir()
+    out = tmp_path / "out"
+    with pytest.raises(OSError):
+        run(base_config(scenario, out, inputs=[str(data / "*.csv")], n_buckets=8))
+    return out
+
+
+def small_scenario(root):
+    """Config overrides for a generated 4-device, one-shard scenario."""
+    generate(ScenarioSpec(seed=3, devices=4, start_date=dt.date(2020, 3, 2),
+                          end_date=dt.date(2020, 3, 6), shards=1), str(root))
+    return dict(inputs=[str(root / "shards" / "*.csv")], gazetteer=str(root / "gazetteer.ndjson"))
+
+
 class TestRun:
     def test_end_to_end(self, scenario, tmp_path):
         out = tmp_path / "out"
@@ -108,26 +127,67 @@ class TestRun:
         assert (tmp_path / "out" / ".scratch" / "spill").exists()
 
     def test_stale_spill_from_failed_run_is_not_read(self, scenario, tmp_path):
-        # a run that fails mid-scatter leaves shard 0's spill files behind
-        data = tmp_path / "data"
-        data.mkdir()
-        shutil.copy(scenario["shard_paths"][0], data / "part-00.csv")
-        (data / "part-01.csv").mkdir()
-        out = tmp_path / "out"
-        with pytest.raises(OSError):
-            run(base_config(scenario, out, inputs=[str(data / "*.csv")], n_buckets=8))
+        out = fail_mid_scatter(scenario, tmp_path)
         assert list((out / ".scratch" / "spill").rglob("spill-*"))
 
-        small = tmp_path / "small"
-        generate(ScenarioSpec(seed=3, devices=4, start_date=dt.date(2020, 3, 2),
-                              end_date=dt.date(2020, 3, 6), shards=1), str(small))
-        small_cfg = dict(inputs=[str(small / "shards" / "*.csv")],
-                         gazetteer=str(small / "gazetteer.ndjson"), n_buckets=8)
+        small_cfg = dict(small_scenario(tmp_path / "small"), n_buckets=8)
         after_failure = run(base_config(scenario, out, **small_cfg))
         clean = run(base_config(scenario, tmp_path / "clean", **small_cfg))
         assert after_failure == clean
         assert (out / "stats.ndjson").read_bytes() == \
             (tmp_path / "clean" / "stats.ndjson").read_bytes()
+
+    def test_failed_run_keeps_one_spill_file_per_scattered_shard(self, scenario, tmp_path):
+        out = fail_mid_scatter(scenario, tmp_path)
+        # shard 0 was scattered into 8 buckets before shard 1 failed
+        assert len(list((out / ".scratch" / "spill").rglob("spill-*"))) == 1
+
+    def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path):
+        small_cfg = small_scenario(tmp_path / "small")
+        outputs = set()
+        for n_buckets in (1, 8, 4096):
+            out = tmp_path / f"out-{n_buckets}"
+            run(base_config(scenario, out, n_buckets=n_buckets, **small_cfg))
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
+        assert len(outputs) == 1
+
+    def test_gather_reads_two_offsets_and_its_section(self, scenario, tmp_path, monkeypatch):
+        # reading the whole offset table in each of n_buckets tasks would be O(n_buckets ** 2)
+        n_buckets, shards = 4096, len(scenario["shard_paths"])
+        reads, sizes = [], {}
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, pos):
+                return self.fh.seek(pos)
+
+            def read(self, n):
+                data = self.fh.read(n)
+                reads.append(len(data))
+                return data
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if mode != "rb":
+                return fh
+            sizes[path] = os.fstat(fh.fileno()).st_size
+            return Recording(fh)
+
+        monkeypatch.setattr(pipeline, "open", recording_open, raising=False)
+        run(base_config(scenario, tmp_path / "out", n_buckets=n_buckets))
+        assert len(sizes) == shards
+        table = 8 * (n_buckets + 1)
+        # per (bucket, shard) two offsets, and each section is read once
+        assert sum(reads) == 16 * n_buckets * shards + sum(s - table for s in sizes.values())
 
     def test_weekend_only_baseline_rejected_before_any_work(self, scenario, tmp_path):
         sat = dt.date(2020, 2, 22)
@@ -590,6 +650,29 @@ class TestCli:
         # the values are taken, and the run gets as far as globbing the inputs
         assert main(["run", "--config", str(cfg_file)]) == 1
         assert "no input files match" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_exit_1(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b'{"workers": 1, "x": "\xff"}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "mobstats.cli", "run", "--config", str(cfg_file)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: config:") and str(cfg_file) in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--shards", "0"], ["--shards", "-1"], ["--reports-min", "0"],
+        ["--reports-min", "30", "--reports-max", "10"], ["--malformed-fraction", "2"],
+        ["--accuracy-reject-fraction", "-0.1"], ["--ineligible-fraction", "nan"],
+    ])
+    def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
+        out = tmp_path / "gen"
+        assert main(["generate", "--out-dir", str(out), *args]) == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not out.exists()
 
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
