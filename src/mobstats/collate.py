@@ -42,16 +42,16 @@ class DeviceDay:
 class DayColumns:
     """One bucket's reports regrouped into device-days, as columns.
 
-    Rows are sorted by (device code, epoch, lat, lon, accuracy); device-day
-    i is rows starts[i] : starts[i] + counts[i], and day[i] and tz[i] are
-    its local day number and its device's solar offset.
+    Rows are sorted by (device code, epoch, lat, lon), stably: row i is input
+    row order[i]. Device-day i is rows starts[i] : starts[i] + counts[i], and
+    day[i] and tz[i] are its local day number and its device's solar offset.
     """
 
     code: np.ndarray
     epoch: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-    acc: np.ndarray
+    order: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     day: np.ndarray
@@ -114,14 +114,16 @@ def segment_sort(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
     return out
 
 
-def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
+def group_device_days(code, epoch, lat, lon) -> DayColumns:
     """Regroup one bucket's report columns into device-days, in canonical order.
 
     code must number the device ids in sorted order. Per device: reports are
-    sorted by (epoch, lat, lon, accuracy), stably, the solar offset of the
-    first report becomes the device's single offset, every report is
-    re-dated with it, and each local day is one device-day. Devices come
-    in code order, days in date order.
+    sorted by (epoch, lat, lon), stably, the solar offset of the first
+    report becomes the device's single offset, every report is re-dated with
+    it, and each local day is one device-day. Devices come in code order,
+    days in date order. Rows tied on (code, epoch, lat, lon) are one place
+    at one second, so no day's offset, span, count, distances or geocode
+    point depend on their order.
     """
     n = len(code)
     # a stable sort of the int64 key code * span + (epoch - min epoch) is
@@ -134,21 +136,21 @@ def group_device_days(code, epoch, lat, lon, acc) -> DayColumns:
         order = np.lexsort((epoch, code))
     code, epoch = code[order], epoch[order]
     # only rows tied on (code, epoch) need the float keys: the sort is
-    # stable, so re-sorting each tie run by (lat, lon, acc) alone gives the
-    # order of the five-key lexsort
+    # stable, so re-sorting each tie run by (lat, lon) alone gives the
+    # order of the four-key lexsort
     tied = (code[1:] == code[:-1]) & (epoch[1:] == epoch[:-1])
     if tied.any():
         rows = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
         t = order[rows]
-        order[rows] = t[np.lexsort((acc[t], lon[t], lat[t], epoch[rows], code[rows]))]
-    lat, lon, acc = lat[order], lon[order], acc[order]
+        order[rows] = t[np.lexsort((lon[t], lat[t], epoch[rows], code[rows]))]
+    lat, lon = lat[order], lon[order]
     devices = run_starts(n, code)
     tz_by_device = [solar_tz_offset_hours(x) for x in lon[devices].tolist()]
     tz = np.repeat(np.array(tz_by_device, np.int64), np.diff(devices, append=n))
     day = local_day_number(epoch, tz)
     starts = run_starts(n, code, day)
     counts = np.diff(starts, append=n)
-    return DayColumns(code, epoch, lat, lon, acc, starts, counts, day[starts], tz[starts])
+    return DayColumns(code, epoch, lat, lon, order, starts, counts, day[starts], tz[starts])
 
 
 def build_device_days(bucket: Iterable[RawReport]) -> Iterator[DeviceDay]:
@@ -156,16 +158,19 @@ def build_device_days(bucket: Iterable[RawReport]) -> Iterator[DeviceDay]:
 
     Row-wise view of group_device_days: devices are emitted in device_id
     order, days in date order, reports sorted by (epoch, lat, lon, accuracy).
+    The rows are sorted by accuracy first, so the regroup's stable sort
+    keeps accuracy order among rows tied on the other keys.
     """
-    rows = list(bucket)
+    rows = sorted(bucket, key=lambda r: float(r[4]))
     names = sorted({r[0] for r in rows})
     code_of = {name: i for i, name in enumerate(names)}
     dd = group_device_days(
         np.array([code_of[r[0]] for r in rows], np.int64),
         *(np.array([r[j] for r in rows], dtype) for j, dtype in
-          ((1, np.int64), (2, np.float64), (3, np.float64), (4, np.float64))),
+          ((1, np.int64), (2, np.float64), (3, np.float64))),
     )
-    reports = list(zip(dd.epoch.tolist(), dd.lat.tolist(), dd.lon.tolist(), dd.acc.tolist()))
+    acc = np.array([r[4] for r in rows], np.float64)[dd.order]
+    reports = list(zip(dd.epoch.tolist(), dd.lat.tolist(), dd.lon.tolist(), acc.tolist()))
     codes = dd.code.tolist()
     for start, count, day, tz in zip(
         dd.starts.tolist(), dd.counts.tolist(), dd.day.tolist(), dd.tz.tolist()

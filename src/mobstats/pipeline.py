@@ -1,19 +1,20 @@
 """End-to-end batch pipeline: scatter, gather, reduce, index, serialize.
 
 The scatter phase reads each input shard into numpy columns
-(ingest.read_shard_columns), hashes each distinct device id to a bucket
-once, groups the rows by bucket with one stable argsort and writes the
-shard to one spill file under a scratch directory: a table of section
-offsets, then one section per non-empty bucket. A gather task reads its
-bucket's section of each shard's file, concatenates them, regroups them
-into device-days with collate.group_device_days, applies the metrics
-module's eligibility rule to all days at once, geocodes the eligible
-days with one geocode.locate call, measures the trimmed maximum distance
-m_max (the one per-device-day value any output depends on) for all
-matched days at once, and returns its counters and its records as three
-columns: an index into the gazetteer's output key table (built once in
-the parent, before any fork), the local day number and m_max. The parent
-concatenates the buckets' columns, reduces them into one
+(ingest.read_shard_columns, whose accuracy filter is the last use of
+accuracy), hashes each distinct device id to a bucket once, groups the
+rows by bucket with one stable argsort, writes one section per bucket
+that holds any of the shard's reports to the shard's spill file and
+returns the sections' byte ranges. Each such bucket gets one gather task
+listing its sections in shard order. The task concatenates them,
+regroups them into device-days with collate.group_device_days, applies
+the metrics module's eligibility rule to all days at once, geocodes the
+eligible days with one geocode.locate call, measures the trimmed maximum
+distance m_max (the one per-device-day value any output depends on) for
+all matched days at once, and returns its counters and its records as
+three columns: an index into the gazetteer's output key table (built
+once in the parent, before any fork), the local day number and m_max.
+The parent concatenates the buckets' columns, reduces them into one
 output.OutputRecord per (region, date), fills in each record's index
 against its region's baseline, and writes the outputs atomically. Spill
 files are keyed by input shard index and their sections read back in
@@ -31,13 +32,14 @@ import glob as globmod
 import json
 import os
 import shutil
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
 from . import aggregate, metrics, output
-from .collate import bucket_index, date_to_day_number, group_device_days
+from .collate import bucket_index, date_to_day_number, group_device_days, run_starts
 from .errors import ConfigError, DataError
 from .geocode import Gazetteer, load_gazetteer, locate
 from .ingest import IngestStats, read_shard_columns
@@ -98,8 +100,8 @@ class PipelineConfig:
             raise ConfigError(f"date range is empty: {self.date_start} > {self.date_end}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.n_buckets < 1:
-            raise ConfigError(f"n_buckets must be >= 1, got {self.n_buckets}")
+        if not 1 <= self.n_buckets < 2**63:
+            raise ConfigError(f"n_buckets must be in [1, 2**63 - 1], got {self.n_buckets}")
 
 
 # gazetteer shared with forked gather workers
@@ -111,18 +113,19 @@ def _spill_path(scratch: str, shard: int) -> str:
 
 
 # a spill section's columns, after its int64 row count and before its ids
-_SECTION_COLUMNS = (np.int32, np.int64, np.float64, np.float64, np.float64)
+_SECTION_COLUMNS = (np.int32, np.int64, np.float64, np.float64)
 
 
-def _scatter_shard(task: tuple) -> IngestStats:
+def _scatter_shard(task: tuple) -> tuple[IngestStats, list[tuple[int, int, int]]]:
     """Write one input shard's accepted reports to its spill file, grouped by bucket.
 
-    The file starts with n_buckets + 1 int64 offsets: bucket b's section is
-    bytes offsets[b] : offsets[b + 1], empty when the bucket has no report
-    from this shard. A section is its int64 row count, the columns (code,
-    epoch, lat, lon, acc) of its rows in file order, and to its end the
-    UTF-8 device ids joined by newlines (a line never holds one), which the
-    codes index. Buckets are hashed once per distinct device id.
+    Returns the shard's stats and, in bucket order, (bucket, start, end) for
+    each bucket holding any of its reports: its section is bytes start : end
+    of the file, and the sections fill the file. A section is its int64 row
+    count, the columns (code, epoch, lat, lon) of its rows in file order,
+    and to its end the UTF-8 device ids joined by newlines (a line never
+    holds one), which the codes index. Buckets are hashed once per distinct
+    device id.
     """
     shard_idx, path, n_buckets, accuracy_max_m, scratch = task
     stats = IngestStats()
@@ -140,38 +143,25 @@ def _scatter_shard(task: tuple) -> IngestStats:
 
     row_bucket = bucket_of[shard.code]
     order = np.argsort(row_bucket, kind="stable")
-    columns = [local[shard.code[order]]] + [c[order] for c in
-                                            (shard.epoch, shard.lat, shard.lon, shard.acc)]
-    buckets = np.flatnonzero(np.bincount(device_bucket))
+    columns = [local[shard.code[order]]] + [c[order] for c in (shard.epoch, shard.lat, shard.lon)]
+    buckets = device_bucket[run_starts(len(device_bucket), device_bucket)]
     row_bounds = np.searchsorted(row_bucket[order], buckets, "right").tolist()
     device_bounds = np.searchsorted(device_bucket, buckets, "right").tolist()
-    sizes = np.zeros(n_buckets, np.int64)
-    sections = []
-    r0 = d0 = 0
-    for b, r1, d1 in zip(buckets.tolist(), row_bounds, device_bounds):
-        ids = "\n".join([shard.names[c] for c in devices[d0:d1].tolist()]).encode("utf-8")
-        section = b"".join([np.int64(r1 - r0).tobytes(),
-                            *(c[r0:r1].tobytes() for c in columns), ids])
-        sections.append(section)
-        sizes[b] = len(section)
-        r0, d0 = r1, d1
-    offsets = 8 * (n_buckets + 1) + np.concatenate([[0], np.cumsum(sizes)])
+    ranges = []
+    r0 = d0 = pos = 0
     with open(_spill_path(scratch, shard_idx), "wb") as fh:
-        fh.write(offsets.astype(np.int64).tobytes())
-        fh.writelines(sections)
-    return stats
+        for b, r1, d1 in zip(buckets.tolist(), row_bounds, device_bounds):
+            ids = "\n".join([shard.names[c] for c in devices[d0:d1].tolist()]).encode("utf-8")
+            size = fh.write(b"".join([np.int64(r1 - r0).tobytes(),
+                                      *(c[r0:r1].tobytes() for c in columns), ids]))
+            ranges.append((b, pos, pos + size))
+            r0, d0, pos = r1, d1, pos + size
+    return stats, ranges
 
 
-def _read_section(path: str, bucket: int) -> tuple[list[str], list[np.ndarray]] | None:
-    """One bucket's (device ids, columns) from a spill file, None if it has no rows there.
-
-    Only the bucket's two offsets and its own section are read.
-    """
+def _read_section(path: str, start: int, end: int) -> tuple[list[str], list[np.ndarray]]:
+    """The (device ids, columns) of the spill file section at bytes start : end."""
     with open(path, "rb") as fh:
-        fh.seek(8 * bucket)
-        start, end = np.frombuffer(fh.read(16), np.int64).tolist()
-        if start == end:
-            return None
         fh.seek(start)
         section = fh.read(end - start)
     n = int(np.frombuffer(section, np.int64, 1)[0])
@@ -182,12 +172,10 @@ def _read_section(path: str, bucket: int) -> tuple[list[str], list[np.ndarray]] 
     return section[pos:].decode("utf-8").split("\n"), columns
 
 
-def _read_bucket(spill_paths: list[str], bucket: int) -> list[np.ndarray] | None:
-    """A bucket's columns from every shard, concatenated in shard order, codes renumbered
-    in id order; None if no shard has rows in the bucket."""
-    spills = [s for s in (_read_section(p, bucket) for p in spill_paths) if s is not None]
-    if not spills:
-        return None
+def _read_bucket(sections: list[tuple[str, int, int]]) -> list[np.ndarray]:
+    """A bucket's columns from its (path, start, end) sections, concatenated in the
+    order given, codes renumbered in id order."""
+    spills = [_read_section(*s) for s in sections]
     ids = sorted({name for names, _ in spills for name in names})
     code_of = {name: i for i, name in enumerate(ids)}
     for names, columns in spills:
@@ -196,22 +184,19 @@ def _read_bucket(spill_paths: list[str], bucket: int) -> list[np.ndarray] | None
 
 
 def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Turn one bucket's sections of the spill files into (counters, record columns).
+    """Turn one bucket's spill file sections into (counters, record columns).
 
     The columns are (key index into Gazetteer.keys, local day number,
     m_max): each matched device-day gives a record for its region's admin1
     twin, followed by one for the region itself when it is a county. Both
     levels reduce from device-days, because medians do not compose upward.
     """
-    bucket, spill_paths, cfg = task
+    sections, cfg = task
     gaz = _GAZ
     assert gaz is not None, "gazetteer not loaded before gather"
 
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
-    columns = _read_bucket(spill_paths, bucket)
-    if columns is None:
-        return counters, (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
-    dd = group_device_days(*columns)
+    dd = group_device_days(*_read_bucket(sections))
     counters["device_days"] = len(dd.starts)
     counters["device_day_reports"] = len(dd.code)
 
@@ -268,14 +253,19 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
         (s, path, cfg.n_buckets, cfg.accuracy_max_m, scratch)
         for s, path in enumerate(shards)
     ]
-    for shard_stats in _map_tasks(_scatter_shard, scatter_tasks, cfg.workers):
+    sections: dict[int, list[tuple[str, int, int]]] = {}
+    scattered = _map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
+    for s, (shard_stats, ranges) in enumerate(scattered):
         stats.merge(shard_stats)
+        for b, start, end in ranges:
+            sections.setdefault(b, []).append((_spill_path(scratch, s), start, end))
 
-    spill_paths = [_spill_path(scratch, s) for s in range(len(shards))]
-    gather_tasks = [(b, spill_paths, cfg) for b in range(cfg.n_buckets)]
+    gather_tasks = [(sections[b], cfg) for b in sorted(sections)]
     gathered = _map_tasks(_gather_bucket, gather_tasks, cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
-    columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
+    # the empty columns give a dataset with no accepted report its column types
+    empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
+    columns = [np.concatenate(c) for c in zip(empty, *(cols for _, cols in gathered))]
 
     records = aggregate.reduce_region_day(gaz.keys, *columns)
     baseline = aggregate.compute_baseline(records, cfg.baseline_start, cfg.baseline_end)
@@ -367,6 +357,9 @@ def run(cfg: PipelineConfig) -> list[dict]:
     finally:
         if ok:
             shutil.rmtree(spill_root, ignore_errors=True)
+            if not cfg.scratch_dir:
+                with suppress(OSError):  # not empty: something else lives there
+                    os.rmdir(scratch_base)
     return reports
 
 

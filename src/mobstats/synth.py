@@ -426,8 +426,3 @@ def _truth_records(device_id: str, rows: list[Row]) -> list[dict]:
         rec.update(oracle.oracle_metrics(by_day[day_number]))
         out.append(rec)
     return out
-
-
-def oracle_metrics(rows, **kwargs):
-    """Reference metrics for one device-day; see the oracle module."""
-    return oracle.oracle_metrics(rows, **kwargs)

@@ -145,6 +145,14 @@ class TestBuildDeviceDays:
         # the tie winner also supplies the device offset
         assert days[0].tz_offset_hours == 1
 
+    def test_position_tie_broken_by_accuracy(self):
+        # the regroup sort never sees accuracy; the row-wise view orders position ties by it
+        reports = [raw("a", T0, acc=9.0), raw("a", T0 + 60), raw("a", T0, acc=2.0),
+                   raw("a", T0, acc=5.0)]
+        (day,) = build_device_days(reports)
+        assert day.reports == [(T0, 0.0, 0.0, 2.0), (T0, 0.0, 0.0, 5.0), (T0, 0.0, 0.0, 9.0),
+                               (T0 + 60, 0.0, 0.0, 5.0)]
+
     def test_duplicates_kept(self):
         reports = [raw("a", T0)] * 3
         days = list(build_device_days(reports))

@@ -13,10 +13,11 @@ import pytest
 
 from mobstats import aggregate, pipeline
 from mobstats.cli import CONFIG_DEFAULTS, main
-from mobstats.collate import day_number_to_date
+from mobstats.collate import bucket_index, day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
+from mobstats.ingest import IngestStats, read_shard_columns
 from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
 from mobstats.synth import (ELIGIBLE_STYLES, ScenarioSpec, generate, lockdown_spec,
@@ -113,7 +114,19 @@ class TestRun:
         run(base_config(scenario, out))
         leftovers = [p for p in out.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
-        assert not (out / ".scratch" / "spill").exists()
+        assert not (out / ".scratch").exists()
+
+    def test_given_scratch_dir_is_kept_without_its_spill(self, scenario, tmp_path):
+        scratch = tmp_path / "scratch"
+        run(base_config(scenario, tmp_path / "out", scratch_dir=str(scratch)))
+        assert scratch.is_dir() and not (scratch / "spill").exists()
+
+    def test_all_reports_rejected_still_reduces(self, scenario, tmp_path):
+        out = tmp_path / "out"
+        (report,) = run(base_config(scenario, out, accuracy_max_m=1e-9))
+        reconcile(report)
+        assert report["reports_accepted"] == 0 and report["device_days"] == 0
+        assert (out / "stats.ndjson").read_bytes() == b""
 
     def test_scratch_kept_on_failure(self, scenario, tmp_path):
         data = tmp_path / "data"
@@ -145,17 +158,22 @@ class TestRun:
     def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path):
         small_cfg = small_scenario(tmp_path / "small")
         outputs = set()
-        for n_buckets in (1, 8, 4096):
+        for n_buckets in (1, 8, 4096, 2**63 - 1):
             out = tmp_path / f"out-{n_buckets}"
             run(base_config(scenario, out, n_buckets=n_buckets, **small_cfg))
             outputs.add(tuple((out / name).read_bytes()
                               for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
 
-    def test_gather_reads_two_offsets_and_its_section(self, scenario, tmp_path, monkeypatch):
-        # reading the whole offset table in each of n_buckets tasks would be O(n_buckets ** 2)
-        n_buckets, shards = 4096, len(scenario["shard_paths"])
-        reads, sizes = [], {}
+    def test_gather_opens_only_non_empty_sections_once(self, scenario, tmp_path, monkeypatch):
+        # at 4096 buckets most (bucket, shard) pairs hold no report
+        cfg = base_config(scenario, tmp_path / "out", n_buckets=4096)
+        pairs = set()
+        for s, path in enumerate(scenario["shard_paths"]):
+            shard = read_shard_columns(path, cfg.accuracy_max_m, IngestStats())
+            pairs |= {(s, bucket_index(shard.names[c], cfg.n_buckets))
+                      for c in set(shard.code.tolist())}
+        reads, sizes, gathered = [], {}, []
 
         class Recording:
             def __init__(self, fh):
@@ -168,11 +186,12 @@ class TestRun:
                 self.fh.close()
 
             def seek(self, pos):
+                self.pos = pos
                 return self.fh.seek(pos)
 
             def read(self, n):
                 data = self.fh.read(n)
-                reads.append(len(data))
+                reads.append((self.fh.name, self.pos, len(data)))
                 return data
 
         def recording_open(path, mode="r", *args, **kwargs):
@@ -182,12 +201,41 @@ class TestRun:
             sizes[path] = os.fstat(fh.fileno()).st_size
             return Recording(fh)
 
+        gather_bucket = pipeline._gather_bucket
+
+        def counting_gather(task):
+            gathered.append(task)
+            return gather_bucket(task)
+
         monkeypatch.setattr(pipeline, "open", recording_open, raising=False)
-        run(base_config(scenario, tmp_path / "out", n_buckets=n_buckets))
-        assert len(sizes) == shards
-        table = 8 * (n_buckets + 1)
-        # per (bucket, shard) two offsets, and each section is read once
-        assert sum(reads) == 16 * n_buckets * shards + sum(s - table for s in sizes.values())
+        monkeypatch.setattr(pipeline, "_gather_bucket", counting_gather)
+        run(cfg)
+        assert len(sizes) == len(scenario["shard_paths"])
+        # one non-empty read per (bucket, shard) pair holding reports, none twice
+        assert len(reads) == len(set(reads)) == len(pairs)
+        assert all(n > 0 for _, _, n in reads)
+        assert sum(n for _, _, n in reads) == sum(sizes.values())
+        assert len(gathered) == len({b for _, b in pairs})
+
+    def test_tied_reports_differing_in_accuracy_do_not_change_bytes(self, tmp_path):
+        small_cfg = small_scenario(tmp_path / "small")
+        (shard,) = Path(small_cfg["inputs"][0]).parent.glob("*.csv")
+        lines = shard.read_text().splitlines(keepends=True)
+        # one report twice, at the same second and place, with two accuracies
+        i = len(lines) // 2
+        fields = lines[i].split(",")[:4]
+        twins = [",".join(fields + [acc]) + "\n" for acc in ("3.0", "7.5")]
+        outputs = set()
+        for name, pair in (("ab", twins), ("ba", twins[::-1])):
+            data = tmp_path / name
+            data.mkdir()
+            (data / "part-00.csv").write_text("".join(lines[:i] + pair + lines[i + 1:]))
+            out = tmp_path / f"out-{name}"
+            run(PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=small_cfg["gazetteer"],
+                               output_dir=str(out)))
+            outputs.add(tuple((out / f).read_bytes()
+                              for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
+        assert len(outputs) == 1
 
     def test_weekend_only_baseline_rejected_before_any_work(self, scenario, tmp_path):
         sat = dt.date(2020, 2, 22)
@@ -297,7 +345,7 @@ class TestRun:
     def test_config_validation(self, scenario, tmp_path):
         for field, value in [("format", "xml"), ("accuracy_max_m", 0.0),
                              ("min_reports", 0), ("trim_fraction", 1.0),
-                             ("workers", 0), ("n_buckets", 0)]:
+                             ("workers", 0), ("n_buckets", 0), ("n_buckets", 2**63)]:
             cfg = base_config(scenario, tmp_path / "out")
             setattr(cfg, field, value)
             with pytest.raises(ConfigError):
@@ -572,6 +620,28 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and key in err and "nan" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config_file"])
+    def test_n_buckets_above_int64_exit_1_before_any_shard_is_read(self, scenario, tmp_path,
+                                                                   capsys, monkeypatch, source):
+        # 2**64 + 5 ended in an OverflowError traceback in scatter
+        def no_read(*args):
+            raise AssertionError("a shard was read")
+
+        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        text = str(2**64 + 5)
+        args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
+        if source == "flag":
+            args += ["--n-buckets", text]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text('{"n_buckets": %s}' % text)
+            args += ["--config", str(cfg_file)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "n_buckets" in err and text in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exit_1(self, capsys):
