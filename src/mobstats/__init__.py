@@ -6,12 +6,11 @@ are imported from their modules, so the CLI does not load them.
 """
 
 from .aggregate import apply_index, compute_baseline, reduce_region_day
-from .collate import DeviceDay, build_device_days
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
-from .ingest import IngestStats, iter_shard_raw, parse_fields
-from .metrics import MobilityMetrics, compute_metrics, rejection_reason
+from .ingest import IngestStats, parse_fields
+from .metrics import MobilityMetrics, compute_metrics
 from .pipeline import PipelineConfig, compare_stats, run
 
 __version__ = "0.1.0"
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DataError",
-    "DeviceDay",
     "Gazetteer",
     "GeoPoint",
     "IngestStats",
@@ -27,17 +25,14 @@ __all__ = [
     "PipelineConfig",
     "RegionKey",
     "apply_index",
-    "build_device_days",
     "compare_stats",
     "compute_baseline",
     "compute_metrics",
     "convex_hull",
     "haversine_km",
     "load_gazetteer",
-    "iter_shard_raw",
     "parse_fields",
     "reduce_region_day",
-    "rejection_reason",
     "reverse_geocode",
     "run",
     "solar_tz_offset_hours",

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import json
+import math
 import sys
 
 from .errors import ConfigError, DataError
@@ -166,6 +167,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
         if not 0.0 <= getattr(args, name) <= 1.0:
             raise ConfigError(f"{name} must be in [0, 1], got {getattr(args, name)}")
+    for name in ("base_mobility_km", "scale"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(args, name)}")
     scale_start = _parse_date(args.scale_start)
     overrides = {}
     if args.scale != 1.0:

@@ -11,31 +11,12 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .geo import solar_tz_offset_hours
-from .ingest import RawReport
 
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-
-# report tuple inside a DeviceDay: (epoch_s, lat, lon, accuracy_m)
-DayReport = tuple[int, float, float, float]
-
-
-@dataclass(slots=True)
-class DeviceDay:
-    """All of one device's accepted reports within one local calendar day.
-
-    reports are (epoch_s, lat, lon, accuracy_m) tuples sorted by
-    (epoch_s, lat, lon, accuracy_m).
-    """
-
-    device_id: str
-    local_date: dt.date
-    tz_offset_hours: int
-    reports: list[DayReport]
 
 
 @dataclass(slots=True)
@@ -151,29 +132,3 @@ def group_device_days(code, epoch, lat, lon) -> DayColumns:
     starts = run_starts(n, code, day)
     counts = np.diff(starts, append=n)
     return DayColumns(code, epoch, lat, lon, order, starts, counts, day[starts], tz[starts])
-
-
-def build_device_days(bucket: Iterable[RawReport]) -> Iterator[DeviceDay]:
-    """Regroup one bucket's reports into DeviceDays, in canonical order.
-
-    Row-wise view of group_device_days: devices are emitted in device_id
-    order, days in date order, reports sorted by (epoch, lat, lon, accuracy).
-    The rows are sorted by accuracy first, so the regroup's stable sort
-    keeps accuracy order among rows tied on the other keys.
-    """
-    rows = sorted(bucket, key=lambda r: float(r[4]))
-    names = sorted({r[0] for r in rows})
-    code_of = {name: i for i, name in enumerate(names)}
-    dd = group_device_days(
-        np.array([code_of[r[0]] for r in rows], np.int64),
-        *(np.array([r[j] for r in rows], dtype) for j, dtype in
-          ((1, np.int64), (2, np.float64), (3, np.float64))),
-    )
-    acc = np.array([r[4] for r in rows], np.float64)[dd.order]
-    reports = list(zip(dd.epoch.tolist(), dd.lat.tolist(), dd.lon.tolist(), acc.tolist()))
-    codes = dd.code.tolist()
-    for start, count, day, tz in zip(
-        dd.starts.tolist(), dd.counts.tolist(), dd.day.tolist(), dd.tz.tolist()
-    ):
-        yield DeviceDay(names[codes[start]], day_number_to_date(day), tz,
-                        reports[start:start + count])

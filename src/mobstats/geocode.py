@@ -91,10 +91,7 @@ class RegionGrid:
 
     @classmethod
     def build(cls, bbox: np.ndarray) -> "RegionGrid":
-        """The grid over the regions' (R, 4) bounding box rows."""
-        if not len(bbox):
-            return cls((0.0, 0.0, 0.0, 0.0), (1.0, 1.0), 1, np.zeros(2, np.intp),
-                       np.zeros(0, np.intp))
+        """The grid over the regions' (R, 4) bounding box rows, R >= 1."""
         x0, y0 = bbox[:, :2].min(axis=0).tolist()
         x1, y1 = bbox[:, 2:].max(axis=0).tolist()
         n = max(1, round(math.sqrt(len(bbox))))
@@ -205,6 +202,8 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
 def load_gazetteer(path: str) -> Gazetteer:
     """Load and validate a gazetteer file; raises DataError naming the bad record.
 
+    A file without a region record is a DataError too.
+
     Decoding is strict UTF-8, because region ids and names flow into the outputs.
     """
     parsed: list[tuple[RegionKey, list[np.ndarray]]] = []
@@ -235,7 +234,10 @@ def load_gazetteer(path: str) -> Gazetteer:
             else:
                 raise DataError(f"gazetteer line {lineno}: unknown record type {kind!r}")
 
-    edges = _ring_edges([ring for _, rings in parsed for ring in rings] or [np.zeros((0, 2))])
+    if not parsed:
+        # a gazetteer that can match nothing is almost surely a wrong path
+        raise DataError(f"gazetteer {path}: no region records")
+    edges = _ring_edges([ring for _, rings in parsed for ring in rings])
     edge_ptr = np.cumsum([0] + [sum(len(r) - 1 for r in rings) for _, rings in parsed])
     # every ring point but the closing one starts an edge
     starts = edge_ptr[:-1]
@@ -336,23 +338,6 @@ def locate(gaz: Gazetteer, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     best = np.full(len(x), len(gaz.regions), np.intp)
     np.minimum.at(best, point[inside], gaz.rank[region[inside]])
     return gaz.by_rank[best]
-
-
-def point_on_ring_boundary(ring, x: float, y: float) -> bool:
-    """True if (x, y) lies on any edge of the closed ring."""
-    edges = _ring_edges([ring])
-    on, _ = _edge_hits(np.full(len(edges), x, float), np.full(len(edges), y, float), edges)
-    return bool(on.any())
-
-
-def region_contains(region: Region, x: float, y: float) -> bool:
-    """Even-odd containment over all of the region's rings, boundary inclusive."""
-    bx0, by0, bx1, by1 = region.bbox
-    if not (bx0 <= x <= bx1 and by0 <= y <= by1):
-        return False
-    edges = _ring_edges(region.rings)
-    return bool(_pairs_inside(np.array([x], float), np.array([y], float), edges,
-                              np.zeros(1, np.intp), np.array([len(edges)]))[0])
 
 
 def reverse_geocode(gaz: Gazetteer, p: GeoPoint) -> RegionKey | None:

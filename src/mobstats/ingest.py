@@ -155,13 +155,6 @@ class ShardColumns:
     lon: np.ndarray
     acc: np.ndarray
 
-    def rows(self) -> Iterator[RawReport]:
-        names = self.names
-        return zip(
-            [names[c] for c in self.code.tolist()],
-            self.epoch.tolist(), self.lat.tolist(), self.lon.tolist(), self.acc.tolist(),
-        )
-
 
 def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
     """The shard's data lines, terminators removed, in lists of one block's worth.
@@ -261,12 +254,3 @@ def read_shard_columns(path: str, accuracy_max_m: float, stats: IngestStats) -> 
     stats.reports_accepted += accepted
     stats.reports_rejected_accuracy += len(keep) - accepted
     return ShardColumns(list(ids), *(c[keep] for c in cols))
-
-
-def iter_shard_raw(path: str, accuracy_max_m: float, stats: IngestStats) -> Iterator[RawReport]:
-    """Yield accepted raw report tuples from one shard in file order, updating stats.
-
-    Row-wise view of read_shard_columns, which reads the whole shard at the
-    first next().
-    """
-    yield from read_shard_columns(path, accuracy_max_m, stats).rows()

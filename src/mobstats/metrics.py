@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collate import DayReport, DeviceDay, segment_sort
+from .collate import segment_sort
 from .geo import (
     GeoPoint,
     area_to_linear_km,
@@ -32,6 +32,9 @@ DEFAULT_TRIM_FRACTION = 0.10
 REASON_TOO_FEW = "too_few_reports"
 REASON_SHORT_SPAN = "short_span"
 
+# one report of a device-day: (epoch_s, lat, lon, accuracy_m)
+DayRow = tuple[int, float, float, float]
+
 
 @dataclass(frozen=True, slots=True)
 class MobilityMetrics:
@@ -43,11 +46,6 @@ class MobilityMetrics:
     report_count: int
     span_hours: float
     canonical_point: GeoPoint
-
-
-def span_hours(dd: DeviceDay) -> float:
-    """Hours between the day's first and last report."""
-    return (dd.reports[-1][0] - dd.reports[0][0]) / 3600.0
 
 
 def day_rejections(counts, spans_s, min_reports: int, min_span_hours: float):
@@ -65,23 +63,6 @@ def day_rejections(counts, spans_s, min_reports: int, min_span_hours: float):
     return too_few, short_span
 
 
-def rejection_reason(
-    dd: DeviceDay,
-    min_reports: int = DEFAULT_MIN_REPORTS,
-    min_span_hours: float = DEFAULT_MIN_SPAN_HOURS,
-) -> str | None:
-    """None if the device-day is eligible, otherwise the rejection reason (day_rejections)."""
-    span_s = dd.reports[-1][0] - dd.reports[0][0] if dd.reports else 0
-    too_few, short_span = day_rejections(
-        np.array([len(dd.reports)]), np.array([span_s]), min_reports, min_span_hours
-    )
-    if too_few[0]:
-        return REASON_TOO_FEW
-    if short_span[0]:
-        return REASON_SHORT_SPAN
-    return None
-
-
 def segment_trimmed_max(distances_km: np.ndarray, starts: np.ndarray, counts: np.ndarray,
                         trim_fraction: float) -> np.ndarray:
     """Per segment, the largest distance after dropping its top floor(trim_fraction * n).
@@ -91,12 +72,6 @@ def segment_trimmed_max(distances_km: np.ndarray, starts: np.ndarray, counts: np
     """
     k = (trim_fraction * counts).astype(np.int64)
     return segment_sort(distances_km, starts, counts)[starts + counts - 1 - k]
-
-
-def trimmed_max_distance(distances_km: np.ndarray, trim_fraction: float) -> float:
-    """Largest distance after dropping the top floor(trim_fraction * n) values."""
-    n = distances_km.shape[0]
-    return float(segment_trimmed_max(distances_km, np.array([0]), np.array([n]), trim_fraction)[0])
 
 
 def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, counts: np.ndarray,
@@ -117,15 +92,7 @@ def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, coun
     return segment_trimmed_max(distances, offsets, counts, trim_fraction)
 
 
-def day_max_distance(rows: Sequence[DayReport], trim_fraction: float) -> float:
-    """Trimmed maximum haversine distance (km) from the first row (day_max_distances)."""
-    lats = np.array([r[1] for r in rows])
-    lons = np.array([r[2] for r in rows])
-    return float(day_max_distances(lats, lons, np.array([0]), np.array([len(rows)]),
-                                   trim_fraction)[0])
-
-
-def day_box_and_hull(rows: Sequence[DayReport]) -> tuple[float, float, float, float]:
+def day_box_and_hull(rows: Sequence[DayRow]) -> tuple[float, float, float, float]:
     """(m_bb, m_ch, a_bb, a_ch) for a day's full row set.
 
     Trimming applies to the max-distance measure only; every accepted
@@ -146,22 +113,24 @@ def day_box_and_hull(rows: Sequence[DayReport]) -> tuple[float, float, float, fl
     )
 
 
-def canonical_position(dd: DeviceDay) -> GeoPoint:
-    """The day's representative point: its first report (canonical sort order)."""
-    first = dd.reports[0]
-    return GeoPoint(first[1], first[2])
+def compute_metrics(rows: Sequence[DayRow],
+                    trim_fraction: float = DEFAULT_TRIM_FRACTION) -> MobilityMetrics:
+    """Full metrics for an eligible device-day's rows, in canonical order.
 
-
-def compute_metrics(dd: DeviceDay, trim_fraction: float = DEFAULT_TRIM_FRACTION) -> MobilityMetrics:
-    """Full metrics for an eligible device-day; eligibility is the caller's check."""
-    m_bb, m_ch, a_bb, a_ch = day_box_and_hull(dd.reports)
+    Eligibility is the caller's check. m_max comes from day_max_distances;
+    the canonical point is the first row, where the day is geocoded.
+    """
+    m_bb, m_ch, a_bb, a_ch = day_box_and_hull(rows)
+    lat, lon = (np.array([r[j] for r in rows]) for j in (1, 2))
+    m_max = day_max_distances(lat, lon, np.array([0]), np.array([len(rows)]), trim_fraction)
+    first = rows[0]
     return MobilityMetrics(
-        m_max=day_max_distance(dd.reports, trim_fraction),
+        m_max=float(m_max[0]),
         m_bb=m_bb,
         m_ch=m_ch,
         a_bb=a_bb,
         a_ch=a_ch,
-        report_count=len(dd.reports),
-        span_hours=span_hours(dd),
-        canonical_point=canonical_position(dd),
+        report_count=len(rows),
+        span_hours=(rows[-1][0] - first[0]) / 3600.0,
+        canonical_point=GeoPoint(first[1], first[2]),
     )

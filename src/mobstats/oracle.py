@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch against the same
 definitions the pipeline implements, with different algorithms and different
-accumulation orders: asin-form haversine, hull by point-in-triangle
-elimination, area by fan triangulation, point-in-polygon by winding number.
+accumulation orders: asin-form haversine, hull by supporting lines, area
+by fan triangulation, point-in-polygon by winding number.
 This module must not import from the fast-path geometry/metrics modules;
 correlated bugs would defeat its purpose.
 
@@ -13,8 +13,6 @@ Input device-days are plain ``(epoch_s, lat, lon, accuracy_m)`` tuples.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,20 +53,11 @@ def unwrap_lons(lonlat: Sequence[tuple[float, float]]) -> list[tuple[float, floa
     return list(lonlat)
 
 
-@lru_cache(maxsize=None)
-def _triangle_indices(m: int) -> np.ndarray:
-    return np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(m: int) -> np.ndarray:
-    return np.array(list(combinations(range(m), 2)), dtype=np.intp).reshape(-1, 2)
-
-
 def brute_hull_vertices(points: Sequence[tuple[float, float]]) -> set[tuple[float, float]]:
-    """Hull vertex set by elimination: a point is not a vertex iff it lies in
-    the convex hull of the others (inside-or-on some triangle, or on some
-    segment, of the other points). O(n^4) work, vectorized per candidate.
+    """Hull vertex set by supporting lines: p is a vertex iff some other point q
+    has every other point r strictly left of the line p -> q, or on it on q's
+    side of p (cross(q - p, r - p) > 0, or = 0 with dot(r - p, q - p) > 0).
+    O(n^3) work, one (n, n) cross/dot matrix per candidate p.
     """
     arr = np.unique(np.asarray(points, dtype=float), axis=0)
     n = len(arr)
@@ -76,37 +65,14 @@ def brute_hull_vertices(points: Sequence[tuple[float, float]]) -> set[tuple[floa
         return {tuple(p) for p in arr}
 
     verts: set[tuple[float, float]] = set()
-    tri = _triangle_indices(n - 1)
-    pair = _pair_indices(n - 1)
     for i in range(n):
         p = arr[i]
-        others = np.delete(arr, i, axis=0)
-
-        # on-segment test over all pairs
-        a = others[pair[:, 0]]
-        b = others[pair[:, 1]]
-        cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-        in_box = (
-            (np.minimum(a[:, 0], b[:, 0]) <= p[0])
-            & (p[0] <= np.maximum(a[:, 0], b[:, 0]))
-            & (np.minimum(a[:, 1], b[:, 1]) <= p[1])
-            & (p[1] <= np.maximum(a[:, 1], b[:, 1]))
-        )
-        if np.any((cross == 0.0) & in_box):
-            continue
-
-        # weakly-inside test over all non-degenerate triangles
-        ta, tb, tc = others[tri[:, 0]], others[tri[:, 1]], others[tri[:, 2]]
-        d1 = (tb[:, 0] - ta[:, 0]) * (p[1] - ta[:, 1]) - (tb[:, 1] - ta[:, 1]) * (p[0] - ta[:, 0])
-        d2 = (tc[:, 0] - tb[:, 0]) * (p[1] - tb[:, 1]) - (tc[:, 1] - tb[:, 1]) * (p[0] - tb[:, 0])
-        d3 = (ta[:, 0] - tc[:, 0]) * (p[1] - tc[:, 1]) - (ta[:, 1] - tc[:, 1]) * (p[0] - tc[:, 0])
-        area2 = (tb[:, 0] - ta[:, 0]) * (tc[:, 1] - ta[:, 1]) - (tb[:, 1] - ta[:, 1]) * (
-            tc[:, 0] - ta[:, 0]
-        )
-        inside = (area2 != 0.0) & (
-            ((d1 >= 0.0) & (d2 >= 0.0) & (d3 >= 0.0)) | ((d1 <= 0.0) & (d2 <= 0.0) & (d3 <= 0.0))
-        )
-        if not np.any(inside):
+        d = np.delete(arr, i, axis=0) - p
+        # row q, column r: the r = q diagonal has cross 0 and dot |q - p|^2 > 0
+        cross = np.outer(d[:, 0], d[:, 1]) - np.outer(d[:, 1], d[:, 0])
+        dot = np.outer(d[:, 0], d[:, 0]) + np.outer(d[:, 1], d[:, 1])
+        supporting = ((cross > 0.0) | ((cross == 0.0) & (dot > 0.0))).all(axis=1)
+        if supporting.any():
             verts.add((float(p[0]), float(p[1])))
     return verts
 

@@ -15,12 +15,11 @@ from time import perf_counter
 
 import pytest
 
+from adapters import contains, device_days, verdicts
 from mobstats import oracle
 from mobstats.cli import main
-from mobstats.collate import build_device_days
 from mobstats.geo import GeoPoint, convex_hull
-from mobstats.geocode import Region, RegionKey, region_contains
-from mobstats.metrics import compute_metrics, rejection_reason
+from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
 from mobstats.output import read_csv, read_ndjson
 from mobstats.pipeline import PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, STYLES, ScenarioSpec, generate, lockdown_spec, random_day_rows
@@ -68,26 +67,33 @@ def reference_run(corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def oracle_sweep():
-    """1000 random device-days run through collate+metrics and the oracle."""
+    """1000 random device-days run through the gather kernel, metrics and the oracle.
+
+    The days are one bucket: one group_device_days, day_rejections and
+    day_max_distances call covers them all, as in gather.
+    """
     t0 = perf_counter()
     days = eligible = 0
     worst = 0.0
     pipeline_metrics = []
-    for i in range(1000):
-        rng = random.Random(31337 + i)
-        rows = random_day_rows(rng, style=STYLES[i % len(STYLES)])
+    day_rows = [random_day_rows(random.Random(31337 + i), style=STYLES[i % len(STYLES)])
+                for i in range(1000)]
+    built, dd = device_days([(f"dev-{i}",) + r for i, rows in enumerate(day_rows) for r in rows])
+    assert len(built) == 1000
+    reasons = verdicts(dd)
+    m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+    day_of = {day.device_id: k for k, day in enumerate(built)}
+    for i, rows in enumerate(day_rows):
         ref = oracle.oracle_metrics(rows)
-        built = list(build_device_days((f"dev-{i}",) + r for r in rows))
-        assert len(built) == 1
-        dd = built[0]
-        reason = rejection_reason(dd)
+        k = day_of[f"dev-{i}"]
+        reason = reasons[k]
         assert (reason is None) == ref["eligible"], i
         days += 1
         if reason is not None:
             assert reason == ref["reason"]
             continue
-        m = compute_metrics(dd)
-        for name, got in (("m_max", m.m_max), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
+        m = compute_metrics(built[k].reports)
+        for name, got in (("m_max", m_max[k]), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
                           ("a_bb", m.a_bb), ("a_ch", m.a_ch)):
             want = ref[name]
             assert close(got, want), (i, name, got, want)
@@ -221,13 +227,11 @@ class TestGates:
             ring = list(hull) + [hull[0]]
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
-            region = Region(RegionKey("AA", "", "", "R"), [ring],
-                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
-            for _ in range(25):
-                x = rng.uniform(min(xs) - 2, max(xs) + 2)
-                y = rng.uniform(min(ys) - 2, max(ys) + 2)
-                assert region_contains(region, x, y) == \
-                    oracle.winding_number_contains(ring, x, y)
+            probes = [(rng.uniform(min(xs) - 2, max(xs) + 2),
+                       rng.uniform(min(ys) - 2, max(ys) + 2)) for _ in range(25)]
+            inside = contains([ring], *zip(*probes))
+            for (x, y), got in zip(probes, inside):
+                assert got == oracle.winding_number_contains(ring, x, y)
                 cases += 1
         assert cases >= 10_000
         print(f"PASS: gate 5 geometry: m_ch <= m_bb on {checked}/{checked} eligible "

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats.collate import (
-    DeviceDay,
-    bucket_index,
-    build_device_days,
-    day_number_to_date,
-    local_day_number,
-)
+from adapters import Day, device_days
+from mobstats.collate import bucket_index, day_number_to_date, local_day_number
 
 # 1584316800 = 2020-03-16T00:00:00Z
 T0 = 1584316800
@@ -38,7 +33,7 @@ def bucket_sort(reports, n_buckets):
 
 def single_report_day(lon):
     """(device_id, local_date, tz_offset_hours) of a one-report device-day at T0."""
-    (dd,) = build_device_days([raw("a", T0, lon=lon)])
+    (dd,), _ = device_days([raw("a", T0, lon=lon)])
     return dd.device_id, dd.local_date, dd.tz_offset_hours
 
 
@@ -114,13 +109,13 @@ def canonical(days):
 
 class TestBuildDeviceDays:
     def test_single_report(self):
-        days = list(build_device_days([raw("a", T0, lat=1.0, lon=2.0)]))
-        assert days == [DeviceDay("a", dt.date(2020, 3, 16), 0, [(T0, 1.0, 2.0, 5.0)])]
+        days, _ = device_days([raw("a", T0, lat=1.0, lon=2.0)])
+        assert days == [Day("a", dt.date(2020, 3, 16), 0, [(T0, 1.0, 2.0, 5.0)])]
 
     def test_midnight_split(self):
         # 23:30 and 00:30 local straddle one midnight at lon 0
         reports = [raw("a", T0 - 1800), raw("a", T0 + 1800)]
-        days = list(build_device_days(reports))
+        days, _ = device_days(reports)
         assert [d.local_date for d in days] == [dt.date(2020, 3, 15), dt.date(2020, 3, 16)]
         assert all(len(d.reports) == 1 for d in days)
 
@@ -128,39 +123,39 @@ class TestBuildDeviceDays:
         # second report sits at lon 10.2 (offset would be 1) but the device
         # keeps the offset of its chronologically first report at lon 10.0
         reports = [raw("a", T0 + 60, lon=10.2), raw("a", T0, lon=10.0)]
-        days = list(build_device_days(reports))
+        days, _ = device_days(reports)
         assert len(days) == 1
         assert days[0].tz_offset_hours == 1
         assert [r[0] for r in days[0].reports] == [T0, T0 + 60]
 
     def test_offset_can_change_the_date(self):
         # lon -106 -> offset -7 -> both reports land on 2020-03-15
-        days = list(build_device_days([raw("a", T0, lon=-106.0), raw("a", T0 + 60, lon=-106.0)]))
+        days, _ = device_days([raw("a", T0, lon=-106.0), raw("a", T0 + 60, lon=-106.0)])
         assert [d.local_date for d in days] == [dt.date(2020, 3, 15)]
 
     def test_epoch_tie_broken_by_position(self):
         reports = [raw("a", T0, lat=5.0, lon=7.0), raw("a", T0, lat=1.0, lon=9.0)]
-        days = list(build_device_days(reports))
+        days, _ = device_days(reports)
         assert [r[1] for r in days[0].reports] == [1.0, 5.0]
         # the tie winner also supplies the device offset
         assert days[0].tz_offset_hours == 1
 
     def test_position_tie_broken_by_accuracy(self):
-        # the regroup sort never sees accuracy; the row-wise view orders position ties by it
+        # the regroup sort never sees accuracy: rows tied on (device, epoch, lat, lon)
+        # keep their input order
         reports = [raw("a", T0, acc=9.0), raw("a", T0 + 60), raw("a", T0, acc=2.0),
                    raw("a", T0, acc=5.0)]
-        (day,) = build_device_days(reports)
-        assert day.reports == [(T0, 0.0, 0.0, 2.0), (T0, 0.0, 0.0, 5.0), (T0, 0.0, 0.0, 9.0),
-                               (T0 + 60, 0.0, 0.0, 5.0)]
+        _, dd = device_days(reports)
+        assert dd.order.tolist() == [0, 2, 3, 1]
 
     def test_duplicates_kept(self):
         reports = [raw("a", T0)] * 3
-        days = list(build_device_days(reports))
+        days, _ = device_days(reports)
         assert len(days[0].reports) == 3
 
     def test_devices_and_days_in_canonical_order(self):
         reports = [raw("b", T0 + 86400), raw("b", T0), raw("a", T0)]
-        days = list(build_device_days(reports))
+        days, _ = device_days(reports)
         assert [(d.device_id, d.local_date) for d in days] == [
             ("a", dt.date(2020, 3, 16)),
             ("b", dt.date(2020, 3, 16)),
@@ -172,10 +167,10 @@ class TestBuildDeviceDays:
         reports = [raw(f"d{rng.randrange(5)}", T0 + rng.randrange(3 * 86400),
                        lat=rng.uniform(-5, 5), lon=rng.uniform(-5, 5))
                    for _ in range(200)]
-        base = canonical(build_device_days(reports))
+        base = canonical(device_days(reports)[0])
         shuffled = reports[:]
         rng.shuffle(shuffled)
-        assert canonical(build_device_days(shuffled)) == base
+        assert canonical(device_days(shuffled)[0]) == base
 
     @given(st.lists(st.tuples(st.sampled_from("abcd"),
                               st.integers(min_value=0, max_value=4 * 86400),
@@ -187,9 +182,9 @@ class TestBuildDeviceDays:
     def test_bucket_count_invariance_and_partition(self, rows, n_buckets):
         reports = [raw(d, e, lat, lon) for d, e, lat, lon in rows]
         via_buckets = [day for bucket in bucket_sort(reports, n_buckets)
-                       for day in build_device_days(bucket)]
-        assert canonical(via_buckets) == canonical(build_device_days(reports))
-        # every accepted report appears in exactly one DeviceDay
+                       for day in device_days(bucket)[0]]
+        assert canonical(via_buckets) == canonical(device_days(reports)[0])
+        # every accepted report appears in exactly one device-day
         flat = Counter((d.device_id, r) for d in via_buckets for r in d.reports)
         assert flat == Counter((r[0], r[1:]) for r in reports)
 
@@ -198,7 +193,7 @@ class TestBuildDeviceDays:
     @settings(max_examples=60)
     def test_day_invariant_holds_per_report(self, epochs, lon):
         reports = [raw("a", e, lon=lon) for e in epochs]
-        for day in build_device_days(reports):
+        for day in device_days(reports)[0]:
             for r in day.reports:
                 num = local_day_number(r[0], day.tz_offset_hours)
                 assert day_number_to_date(num) == day.local_date

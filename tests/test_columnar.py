@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adapters import shard_rows
 from mobstats import aggregate, ingest
 from mobstats.collate import day_number_to_date
 from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
@@ -139,7 +140,7 @@ class TestReaderParity:
         with mock.patch.object(ingest, "BLOCK_BYTES", block):
             got = read_shard_columns(str(path), 50.0, stats)
         assert counts(stats) == counts(want_stats)
-        got_rows = list(got.rows())
+        got_rows = shard_rows(got)
         assert got_rows == want_rows
         # == cannot tell -0.0 from 0.0; repr can
         assert [tuple(map(repr, r)) for r in got_rows] == [tuple(map(repr, r)) for r in want_rows]
@@ -155,7 +156,7 @@ class TestReaderParity:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         want_stats, want_rows = reference_read(str(path), 50.0)
         stats = IngestStats()
-        got = list(read_shard_columns(str(path), 50.0, stats).rows())
+        got = shard_rows(read_shard_columns(str(path), 50.0, stats))
         assert counts(stats) == counts(want_stats)
         assert want_stats.lines_malformed and want_stats.reports_rejected_accuracy
         assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want_rows]
@@ -175,7 +176,7 @@ class TestReaderParity:
         with mock.patch.object(ingest, "BLOCK_BYTES", block):
             got = read_shard_columns(str(path), 50.0, stats)
         assert counts(stats) == counts(want_stats)
-        assert list(got.rows()) == want_rows
+        assert shard_rows(got) == want_rows
 
 
 # ------------------------------------------------------------- slow gather
@@ -198,7 +199,7 @@ def parent_m_max(rows, trim_fraction: float) -> float:
 
 
 def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
-    """Counters and records of the per-report DeviceDay route."""
+    """Counters and records of the per-report device-day route."""
     by_device: dict[str, list] = {}
     for device_id, epoch, lat, lon, acc in rows:
         by_device.setdefault(device_id, []).append((epoch, lat, lon, acc))

@@ -155,6 +155,15 @@ class TestConvexHull:
         brute = oracle.brute_hull_vertices([(p.lon, p.lat) for p in pts])
         assert set(hull) == brute
 
+    def test_brute_force_keeps_the_extremes_of_a_near_collinear_set(self):
+        # points (t, a * t) rounded to floats: no vertex set is exact there, but the
+        # two extreme points belong to any
+        rng = random.Random(2468)
+        for _ in range(40):
+            a = rng.uniform(-3, 3)
+            pts = [(t, a * t) for t in [rng.uniform(-5, 5) for _ in range(rng.randint(3, 40))]]
+            assert {min(pts), max(pts)} <= oracle.brute_hull_vertices(pts), a
+
     def test_ccw_and_convex(self):
         rng = random.Random(99)
         for _ in range(25):

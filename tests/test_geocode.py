@@ -7,19 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats import geocode, oracle
+from adapters import contains
+from mobstats import geocode, oracle, pipeline
+from mobstats.cli import main
 from mobstats.errors import DataError
 from mobstats.geo import GeoPoint
-from mobstats.geocode import (
-    Region,
-    RegionKey,
-    _grid_cell,
-    load_gazetteer,
-    locate,
-    point_on_ring_boundary,
-    region_contains,
-    reverse_geocode,
-)
+from mobstats.geocode import RegionKey, _grid_cell, load_gazetteer, locate, reverse_geocode
 from mobstats.synth import toy_gazetteer_records, write_toy_gazetteer
 
 
@@ -199,10 +192,10 @@ class TestReverseGeocode:
     def test_hole_excludes_interior(self, tmp_path):
         rings = [square_ring(0, 0, 6, 6), square_ring(2, 2, 4, 4)]
         gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", rings)]))
-        region = gaz.regions[0]
-        assert region_contains(region, 1.0, 1.0)
-        assert not region_contains(region, 3.0, 3.0)  # inside the hole
-        assert region_contains(region, 3.0, 2.0)  # hole boundary is region boundary
+        # (x, y) = (1, 1), (3, 3) inside the hole, (3, 2) on the hole's boundary, which is
+        # the region's boundary
+        assert locate(gaz, np.array([1.0, 3.0, 2.0]), np.array([1.0, 3.0, 3.0])).tolist() == \
+            [0, -1, 0]
 
     def test_containment_consistent_on_interior_samples(self, toy):
         rng = random.Random(17)
@@ -227,12 +220,9 @@ class TestPointInPolygonOracle:
             ring = [(x, y) for x, y in hull] + [hull[0]]
             xs = [x for x, _ in ring]
             ys = [y for _, y in ring]
-            region = Region(RegionKey("AA", "", "", "R"), [ring],
-                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
-            for _ in range(25):
-                x = rng.uniform(min(xs) - 1, max(xs) + 1)
-                y = rng.uniform(min(ys) - 1, max(ys) + 1)
-                got = region_contains(region, x, y)
+            probes = [(rng.uniform(min(xs) - 1, max(xs) + 1),
+                       rng.uniform(min(ys) - 1, max(ys) + 1)) for _ in range(25)]
+            for (x, y), got in zip(probes, contains([ring], *zip(*probes))):
                 want = oracle.winding_number_contains(ring, x, y)
                 assert got == want, (ring, x, y)
                 checked += 1
@@ -252,32 +242,31 @@ class TestPointInPolygonOracle:
         checked = 0
         for ring in rings:
             xs, ys = [x for x, _ in ring], [y for _, y in ring]
-            region = Region(RegionKey("AA", "", "", "R"), [ring],
-                            (min(xs), min(ys), max(xs), max(ys)), 0.0)
             probe_xs = xs + [min(xs) - 1, max(xs) + 1] + [rng.uniform(min(xs), max(xs))
                                                           for _ in range(5)]
-            for y in ys:
-                for x in probe_xs:
-                    want = oracle.winding_number_contains(ring, x, y)
-                    assert region_contains(region, x, y) == want, (ring, x, y)
-                    checked += 1
+            probes = [(x, y) for y in ys for x in probe_xs]
+            for (x, y), got in zip(probes, contains([ring], *zip(*probes))):
+                want = oracle.winding_number_contains(ring, x, y)
+                assert got == want, (ring, x, y)
+                checked += 1
         assert checked >= 1000
 
     @given(st.floats(min_value=-1, max_value=3), st.floats(min_value=-1, max_value=3))
     @settings(max_examples=100)
     def test_unit_square_agreement(self, x, y):
         ring = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)]
-        region = Region(RegionKey("AA", "", "", "R"), [ring], (0, 0, 2, 2), 4.0)
-        assert region_contains(region, x, y) == oracle.winding_number_contains(ring, x, y)
+        assert contains([ring], [x], [y]) == [oracle.winding_number_contains(ring, x, y)]
 
 
 class TestBoundary:
     def test_on_edge(self):
+        # a ring and its copy as a hole: even-odd leaves only the boundary inside
         ring = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0)]
-        assert point_on_ring_boundary(ring, 1.0, 0.0)
-        assert point_on_ring_boundary(ring, 0.0, 0.0)
-        assert not point_on_ring_boundary(ring, 1.0, 1.0)
-        assert not point_on_ring_boundary(ring, 3.0, 0.0)  # collinear but off-segment
+        on_boundary = contains([ring, ring], [1.0, 0.0, 1.0, 3.0], [0.0, 0.0, 1.0, 0.0])
+        assert on_boundary[0]
+        assert on_boundary[1]
+        assert not on_boundary[2]
+        assert not on_boundary[3]  # collinear but off-segment
 
 
 class TestToyGazetteerRecords:
@@ -318,14 +307,17 @@ class TestRegionFieldTypes:
             load_gazetteer(p)
 
 
-def linear_scan(gaz, p):
-    """reverse_geocode without the grid: every region, in gazetteer order."""
-    best = best_key = None
+def linear_scan(gaz, pts):
+    """The keys reverse_geocode finds at the (x, y) points, without the grid: every
+    region alone, in gazetteer order; None where no region holds the point."""
+    x, y = zip(*pts)
+    best = [None] * len(pts)
+    best_key = [None] * len(pts)
     for region in gaz.regions:
-        if region_contains(region, p.lon, p.lat):
-            rank = (-region.key.level, region.bbox_area, region.key.region_id)
-            if best is None or rank < best:
-                best, best_key = rank, region.key
+        rank = (-region.key.level, region.bbox_area, region.key.region_id)
+        for k, inside in enumerate(contains(region.rings, x, y)):
+            if inside and (best[k] is None or rank < best[k]):
+                best[k], best_key[k] = rank, region.key
     return best_key
 
 
@@ -367,20 +359,20 @@ def bench_grid_gazetteer(path):
     return workloads.write_grid_gazetteer(str(path))
 
 
+def assert_matches_linear_scan(gaz, pts):
+    for (x, y), want in zip(pts, linear_scan(gaz, pts)):
+        assert reverse_geocode(gaz, GeoPoint(y, x)) == want, (x, y)
+
+
 class TestRegionGrid:
     def test_toy_matches_linear_scan(self, toy):
-        pts = probe_points(toy, random.Random(5), n_random=2000)
-        for x, y in pts:
-            p = GeoPoint(y, x)
-            assert reverse_geocode(toy, p) == linear_scan(toy, p), (x, y)
+        assert_matches_linear_scan(toy, probe_points(toy, random.Random(5), n_random=2000))
 
     def test_one_region_matches_linear_scan(self, tmp_path):
         ring = [[0, 0], [3, 1], [1, 2], [0, 0]]
         gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", [ring])]))
         assert gaz.grid.n == 1
-        for x, y in probe_points(gaz, random.Random(6)):
-            p = GeoPoint(y, x)
-            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+        assert_matches_linear_scan(gaz, probe_points(gaz, random.Random(6)))
 
     @pytest.mark.parametrize("ring", [
         [[2, 0], [2, 1], [2, 3], [2, 0]],  # zero width
@@ -389,9 +381,7 @@ class TestRegionGrid:
     ])
     def test_zero_extent(self, tmp_path, ring):
         gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [region_rec("R1", [ring])]))
-        for x, y in probe_points(gaz, random.Random(7)):
-            p = GeoPoint(y, x)
-            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+        assert_matches_linear_scan(gaz, probe_points(gaz, random.Random(7)))
         x, y = ring[1]
         assert reverse_geocode(gaz, GeoPoint(y, x)) is not None
 
@@ -409,13 +399,9 @@ class TestRegionGrid:
             assert set(holding.tolist()) <= set(listed), (x, y)
         # the full lookup on a sample: random points, corners and one ring in 16
         rng = random.Random(9)
-        for x, y in rng.sample(pts, 1500) + [(bx0.min(), by0.min()), (bx1.max(), by1.max())]:
-            p = GeoPoint(y, x)
-            assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
-        for region in gaz.regions[::16]:
-            for x, y in region.rings[0]:
-                p = GeoPoint(y, x)
-                assert reverse_geocode(gaz, p) == linear_scan(gaz, p), (x, y)
+        assert_matches_linear_scan(
+            gaz, rng.sample(pts, 1500) + [(bx0.min(), by0.min()), (bx1.max(), by1.max())]
+            + [tuple(xy) for region in gaz.regions[::16] for xy in region.rings[0].tolist()])
 
 
 LOCATE_CASES = ["toy", "one_region", "zero_width", "zero_height", "a_point", "bench_grid"]
@@ -449,8 +435,8 @@ class TestLocate:
         # the bench grid has 66,861 probe points; the linear scan checks a sample
         checked = range(len(pts)) if len(pts) < 5000 else \
             random.Random(11).sample(range(len(pts)), 2500)
-        for k in checked:
-            assert key_of(gaz, got[k]) == linear_scan(gaz, GeoPoint(lat[k], lon[k])), pts[k]
+        for k, want in zip(checked, linear_scan(gaz, [pts[k] for k in checked])):
+            assert key_of(gaz, got[k]) == want, pts[k]
 
     @pytest.mark.parametrize("rows", [1, 7, 100])
     @pytest.mark.parametrize("name", LOCATE_CASES)
@@ -476,8 +462,20 @@ class TestLocate:
         assert locate(toy, lat, lon).tolist() == [-1] * 6
         assert locate(toy, np.array([ym]), np.array([xm])).tolist() != [-1]
 
-    def test_gazetteer_without_regions(self, tmp_path):
-        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", []))
-        assert gaz.regions == [] and gaz.edges.shape == (0, 4)
-        assert locate(gaz, np.array([0.0, 10.0]), np.array([0.0, -5.0])).tolist() == [-1, -1]
-        assert reverse_geocode(gaz, GeoPoint(0.0, 0.0)) is None
+    def test_gazetteer_without_regions(self, tmp_path, monkeypatch, capsys):
+        # a gazetteer that can match nothing is a data error, raised before any shard is read
+        path = write_gaz(tmp_path / "g.ndjson", [])
+        with pytest.raises(DataError, match="no region records"):
+            load_gazetteer(path)
+
+        def no_read(*args):
+            raise AssertionError("a shard was read")
+
+        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        shard = tmp_path / "part-00.csv"
+        shard.write_text("d1,1584316800,1.0,2.0,5.0\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--input", str(shard), "--gazetteer", path,
+                     "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: data:")
+        assert not out.exists()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mobstats.ingest import MAX_EPOCH, IngestStats, iter_shard_raw, parse_fields
+from adapters import shard_rows
+from mobstats.ingest import MAX_EPOCH, IngestStats, parse_fields, read_shard_columns
 from mobstats.synth import MALFORMED_LINES
 
 
@@ -91,7 +92,7 @@ class TestReadShard:
     def test_counts(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [BAD])
         stats = IngestStats()
-        reports = list(iter_shard_raw(p, 50.0, stats))
+        reports = shard_rows(read_shard_columns(p, 50.0, stats))
         assert len(reports) == 3
         assert stats.lines_read == 4
         assert stats.lines_malformed == 1
@@ -101,7 +102,7 @@ class TestReadShard:
     def test_accuracy_rejection_counted(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [REJ])
         stats = IngestStats()
-        reports = list(iter_shard_raw(p, 50.0, stats))
+        reports = shard_rows(read_shard_columns(p, 50.0, stats))
         assert len(reports) == 3
         assert stats.reports_rejected_accuracy == 1
 
@@ -109,19 +110,19 @@ class TestReadShard:
         lines = GOOD + [BAD, REJ]
         plain = write_shard(tmp_path / "a.csv", lines)
         packed = write_shard(tmp_path / "a.csv.gz", lines, compress=True)
-        assert list(iter_shard_raw(plain, 50.0, IngestStats())) == \
-            list(iter_shard_raw(packed, 50.0, IngestStats()))
+        assert shard_rows(read_shard_columns(plain, 50.0, IngestStats())) == \
+            shard_rows(read_shard_columns(packed, 50.0, IngestStats()))
 
     def test_empty_file(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", [])
         stats = IngestStats()
-        assert list(iter_shard_raw(p, 50.0, stats)) == []
+        assert shard_rows(read_shard_columns(p, 50.0, stats)) == []
         assert stats.lines_read == 0
 
     def test_header_skipped_silently(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD, header="device_id,epoch_s,lat,lon,accuracy_m")
         stats = IngestStats()
-        reports = list(iter_shard_raw(p, 50.0, stats))
+        reports = shard_rows(read_shard_columns(p, 50.0, stats))
         assert len(reports) == 3
         # header is not a data line, so it lands in no stats bucket
         assert stats.lines_read == 3
@@ -129,44 +130,44 @@ class TestReadShard:
 
     def test_first_data_line_not_eaten_as_header(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        assert len(list(iter_shard_raw(p, 50.0, IngestStats()))) == 3
+        assert len(shard_rows(read_shard_columns(p, 50.0, IngestStats()))) == 3
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            list(iter_shard_raw(str(tmp_path / "nope.csv"), 50.0, IngestStats()))
+            read_shard_columns(str(tmp_path / "nope.csv"), 50.0, IngestStats())
 
     def test_corrupt_gzip_raises(self, tmp_path):
         p = tmp_path / "s.csv.gz"
         p.write_bytes(b"this is not gzip data")
         with pytest.raises(OSError):
-            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+            read_shard_columns(str(p), 50.0, IngestStats())
 
     def test_truncated_gzip_raises_oserror_naming_path(self, tmp_path):
         packed = write_shard(tmp_path / "s.csv.gz", GOOD * 50, compress=True)
         p = tmp_path / "cut.csv.gz"
         p.write_bytes(Path(packed).read_bytes()[:-20])
         with pytest.raises(OSError, match="cut.csv.gz"):
-            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+            read_shard_columns(str(p), 50.0, IngestStats())
 
     def test_corrupt_deflate_block_raises_oserror_naming_path(self, tmp_path):
         p = tmp_path / "bad.csv.gz"
         # a valid gzip header followed by a deflate block of reserved type 3
         p.write_bytes(gzip.compress(b"")[:10] + b"\xff" * 32)
         with pytest.raises(OSError, match="bad.csv.gz"):
-            list(iter_shard_raw(str(p), 50.0, IngestStats()))
+            read_shard_columns(str(p), 50.0, IngestStats())
 
     def test_non_utf8_byte_is_a_malformed_line(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes("\n".join(GOOD).encode() + b"\nd\xff9,1584316800,1.0,2.0,3.0\n"
                       + b"d5,15843\xe96800,1.0,2.0,3.0\n")
         stats = IngestStats()
-        reports = list(iter_shard_raw(str(p), 50.0, stats))
+        reports = shard_rows(read_shard_columns(str(p), 50.0, stats))
         assert [r[0] for r in reports] == ["d1", "d1", "d2"]
         assert (stats.lines_read, stats.lines_malformed, stats.reports_accepted) == (5, 2, 3)
 
     def test_file_order_preserved(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        epochs = [r[1] for r in iter_shard_raw(p, 50.0, IngestStats())]
+        epochs = [r[1] for r in shard_rows(read_shard_columns(p, 50.0, IngestStats()))]
         assert epochs == [1584316800, 1584320400, 1584316900]
 
     def test_stats_merge_is_fieldwise_sum(self):
@@ -183,7 +184,7 @@ class TestReadShard:
                         [ln.replace("\n", " ") for ln in lines],
                         header="device_id,epoch_s,lat,lon,accuracy_m")
         stats = IngestStats()
-        n = sum(1 for _ in iter_shard_raw(p, 50.0, stats))
+        n = len(shard_rows(read_shard_columns(p, 50.0, stats)))
         assert stats.lines_read == len(lines)
         assert stats.reports_accepted == n
         assert (stats.lines_malformed + stats.reports_accepted

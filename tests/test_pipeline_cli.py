@@ -737,6 +737,7 @@ class TestCli:
         ["--shards", "0"], ["--shards", "-1"], ["--reports-min", "0"],
         ["--reports-min", "30", "--reports-max", "10"], ["--malformed-fraction", "2"],
         ["--accuracy-reject-fraction", "-0.1"], ["--ineligible-fraction", "nan"],
+        ["--base-mobility-km", "nan"], ["--scale", "inf"],
     ])
     def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "gen"
@@ -804,6 +805,14 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_package_root_exports_resolve(self):
+        # a name left in __all__ after its definition goes breaks the star import
+        import mobstats
+        names: dict = {}
+        exec("from mobstats import *", names)
+        for name in mobstats.__all__:
+            assert names[name] is getattr(mobstats, name), name
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_compare_duplicate_key_exit_3(self, tmp_path, capsys, side):

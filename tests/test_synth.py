@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from adapters import device_days, shard_rows, verdicts
 from mobstats import oracle
-from mobstats.collate import build_device_days
 from mobstats.geo import GeoPoint, haversine_km
-from mobstats.ingest import IngestStats, iter_shard_raw, parse_fields
-from mobstats.metrics import compute_metrics, rejection_reason
+from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
+from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
 from mobstats.synth import (
     ELIGIBLE_STYLES,
     HEADER,
@@ -65,7 +65,7 @@ class TestDeterminism:
         plain = generate(small_spec(), str(tmp_path / "plain"))
         packed = generate(small_spec(gzip_shards=True), str(tmp_path / "gz"))
         read = lambda paths: [r for p in paths
-                              for r in iter_shard_raw(p, 50.0, IngestStats())]
+                              for r in shard_rows(read_shard_columns(p, 50.0, IngestStats()))]
         assert read(plain["shard_paths"]) == read(packed["shard_paths"])
         assert all(p.endswith(".csv.gz") for p in packed["shard_paths"])
 
@@ -82,8 +82,7 @@ class TestGeneratedCounters:
         assert result["lines_malformed"] == 0
         stats = IngestStats()
         for p in result["shard_paths"]:
-            for _ in iter_shard_raw(p, 50.0, stats):
-                pass
+            read_shard_columns(p, 50.0, stats)
         assert stats.lines_malformed == 0
         assert stats.lines_read == result["lines_read"]
         assert stats.reports_accepted == result["reports_accepted"]
@@ -93,8 +92,7 @@ class TestGeneratedCounters:
                                      accuracy_reject_fraction=0.25), str(tmp_path))
         stats = IngestStats()
         for p in result["shard_paths"]:
-            for _ in iter_shard_raw(p, 50.0, stats):
-                pass
+            read_shard_columns(p, 50.0, stats)
         assert stats.lines_read == result["lines_read"]
         assert stats.lines_malformed == result["lines_malformed"]
         assert stats.reports_accepted == result["reports_accepted"]
@@ -134,20 +132,21 @@ class TestTruthSidecar:
         rows = []
         stats = IngestStats()
         for p in result["shard_paths"]:
-            rows.extend(iter_shard_raw(p, 50.0, stats))
-        days = list(build_device_days(rows))
+            rows.extend(shard_rows(read_shard_columns(p, 50.0, stats)))
+        days, dd = device_days(rows)
         assert len(days) == len(truth)
+        reasons = verdicts(dd)
+        m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
 
-        for dd in days:
-            t = truth[(dd.device_id, dd.local_date.isoformat())]
-            reason = rejection_reason(dd)
+        for day, reason, day_m_max in zip(days, reasons, m_max.tolist()):
+            t = truth[(day.device_id, day.local_date.isoformat())]
             assert (reason is None) == t["eligible"]
-            assert len(dd.reports) == t["report_count"]
+            assert len(day.reports) == t["report_count"]
             if reason is not None:
                 assert reason == t["reason"]
                 continue
-            m = compute_metrics(dd)
-            for name, got in (("m_max", m.m_max), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
+            m = compute_metrics(day.reports)
+            for name, got in (("m_max", day_m_max), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
                               ("a_bb", m.a_bb), ("a_ch", m.a_ch)):
                 assert got == pytest.approx(t[name], rel=1e-9, abs=1e-12), name
             assert (m.canonical_point.lat, m.canonical_point.lon) == (t["lat"], t["lon"])
