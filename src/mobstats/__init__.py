@@ -5,6 +5,13 @@ brute-force reference implementations (mobstats.oracle) that verify it
 are imported from their modules, so the CLI does not load them.
 """
 
+import os
+
+# mobstats makes no BLAS call, but OpenBLAS starts its worker threads (one
+# per core) while the library loads, before any call. This runs before the
+# first numpy import; a value the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .aggregate import apply_index, compute_baseline, reduce_region_day
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours

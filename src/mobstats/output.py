@@ -2,7 +2,8 @@
 
 Each serialized table is an ordered (name, kind) field table; the writers
 and readers are loops over it, so a record's verbose values are written
-only under --verbose-stats. Both formats carry identical values: m50
+only under --verbose-stats. The writers format one field of all rows at
+a time, and the stats writers a region's fields once. Both formats carry identical values: m50
 fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
 when absent). Records are written in a canonical sort order with a fixed
 key order, so identical inputs always produce byte-identical files.
@@ -15,7 +16,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import starmap
+from json.encoder import encode_basestring_ascii
+from operator import add, attrgetter, itemgetter
 from typing import IO, Iterable, Sequence
 
 from .errors import DataError, numbered_lines
@@ -29,13 +32,17 @@ class Kind:
     places: int = 0
     nullable: bool = False
 
-    def cell(self, value, in_csv: bool) -> str:
-        """The value as NDJSON text, or as a CSV cell; null or an empty cell for None."""
-        if value is None:
-            return "" if in_csv else "null"
+    def cells(self, values: Iterable, in_csv: bool) -> list[str]:
+        """Each value as NDJSON text, or as a CSV cell; null or an empty cell for None."""
         if self.type is str:
-            return value if in_csv else json.dumps(value)
-        return f"{value:.{self.places}f}" if self.type is float else str(value)
+            # json.dumps's text for a str, without its per-call set-up
+            text = str if in_csv else encode_basestring_ascii
+        elif self.type is float:
+            text = f"{{:.{self.places}f}}".format
+        else:
+            text = str
+        empty = "" if in_csv else "null"
+        return [empty if v is None else text(v) for v in values]
 
     def parse(self, value, in_csv: bool):
         """A JSON value or CSV cell read back; ValueError when it is not of this kind."""
@@ -52,15 +59,18 @@ class Kind:
 
 Fields = tuple[tuple[str, Kind], ...]
 
-KEY_FIELDS: Fields = tuple(
-    (name, Kind(str))
-    for name in ("country_code", "admin_level", "admin1", "admin2", "region_id", "date")
+# a record's region: its key fields but the date
+REGION_FIELDS: Fields = tuple(
+    (name, Kind(str)) for name in ("country_code", "admin_level", "admin1", "admin2", "region_id")
 )
+KEY_FIELDS: Fields = REGION_FIELDS + (("date", Kind(str)),)
 STATS_FIELDS: Fields = KEY_FIELDS + (
     ("samples", Kind(int)),
     ("m50", Kind(float, 3)),
     ("m50_index", Kind(float, 1, nullable=True)),
 )
+# the stats fields after the region's, which the writers format per row
+DAY_FIELDS: Fields = STATS_FIELDS[len(REGION_FIELDS):]
 # appended by --verbose-stats; None in records read from a file without them
 VERBOSE_FIELDS: Fields = tuple(
     (name, Kind(float, 3, nullable=True)) for name in ("m_max_mean", "m_max_q1", "m_max_q3")
@@ -91,34 +101,43 @@ class OutputRecord:
                 self.admin_level, self.region_id)
 
 
-# a record's region: its key field values but the date
-region_of = attrgetter(*(name for name, _ in KEY_FIELDS if name != "date"))
+region_of = attrgetter(*(name for name, _ in REGION_FIELDS))
 
 
-def _write_ndjson(rows: Iterable, fields: Fields, getter, sink: IO[str]) -> None:
-    """One JSON object per row, LF-terminated, keys in table order; getter(*names) reads a row."""
-    values_of = getter(*(name for name, _ in fields))
-    keyed = [(f'"{name}":', kind.cell) for name, kind in fields]
-    for values in map(values_of, rows):
-        cells = [key + cell(v, False) for (key, cell), v in zip(keyed, values)]
-        sink.write("{" + ",".join(cells) + "}\n")
+def _columns(rows: Sequence, fields: Fields, getter, in_csv: bool) -> list[list[str]]:
+    """Each field's cells over rows, in table order; getter(name) reads a row's value."""
+    return [kind.cells(map(getter(name), rows), in_csv) for name, kind in fields]
 
 
-def write_ndjson(records: Iterable[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
-    _write_ndjson(records, STATS_FIELDS + (VERBOSE_FIELDS if verbose else ()), attrgetter, sink)
+def _stats_rows(records: Sequence[OutputRecord], verbose: bool, in_csv: bool):
+    """Each record's cells: its region's, formatted once per region, then its own."""
+    one_per_region = {region_of(r): r for r in records}
+    region_cells = dict(zip(one_per_region, zip(
+        *_columns(one_per_region.values(), REGION_FIELDS, attrgetter, in_csv))))
+    own = _columns(records, DAY_FIELDS + (VERBOSE_FIELDS if verbose else ()), attrgetter, in_csv)
+    return map(add, map(region_cells.__getitem__, map(region_of, records)), zip(*own))
 
 
-def write_compare(rows: Iterable[dict], sink: IO[str]) -> None:
-    _write_ndjson(rows, COMPARE_FIELDS, itemgetter, sink)
+def _write_ndjson(rows: Iterable[Sequence[str]], fields: Fields, sink: IO[str]) -> None:
+    """One JSON object per row of cells, LF-terminated, keys in table order."""
+    line = "{{" + ",".join(f'"{name}":{{}}' for name, _ in fields) + "}}\n"
+    sink.writelines(starmap(line.format, rows))
 
 
-def write_csv(records: Iterable[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
-    """Header plus one row per record, RFC-4180 quoting, LF line endings."""
+def write_ndjson(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
     fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
+    _write_ndjson(_stats_rows(records, verbose, in_csv=False), fields, sink)
+
+
+def write_compare(rows: Sequence[dict], sink: IO[str]) -> None:
+    _write_ndjson(zip(*_columns(rows, COMPARE_FIELDS, itemgetter, False)), COMPARE_FIELDS, sink)
+
+
+def write_csv(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
+    """Header plus one row per record, RFC-4180 quoting, LF line endings."""
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(name for name, _ in fields)
-    for values in map(attrgetter(*(name for name, _ in fields)), records):
-        writer.writerow([kind.cell(v, True) for (_, kind), v in zip(fields, values)])
+    writer.writerow(name for name, _ in STATS_FIELDS + (VERBOSE_FIELDS if verbose else ()))
+    writer.writerows(_stats_rows(records, verbose, in_csv=True))
 
 
 def _parse_record(cells: dict, where: str, in_csv: bool) -> OutputRecord:

@@ -91,8 +91,9 @@ class PipelineConfig:
             raise ConfigError(f"accuracy_max_m must be positive, got {self.accuracy_max_m}")
         if self.min_reports < 1:
             raise ConfigError(f"min_reports must be >= 1, got {self.min_reports}")
-        if not self.min_span_hours >= 0:
-            raise ConfigError(f"min_span_hours must be >= 0, got {self.min_span_hours}")
+        # a device's local day is one 86,400 s window, so no day spans 24 h
+        if not 0 <= self.min_span_hours < 24:
+            raise ConfigError(f"min_span_hours must be in [0, 24), got {self.min_span_hours}")
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
         aggregate.check_baseline_window(self.baseline_start, self.baseline_end)

@@ -601,10 +601,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "region R8" in err
 
-    @pytest.mark.parametrize("key", ["accuracy_max_m", "min_span_hours"])
+    # no local day spans 24 h, so a min_span_hours of 24 or more would reject every day
+    @pytest.mark.parametrize("key, value", [
+        ("accuracy_max_m", "nan"), ("min_span_hours", "nan"),
+        ("min_span_hours", "24"), ("min_span_hours", "inf"),
+    ], ids=["accuracy_max_m", "min_span_hours", "min_span_hours_24", "min_span_hours_inf"])
     @pytest.mark.parametrize("source", ["flag", "config_file"])
     def test_nan_value_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
-                                                       monkeypatch, key, source):
+                                                       monkeypatch, key, value, source):
         def no_read(*args):
             raise AssertionError("a shard was read")
 
@@ -612,14 +616,15 @@ class TestCli:
         args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
                 "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
         if source == "flag":
-            args += ["--" + key.replace("_", "-"), "nan"]
+            args += ["--" + key.replace("_", "-"), value]
         else:
             cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text('{"%s": NaN}' % key)
+            json_value = {"nan": "NaN", "inf": "Infinity"}.get(value, value)
+            cfg_file.write_text('{"%s": %s}' % (key, json_value))
             args += ["--config", str(cfg_file)]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config:") and key in err and "nan" in err
+        assert err.startswith("error: config:") and key in err and value in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config_file"])
@@ -794,17 +799,32 @@ class TestCli:
         assert err.startswith("error: data:")
         assert "b.ndjson" in err
 
+    @staticmethod
+    def fresh_python(code, env):
+        """Standard output of `code` run by a new interpreter that imports this mobstats."""
+        import mobstats
+        env = {**env, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stdout.strip()
+
     def test_cli_import_leaves_multiprocessing_out(self):
         # the fork pool is imported only by a run that uses it, the generator
         # and the oracle only by generate
-        import mobstats
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, mobstats.cli; print(sorted(m for m in sys.modules if m in "
                 "('mobstats.synth', 'mobstats.oracle') or 'multiprocessing' in m))")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert self.fresh_python(code, os.environ) == "[]"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_import_starts_no_blas_thread(self):
+        # mobstats makes no BLAS call; OpenBLAS would start one worker per core
+        # as numpy loads. A value the caller set is left as it is.
+        code = ("import os, mobstats; "
+                "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert self.fresh_python(code, env) == "1 1"
+        assert self.fresh_python(code, {**env, "OPENBLAS_NUM_THREADS": "2"}).split()[1] == "2"
 
     def test_package_root_exports_resolve(self):
         # a name left in __all__ after its definition goes breaks the star import
