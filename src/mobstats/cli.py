@@ -159,6 +159,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     end = _parse_date(args.end_date)
     if start > end:
         raise ConfigError(f"date range is empty: {start} > {end}")
+    if args.devices < 1:
+        raise ConfigError(f"devices must be >= 1, got {args.devices}")
     if args.shards < 1:
         raise ConfigError(f"shards must be >= 1, got {args.shards}")
     if not 1 <= args.reports_min <= args.reports_max:
@@ -167,9 +169,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
         if not 0.0 <= getattr(args, name) <= 1.0:
             raise ConfigError(f"{name} must be in [0, 1], got {getattr(args, name)}")
-    for name in ("base_mobility_km", "scale"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(args, name)}")
+    if not 0.0 < args.base_mobility_km < math.inf:
+        raise ConfigError(f"base_mobility_km must be finite and > 0, got {args.base_mobility_km}")
+    if not 0.0 <= args.scale < math.inf:
+        raise ConfigError(f"scale must be finite and >= 0, got {args.scale}")
     scale_start = _parse_date(args.scale_start)
     overrides = {}
     if args.scale != 1.0:

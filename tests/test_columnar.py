@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapters import shard_rows
@@ -74,11 +74,33 @@ def counts(stats: IngestStats) -> tuple:
             stats.reports_rejected_accuracy)
 
 
+# an independent statement of the grammar the bulk path accepts
+_NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+CANONICAL = re.compile(rf"[ -+\--~]+,\d{{1,18}},{_NUMBER},{_NUMBER},{_NUMBER}", re.ASCII)
+
 # near-misses of the canonical grammar, field by field; parse_fields decides them
 NEAR_MISS_NUMBERS = ["+1", "1_0", " 1.5", "1.5 ", "1e999", "-1e999", "nan", "inf", "-0.0",
                      "180", "180.0", "-180", "90.0000001", "-90", "", "0x10", "1e", ".", "-",
                      "\u0661\u0662", "1,5", "50.0", "50.1", "0", "-0", "00012", "4e1", "1."]
 NEAR_MISS_IDS = ["", " ", "d\x00", "d\x85", "d ", "caf\u00e9", "a b", "+1", "\t"]
+
+# a canonical line with one field swapped for each near-miss of its kind
+_CANONICAL_FIELDS = ["d1", "1584316800", "1.5", "-2.5", "3e1"]
+NEAR_MISS_LINES = [
+    ",".join(_CANONICAL_FIELDS[:j] + [value] + _CANONICAL_FIELDS[j + 1:])
+    for j, values in ((0, NEAR_MISS_IDS), *((k, NEAR_MISS_NUMBERS) for k in (2, 3, 4)))
+    for value in values
+]
+
+
+def examples(values):
+    """One hypothesis @example per value, run before any drawn input."""
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return apply
+
 
 ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters=","),
               min_size=1, max_size=8)
@@ -144,6 +166,13 @@ class TestReaderParity:
         assert got_rows == want_rows
         # == cannot tell -0.0 from 0.0; repr can
         assert [tuple(map(repr, r)) for r in got_rows] == [tuple(map(repr, r)) for r in want_rows]
+
+    @settings(max_examples=300)
+    @given(text_lines)
+    @examples(NEAR_MISS_LINES)
+    def test_canonical_grammar_is_the_independent_statement(self, line):
+        assert ((ingest._CANONICAL.fullmatch(line.encode("utf-8")) is None)
+                == (CANONICAL.fullmatch(line) is None))
 
     def test_range_boundaries_match_parse_fields(self, tmp_path):
         numbers = ["90", "90.0", "-90", "-90.0", "90.0000001", "-90.0000001", "180", "180.0",
@@ -350,9 +379,6 @@ class TestGatherKernel:
         assert Counter(records) == Counter(want_records)
 
     def test_parse_fields_runs_only_on_non_canonical_lines(self, scenario, tmp_path):
-        # an independent statement of the grammar the bulk path accepts
-        number = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
-        canonical = re.compile(rf"[ -+\--~]+,\d{{1,18}},{number},{number},{number}", re.ASCII)
         lines = non_canonical = 0
         for path in scenario["shard_paths"]:
             with open(path, encoding="utf-8", newline="") as fh:
@@ -360,7 +386,7 @@ class TestGatherKernel:
                     if i == 0 and _header_like(line):
                         continue
                     lines += 1
-                    non_canonical += canonical.fullmatch(line.rstrip("\r\n")) is None
+                    non_canonical += CANONICAL.fullmatch(line.rstrip("\r\n")) is None
 
         calls = []
         with mock.patch.object(ingest, "parse_fields",

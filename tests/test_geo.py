@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -187,10 +188,18 @@ class TestConvexHull:
         # Hull coords may be unwrapped past 180, and folding back costs a
         # few ulps at magnitude 180: enough to escape a sliver-thin hull,
         # which would break the premise that the point is inside. Keep only
-        # candidates the fold represents exactly and that really are inside
-        # (boundary included; boundary points never become vertices).
+        # candidates the fold represents exactly and that are well inside.
+        # On a sliver the centroid can sit closer to an edge than the hull's
+        # float cross products resolve (about 1e-12 at magnitude 150), where
+        # either answer is right; so keep only centroids whose exact cross
+        # product clears every edge by far more than that rounding.
         assume(((cx + 180.0) % 360.0) - 180.0 == cx)
-        assume(oracle.winding_number_contains(list(hull) + [hull[0]], cx, cy))
+        ring = [(Fraction(x), Fraction(y)) for x, y in hull]
+        c = (Fraction(cx), Fraction(cy))
+        m = max(abs(v) for p in hull for v in p)
+        margin = Fraction(2.0 ** -40) * Fraction(m) ** 2
+        assume(all((a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0]) > margin
+                   for o, a in zip(ring, ring[1:] + ring[:1])))
         augmented = list(pts) + [GeoPoint(cy, cx)]
         assert set(convex_hull(augmented)) == set(hull)
 

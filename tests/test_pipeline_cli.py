@@ -743,6 +743,8 @@ class TestCli:
         ["--reports-min", "30", "--reports-max", "10"], ["--malformed-fraction", "2"],
         ["--accuracy-reject-fraction", "-0.1"], ["--ineligible-fraction", "nan"],
         ["--base-mobility-km", "nan"], ["--scale", "inf"],
+        ["--devices", "-2"], ["--devices", "0"], ["--base-mobility-km", "0"],
+        ["--base-mobility-km", "-1"], ["--scale", "-0.5"],
     ])
     def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "gen"

@@ -1,4 +1,5 @@
 import datetime as dt
+import gzip
 import hashlib
 import json
 import random
@@ -68,6 +69,18 @@ class TestDeterminism:
                               for r in shard_rows(read_shard_columns(p, 50.0, IngestStats()))]
         assert read(plain["shard_paths"]) == read(packed["shard_paths"])
         assert all(p.endswith(".csv.gz") for p in packed["shard_paths"])
+
+    def test_gzip_shards_inflate_to_plain_bytes(self, tmp_path):
+        # the container is the only difference: header, malformed and
+        # rejected lines all come back byte for byte
+        spec = dict(malformed_fraction=0.2, accuracy_reject_fraction=0.2)
+        plain = generate(small_spec(**spec), str(tmp_path / "plain"))
+        packed = generate(small_spec(gzip_shards=True, **spec), str(tmp_path / "gz"))
+        assert plain["lines_malformed"] > 0 and plain["reports_rejected_accuracy"] > 0
+        for txt, gz in zip(plain["shard_paths"], packed["shard_paths"], strict=True):
+            data = Path(gz).read_bytes()
+            assert gzip.decompress(data) == Path(txt).read_bytes()
+            assert data[8] == 4  # gzip XFL byte: written at the fastest level
 
     def test_gzip_bytes_reproducible(self, tmp_path):
         # mtime is pinned, so even the compressed container is byte-stable
