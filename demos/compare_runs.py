@@ -13,7 +13,7 @@ import os
 import tempfile
 
 from mobstats.pipeline import PipelineConfig, run
-from mobstats.synth import generate, lockdown_spec
+from mobstats.synth import ScenarioSpec, generate
 
 tmp = tempfile.mkdtemp(prefix="compare-demo-")
 out_dir = os.path.join(tmp, "out")
@@ -22,7 +22,7 @@ out_dir = os.path.join(tmp, "out")
 globs = []
 for name, scale in (("a", 0.60), ("b", 0.30)):
     data_dir = os.path.join(tmp, f"data-{name}")
-    info = generate(lockdown_spec(seed=21, devices=30, post_scale=scale), data_dir)
+    info = generate(ScenarioSpec(seed=21, devices=30, scale=scale), data_dir)
     globs.append(os.path.join(data_dir, "shards", "*.csv"))
     gazetteer = info["gazetteer_path"]
 

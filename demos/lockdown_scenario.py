@@ -13,14 +13,14 @@ import tempfile
 
 from mobstats.output import read_ndjson
 from mobstats.pipeline import PipelineConfig, run
-from mobstats.synth import generate, lockdown_spec
+from mobstats.synth import ScenarioSpec, generate
 
 tmp = tempfile.mkdtemp(prefix="lockdown-demo-")
 data_dir = os.path.join(tmp, "data")
 out_dir = os.path.join(tmp, "out")
 
 # 40 devices, normal mobility through 2020-03-08, 30% from 2020-03-09.
-spec = lockdown_spec(seed=7, devices=40, post_scale=0.30)
+spec = ScenarioSpec(seed=7, devices=40, scale=0.30)
 info = generate(spec, data_dir)
 print(f"wrote {info['lines_read']} report lines in {spec.shards} shards")
 

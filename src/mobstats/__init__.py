@@ -14,7 +14,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .aggregate import apply_index, compute_baseline, reduce_region_day
 from .errors import ConfigError, DataError
-from .geo import GeoPoint, convex_hull, haversine_km, solar_tz_offset_hours
+from .geo import GeoPoint, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, parse_fields
 from .metrics import MobilityMetrics, compute_metrics
@@ -35,8 +35,6 @@ __all__ = [
     "compare_stats",
     "compute_baseline",
     "compute_metrics",
-    "convex_hull",
-    "haversine_km",
     "load_gazetteer",
     "parse_fields",
     "reduce_region_day",

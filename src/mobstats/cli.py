@@ -14,6 +14,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+import os
 import sys
 
 from .errors import ConfigError, DataError
@@ -155,6 +156,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     bad = [s for s in styles if s not in STYLES]
     if bad:
         raise ConfigError(f"unknown styles {bad}; choose from {STYLES}")
+    if not styles:
+        raise ConfigError(f"no styles given; choose from {STYLES}")
     start = _parse_date(args.start_date)
     end = _parse_date(args.end_date)
     if start > end:
@@ -173,20 +176,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ConfigError(f"base_mobility_km must be finite and > 0, got {args.base_mobility_km}")
     if not 0.0 <= args.scale < math.inf:
         raise ConfigError(f"scale must be finite and >= 0, got {args.scale}")
-    scale_start = _parse_date(args.scale_start)
-    overrides = {}
-    if args.scale != 1.0:
-        d = max(scale_start, start)
-        while d <= end:
-            overrides[d] = args.scale
-            d += dt.timedelta(days=1)
     spec = ScenarioSpec(
         seed=args.seed,
         devices=args.devices,
         start_date=start,
         end_date=end,
         base_mobility_km=args.base_mobility_km,
-        scale_overrides=overrides,
+        scale=args.scale,
+        scale_start=_parse_date(args.scale_start),
         styles=styles,
         reports_min=args.reports_min,
         reports_max=args.reports_max,
@@ -221,15 +218,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_config_dump()
+            code = _cmd_run(args)
+        elif args.command == "generate":
+            code = _cmd_generate(args)
+        elif args.command == "compare":
+            code = _cmd_compare(args)
+        else:
+            code = _cmd_config_dump()
+        sys.stdout.flush()
+        return code
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader stopped reading; every file was complete before stdout was
+        # written. Point fd 1 at devnull so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 2

@@ -43,16 +43,6 @@ class GeoPoint:
             object.__setattr__(self, "lon", -180.0)
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometers."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
-
-
 def haversine_km_arr(lat0, lon0, lats: np.ndarray, lons: np.ndarray, cos_lat0=None) -> np.ndarray:
     """Vectorized haversine: distances from anchors to many points, in km.
 
@@ -88,34 +78,8 @@ def unwrap_lonlat(lonlat: Sequence[tuple[float, float]]) -> list[tuple[float, fl
     return list(lonlat)
 
 
-def planar_lonlat(points: Sequence[GeoPoint]) -> list[tuple[float, float]]:
-    """Project points to planar (lon, lat) tuples, unwrapping the antimeridian."""
-    return unwrap_lonlat([(p.lon, p.lat) for p in points])
-
-
-def bounding_box_area(points: Sequence[GeoPoint]) -> float:
-    """Area of the axis-aligned bounding box in square degrees."""
-    if not points:
-        raise ValueError("no points")
-    xy = planar_lonlat(points)
-    xs = [x for x, _ in xy]
-    ys = [y for _, y in xy]
-    return (max(xs) - min(xs)) * (max(ys) - min(ys))
-
-
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points: Sequence[GeoPoint]) -> list[tuple[float, float]]:
-    """Convex hull of the point set, treated as planar (lon, lat) coordinates.
-
-    Vertices are in the antimeridian-unwrapped frame (see planar_lonlat),
-    ready for polygon_area.
-    """
-    if not points:
-        raise ValueError("no points")
-    return convex_hull_xy(planar_lonlat(points))
 
 
 def convex_hull_xy(lonlat: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle
 
@@ -251,8 +251,8 @@ class ScenarioSpec:
     start_date: dt.date = dt.date(2020, 2, 17)
     end_date: dt.date = dt.date(2020, 3, 13)
     base_mobility_km: float = 5.2
-    scale_default: float = 1.0
-    scale_overrides: dict[dt.date, float] = field(default_factory=dict)
+    scale: float = 1.0
+    scale_start: dt.date = dt.date(2020, 3, 9)
     styles: tuple[str, ...] = ("planned",)
     reports_min: int = 12
     reports_max: int = 24
@@ -263,7 +263,8 @@ class ScenarioSpec:
     gzip_shards: bool = False
 
     def scale_for(self, date: dt.date) -> float:
-        return self.scale_overrides.get(date, self.scale_default)
+        """Mobility scale on date: 1.0 before scale_start, scale from it on."""
+        return self.scale if date >= self.scale_start else 1.0
 
     def dates(self) -> list[dt.date]:
         out = []
@@ -272,29 +273,6 @@ class ScenarioSpec:
             out.append(d)
             d += dt.timedelta(days=1)
         return out
-
-
-def lockdown_spec(
-    seed: int,
-    devices: int,
-    post_scale: float,
-    post_start: dt.date = dt.date(2020, 3, 9),
-    post_end: dt.date = dt.date(2020, 3, 13),
-    **kwargs,
-) -> ScenarioSpec:
-    """Baseline-window mobility at scale 1.0, then post_scale afterwards."""
-    overrides = {}
-    d = post_start
-    while d <= post_end:
-        overrides[d] = post_scale
-        d += dt.timedelta(days=1)
-    return ScenarioSpec(
-        seed=seed,
-        devices=devices,
-        end_date=post_end,
-        scale_overrides=overrides,
-        **kwargs,
-    )
 
 
 def _device_home(rng: random.Random, style: str) -> tuple[float, float]:

@@ -18,11 +18,11 @@ import pytest
 from adapters import contains, device_days, verdicts
 from mobstats import oracle
 from mobstats.cli import main
-from mobstats.geo import GeoPoint, convex_hull
+from mobstats.geo import convex_hull_xy, unwrap_lonlat
 from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
 from mobstats.output import read_csv, read_ndjson
 from mobstats.pipeline import PipelineConfig, run
-from mobstats.synth import ELIGIBLE_STYLES, STYLES, ScenarioSpec, generate, lockdown_spec, random_day_rows
+from mobstats.synth import ELIGIBLE_STYLES, STYLES, ScenarioSpec, generate, random_day_rows
 
 TOL_REL = 1e-9
 TOL_ABS = 1e-12
@@ -127,7 +127,7 @@ class TestGates:
         for scale in (0.006, 0.30):
             data = tmp_path / f"data-{scale}"
             out = tmp_path / f"out-{scale}"
-            spec = lockdown_spec(seed=90, devices=48, post_scale=scale, shards=2)
+            spec = ScenarioSpec(seed=90, devices=48, scale=scale, shards=2)
             gen = generate(spec, str(data))
             run(PipelineConfig(inputs=[str(data / "shards" / "*.csv")],
                                gazetteer=gen["gazetteer_path"],
@@ -204,9 +204,10 @@ class TestGates:
         rng = random.Random(777)
         hulls = 0
         for _ in range(300):
-            pts = [GeoPoint(rng.uniform(-60, 60), rng.uniform(-170, 170))
+            # (lat, lon) draws as (lon, lat) points; a set can span more than 180° of longitude
+            pts = [(rng.uniform(-60, 60), rng.uniform(-170, 170))[::-1]
                    for _ in range(rng.randint(3, 40))]
-            hull = convex_hull(pts)
+            hull = convex_hull_xy(unwrap_lonlat(pts))
             n = len(hull)
             if n < 3:
                 continue
@@ -219,9 +220,9 @@ class TestGates:
 
         cases = 0
         while cases < 10_000:
-            cloud = [GeoPoint(rng.uniform(-40, 40), rng.uniform(-40, 40))
+            cloud = [(rng.uniform(-40, 40), rng.uniform(-40, 40))[::-1]
                      for _ in range(rng.randint(4, 25))]
-            hull = convex_hull(cloud)
+            hull = convex_hull_xy(cloud)
             if len(hull) < 3:
                 continue
             ring = list(hull) + [hull[0]]

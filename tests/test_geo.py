@@ -6,17 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from mobstats import oracle
 from mobstats.geo import (
     GeoPoint,
     area_to_linear_km,
-    bounding_box_area,
-    convex_hull,
-    haversine_km,
+    convex_hull_xy,
     haversine_km_arr,
     polygon_area,
     solar_tz_offset_hours,
+    unwrap_lonlat,
 )
+from mobstats.metrics import day_box_and_hull
 
 # analytic meridian arc: pi * 6371.0088 / 180
 ONE_DEGREE_MERIDIAN_KM = 111.1950802335329
@@ -25,9 +27,8 @@ lat_st = st.floats(min_value=-85.0, max_value=85.0)
 lon_st = st.floats(min_value=-179.0, max_value=179.0)
 
 
-def geopoints(n):
-    return st.lists(st.builds(GeoPoint, lat_st, lon_st), min_size=n, max_size=40)
-
+def lonlats(n):
+    return st.lists(st.tuples(lon_st, lat_st), min_size=n, max_size=40)
 
 class TestGeoPoint:
     def test_valid(self):
@@ -46,42 +47,50 @@ class TestGeoPoint:
 
 class TestHaversine:
     def test_identity(self):
-        assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
+        assert haversine_km_arr(0.0, 0.0, np.zeros(1), np.zeros(1)).tolist() == [0.0]
 
     def test_one_degree_meridian(self):
-        d = haversine_km(GeoPoint(0, 0), GeoPoint(1, 0))
+        d = haversine_km_arr(0.0, 0.0, np.array([1.0]), np.zeros(1))[0]
         assert d == pytest.approx(ONE_DEGREE_MERIDIAN_KM, abs=1e-9)
         assert d == pytest.approx(111.195, abs=1e-3)
 
     def test_against_independent_formulation(self):
-        d = haversine_km(GeoPoint(10, 20), GeoPoint(10.5, 20.5))
+        d = haversine_km_arr(10.0, 20.0, np.array([10.5]), np.array([20.5]))[0]
         assert d == pytest.approx(oracle.haversine_km(10, 20, 10.5, 20.5), rel=1e-9)
 
     @given(lat_st, lon_st, lat_st, lon_st)
     def test_symmetric_and_matches_oracle(self, lat1, lon1, lat2, lon2):
-        a, b = GeoPoint(lat1, lon1), GeoPoint(lat2, lon2)
-        d = haversine_km(a, b)
+        d = haversine_km_arr(lat1, lon1, np.array([lat2]), np.array([lon2]))[0]
+        back = haversine_km_arr(lat2, lon2, np.array([lat1]), np.array([lon1]))[0]
         assert d >= 0.0
-        assert d == haversine_km(b, a)
+        # exact where np.cos and math.cos agree; how far they may differ is libm's call
+        assert d == pytest.approx(back, rel=1e-15, abs=0.0)
         assert d == pytest.approx(oracle.haversine_km(lat1, lon1, lat2, lon2),
                                   rel=1e-9, abs=1e-9)
 
     @given(st.lists(st.tuples(lat_st, lon_st), min_size=3, max_size=3))
     def test_triangle_inequality(self, tri):
-        a, b, c = (GeoPoint(*t) for t in tri)
-        assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-9
+        (lat_a, lon_a), (lat_b, lon_b), (lat_c, lon_c) = tri
+        ab, ac = haversine_km_arr(lat_a, lon_a, np.array([lat_b, lat_c]), np.array([lon_b, lon_c]))
+        bc = haversine_km_arr(lat_b, lon_b, np.array([lat_c]), np.array([lon_c]))[0]
+        assert ac <= ab + bc + 1e-9
 
-    def test_vectorized_matches_scalar(self):
-        import numpy as np
-
-        rng = random.Random(7)
-        lat0, lon0 = 12.5, -33.25
-        lats = np.array([rng.uniform(-80, 80) for _ in range(50)])
-        lons = np.array([rng.uniform(-179, 179) for _ in range(50)])
-        vec = haversine_km_arr(lat0, lon0, lats, lons)
-        for i in range(50):
-            scalar = haversine_km(GeoPoint(lat0, lon0), GeoPoint(lats[i], lons[i]))
-            assert vec[i] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+    @given(st.lists(st.tuples(lat_st, lon_st, st.lists(st.tuples(lat_st, lon_st), min_size=1,
+                                                       max_size=8)),
+                    min_size=1, max_size=8))
+    def test_per_point_anchors_match_scalar_anchor(self, days):
+        # day_max_distances passes one anchor per point with its cos_lat0; each
+        # distance must equal the one from that anchor alone, bit for bit
+        counts = [len(pts) for _, _, pts in days]
+        lat0 = np.repeat([a for a, _, _ in days], counts)
+        lon0 = np.repeat([b for _, b, _ in days], counts)
+        cos_lat0 = np.repeat([math.cos(math.radians(a)) for a, _, _ in days], counts)
+        lat, lon = (np.array([p[j] for _, _, pts in days for p in pts]) for j in (0, 1))
+        per_point = haversine_km_arr(lat0, lon0, lat, lon, cos_lat0)
+        scalar = np.concatenate([
+            haversine_km_arr(a, b, np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+            for a, b, pts in days])
+        assert per_point.tobytes() == scalar.tobytes()
 
 
 class TestSolarOffset:
@@ -106,55 +115,50 @@ class TestSolarOffset:
 
 
 class TestBoundingBox:
+    # the box area a device-day gets: a_bb of day_box_and_hull on (epoch, lat, lon, acc) rows
     def test_single_point(self):
-        assert bounding_box_area([GeoPoint(3, 4)]) == 0.0
+        assert day_box_and_hull([(0, 3.0, 4.0, 0.0)])[2] == 0.0
 
     def test_small_box(self):
-        pts = [GeoPoint(0, 0), GeoPoint(0.01, 0.01)]
-        assert bounding_box_area(pts) == pytest.approx(0.0001, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no points"):
-            bounding_box_area([])
+        rows = [(0, 0.0, 0.0, 0.0), (0, 0.01, 0.01, 0.0)]
+        assert day_box_and_hull(rows)[2] == pytest.approx(0.0001, rel=1e-12)
 
     def test_random_points_with_forced_corners(self):
         # generator pins the box corners, so the area is known exactly
         rng = random.Random(42)
         lat0, lat1, lon0, lon1 = 10.0, 12.5, 20.0, 21.25
-        pts = [GeoPoint(lat0, lon0), GeoPoint(lat1, lon1)]
-        pts += [GeoPoint(rng.uniform(lat0, lat1), rng.uniform(lon0, lon1)) for _ in range(48)]
+        rows = [(0, lat0, lon0, 0.0), (0, lat1, lon1, 0.0)]
+        rows += [(0, rng.uniform(lat0, lat1), rng.uniform(lon0, lon1), 0.0) for _ in range(48)]
         expected = (lat1 - lat0) * (lon1 - lon0)
-        assert bounding_box_area(pts) == pytest.approx(expected, rel=1e-12)
+        assert day_box_and_hull(rows)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_antimeridian_unwrap(self):
-        pts = [GeoPoint(0, 179.9), GeoPoint(0.1, -179.9)]
-        assert bounding_box_area(pts) == pytest.approx(0.2 * 0.1, rel=1e-9)
+        rows = [(0, 0.0, 179.9, 0.0), (0, 0.1, -179.9, 0.0)]
+        assert day_box_and_hull(rows)[2] == pytest.approx(0.2 * 0.1, rel=1e-9)
 
 
 class TestConvexHull:
     def test_interior_point_excluded(self):
-        pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 0), GeoPoint(1, 1),
-               GeoPoint(0.5, 0.5)]
-        hull = convex_hull(pts)
+        pts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)]
+        hull = convex_hull_xy(pts)
         assert set(hull) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_collinear_endpoints_only(self):
-        pts = [GeoPoint(0, 0), GeoPoint(1, 1), GeoPoint(2, 2)]
-        assert set(convex_hull(pts)) == {(0, 0), (2, 2)}
+        pts = [(0, 0), (1, 1), (2, 2)]
+        assert set(convex_hull_xy(pts)) == {(0, 0), (2, 2)}
 
     def test_duplicates_ignored(self):
-        pts = [GeoPoint(0, 0)] * 3 + [GeoPoint(1, 1)] * 2
-        assert set(convex_hull(pts)) == {(0, 0), (1, 1)}
+        pts = [(0, 0)] * 3 + [(1, 1)] * 2
+        assert set(convex_hull_xy(pts)) == {(0, 0), (1, 1)}
 
     def test_single_point(self):
-        assert convex_hull([GeoPoint(5, 6)]) == [(6, 5)]
+        assert convex_hull_xy([(6, 5)]) == [(6, 5)]
 
     def test_matches_brute_force_on_random_points(self):
         rng = random.Random(1234)
-        pts = [GeoPoint(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(200)]
-        hull = convex_hull(pts)
-        brute = oracle.brute_hull_vertices([(p.lon, p.lat) for p in pts])
-        assert set(hull) == brute
+        # (lat, lon) draws, as (lon, lat) points
+        pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5))[::-1] for _ in range(200)]
+        assert set(convex_hull_xy(pts)) == oracle.brute_hull_vertices(pts)
 
     def test_brute_force_keeps_the_extremes_of_a_near_collinear_set(self):
         # points (t, a * t) rounded to floats: no vertex set is exact there, but the
@@ -168,8 +172,8 @@ class TestConvexHull:
     def test_ccw_and_convex(self):
         rng = random.Random(99)
         for _ in range(25):
-            pts = [GeoPoint(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(30)]
-            hull = convex_hull(pts)
+            pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3))[::-1] for _ in range(30)]
+            hull = convex_hull_xy(pts)
             n = len(hull)
             assert n >= 3
             for i in range(n):
@@ -177,10 +181,10 @@ class TestConvexHull:
                 cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
                 assert cross > 0.0  # strictly convex, counterclockwise
 
-    @given(geopoints(3))
+    @given(lonlats(3))
     @settings(max_examples=60)
     def test_interior_point_does_not_change_hull(self, pts):
-        hull = convex_hull(pts)
+        hull = convex_hull_xy(unwrap_lonlat(pts))
         if len(hull) < 3:
             return
         cx = sum(x for x, _ in hull) / len(hull)
@@ -200,14 +204,15 @@ class TestConvexHull:
         margin = Fraction(2.0 ** -40) * Fraction(m) ** 2
         assume(all((a[0] - o[0]) * (c[1] - o[1]) - (a[1] - o[1]) * (c[0] - o[0]) > margin
                    for o, a in zip(ring, ring[1:] + ring[:1])))
-        augmented = list(pts) + [GeoPoint(cy, cx)]
-        assert set(convex_hull(augmented)) == set(hull)
+        augmented = list(pts) + [(cx, cy)]
+        assert set(convex_hull_xy(unwrap_lonlat(augmented))) == set(hull)
 
-    @given(geopoints(1))
+    @given(lonlats(1))
     @settings(max_examples=60)
     def test_hull_area_at_most_box_area(self, pts):
-        a_ch = polygon_area(convex_hull(pts))
-        a_bb = bounding_box_area(pts)
+        # day_box_and_hull caps its a_ch at a_bb, so the uncapped hull area is compared
+        a_ch = polygon_area(convex_hull_xy(unwrap_lonlat(pts)))
+        a_bb = day_box_and_hull([(0, lat, lon, 0.0) for lon, lat in pts])[2]
         assert a_ch <= a_bb * (1 + 1e-12) + 1e-15
 
 
@@ -222,8 +227,8 @@ class TestPolygonArea:
     def test_matches_fan_triangulation(self):
         rng = random.Random(5)
         for _ in range(50):
-            pts = [GeoPoint(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(25)]
-            hull = convex_hull(pts)
+            pts = [(rng.uniform(-4, 4), rng.uniform(-4, 4))[::-1] for _ in range(25)]
+            hull = convex_hull_xy(pts)
             if len(hull) < 3:
                 continue
             assert polygon_area(hull) == pytest.approx(oracle.fan_area(hull), rel=1e-12)

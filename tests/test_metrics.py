@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from adapters import device_days, verdicts
 from mobstats import oracle
-from mobstats.geo import GeoPoint, haversine_km
+from mobstats.geo import GeoPoint
 from mobstats.metrics import (
     DEFAULT_TRIM_FRACTION,
     REASON_SHORT_SPAN,
@@ -106,7 +106,7 @@ class TestTrimmedMax:
     def test_floor_rule_at_19_points(self):
         # k = floor(1.9) = 1: exactly the single farthest point is dropped
         rows = [(T0 + i * 1800, 0.001 * i, 0.0, 5.0) for i in range(19)]
-        second_farthest = haversine_km(GeoPoint(0, 0), GeoPoint(0.001 * 17, 0.0))
+        second_farthest = oracle.haversine_km(0.0, 0.0, 0.001 * 17, 0.0)
         assert m_max(rows) == pytest.approx(second_farthest, rel=1e-12)
 
     def test_k_zero_returns_plain_max(self):
@@ -249,9 +249,8 @@ class TestCanonicalPosition:
         rows = [(T0, 0.0, 0.0, 5.0)] + [(T0 + i * 3600, 0.01, 0.01, 5.0)
                                         for i in range(1, 12)]
         anchor = first_report(rows)
-        far = GeoPoint(0.01, 0.01)
         assert m_max(rows, 0.0) == pytest.approx(
-            haversine_km(anchor, far), rel=1e-12)
+            oracle.haversine_km(anchor.lat, anchor.lon, 0.01, 0.01), rel=1e-12)
 
 
 class TestComputeMetrics:

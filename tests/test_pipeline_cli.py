@@ -20,8 +20,7 @@ from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, read_shard_columns
 from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
-from mobstats.synth import (ELIGIBLE_STYLES, ScenarioSpec, generate, lockdown_spec,
-                            write_toy_gazetteer)
+from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +396,7 @@ class TestRun:
 
 class TestLockdownScenario:
     def test_index_tracks_scale(self, tmp_path):
-        spec = lockdown_spec(seed=5, devices=12, post_scale=0.3, shards=2)
+        spec = ScenarioSpec(seed=5, devices=12, scale=0.3, shards=2)
         result = generate(spec, str(tmp_path / "data"))
         out = tmp_path / "out"
         run(PipelineConfig(inputs=[str(tmp_path / "data" / "shards" / "*.csv")],
@@ -738,6 +737,34 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: config:") and str(cfg_file) in proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "generate", "compare", "config-dump"])
+    def test_closed_stdout_exit_0(self, scenario, tmp_path, command):
+        # every file is written before stdout is; a reader that stopped reading is no failure
+        from mobstats.output import OutputRecord
+        stats = str(tmp_path / "stats.ndjson")
+        with open(stats, "w", newline="\n") as fh:
+            write_ndjson([OutputRecord("AA", "admin1", "W", "", "W", "2020-03-02",
+                                       5, 1.0, 100.0)], fh)
+        argv = {
+            "run": ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                    "--gazetteer", scenario["gazetteer_path"],
+                    "--output-dir", str(tmp_path / "out"), "--workers", "1"],
+            "generate": ["generate", "--out-dir", str(tmp_path / "gen"), "--devices", "2"],
+            "compare": ["compare", stats, stats],
+            "config-dump": ["config-dump"],
+        }[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mobstats.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     @pytest.mark.parametrize("args", [
         ["--shards", "0"], ["--shards", "-1"], ["--reports-min", "0"],
         ["--reports-min", "30", "--reports-max", "10"], ["--malformed-fraction", "2"],
@@ -745,6 +772,7 @@ class TestCli:
         ["--base-mobility-km", "nan"], ["--scale", "inf"],
         ["--devices", "-2"], ["--devices", "0"], ["--base-mobility-km", "0"],
         ["--base-mobility-km", "-1"], ["--scale", "-0.5"],
+        ["--styles", ""], ["--styles", ","],
     ])
     def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "gen"

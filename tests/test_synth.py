@@ -9,7 +9,6 @@ import pytest
 
 from adapters import device_days, shard_rows, verdicts
 from mobstats import oracle
-from mobstats.geo import GeoPoint, haversine_km
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
 from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
 from mobstats.synth import (
@@ -21,7 +20,6 @@ from mobstats.synth import (
     day_rows,
     destination,
     generate,
-    lockdown_spec,
     random_day_rows,
 )
 
@@ -254,7 +252,7 @@ class TestDestination:
     def test_distance_round_trip(self):
         for bearing in (0.0, 90.0, 217.3):
             lat, lon = destination(10.0, 20.0, bearing, 7.5)
-            d = haversine_km(GeoPoint(10.0, 20.0), GeoPoint(lat, lon))
+            d = oracle.haversine_km(10.0, 20.0, lat, lon)
             assert d == pytest.approx(7.5, rel=1e-9)
 
     def test_zero_distance(self):
@@ -267,20 +265,18 @@ class TestDestination:
 
 
 class TestScenarioSpec:
-    def test_scale_for(self):
-        spec = ScenarioSpec(scale_overrides={dt.date(2020, 3, 9): 0.3})
-        assert spec.scale_for(dt.date(2020, 3, 9)) == 0.3
-        assert spec.scale_for(dt.date(2020, 3, 8)) == 1.0
-
     def test_dates_inclusive(self):
         spec = small_spec()
         assert spec.dates() == [dt.date(2020, 3, 2) + dt.timedelta(days=i)
                                 for i in range(4)]
 
-    def test_lockdown_spec_windows(self):
-        spec = lockdown_spec(seed=1, devices=10, post_scale=0.3)
-        assert spec.scale_for(dt.date(2020, 3, 6)) == 1.0
-        assert spec.scale_for(dt.date(2020, 3, 9)) == 0.3
-        assert spec.scale_for(dt.date(2020, 3, 13)) == 0.3
-        assert spec.end_date == dt.date(2020, 3, 13)
-        assert spec.start_date == dt.date(2020, 2, 17)
+    def test_scale_for(self):
+        spec = ScenarioSpec(seed=1, devices=10, scale=0.3)
+        assert (spec.start_date, spec.scale_start, spec.end_date) == (
+            dt.date(2020, 2, 17), dt.date(2020, 3, 9), dt.date(2020, 3, 13))
+        assert [spec.scale_for(d) for d in spec.dates()] == [1.0] * 21 + [0.3] * 5
+        assert spec.scale_for(dt.date(2020, 3, 14)) == 0.3
+        early = ScenarioSpec(start_date=dt.date(2020, 3, 2), scale=2.5,
+                             scale_start=dt.date(2020, 1, 1))
+        assert [early.scale_for(d) for d in early.dates()] == [2.5] * 12
+        assert ScenarioSpec().scale_for(dt.date(2020, 3, 10)) == 1.0
