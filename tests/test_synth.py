@@ -270,12 +270,14 @@ class TestScenarioSpec:
         assert spec.dates() == [dt.date(2020, 3, 2) + dt.timedelta(days=i)
                                 for i in range(4)]
 
-    def test_scale_for(self):
+    def test_lockdown_spec_windows(self):
         spec = ScenarioSpec(seed=1, devices=10, scale=0.3)
         assert (spec.start_date, spec.scale_start, spec.end_date) == (
             dt.date(2020, 2, 17), dt.date(2020, 3, 9), dt.date(2020, 3, 13))
         assert [spec.scale_for(d) for d in spec.dates()] == [1.0] * 21 + [0.3] * 5
         assert spec.scale_for(dt.date(2020, 3, 14)) == 0.3
+
+    def test_scale_for(self):
         early = ScenarioSpec(start_date=dt.date(2020, 3, 2), scale=2.5,
                              scale_start=dt.date(2020, 1, 1))
         assert [early.scale_for(d) for d in early.dates()] == [2.5] * 12
