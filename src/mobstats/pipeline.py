@@ -227,12 +227,15 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """Run tasks in order, inline or on a fork pool; results in task order."""
+def map_tasks(fn, tasks: list, workers: int) -> list:
+    """Run tasks in order, inline or on a fork pool; results in task order.
+    Inline where the platform cannot fork (Windows)."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     import multiprocessing  # only here: a one-worker run never pays for the import
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks)
@@ -255,14 +258,14 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
         for s, path in enumerate(shards)
     ]
     sections: dict[int, list[tuple[str, int, int]]] = {}
-    scattered = _map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
+    scattered = map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
     for s, (shard_stats, ranges) in enumerate(scattered):
         stats.merge(shard_stats)
         for b, start, end in ranges:
             sections.setdefault(b, []).append((_spill_path(scratch, s), start, end))
 
     gather_tasks = [(sections[b], cfg) for b in sorted(sections)]
-    gathered = _map_tasks(_gather_bucket, gather_tasks, cfg.workers)
+    gathered = map_tasks(_gather_bucket, gather_tasks, cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     # the empty columns give a dataset with no accepted report its column types
     empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))

@@ -6,7 +6,10 @@ byte-identical regardless of platform or iteration order. The sidecar's
 expected verdicts and metrics come from the independent reference
 implementations, applied with the same collation rules the pipeline uses
 (single per-device solar offset from the chronologically first accepted
-report), so they are comparable end-to-end.
+report), so they are comparable end-to-end. Each shard is written by its
+own task, which may run in a forked worker; the parent only sorts the
+tasks' truth records and sums their counts, so the bytes do not depend
+on the worker count.
 
 The "planned" trajectory style places one report at an exact prescribed
 distance from the day's first report, floor(0.1 n) decoys beyond it and
@@ -28,6 +31,7 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
+from .pipeline import map_tasks
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -282,8 +286,14 @@ def _device_home(rng: random.Random, style: str) -> tuple[float, float]:
     return rng.uniform(lat0 + 0.6, lat1 - 0.6), rng.uniform(lon0 + 0.6, lon1 - 0.6)
 
 
-def generate(spec: ScenarioSpec, out_dir: str) -> dict:
+def generate(spec: ScenarioSpec, out_dir: str, workers: int | None = None) -> dict:
     """Write input shards, the toy gazetteer and the truth sidecar.
+
+    Device i goes to shard i % spec.shards. One task per shard generates
+    its devices and streams their lines straight to the shard's file; the
+    tasks run inline or on a fork pool of up to `workers` processes (None:
+    the CPUs this process may use). No byte depends on `workers`; it is
+    there so that tests can reach both the inline and the pool path.
 
     Returns the expected ingest counters and file paths. The sidecar holds
     one NDJSON record per device-day with the reference verdict and metrics,
@@ -297,79 +307,16 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
     shard_paths = [
         os.path.join(shards_dir, f"part-{s:02d}{suffix}") for s in range(spec.shards)
     ]
-    shard_lines: list[list[str]] = [[] for _ in range(spec.shards)]
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    done = map_tasks(_write_shard, [(spec, s, path) for s, path in enumerate(shard_paths)], workers)
+    truth = sorted((t for recs, *_ in done for t in recs), key=lambda t: (t["device_id"], t["date"]))
+    accepted, rejected, malformed = map(sum, zip(*(counts for _, *counts in done)))
 
-    truth: list[dict] = []
-    accepted = rejected = 0
-    dates = spec.dates()
-
-    for i in range(spec.devices):
-        rng_d = random.Random(f"{spec.seed}:device:{i}")
-        device_id = f"{rng_d.getrandbits(40):010x}-{i:04d}"
-        style = rng_d.choice(spec.styles)
-        home_lat, home_lon = _device_home(rng_d, style)
-        wobble = rng_d.uniform(0.9, 1.1)
-        base_km = spec.base_mobility_km * wobble
-        n_base = rng_d.randint(spec.reports_min, spec.reports_max)
-        tz_home = oracle.solar_offset_hours(home_lon)
-
-        device_rows: list[Row] = []
-        lines = shard_lines[i % spec.shards]
-        for date in dates:
-            rng_day = random.Random(f"{spec.seed}:day:{device_id}:{date.isoformat()}")
-            day_style = style
-            if spec.ineligible_fraction and rng_day.random() < spec.ineligible_fraction:
-                day_style = rng_day.choice(INELIGIBLE_STYLES)
-            n = max(spec.reports_min, n_base + rng_day.randint(-2, 2))
-            day_start = date.toordinal() * 86400 - _EPOCH_ORD_S - 3600 * tz_home
-            rows = day_rows(
-                rng_day, day_style, home_lat, home_lon, day_start, n,
-                base_km * spec.scale_for(date),
-            )
-            device_rows.extend(rows)
-            accepted += len(rows)
-
-            n_rej = int(spec.accuracy_reject_fraction * len(rows))
-            rej_rows = [
-                (
-                    day_start + rng_day.randint(_DAY_START_S, _DAY_END_S),
-                    home_lat,
-                    home_lon,
-                    round(rng_day.uniform(55.0, 130.0), 1),
-                )
-                for _ in range(n_rej)
-            ]
-            rejected += n_rej
-
-            for epoch, lat, lon, acc in sorted(rows + rej_rows):
-                lines.append(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}")
-
-        truth.extend(_truth_records(device_id, device_rows))
-
-    truth.sort(key=lambda t: (t["device_id"], t["date"]))
     truth_path = os.path.join(out_dir, "truth.ndjson")
     with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in truth:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-    malformed = 0
-    for s, path in enumerate(shard_paths):
-        rng_s = random.Random(f"{spec.seed}:shard:{s}")
-        if spec.gzip_shards:
-            # mtime pinned so the compressed container is byte-reproducible;
-            # level 1: these are scratch test inputs, level 9 costs about 10x
-            # the CPU for 11 % smaller files, and inflating costs the same
-            raw = gzip.GzipFile(path, "wb", compresslevel=1, mtime=0)
-            fh = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
-        else:
-            fh = open(path, "w", encoding="utf-8", newline="\n")
-        with fh:
-            fh.write(HEADER + "\n")
-            for line in shard_lines[s]:
-                if spec.malformed_fraction and rng_s.random() < spec.malformed_fraction:
-                    fh.write(rng_s.choice(MALFORMED_LINES) + "\n")
-                    malformed += 1
-                fh.write(line + "\n")
 
     expected = {
         "lines_read": accepted + rejected + malformed,
@@ -388,6 +335,71 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
         "gazetteer_path": gaz_path,
         "truth_path": truth_path,
     }
+
+
+def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
+    """Write shard s (devices s, s + shards, ...); its truth records and
+    accepted, rejected and malformed line counts."""
+    spec, s, path = task
+    rng_s = random.Random(f"{spec.seed}:shard:{s}")
+    truth: list[dict] = []
+    accepted = rejected = malformed = 0
+    dates = spec.dates()
+    if spec.gzip_shards:
+        # mtime pinned so the compressed container is byte-reproducible;
+        # level 1: these are scratch test inputs, level 9 costs about 10x
+        # the CPU for 11 % smaller files, and inflating costs the same
+        raw = gzip.GzipFile(path, "wb", compresslevel=1, mtime=0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+    else:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    with fh:
+        fh.write(HEADER + "\n")
+        for i in range(s, spec.devices, spec.shards):
+            rng_d = random.Random(f"{spec.seed}:device:{i}")
+            device_id = f"{rng_d.getrandbits(40):010x}-{i:04d}"
+            style = rng_d.choice(spec.styles)
+            home_lat, home_lon = _device_home(rng_d, style)
+            wobble = rng_d.uniform(0.9, 1.1)
+            base_km = spec.base_mobility_km * wobble
+            n_base = rng_d.randint(spec.reports_min, spec.reports_max)
+            tz_home = oracle.solar_offset_hours(home_lon)
+
+            device_rows: list[Row] = []
+            for date in dates:
+                rng_day = random.Random(f"{spec.seed}:day:{device_id}:{date.isoformat()}")
+                day_style = style
+                if spec.ineligible_fraction and rng_day.random() < spec.ineligible_fraction:
+                    day_style = rng_day.choice(INELIGIBLE_STYLES)
+                n = max(spec.reports_min, n_base + rng_day.randint(-2, 2))
+                day_start = date.toordinal() * 86400 - _EPOCH_ORD_S - 3600 * tz_home
+                rows = day_rows(
+                    rng_day, day_style, home_lat, home_lon, day_start, n,
+                    base_km * spec.scale_for(date),
+                )
+                device_rows.extend(rows)
+                accepted += len(rows)
+
+                n_rej = int(spec.accuracy_reject_fraction * len(rows))
+                rej_rows = [
+                    (
+                        day_start + rng_day.randint(_DAY_START_S, _DAY_END_S),
+                        home_lat,
+                        home_lon,
+                        round(rng_day.uniform(55.0, 130.0), 1),
+                    )
+                    for _ in range(n_rej)
+                ]
+                rejected += n_rej
+
+                for epoch, lat, lon, acc in sorted(rows + rej_rows):
+                    if spec.malformed_fraction and rng_s.random() < spec.malformed_fraction:
+                        fh.write(rng_s.choice(MALFORMED_LINES) + "\n")
+                        malformed += 1
+                    fh.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}\n")
+
+            truth.extend(_truth_records(device_id, device_rows))
+    return truth, accepted, rejected, malformed
 
 
 def _truth_records(device_id: str, rows: list[Row]) -> list[dict]:

@@ -780,6 +780,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: config:")
         assert not out.exists()
 
+    def test_generate_pool_worker_failure_exit_2(self, tmp_path, capfd, monkeypatch):
+        # the shard task that fails runs in a forked worker, on any machine;
+        # its error reaches the parent as an I/O error, and the pool leaves no
+        # process behind
+        import functools
+        import multiprocessing
+
+        from mobstats import synth
+        monkeypatch.setattr(synth, "generate", functools.partial(synth.generate, workers=2))
+        out = tmp_path / "gen"
+        (out / "shards" / "part-01.csv").mkdir(parents=True)
+        argv = ["generate", "--out-dir", str(out), "--devices", "8",
+                "--start-date", "2020-03-02", "--end-date", "2020-03-03"]
+        assert main(argv) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: io:") and "part-01.csv" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"inputs": ["x"], "gazetteer": "g", "typo_key": 1}')

@@ -16,6 +16,7 @@ from mobstats.synth import (
     HEADER,
     INELIGIBLE_STYLES,
     MALFORMED_LINES,
+    STYLES,
     ScenarioSpec,
     day_rows,
     destination,
@@ -84,6 +85,61 @@ class TestDeterminism:
         # mtime is pinned, so even the compressed container is byte-stable
         generate(small_spec(gzip_shards=True), str(tmp_path / "a"))
         generate(small_spec(gzip_shards=True), str(tmp_path / "b"))
+        assert file_hashes(tmp_path / "a") == file_hashes(tmp_path / "b")
+
+
+# every style, all three fractions above 0, and fewer devices than shards,
+# so part-03 holds only its header
+GOLDEN_SPEC = dict(seed=11, devices=3, start_date=dt.date(2020, 3, 5),
+                   end_date=dt.date(2020, 3, 9), styles=STYLES, malformed_fraction=0.15,
+                   accuracy_reject_fraction=0.2, ineligible_fraction=0.3, shards=4)
+# sha256 of each file the generator writes for GOLDEN_SPEC; a .csv.gz shard
+# is pinned by its inflated bytes, since the deflate stream depends on zlib
+GOLDEN_SHA256 = {
+    "expected.json": "e8a3da35df8f7d8216fd08e3142d13e02b57529644e16df3a6d84e2a4c9b6460",
+    "gazetteer.ndjson": "39ac91aae34345e1ad6d76e9534e3209f115976e0671ab502bb2da0a3fa6c363",
+    "shards/part-00.csv": "f37eea7ad651390e5c65896075d14ba0f35c43658b305220b29047154656894c",
+    "shards/part-01.csv": "259aba015e06064af398503c5468d94f8dc93d45e84dd8fd5d863064a21559bb",
+    "shards/part-02.csv": "18179f6fa6addea5212dac4a94c5175669830b088acfe42f2f54587164d45a0b",
+    "shards/part-03.csv": "7e59af84e3faa9dcf2fc5219c84fdafa0973a34e9f33fe49499a31ecccd7f53d",
+    "truth.ndjson": "96a6941f9668bf20880c9f24d8354bd463d6d3e948666b955f56d9e632ee9424",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("gzip_shards", [False, True])
+    def test_generator_bytes_pinned(self, tmp_path, gzip_shards):
+        result = generate(ScenarioSpec(**GOLDEN_SPEC, gzip_shards=gzip_shards), str(tmp_path))
+        assert (result["lines_malformed"], result["reports_rejected_accuracy"]) == (47, 43)
+        assert 0 < result["eligible_device_days"] < result["device_days"]
+        got = {}
+        for p in sorted(tmp_path.rglob("*")):
+            if p.is_file():
+                data = gzip.decompress(p.read_bytes()) if p.suffix == ".gz" else p.read_bytes()
+                got[str(p.relative_to(tmp_path)).removesuffix(".gz")] = hashlib.sha256(data).hexdigest()
+        assert got == GOLDEN_SHA256
+        assert got["shards/part-03.csv"] == hashlib.sha256(f"{HEADER}\n".encode()).hexdigest()
+
+    def test_worker_count_changes_no_byte(self, tmp_path):
+        # inline, a 2-process pool, and a pool request above the shard count
+        spec = ScenarioSpec(**GOLDEN_SPEC, gzip_shards=True)
+        trees = []
+        for workers in (1, 2, 9):
+            generate(spec, str(tmp_path / str(workers)), workers=workers)
+            trees.append(file_hashes(tmp_path / str(workers)))
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_no_fork_runs_inline(self, tmp_path, monkeypatch):
+        # where the platform cannot fork (Windows), a pool request runs inline
+        import multiprocessing
+
+        def no_pool(*args):
+            raise AssertionError("a pool was asked for")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        spec = ScenarioSpec(**GOLDEN_SPEC)
+        generate(spec, str(tmp_path / "a"), workers=2)
+        generate(spec, str(tmp_path / "b"), workers=1)
         assert file_hashes(tmp_path / "a") == file_hashes(tmp_path / "b")
 
 
