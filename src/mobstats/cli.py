@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import datetime as dt
 import json
-import math
 import os
 import sys
 
@@ -43,6 +42,10 @@ def _parse_date(text: str) -> dt.date:
         raise ConfigError(f"invalid date {text!r}, expected yyyy-mm-dd") from None
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mobstats", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,24 +70,26 @@ def build_parser() -> _Parser:
     p_run.add_argument("--verbose-stats", action="store_const", const=True, default=None)
     p_run.add_argument("--config", metavar="FILE", help="JSON config file; flags override")
 
-    p_gen = sub.add_parser("generate", help="write a synthetic scenario with truth sidecar")
+    # a flag not given takes ScenarioSpec's default
+    p_gen = sub.add_parser("generate", help="write a synthetic scenario with truth sidecar",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--out-dir", required=True, metavar="DIR")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--devices", type=int, default=48)
-    p_gen.add_argument("--start-date", default="2020-02-17", metavar="DATE")
-    p_gen.add_argument("--end-date", default="2020-03-13", metavar="DATE")
-    p_gen.add_argument("--base-mobility-km", type=float, default=5.2)
-    p_gen.add_argument("--scale", type=float, default=1.0,
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--devices", type=int)
+    p_gen.add_argument("--start-date", type=_parse_date, metavar="DATE")
+    p_gen.add_argument("--end-date", type=_parse_date, metavar="DATE")
+    p_gen.add_argument("--base-mobility-km", type=float)
+    p_gen.add_argument("--scale", type=float,
                        help="mobility scale factor applied from --scale-start onward")
-    p_gen.add_argument("--scale-start", default="2020-03-09", metavar="DATE")
-    p_gen.add_argument("--styles", default="planned", help="comma list of device styles")
-    p_gen.add_argument("--reports-min", type=int, default=12)
-    p_gen.add_argument("--reports-max", type=int, default=24)
-    p_gen.add_argument("--accuracy-reject-fraction", type=float, default=0.0)
-    p_gen.add_argument("--malformed-fraction", type=float, default=0.0)
-    p_gen.add_argument("--ineligible-fraction", type=float, default=0.0)
-    p_gen.add_argument("--shards", type=int, default=4)
-    p_gen.add_argument("--gzip", action="store_true")
+    p_gen.add_argument("--scale-start", type=_parse_date, metavar="DATE")
+    p_gen.add_argument("--styles", type=_comma_list, help="comma list of device styles")
+    p_gen.add_argument("--reports-min", type=int)
+    p_gen.add_argument("--reports-max", type=int)
+    p_gen.add_argument("--accuracy-reject-fraction", type=float)
+    p_gen.add_argument("--malformed-fraction", type=float)
+    p_gen.add_argument("--ineligible-fraction", type=float)
+    p_gen.add_argument("--shards", type=int)
+    p_gen.add_argument("--gzip", dest="gzip_shards", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="join two stats files on region and date")
     p_cmp.add_argument("stats_a", metavar="A")
@@ -150,50 +155,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .synth import STYLES, ScenarioSpec, generate  # only here: a run never loads it
+    from .synth import ScenarioSpec, generate  # only here: a run never loads it
 
-    styles = tuple(s.strip() for s in args.styles.split(",") if s.strip())
-    bad = [s for s in styles if s not in STYLES]
-    if bad:
-        raise ConfigError(f"unknown styles {bad}; choose from {STYLES}")
-    if not styles:
-        raise ConfigError(f"no styles given; choose from {STYLES}")
-    start = _parse_date(args.start_date)
-    end = _parse_date(args.end_date)
-    if start > end:
-        raise ConfigError(f"date range is empty: {start} > {end}")
-    if args.devices < 1:
-        raise ConfigError(f"devices must be >= 1, got {args.devices}")
-    if args.shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {args.shards}")
-    if not 1 <= args.reports_min <= args.reports_max:
-        raise ConfigError(f"need 1 <= reports_min <= reports_max, "
-                          f"got {args.reports_min} and {args.reports_max}")
-    for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
-        if not 0.0 <= getattr(args, name) <= 1.0:
-            raise ConfigError(f"{name} must be in [0, 1], got {getattr(args, name)}")
-    if not 0.0 < args.base_mobility_km < math.inf:
-        raise ConfigError(f"base_mobility_km must be finite and > 0, got {args.base_mobility_km}")
-    if not 0.0 <= args.scale < math.inf:
-        raise ConfigError(f"scale must be finite and >= 0, got {args.scale}")
-    spec = ScenarioSpec(
-        seed=args.seed,
-        devices=args.devices,
-        start_date=start,
-        end_date=end,
-        base_mobility_km=args.base_mobility_km,
-        scale=args.scale,
-        scale_start=_parse_date(args.scale_start),
-        styles=styles,
-        reports_min=args.reports_min,
-        reports_max=args.reports_max,
-        accuracy_reject_fraction=args.accuracy_reject_fraction,
-        malformed_fraction=args.malformed_fraction,
-        ineligible_fraction=args.ineligible_fraction,
-        shards=args.shards,
-        gzip_shards=args.gzip,
-    )
-    summary = generate(spec, args.out_dir)
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+    summary = generate(ScenarioSpec(**given), args.out_dir)
     print(json.dumps(summary, separators=(",", ":")))
     return 0
 

@@ -241,7 +241,8 @@ def map_tasks(fn, tasks: list, workers: int) -> list:
         return pool.map(fn, tasks)
 
 
-def _atomic_write(path: str, write_fn) -> None:
+def atomic_write(path: str, write_fn) -> None:
+    """Text-write path through path + ".tmp", renamed into place once write_fn returns."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         write_fn(fh)
@@ -279,12 +280,12 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
 
     os.makedirs(out_dir, exist_ok=True)
     if cfg.format in ("ndjson", "both"):
-        _atomic_write(
+        atomic_write(
             os.path.join(out_dir, "stats.ndjson"),
             lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats),
         )
     if cfg.format in ("csv", "both"):
-        _atomic_write(
+        atomic_write(
             os.path.join(out_dir, "stats.csv"),
             lambda fh: output.write_csv(records, fh, cfg.verbose_stats),
         )
@@ -340,7 +341,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
             scratch = os.path.join(spill_root, f"ds{i:02d}")
             reports.append(_run_dataset(i, shards, cfg, gaz, scratch, out_dir))
 
-        _atomic_write(
+        atomic_write(
             os.path.join(cfg.output_dir, "run_report.ndjson"),
             lambda fh: fh.writelines(
                 json.dumps(r, separators=(",", ":")) + "\n" for r in reports
@@ -353,7 +354,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
                 os.path.join(cfg.output_dir, "dataset-00", name),
                 os.path.join(cfg.output_dir, "dataset-01", name),
             )
-            _atomic_write(
+            atomic_write(
                 os.path.join(cfg.output_dir, "compare.ndjson"),
                 lambda fh: write_compare(rows, fh),
             )

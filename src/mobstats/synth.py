@@ -22,6 +22,7 @@ mobility index (100 * scale) without tolerance gymnastics.
 from __future__ import annotations
 
 import datetime as dt
+import glob
 import gzip
 import io
 import json
@@ -31,7 +32,8 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
-from .pipeline import map_tasks
+from .errors import ConfigError
+from .pipeline import atomic_write, map_tasks
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -60,6 +62,7 @@ Row = tuple[int, float, float, float]  # (epoch_s, lat, lon, accuracy_m)
 
 _DAY_START_S = 8 * 3600
 _DAY_END_S = 20 * 3600
+_SHORT_END_S = _DAY_START_S + 8 * 3600 - 60  # a minute short of the 8 h eligibility span
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _EPOCH_ORD_S = _EPOCH_ORDINAL * 86400
 
@@ -168,7 +171,6 @@ def day_rows(
     n: int,
     target_km: float,
     min_reports: int = 10,
-    min_span_hours: float = 8.0,
 ) -> list[Row]:
     """Accepted-report rows for one device-day in the given style.
 
@@ -179,7 +181,7 @@ def day_rows(
         n = rng.randint(1, min_reports - 1)
         secs = _day_seconds(rng, n)
     elif style == "short":
-        secs = _day_seconds(rng, n, end=_DAY_START_S + int(min_span_hours * 3600) - 60)
+        secs = _day_seconds(rng, n, end=_SHORT_END_S)
     else:
         secs = _day_seconds(rng, n)
 
@@ -266,6 +268,37 @@ class ScenarioSpec:
     shards: int = 4
     gzip_shards: bool = False
 
+    def validate(self) -> None:
+        """Raise ConfigError unless every knob is in the generator's domain."""
+        bad = [s for s in self.styles if s not in STYLES]
+        if bad:
+            raise ConfigError(f"unknown styles {bad}; choose from {STYLES}")
+        if not self.styles:
+            raise ConfigError(f"no styles given; choose from {STYLES}")
+        if self.start_date > self.end_date:
+            raise ConfigError(f"date range is empty: {self.start_date} > {self.end_date}")
+        if self.devices < 1:
+            raise ConfigError(f"devices must be >= 1, got {self.devices}")
+        if self.shards < 1:
+            raise ConfigError(f"shards must be >= 1, got {self.shards}")
+        if not 1 <= self.reports_min <= self.reports_max:
+            raise ConfigError(f"need 1 <= reports_min <= reports_max, "
+                              f"got {self.reports_min} and {self.reports_max}")
+        for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0.0 < self.base_mobility_km < math.inf:
+            raise ConfigError(f"base_mobility_km must be finite and > 0, got {self.base_mobility_km}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ConfigError(f"scale must be finite and >= 0, got {self.scale}")
+        # a day holds up to reports_max + 2 reports, each at its own second of
+        # the day's window, both ends included
+        short = "short" in self.styles or self.ineligible_fraction > 0
+        free_s = (_SHORT_END_S if short else _DAY_END_S) - _DAY_START_S - 1
+        if self.reports_max > free_s:
+            raise ConfigError(f"reports_max must be <= {free_s}, the free seconds in a "
+                              f"{'short' if short else 'full'} day's window, got {self.reports_max}")
+
     def scale_for(self, date: dt.date) -> float:
         """Mobility scale on date: 1.0 before scale_start, scale from it on."""
         return self.scale if date >= self.scale_start else 1.0
@@ -286,38 +319,42 @@ def _device_home(rng: random.Random, style: str) -> tuple[float, float]:
     return rng.uniform(lat0 + 0.6, lat1 - 0.6), rng.uniform(lon0 + 0.6, lon1 - 0.6)
 
 
-def generate(spec: ScenarioSpec, out_dir: str, workers: int | None = None) -> dict:
+def generate(spec: ScenarioSpec, out_dir: str) -> dict:
     """Write input shards, the toy gazetteer and the truth sidecar.
 
-    Device i goes to shard i % spec.shards. One task per shard generates
-    its devices and streams their lines straight to the shard's file; the
-    tasks run inline or on a fork pool of up to `workers` processes (None:
-    the CPUs this process may use). No byte depends on `workers`; it is
-    there so that tests can reach both the inline and the pool path.
+    A spec outside ScenarioSpec.validate's domain raises ConfigError before
+    anything is created. The previous tree's expected.json, truth.ndjson and
+    shards/part-*.csv[.gz] are removed first. Device i goes to shard
+    i % spec.shards; one task per shard, inline or on a fork pool of the
+    usable CPUs (no byte depends on how many), streams its devices' lines
+    to a .tmp file renamed into place when complete. expected.json is
+    written last: it marks a complete tree.
 
     Returns the expected ingest counters and file paths. The sidecar holds
     one NDJSON record per device-day with the reference verdict and metrics,
     grouped exactly as the pipeline will group them.
     """
+    spec.validate()
     shards_dir = os.path.join(out_dir, "shards")
+    truth_path = os.path.join(out_dir, "truth.ndjson")
+    expected_path = os.path.join(out_dir, "expected.json")
     os.makedirs(shards_dir, exist_ok=True)
+    for pattern in ("expected.json", "truth.ndjson", "shards/part-*.csv", "shards/part-*.csv.gz"):
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
     gaz_path = write_toy_gazetteer(os.path.join(out_dir, "gazetteer.ndjson"))
 
     suffix = ".csv.gz" if spec.gzip_shards else ".csv"
     shard_paths = [
         os.path.join(shards_dir, f"part-{s:02d}{suffix}") for s in range(spec.shards)
     ]
-    if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     done = map_tasks(_write_shard, [(spec, s, path) for s, path in enumerate(shard_paths)], workers)
     truth = sorted((t for recs, *_ in done for t in recs), key=lambda t: (t["device_id"], t["date"]))
     accepted, rejected, malformed = map(sum, zip(*(counts for _, *counts in done)))
 
-    truth_path = os.path.join(out_dir, "truth.ndjson")
-    with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in truth:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
+    atomic_write(truth_path, lambda fh: fh.writelines(
+        json.dumps(rec, separators=(",", ":")) + "\n" for rec in truth))
     expected = {
         "lines_read": accepted + rejected + malformed,
         "lines_malformed": malformed,
@@ -326,9 +363,7 @@ def generate(spec: ScenarioSpec, out_dir: str, workers: int | None = None) -> di
         "device_days": len(truth),
         "eligible_device_days": sum(1 for t in truth if t["eligible"]),
     }
-    with open(os.path.join(out_dir, "expected.json"), "w", encoding="utf-8") as fh:
-        json.dump(expected, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(expected_path, lambda fh: fh.write(json.dumps(expected, indent=2, sort_keys=True) + "\n"))
     return {
         **expected,
         "shard_paths": shard_paths,
@@ -345,15 +380,13 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
     truth: list[dict] = []
     accepted = rejected = malformed = 0
     dates = spec.dates()
-    if spec.gzip_shards:
-        # mtime pinned so the compressed container is byte-reproducible;
-        # level 1: these are scratch test inputs, level 9 costs about 10x
-        # the CPU for 11 % smaller files, and inflating costs the same
-        raw = gzip.GzipFile(path, "wb", compresslevel=1, mtime=0)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
-    else:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-    with fh:
+    tmp = open(path + ".tmp", "wb")
+    # the gzip header names the shard, not the .tmp; mtime pinned so the
+    # compressed container is byte-reproducible; level 1: these are scratch
+    # test inputs, level 9 costs about 10x the CPU for 11 % smaller files,
+    # and inflating costs the same
+    raw = gzip.GzipFile(path, "wb", compresslevel=1, fileobj=tmp, mtime=0) if spec.gzip_shards else tmp
+    with tmp, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as fh:
         fh.write(HEADER + "\n")
         for i in range(s, spec.devices, spec.shards):
             rng_d = random.Random(f"{spec.seed}:device:{i}")
@@ -399,6 +432,7 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
                     fh.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}\n")
 
             truth.extend(_truth_records(device_id, device_rows))
+    os.replace(path + ".tmp", path)
     return truth, accepted, rejected, malformed
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import datetime as dt
 import gzip
 import hashlib
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mobstats import aggregate, pipeline
-from mobstats.cli import CONFIG_DEFAULTS, main
+from mobstats.cli import CONFIG_DEFAULTS, build_parser, main
 from mobstats.collate import bucket_index, day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
@@ -773,6 +775,8 @@ class TestCli:
         ["--devices", "-2"], ["--devices", "0"], ["--base-mobility-km", "0"],
         ["--base-mobility-km", "-1"], ["--scale", "-0.5"],
         ["--styles", ""], ["--styles", ","],
+        ["--devices", "1", "--styles", "short", "--reports-min", "28742", "--reports-max", "28742",
+         "--start-date", "2020-03-02", "--end-date", "2020-03-02"],
     ])
     def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "gen"
@@ -782,22 +786,58 @@ class TestCli:
 
     def test_generate_pool_worker_failure_exit_2(self, tmp_path, capfd, monkeypatch):
         # the shard task that fails runs in a forked worker, on any machine;
-        # its error reaches the parent as an I/O error, and the pool leaves no
-        # process behind
-        import functools
+        # its error reaches the parent as an I/O error, the pool leaves no
+        # process behind, and the good run's expected.json does not stay to
+        # mark the broken tree complete
         import multiprocessing
 
         from mobstats import synth
-        monkeypatch.setattr(synth, "generate", functools.partial(synth.generate, workers=2))
+        monkeypatch.setattr(synth, "map_tasks", lambda fn, tasks, _: pipeline.map_tasks(fn, tasks, 2))
         out = tmp_path / "gen"
-        (out / "shards" / "part-01.csv").mkdir(parents=True)
         argv = ["generate", "--out-dir", str(out), "--devices", "8",
                 "--start-date", "2020-03-02", "--end-date", "2020-03-03"]
+        assert main(argv) == 0
+        assert (out / "expected.json").exists()
+        (out / "shards" / "part-01.csv.tmp").mkdir()
         assert main(argv) == 2
         err = capfd.readouterr().err
-        assert err.startswith("error: io:") and "part-01.csv" in err
+        assert err.startswith("error: io:") and "part-01.csv.tmp" in err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
+        assert not (out / "expected.json").exists()
+        assert not (out / "shards" / "part-01.csv").exists()
+
+    @pytest.mark.parametrize("first, second", [
+        (["--shards", "8"], ["--shards", "4"]),
+        (["--shards", "4"], ["--shards", "4", "--gzip"]),
+        (["--shards", "8", "--gzip"], ["--shards", "4"]),
+    ])
+    def test_generate_removes_previous_shards(self, tmp_path, capsys, first, second):
+        data = tmp_path / "data"
+        argv = ["generate", "--out-dir", str(data), "--devices", "8",
+                "--start-date", "2020-03-02", "--end-date", "2020-03-03"]
+        assert main(argv + first) == 0
+        assert main(argv + second) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert sorted(os.listdir(data / "shards")) == [os.path.basename(p) for p in summary["shard_paths"]]
+        assert main(["run", "--input", str(data / "shards" / "*"),
+                     "--gazetteer", str(data / "gazetteer.ndjson"),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lines_read"] == json.loads((data / "expected.json").read_text())["lines_read"]
+
+    def test_generate_has_one_flag_per_spec_field(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["generate"]._actions} - {"help", "out_dir"}
+        assert dests == {f.name for f in dataclasses.fields(ScenarioSpec)}
+
+    def test_generate_without_flags_is_the_default_spec(self, tmp_path, capsys):
+        # every flag not given takes ScenarioSpec's default
+        assert main(["generate", "--out-dir", str(tmp_path / "cli")]) == 0
+        generate(ScenarioSpec(), str(tmp_path / "lib"))
+        trees = [{p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+                 for root in (tmp_path / "cli", tmp_path / "lib")]
+        assert trees[0] == trees[1] and len(trees[0]) == 7
 
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -2,13 +2,15 @@ import datetime as dt
 import gzip
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 from adapters import device_days, shard_rows, verdicts
-from mobstats import oracle
+from mobstats import oracle, pipeline, synth
+from mobstats.errors import ConfigError
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
 from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
 from mobstats.synth import (
@@ -33,6 +35,11 @@ def file_hashes(root):
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def pin_workers(monkeypatch, workers):
+    """Make generate ask map_tasks for `workers` instead of the usable CPUs."""
+    monkeypatch.setattr(synth, "map_tasks", lambda fn, tasks, _: pipeline.map_tasks(fn, tasks, workers))
 
 
 def small_spec(**kwargs):
@@ -120,12 +127,13 @@ class TestGoldenBytes:
         assert got == GOLDEN_SHA256
         assert got["shards/part-03.csv"] == hashlib.sha256(f"{HEADER}\n".encode()).hexdigest()
 
-    def test_worker_count_changes_no_byte(self, tmp_path):
+    def test_worker_count_changes_no_byte(self, tmp_path, monkeypatch):
         # inline, a 2-process pool, and a pool request above the shard count
         spec = ScenarioSpec(**GOLDEN_SPEC, gzip_shards=True)
         trees = []
         for workers in (1, 2, 9):
-            generate(spec, str(tmp_path / str(workers)), workers=workers)
+            pin_workers(monkeypatch, workers)
+            generate(spec, str(tmp_path / str(workers)))
             trees.append(file_hashes(tmp_path / str(workers)))
         assert trees[0] == trees[1] == trees[2]
 
@@ -138,8 +146,10 @@ class TestGoldenBytes:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         spec = ScenarioSpec(**GOLDEN_SPEC)
-        generate(spec, str(tmp_path / "a"), workers=2)
-        generate(spec, str(tmp_path / "b"), workers=1)
+        pin_workers(monkeypatch, 2)
+        generate(spec, str(tmp_path / "a"))
+        pin_workers(monkeypatch, 1)
+        generate(spec, str(tmp_path / "b"))
         assert file_hashes(tmp_path / "a") == file_hashes(tmp_path / "b")
 
 
@@ -338,3 +348,44 @@ class TestScenarioSpec:
                              scale_start=dt.date(2020, 1, 1))
         assert [early.scale_for(d) for d in early.dates()] == [2.5] * 12
         assert ScenarioSpec().scale_for(dt.date(2020, 3, 10)) == 1.0
+
+
+# the CLI's out-of-domain cases as spec fields, an unknown style, an empty
+# date range, and --reports-max past the free seconds of a day's window, on
+# one ineligible device-day, so a missing check fails fast instead of
+# running the oracle on 28,000 points
+ONE_DAY = dict(devices=1, end_date=dt.date(2020, 3, 2))
+OUT_OF_DOMAIN = [
+    dict(shards=0), dict(shards=-1), dict(reports_min=0), dict(reports_min=30, reports_max=10),
+    dict(malformed_fraction=2.0), dict(accuracy_reject_fraction=-0.1),
+    dict(ineligible_fraction=math.nan), dict(base_mobility_km=math.nan), dict(scale=math.inf),
+    dict(devices=-2), dict(devices=0), dict(base_mobility_km=0.0), dict(base_mobility_km=-1.0),
+    dict(scale=-0.5), dict(styles=()), dict(styles=("planned", "bogus")),
+    dict(start_date=dt.date(2020, 3, 6), end_date=dt.date(2020, 3, 5)),
+    dict(ONE_DAY, styles=("short",), reports_min=28742, reports_max=28742),
+    dict(ONE_DAY, styles=("short",), reports_max=28740),
+    dict(ONE_DAY, styles=("sparse",), ineligible_fraction=0.1, reports_max=28740),
+    dict(ONE_DAY, styles=("sparse",), reports_max=43200),
+]
+
+
+class TestDomain:
+    @pytest.mark.parametrize("fields", OUT_OF_DOMAIN)
+    def test_out_of_domain_raises_before_writing(self, tmp_path, fields):
+        out = tmp_path / "gen"
+        with pytest.raises(ConfigError):
+            generate(small_spec(**fields), str(out))
+        assert not out.exists()
+
+    def test_reports_max_bounds_in_domain(self):
+        ScenarioSpec(styles=("short",), reports_max=28739).validate()
+        ScenarioSpec(ineligible_fraction=0.1, reports_max=28739).validate()
+        ScenarioSpec(styles=ELIGIBLE_STYLES, reports_max=43199).validate()
+
+    def test_short_day_at_its_bound_fills_its_window(self, tmp_path):
+        # seed 1 draws reports_max + 2 reports for the day: one at each of the
+        # window's 28,741 seconds, 08:00:00 to 15:59:00 inclusive
+        spec = small_spec(seed=1, devices=1, styles=("short",), reports_min=28739,
+                          reports_max=28739, end_date=dt.date(2020, 3, 2))
+        result = generate(spec, str(tmp_path))
+        assert result["reports_accepted"] == 28741
