@@ -17,7 +17,6 @@ from .errors import ConfigError, DataError
 from .geo import GeoPoint, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
 from .ingest import IngestStats, parse_fields
-from .metrics import MobilityMetrics, compute_metrics
 from .pipeline import PipelineConfig, compare_stats, run
 
 __version__ = "0.1.0"
@@ -28,13 +27,11 @@ __all__ = [
     "Gazetteer",
     "GeoPoint",
     "IngestStats",
-    "MobilityMetrics",
     "PipelineConfig",
     "RegionKey",
     "apply_index",
     "compare_stats",
     "compute_baseline",
-    "compute_metrics",
     "load_gazetteer",
     "parse_fields",
     "reduce_region_day",

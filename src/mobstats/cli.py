@@ -50,8 +50,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mobstats", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the pipeline over one or more datasets")
-    p_run.add_argument("--input", action="append", metavar="GLOB",
+    # a flag not given takes the config file's value, else PipelineConfig's default
+    p_run = sub.add_parser("run", help="run the pipeline over one or more datasets",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--input", dest="inputs", action="append", metavar="GLOB",
                        help="input shard glob; repeat for multiple datasets")
     p_run.add_argument("--gazetteer", metavar="PATH")
     p_run.add_argument("--output-dir", metavar="DIR")
@@ -60,14 +62,14 @@ def build_parser() -> _Parser:
     p_run.add_argument("--min-reports", type=int)
     p_run.add_argument("--min-span-hours", type=float)
     p_run.add_argument("--trim-fraction", type=float)
-    p_run.add_argument("--baseline-start", metavar="DATE")
-    p_run.add_argument("--baseline-end", metavar="DATE")
-    p_run.add_argument("--date-start", metavar="DATE")
-    p_run.add_argument("--date-end", metavar="DATE")
+    p_run.add_argument("--baseline-start", type=_parse_date, metavar="DATE")
+    p_run.add_argument("--baseline-end", type=_parse_date, metavar="DATE")
+    p_run.add_argument("--date-start", type=_parse_date, metavar="DATE")
+    p_run.add_argument("--date-end", type=_parse_date, metavar="DATE")
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--n-buckets", type=int)
     p_run.add_argument("--scratch-dir", metavar="DIR")
-    p_run.add_argument("--verbose-stats", action="store_const", const=True, default=None)
+    p_run.add_argument("--verbose-stats", action="store_true")
     p_run.add_argument("--config", metavar="FILE", help="JSON config file; flags override")
 
     # a flag not given takes ScenarioSpec's default
@@ -101,9 +103,10 @@ def build_parser() -> _Parser:
 
 
 def _read_config_file(path: str) -> dict:
-    """A JSON config file's object, each value of its default's JSON type.
+    """A JSON config file's object as PipelineConfig fields.
 
-    A float field also takes an int, and a field whose default is null a string.
+    Each value must be of its default's JSON type; a float field also takes
+    an int, and a field whose default is null a string. Dates are parsed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -126,25 +129,17 @@ def _read_config_file(path: str) -> dict:
             want = "a list of strings" if kind is list else kind.__name__
             raise ConfigError(f"config file {path}: {key} must be {want}"
                               f"{' or null' if default is None else ''}, got {value!r}")
+    for key in _DATE_KEYS:
+        if file_cfg.get(key) is not None:
+            file_cfg[key] = _parse_date(file_cfg[key])
     return file_cfg
 
 
 def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
-    merged = dict(CONFIG_DEFAULTS)
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in CONFIG_DEFAULTS:
-        if key == "inputs":
-            if args.input is not None:
-                merged["inputs"] = args.input
-            continue
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    for key in _DATE_KEYS:
-        if merged[key] is not None:
-            merged[key] = _parse_date(merged[key])
-    return PipelineConfig(**merged)
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    path = given.pop("config", "")
+    file_values = _read_config_file(path) if path else {}
+    return PipelineConfig(**{**file_values, **given})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -49,8 +49,6 @@ class RegionKey:
 class Region:
     key: RegionKey
     rings: list  # closed rings of [lon, lat] points, as (n, 2) float arrays when loaded
-    bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
-    bbox_area: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +110,8 @@ class Gazetteer:
     regions: list[Region]
     places: list[Place]
     admin1_ids: dict[tuple[str, str], str]  # (country_code, admin1) -> region_id
-    # row r for region r: its bounding box, and its ring edges (x1, y1, x2, y2)
-    # at edges[edge_ptr[r]:edge_ptr[r + 1]]
+    # row r for region r: its bounding box (min_lon, min_lat, max_lon, max_lat),
+    # and its ring edges (x1, y1, x2, y2) at edges[edge_ptr[r]:edge_ptr[r + 1]]
     bbox: np.ndarray
     edges: np.ndarray
     edge_ptr: np.ndarray
@@ -243,11 +241,10 @@ def load_gazetteer(path: str) -> Gazetteer:
     starts = edge_ptr[:-1]
     bbox = np.hstack((np.minimum.reduceat(edges[:, :2], starts),
                       np.maximum.reduceat(edges[:, :2], starts))).reshape(-1, 4)
-    area = (bbox[:, 2] - bbox[:, 0]) * (bbox[:, 3] - bbox[:, 1])
-    regions = [Region(key, rings, tuple(box), a)
-               for (key, rings), box, a in zip(parsed, bbox.tolist(), area.tolist())]
+    area = ((bbox[:, 2] - bbox[:, 0]) * (bbox[:, 3] - bbox[:, 1])).tolist()
+    regions = [Region(key, rings) for key, rings in parsed]
     order = sorted(range(len(regions)), key=lambda r: (
-        -regions[r].key.level, regions[r].bbox_area, regions[r].key.region_id, r))
+        -regions[r].key.level, area[r], regions[r].key.region_id, r))
     rank = np.empty(len(regions), np.intp)
     rank[order] = np.arange(len(regions))
 

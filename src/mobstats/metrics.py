@@ -1,23 +1,23 @@
-"""Per-device-day eligibility rules and mobility measures.
+"""Per-device-day eligibility rules and mobility measures, one kernel per rule.
 
 The pipeline publishes one measure per eligible device-day: the trimmed
-maximum haversine distance from the day's first report (m_max). The
-linearized bounding box and convex hull measures (m_bb, m_ch), obtained
-from square-degree areas via 111 * sqrt(area) * cos(mean latitude), are
-library measures checked against the oracle; no pipeline output uses them.
+maximum haversine distance from the day's first report (m_max), computed
+for a bucket's days at once by day_max_distances. day_box_and_hull gives
+a day's linearized bounding box and convex hull measures (m_bb, m_ch),
+obtained from square-degree areas via 111 * sqrt(area) * cos(mean
+latitude); they are library measures checked against the oracle, and no
+pipeline output uses them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .collate import segment_sort
 from .geo import (
-    GeoPoint,
     area_to_linear_km,
     convex_hull_xy,
     haversine_km_arr,
@@ -34,18 +34,6 @@ REASON_SHORT_SPAN = "short_span"
 
 # one report of a device-day: (epoch_s, lat, lon, accuracy_m)
 DayRow = tuple[int, float, float, float]
-
-
-@dataclass(frozen=True, slots=True)
-class MobilityMetrics:
-    m_max: float
-    m_bb: float
-    m_ch: float
-    a_bb: float
-    a_ch: float
-    report_count: int
-    span_hours: float
-    canonical_point: GeoPoint
 
 
 def day_rejections(counts, spans_s, min_reports: int, min_span_hours: float):
@@ -110,27 +98,4 @@ def day_box_and_hull(rows: Sequence[DayRow]) -> tuple[float, float, float, float
         area_to_linear_km(a_ch, mean_lat),
         a_bb,
         a_ch,
-    )
-
-
-def compute_metrics(rows: Sequence[DayRow],
-                    trim_fraction: float = DEFAULT_TRIM_FRACTION) -> MobilityMetrics:
-    """Full metrics for an eligible device-day's rows, in canonical order.
-
-    Eligibility is the caller's check. m_max comes from day_max_distances;
-    the canonical point is the first row, where the day is geocoded.
-    """
-    m_bb, m_ch, a_bb, a_ch = day_box_and_hull(rows)
-    lat, lon = (np.array([r[j] for r in rows]) for j in (1, 2))
-    m_max = day_max_distances(lat, lon, np.array([0]), np.array([len(rows)]), trim_fraction)
-    first = rows[0]
-    return MobilityMetrics(
-        m_max=float(m_max[0]),
-        m_bb=m_bb,
-        m_ch=m_ch,
-        a_bb=a_bb,
-        a_ch=a_ch,
-        report_count=len(rows),
-        span_hours=(rows[-1][0] - first[0]) / 3600.0,
-        canonical_point=GeoPoint(first[1], first[2]),
     )

@@ -214,7 +214,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     counters["rejected_short_span"] = int(np.count_nonzero(in_dates & short_span))
     counters["eligible_device_days"] = len(eligible)
 
-    # each day geocodes at its first report, compute_metrics' canonical point
+    # each day geocodes at its first report, the anchor of its m_max
     first = dd.starts[eligible]
     region = locate(gaz, dd.lat[first], dd.lon[first])
     matched, region = eligible[region >= 0], region[region >= 0]

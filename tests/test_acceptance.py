@@ -19,7 +19,7 @@ from adapters import contains, device_days, verdicts
 from mobstats import oracle
 from mobstats.cli import main
 from mobstats.geo import convex_hull_xy, unwrap_lonlat
-from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
+from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
 from mobstats.output import read_csv, read_ndjson
 from mobstats.pipeline import PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, STYLES, ScenarioSpec, generate, random_day_rows
@@ -67,7 +67,7 @@ def reference_run(corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def oracle_sweep():
-    """1000 random device-days run through the gather kernel, metrics and the oracle.
+    """1000 random device-days run through the gather kernel, day_box_and_hull and the oracle.
 
     The days are one bucket: one group_device_days, day_rejections and
     day_max_distances call covers them all, as in gather.
@@ -75,7 +75,7 @@ def oracle_sweep():
     t0 = perf_counter()
     days = eligible = 0
     worst = 0.0
-    pipeline_metrics = []
+    box_hulls = []
     day_rows = [random_day_rows(random.Random(31337 + i), style=STYLES[i % len(STYLES)])
                 for i in range(1000)]
     built, dd = device_days([(f"dev-{i}",) + r for i, rows in enumerate(day_rows) for r in rows])
@@ -92,17 +92,16 @@ def oracle_sweep():
         if reason is not None:
             assert reason == ref["reason"]
             continue
-        m = compute_metrics(built[k].reports)
-        for name, got in (("m_max", m_max[k]), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
-                          ("a_bb", m.a_bb), ("a_ch", m.a_ch)):
+        box_hull = day_box_and_hull(built[k].reports)
+        for name, got in zip(("m_max", "m_bb", "m_ch", "a_bb", "a_ch"), (m_max[k], *box_hull)):
             want = ref[name]
             assert close(got, want), (i, name, got, want)
             if abs(want) > 1e-9:
                 worst = max(worst, abs(got - want) / abs(want))
-        pipeline_metrics.append(m)
+        box_hulls.append(box_hull)
         eligible += 1
     return {"elapsed": perf_counter() - t0, "days": days, "eligible": eligible,
-            "worst_rel": worst, "metrics": pipeline_metrics}
+            "worst_rel": worst, "box_hulls": box_hulls}
 
 
 def hashes(out_dir):
@@ -190,9 +189,9 @@ class TestGates:
         # hull measure bounded by box measure on every eligible device-day,
         # on both the metrics module's route and the oracle route
         checked = 0
-        for m in oracle_sweep["metrics"]:
-            assert m.m_ch <= m.m_bb
-            assert m.a_ch <= m.a_bb
+        for m_bb, m_ch, a_bb, a_ch in oracle_sweep["box_hulls"]:
+            assert m_ch <= m_bb
+            assert a_ch <= a_bb
             checked += 1
         with open(corpus["truth_path"], encoding="utf-8") as fh:
             for line in fh:

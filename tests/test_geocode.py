@@ -45,8 +45,7 @@ class TestLoadGazetteer:
         assert len(gaz.regions) == 1
         r = gaz.regions[0]
         assert r.key == RegionKey("AA", "West", "", "R1")
-        assert r.bbox == (0.0, 0.0, 2.0, 2.0)
-        assert r.bbox_area == 4.0
+        assert gaz.bbox[0].tolist() == [0.0, 0.0, 2.0, 2.0]
         assert gaz.admin1_ids == {("AA", "West"): "R1"}
 
     def test_open_ring_rejected(self, tmp_path):
@@ -311,8 +310,8 @@ def linear_scan(gaz, pts):
     x, y = zip(*pts)
     best = [None] * len(pts)
     best_key = [None] * len(pts)
-    for region in gaz.regions:
-        rank = (-region.key.level, region.bbox_area, region.key.region_id)
+    for region, (x0, y0, x1, y1) in zip(gaz.regions, gaz.bbox.tolist()):
+        rank = (-region.key.level, (x1 - x0) * (y1 - y0), region.key.region_id)
         for k, inside in enumerate(contains(region.rings, x, y)):
             if inside and (best[k] is None or rank < best[k]):
                 best[k], best_key[k] = rank, region.key
@@ -388,7 +387,7 @@ class TestRegionGrid:
         assert len(gaz.regions) == 1026
         assert gaz.grid.n == 32
         pts = probe_points(gaz, random.Random(8), n_random=1500)
-        bx0, by0, bx1, by1 = (np.array([r.bbox[i] for r in gaz.regions]) for i in range(4))
+        bx0, by0, bx1, by1 = gaz.bbox.T
         for x, y in pts:
             # every region whose box holds the point is a candidate, in gazetteer order
             holding = np.flatnonzero((bx0 <= x) & (x <= bx1) & (by0 <= y) & (y <= by1))

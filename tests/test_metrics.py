@@ -12,7 +12,6 @@ from mobstats.metrics import (
     DEFAULT_TRIM_FRACTION,
     REASON_SHORT_SPAN,
     REASON_TOO_FEW,
-    compute_metrics,
     day_box_and_hull,
     day_max_distances,
     segment_trimmed_max,
@@ -76,9 +75,6 @@ class TestEligibility:
         rows = spread(5, span_s=4 * 3600)
         assert reason(rows, min_reports=5, min_span_hours=4.0) is None
         assert reason(rows, min_reports=6, min_span_hours=4.0) == REASON_TOO_FEW
-
-    def test_span_hours(self):
-        assert compute_metrics(spread(10, span_s=8 * 3600)).span_hours == 8.0
 
     @pytest.mark.parametrize("hours, span_s", [(1.1, 3960), (8.3, 29880)])
     def test_span_boundary_verdict_matches_oracle(self, hours, span_s):
@@ -176,9 +172,8 @@ class TestOracleAgreement:
             if reason(rows) is not None:
                 continue
             assert ref["eligible"]
-            m = compute_metrics(sorted(rows))
-            for name, got in (("m_max", m_max(rows)), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
-                              ("a_bb", m.a_bb), ("a_ch", m.a_ch)):
+            for name, got in zip(("m_max", "m_bb", "m_ch", "a_bb", "a_ch"),
+                                 (m_max(rows), *day_box_and_hull(sorted(rows)))):
                 assert got == pytest.approx(ref[name], rel=1e-9, abs=1e-12), name
             count += 1
         assert count >= 50
@@ -214,9 +209,15 @@ class TestInvariants:
     @given(rows_st, st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50)
     def test_permutation_invariance(self, rows, seed):
+        # the kernels see each day in group_device_days' order, whatever the input order
+        def measures(rows):
+            days, dd = device_days([("dev",) + tuple(r) for r in rows])
+            m = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+            return m.tolist(), [day_box_and_hull(day.reports) for day in days]
+
         shuffled = list(rows)
         random.Random(seed).shuffle(shuffled)
-        assert compute_metrics(sorted(rows)) == compute_metrics(sorted(shuffled))
+        assert measures(rows) == measures(shuffled)
 
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=86399),
@@ -253,18 +254,20 @@ class TestCanonicalPosition:
             oracle.haversine_km(anchor.lat, anchor.lon, 0.01, 0.01), rel=1e-12)
 
 
-class TestComputeMetrics:
-    def test_fields_populated(self):
-        m = compute_metrics(spread(10, span_s=9 * 3600, lat=2.0, lon=3.0))
-        assert m.report_count == 10
-        assert m.span_hours == 9.0
-        assert m.canonical_point == GeoPoint(2.0, 3.0)
-        assert m.m_max == m.m_bb == m.m_ch == 0.0
+class TestDayMeasures:
+    def test_identical_positions_measure_zero(self):
+        rows = spread(10, span_s=9 * 3600, lat=2.0, lon=3.0)
+        m_bb, m_ch, _, _ = day_box_and_hull(rows)
+        assert m_max(rows) == m_bb == m_ch == 0.0
 
     def test_device_day_pipeline_integration(self):
-        # raw reports -> device-days -> metrics, same answer as the sorted rows
+        # raw reports -> device-days -> kernels, same answer as the sorted rows
         reports = [("d", T0 + i * 3000, 0.001 * i, 0.002 * i, 5.0) for i in range(12)]
-        days, _ = device_days(reports)
+        days, dd = device_days(reports)
         assert len(days) == 1
         direct = sorted(r[1:] for r in reports)
-        assert compute_metrics(days[0].reports) == compute_metrics(direct)
+        assert day_box_and_hull(days[0].reports) == day_box_and_hull(direct)
+        lat, lon = (np.array([r[j] for r in direct]) for j in (1, 2))
+        one_day = np.array([0]), np.array([len(direct)])
+        assert (day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+                == day_max_distances(lat, lon, *one_day, DEFAULT_TRIM_FRACTION)).all()

@@ -839,6 +839,34 @@ class TestCli:
                  for root in (tmp_path / "cli", tmp_path / "lib")]
         assert trees[0] == trees[1] and len(trees[0]) == 7
 
+    def test_run_has_one_flag_per_config_field(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings for a in sub.choices["run"]._actions
+                 if a.dest not in ("help", "config")}
+        want = {f.name: ["--" + f.name.replace("_", "-")] for f in dataclasses.fields(PipelineConfig)}
+        assert flags == {**want, "inputs": ["--input"]}
+
+    def test_run_without_optional_flags_is_the_default_config(self, scenario, tmp_path, capsys):
+        # every flag not given takes PipelineConfig's default
+        glob = str(scenario["root"] / "shards" / "*.csv")
+        assert main(["run", "--input", glob, "--gazetteer", scenario["gazetteer_path"],
+                     "--output-dir", str(tmp_path / "cli")]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        reports = run(PipelineConfig(inputs=[glob], gazetteer=scenario["gazetteer_path"],
+                                     output_dir=str(tmp_path / "lib")))
+        assert printed == reports
+        names = ("stats.ndjson", "stats.csv", "run_report.ndjson")
+        assert all((tmp_path / "cli" / n).read_bytes() == (tmp_path / "lib" / n).read_bytes()
+                   for n in names)
+
+    @pytest.mark.parametrize("key", ["baseline_start", "baseline_end", "date_start", "date_end"])
+    def test_config_file_invalid_date_exit_1(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"inputs": ["x"], "gazetteer": "g", key: "2020-02-30"}))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "invalid date '2020-02-30'" in err
+
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"inputs": ["x"], "gazetteer": "g", "typo_key": 1}')

@@ -12,7 +12,7 @@ from adapters import device_days, shard_rows, verdicts
 from mobstats import oracle, pipeline, synth
 from mobstats.errors import ConfigError
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
-from mobstats.metrics import DEFAULT_TRIM_FRACTION, compute_metrics, day_max_distances
+from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
 from mobstats.synth import (
     ELIGIBLE_STYLES,
     HEADER,
@@ -222,11 +222,11 @@ class TestTruthSidecar:
             if reason is not None:
                 assert reason == t["reason"]
                 continue
-            m = compute_metrics(day.reports)
-            for name, got in (("m_max", day_m_max), ("m_bb", m.m_bb), ("m_ch", m.m_ch),
-                              ("a_bb", m.a_bb), ("a_ch", m.a_ch)):
+            for name, got in zip(("m_max", "m_bb", "m_ch", "a_bb", "a_ch"),
+                                 (day_m_max, *day_box_and_hull(day.reports))):
                 assert got == pytest.approx(t[name], rel=1e-9, abs=1e-12), name
-            assert (m.canonical_point.lat, m.canonical_point.lon) == (t["lat"], t["lon"])
+            # the first report, where gather geocodes the day
+            assert day.reports[0][1:3] == (t["lat"], t["lon"])
 
     def test_truth_is_sorted_and_line_parseable(self, tmp_path):
         result = generate(small_spec(), str(tmp_path))
