@@ -12,7 +12,7 @@ import os
 # first numpy import; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .aggregate import apply_index, compute_baseline, reduce_region_day
+from .aggregate import reduce_region_day
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
@@ -29,9 +29,7 @@ __all__ = [
     "IngestStats",
     "PipelineConfig",
     "RegionKey",
-    "apply_index",
     "compare_stats",
-    "compute_baseline",
     "load_gazetteer",
     "parse_fields",
     "reduce_region_day",

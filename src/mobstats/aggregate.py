@@ -1,30 +1,32 @@
-"""Reduction of device-day metrics into per-(region, date) output records.
+"""Reduction of device-day metrics into finished per-(region, date) output records.
 
 m50 is the median across a region-date's eligible device-days of the
 trimmed max-distance measure; m50_index = 100 * m50 / m50_norm, where
 m50_norm is the region's median weekday m50 inside the baseline window.
 The reduce takes columns (a key-table index, a local day number and
-m_max per device-day record), orders them with one lexsort by
-(region, day) and sorts each (region, date) group's m_max values with
-collate.segment_sort, so each group is a value-sorted segment.
-Quartiles and means are computed for all segments at once with
-numpy's own linear-quantile and pairwise-sum arithmetic, so they equal
-np.quantile and .mean() bit for bit; each group becomes one
-output.OutputRecord, which the baseline and the index then read and fill.
-Results do not depend on arrival order.
+m_max per device-day record), orders them with one lexsort into file
+order, (country, admin1, admin2, date, region_id), and sorts each
+(region, date) group's m_max values with collate.segment_sort, so each
+group is a value-sorted segment. Quartiles and means are computed for
+all segments at once with numpy's own linear-quantile and pairwise-sum
+arithmetic, so they equal np.quantile and .mean() bit for bit; the
+baseline and the index are computed for all groups at once too. Each group
+becomes one output.OutputRecord; results do not depend on arrival order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .collate import day_number_to_date, run_starts, same_length_segments, segment_sort
+from .collate import (
+    date_to_day_number, day_number_to_date, run_starts, same_length_segments, segment_sort,
+)
 from .errors import ConfigError
 from .geocode import RegionKey
-from .output import OutputRecord, region_of
+from .output import OutputRecord
 
 DEFAULT_BASELINE_START = dt.date(2020, 2, 17)
 DEFAULT_BASELINE_END = dt.date(2020, 3, 7)
@@ -66,58 +68,57 @@ def segment_stats(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
 
 def reduce_region_day(
     keys: Sequence[RegionKey], region: np.ndarray, day: np.ndarray, m_max: np.ndarray,
+    baseline_start: dt.date, baseline_end: dt.date,
 ) -> list[OutputRecord]:
-    """One record per (region, day) group of device-day m_max values; m50_index None.
+    """One finished record per (region, day) group of device-day m_max values, in file order.
 
     Row i is one record: keys[region[i]], local day number day[i], m_max[i].
-    Order independent: the same multiset of records yields identical output
-    however the rows are shuffled.
+    m50_index is against the region's median weekday m50 in [baseline_start,
+    baseline_end], None where there is none or it is not positive. The same
+    multiset of rows yields identical output however the rows are shuffled.
     """
-    order = np.lexsort((day, region))
-    region, day = region[order], day[order]
-    starts = run_starts(len(order), region, day)
+    # the distinct keys in file order, compared as tuples: a joined string
+    # could not tell "a\0" + "b" from "a" + "\0b"
+    fields = [(k.country_code, k.admin1, k.admin2, k.region_id) for k in keys]
+    distinct = sorted(set(fields))
+    rank = {f: i for i, f in enumerate(distinct)}
+    key = np.array([rank[f] for f in fields], np.int64)[region]
+    # a key's name rank: the rank of the first key with its (country, admin1, admin2)
+    first: dict[tuple, int] = {}
+    name_rank = np.array([first.setdefault(f[:3], i) for i, f in enumerate(distinct)])
+    order = np.lexsort((key, day, name_rank[key]))
+    key, day = key[order], day[order]
+    starts = run_starts(len(order), key, day)
     counts = np.diff(starts, append=len(order))
     values = segment_sort(m_max[order], starts, counts)
-    columns = segment_stats(values, starts, counts)
+    mean, m50, q1, q3 = segment_stats(values, starts, counts)
+    group_key, group_day = key[starts], day[starts]
 
-    group_keys = [keys[r] for r in region[starts].tolist()]
-    group_days = day[starts].tolist()
-    iso = {d: day_number_to_date(d).isoformat() for d in set(group_days)}
+    # day 0, 1970-01-01, was a Thursday, so (day + 3) % 7 is the weekday, Monday 0
+    window = np.flatnonzero((group_day >= date_to_day_number(baseline_start))
+                            & (group_day <= date_to_day_number(baseline_end))
+                            & ((group_day + 3) % 7 < 5))
+    by_key = window[np.lexsort((m50[window], group_key[window]))]
+    w_starts = run_starts(len(by_key), group_key[by_key])
+    w_counts = np.diff(w_starts, append=len(by_key))
+    # np.median's arithmetic, not the lerp that gives m50: (a + b) / 2 of the
+    # middle two; np.median itself imports numpy.ma on its first call (about 15 ms)
+    norm = np.zeros(len(distinct))
+    norm[group_key[by_key[w_starts]]] = (m50[by_key[w_starts + (w_counts - 1) // 2]]
+                                         + m50[by_key[w_starts + w_counts // 2]]) / 2
+    group_norm = norm[group_key]
+    indexed = group_norm > 0.0
+    m50_index = np.full(len(starts), None, object)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf, without a warning
+        m50_index[indexed] = 100.0 * m50[indexed] / group_norm[indexed]
+
+    heads = [(c, "admin2" if a2 else "admin1", a1, a2, r) for c, a1, a2, r in distinct]
+    iso = {d: day_number_to_date(d).isoformat() for d in np.unique(group_day).tolist()}
     return [
-        OutputRecord(k.country_code, "admin2" if k.admin2 else "admin1", k.admin1, k.admin2,
-                     k.region_id, iso[d], n, median, None, mean, q1, q3)
-        for k, d, n, mean, median, q1, q3 in zip(
-            group_keys, group_days, counts.tolist(), *(c.tolist() for c in columns))
+        OutputRecord(*heads[k], iso[d], n, median, index, avg, lower, upper)
+        for k, d, n, median, index, avg, lower, upper in zip(
+            *(c.tolist() for c in (group_key, group_day, counts, m50, m50_index, mean, q1, q3)))
     ]
-
-
-def compute_baseline(
-    records: Iterable[OutputRecord],
-    start: dt.date = DEFAULT_BASELINE_START,
-    end: dt.date = DEFAULT_BASELINE_END,
-) -> dict[tuple, float]:
-    """Per-region m50_norm, keyed by output.region_of: median weekday m50 in [start, end].
-
-    Regions with no weekday data in the window, or whose norm is zero, are
-    absent from the table (an index against them would be undefined).
-    """
-    check_baseline_window(start, end)
-    # ISO dates compare in date order, so only the window's dates are parsed
-    first, last = start.isoformat(), end.isoformat()
-    window: dict[tuple, list[float]] = {}
-    for r in records:
-        if first <= r.date <= last and dt.date.fromisoformat(r.date).weekday() < 5:
-            window.setdefault(region_of(r), []).append(r.m50)
-    table: dict[tuple, float] = {}
-    for region, values in window.items():
-        # np.median's arithmetic, the middle value or (a + b) / 2 of the middle
-        # two; np.median itself imports numpy.ma on its first call (about 15 ms)
-        v = np.sort(np.array(values))
-        mid = len(v) // 2
-        norm = float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
-        if norm > 0.0:
-            table[region] = norm
-    return table
 
 
 def check_baseline_window(start: dt.date, end: dt.date) -> None:
@@ -127,11 +128,3 @@ def check_baseline_window(start: dt.date, end: dt.date) -> None:
     week = range(min((end - start).days + 1, 7))
     if all((start + dt.timedelta(days=i)).weekday() >= 5 for i in week):
         raise ConfigError(f"baseline window {start}..{end} contains no weekdays")
-
-
-def apply_index(record: OutputRecord, baseline: dict[tuple, float]) -> OutputRecord:
-    """Fill m50_index in place when the record's region has a baseline."""
-    norm = baseline.get(region_of(record))
-    if norm is not None:
-        record.m50_index = 100.0 * record.m50 / norm
-    return record

@@ -35,11 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_date(text: str) -> dt.date:
+def _parse_date(text: str, where: str = "") -> dt.date:
     try:
         return dt.date.fromisoformat(text)
     except (TypeError, ValueError):
-        raise ConfigError(f"invalid date {text!r}, expected yyyy-mm-dd") from None
+        raise ConfigError(f"{where}invalid date {text!r}, expected yyyy-mm-dd") from None
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
@@ -131,14 +131,14 @@ def _read_config_file(path: str) -> dict:
                               f"{' or null' if default is None else ''}, got {value!r}")
     for key in _DATE_KEYS:
         if file_cfg.get(key) is not None:
-            file_cfg[key] = _parse_date(file_cfg[key])
+            file_cfg[key] = _parse_date(file_cfg[key], f"config file {path}: {key}: ")
     return file_cfg
 
 
 def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
     given = {k: v for k, v in vars(args).items() if k != "command"}
-    path = given.pop("config", "")
-    file_values = _read_config_file(path) if path else {}
+    path = given.pop("config", None)
+    file_values = {} if path is None else _read_config_file(path)
     return PipelineConfig(**{**file_values, **given})
 
 

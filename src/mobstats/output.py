@@ -5,8 +5,8 @@ and readers are loops over it, so a record's verbose values are written
 only under --verbose-stats. The writers format one field of all rows at
 a time, and the stats writers a region's fields once. Both formats carry identical values: m50
 fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
-when absent). Records are written in a canonical sort order with a fixed
-key order, so identical inputs always produce byte-identical files.
+when absent). Records are written in the reduce's canonical order with a
+fixed key order, so identical inputs always produce byte-identical files.
 UTF-8, LF line endings.
 """
 
@@ -91,14 +91,10 @@ class OutputRecord:
     date: str  # yyyy-mm-dd
     samples: int
     m50: float
-    m50_index: float | None  # filled in place by aggregate.apply_index
+    m50_index: float | None
     m_max_mean: float | None = None
     m_max_q1: float | None = None
     m_max_q3: float | None = None
-
-    def sort_key(self) -> tuple:
-        return (self.country_code, self.admin1, self.admin2, self.date,
-                self.admin_level, self.region_id)
 
 
 region_of = attrgetter(*(name for name, _ in REGION_FIELDS))
@@ -184,6 +180,3 @@ def read_csv(path: str) -> list[OutputRecord]:
             records.append(_parse_record(dict(zip(header, row)), where, in_csv=True))
     return records
 
-
-def sorted_records(records: Sequence[OutputRecord]) -> list[OutputRecord]:
-    return sorted(records, key=OutputRecord.sort_key)

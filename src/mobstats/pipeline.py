@@ -1,4 +1,4 @@
-"""End-to-end batch pipeline: scatter, gather, reduce, index, serialize.
+"""End-to-end batch pipeline: scatter, gather, reduce, serialize.
 
 The scatter phase reads each input shard into numpy columns
 (ingest.read_shard_columns, whose accuracy filter is the last use of
@@ -15,8 +15,8 @@ all matched days at once, and returns its counters and its records as
 three columns: an index into the gazetteer's output key table (built
 once in the parent, before any fork), the local day number and m_max.
 The parent concatenates the buckets' columns, reduces them into one
-output.OutputRecord per (region, date), fills in each record's index
-against its region's baseline, and writes the outputs atomically. Spill
+finished output.OutputRecord per (region, date), indexed against its
+region's baseline, in file order, and writes the outputs atomically. Spill
 files are keyed by input shard index and their sections read back in
 shard order, device codes are renumbered in device id order, region-day
 samples are value-sorted before any arithmetic, and every output file is
@@ -83,6 +83,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.inputs:
             raise ConfigError("no input globs given")
+        if type(self.inputs) is not list or not all(type(p) is str for p in self.inputs):
+            raise ConfigError(f"inputs must be a list of glob strings, got {self.inputs!r}")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
         if self.format not in FORMATS:
@@ -272,11 +274,7 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
     empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
     columns = [np.concatenate(c) for c in zip(empty, *(cols for _, cols in gathered))]
 
-    records = aggregate.reduce_region_day(gaz.keys, *columns)
-    baseline = aggregate.compute_baseline(records, cfg.baseline_start, cfg.baseline_end)
-    for r in records:
-        aggregate.apply_index(r, baseline)
-    records = output.sorted_records(records)
+    records = aggregate.reduce_region_day(gaz.keys, *columns, cfg.baseline_start, cfg.baseline_end)
 
     os.makedirs(out_dir, exist_ok=True)
     if cfg.format in ("ndjson", "both"):

@@ -9,29 +9,30 @@ from hypothesis import strategies as st
 from mobstats.aggregate import (
     DEFAULT_BASELINE_END,
     DEFAULT_BASELINE_START,
-    apply_index,
-    compute_baseline,
     reduce_region_day,
     segment_stats,
 )
 from mobstats.collate import date_to_day_number
 from mobstats.errors import ConfigError
 from mobstats.geocode import RegionKey
-from mobstats.output import OutputRecord, region_of
+from mobstats.pipeline import PipelineConfig
 
 R1 = RegionKey("AA", "West", "Westburg", "W-01")
 R2 = RegionKey("AA", "West", "", "W")
 
 # 2020-03-02 is a Monday
 MON = dt.date(2020, 3, 2)
+SAT = dt.date(2020, 2, 22)
+DEFAULT_WINDOW = (DEFAULT_BASELINE_START, DEFAULT_BASELINE_END)
 
 
 def rec(m_max, region=R1, date=MON):
     return (region, date, float(m_max))
 
 
-def reduce_rows(records):
-    """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns.
+def reduce_rows(records, window=DEFAULT_WINDOW):
+    """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns,
+    with the baseline window (start, end).
 
     The returned records are indexed by (RegionKey, date).
     """
@@ -42,20 +43,15 @@ def reduce_rows(records):
         np.array([index[region] for region, _, _ in records], np.int32),
         np.array([date_to_day_number(date) for _, date, _ in records], np.int64),
         np.array([m for _, _, m in records], np.float64),
+        *window,
     )
     return {(RegionKey(r.country_code, r.admin1, r.admin2, r.region_id),
              dt.date.fromisoformat(r.date)): r for r in out}
 
 
-def day_stats(region, date, m50):
-    level = "admin2" if region.admin2 else "admin1"
-    return OutputRecord(region.country_code, level, region.admin1, region.admin2,
-                        region.region_id, date.isoformat(), 1, m50, None, m50, m50, m50)
-
-
-def rid(region):
-    """The baseline table's key for a RegionKey."""
-    return region_of(day_stats(region, MON, 0.0))
+def indices(records, window):
+    """Each (RegionKey, date) group's m50_index, reduced with the given baseline window."""
+    return {key: r.m50_index for key, r in reduce_rows(records, window).items()}
 
 
 def summarize(values_sorted):
@@ -150,8 +146,9 @@ class TestSegmentStats:
         assert np.quantile([a, b], 0.5) == b - (b - a) * 0.5 == 1.0499999999999998
         assert summarize(np.array([a, b]))[1] == 1.0499999999999998
         tue = MON + dt.timedelta(days=1)
-        stats = [day_stats(R1, MON, a), day_stats(R1, tue, b)]
-        assert compute_baseline(stats, MON, tue) == {rid(R1): 1.05}
+        assert 100.0 * a / 1.05 != 100.0 * a / 1.0499999999999998
+        assert indices([rec(a), rec(b, date=tue)], (MON, tue)) == {
+            (R1, MON): 100.0 * a / 1.05, (R1, tue): 100.0 * b / 1.05}
 
 
 class TestReduceRegionDay:
@@ -195,73 +192,102 @@ class TestReduceRegionDay:
         out = reduce_rows([rec(2.0)])
         s = out[(R1, MON)]
         assert s.m_max_mean == 2.0
-        assert s.m50_index is None
+        # the region's only baseline day is its own norm
+        assert s.m50_index == 100.0
+
+    def test_file_order(self):
+        # two keys share (country, admin1, admin2), so the date sorts before region_id
+        twin = RegionKey("AA", "West", "Westburg", "W-00")
+        rows = [rec(1.0, region=RegionKey("BB", "North", "", "N")),
+                rec(1.0, region=R1, date=MON + dt.timedelta(days=1)), rec(1.0, region=R1),
+                rec(1.0, region=twin, date=MON + dt.timedelta(days=1)), rec(1.0, region=twin),
+                rec(1.0, region=R2), rec(1.0, region=RegionKey("AA", "East", "Eastburg", "E-01")),
+                rec(1.0, region=R2, date=MON - dt.timedelta(days=1))]
+        random.Random(3).shuffle(rows)
+        keys = list(reduce_rows(rows))
+        assert [(k.country_code, k.admin1, k.admin2, d.isoformat(), k.region_id)
+                for k, d in keys] == [
+            ("AA", "East", "Eastburg", "2020-03-02", "E-01"),
+            ("AA", "West", "", "2020-03-01", "W"),
+            ("AA", "West", "", "2020-03-02", "W"),
+            ("AA", "West", "Westburg", "2020-03-02", "W-00"),
+            ("AA", "West", "Westburg", "2020-03-02", "W-01"),
+            ("AA", "West", "Westburg", "2020-03-03", "W-00"),
+            ("AA", "West", "Westburg", "2020-03-03", "W-01"),
+            ("BB", "North", "", "2020-03-02", "N"),
+        ]
 
 
 class TestComputeBaseline:
+    """The norm, the region's median weekday m50 in the window, read through the index."""
+
     def test_median_weekday_m50(self):
         # five consecutive weekdays starting Monday 2020-03-02
         values = [4.0, 5.0, 6.0, 5.0, 4.0]
-        stats = [day_stats(R1, MON + dt.timedelta(days=i), v)
-                 for i, v in enumerate(values)]
-        assert compute_baseline(stats, MON, MON + dt.timedelta(days=4)) == {rid(R1): 5.0}
+        days = [MON + dt.timedelta(days=i) for i in range(5)]
+        got = indices([rec(v, date=d) for d, v in zip(days, values)], (MON, days[-1]))
+        assert got == {(R1, d): 100.0 * v / 5.0 for d, v in zip(days, values)}
 
     def test_weekend_data_ignored(self):
-        sat = dt.date(2020, 2, 22)
-        stats = [day_stats(R1, sat, 100.0), day_stats(R1, sat + dt.timedelta(days=1), 100.0),
-                 day_stats(R1, MON, 7.0)]
-        table = compute_baseline(stats, dt.date(2020, 2, 17), dt.date(2020, 3, 7))
-        assert table == {rid(R1): 7.0}
+        rows = [rec(100.0, date=SAT), rec(100.0, date=SAT + dt.timedelta(days=1)), rec(7.0)]
+        got = indices(rows, (dt.date(2020, 2, 17), dt.date(2020, 3, 7)))
+        assert got == {(R1, SAT): 100.0 * 100.0 / 7.0,
+                       (R1, SAT + dt.timedelta(days=1)): 100.0 * 100.0 / 7.0, (R1, MON): 100.0}
 
     def test_weekend_only_region_absent(self):
-        sat = dt.date(2020, 2, 22)
-        stats = [day_stats(R1, sat, 5.0), day_stats(R2, MON, 3.0)]
-        table = compute_baseline(stats)
-        assert rid(R1) not in table
-        assert table[rid(R2)] == 3.0
+        got = indices([rec(5.0, date=SAT), rec(3.0, region=R2)], DEFAULT_WINDOW)
+        assert got == {(R1, SAT): None, (R2, MON): 100.0}
 
     def test_out_of_window_dates_ignored(self):
-        stats = [day_stats(R1, MON, 5.0), day_stats(R1, dt.date(2020, 3, 9), 50.0)]
-        assert compute_baseline(stats) == {rid(R1): 5.0}
+        later = dt.date(2020, 3, 9)
+        got = indices([rec(5.0), rec(50.0, date=later)], DEFAULT_WINDOW)
+        assert got == {(R1, MON): 100.0, (R1, later): 100.0 * 50.0 / 5.0}
 
     def test_zero_norm_region_excluded(self):
-        stats = [day_stats(R1, MON, 0.0)]
-        assert compute_baseline(stats) == {}
+        later = dt.date(2020, 3, 9)
+        got = indices([rec(0.0), rec(3.0, date=later), rec(2.0, region=R2)], DEFAULT_WINDOW)
+        assert got == {(R1, MON): None, (R1, later): None, (R2, MON): 100.0}
 
     def test_default_window(self):
         assert DEFAULT_BASELINE_START == dt.date(2020, 2, 17)
         assert DEFAULT_BASELINE_END == dt.date(2020, 3, 7)
 
     def test_inverted_window_rejected(self):
+        cfg = PipelineConfig(inputs=["x"], gazetteer="g", baseline_start=dt.date(2020, 3, 7),
+                             baseline_end=dt.date(2020, 2, 17))
         with pytest.raises(ConfigError, match="empty"):
-            compute_baseline([], dt.date(2020, 3, 7), dt.date(2020, 2, 17))
+            cfg.validate()
 
     def test_weekday_free_window_rejected(self):
-        sat = dt.date(2020, 2, 22)
+        cfg = PipelineConfig(inputs=["x"], gazetteer="g", baseline_start=SAT,
+                             baseline_end=SAT + dt.timedelta(days=1))
         with pytest.raises(ConfigError, match="no weekdays"):
-            compute_baseline([], sat, sat + dt.timedelta(days=1))
+            cfg.validate()
 
     def test_empty_data_is_fine(self):
-        # a valid window with no data yields an empty table, not an error
-        assert compute_baseline([]) == {}
+        # a valid window with no data yields no records, not an error
+        assert reduce_rows([], DEFAULT_WINDOW) == {}
 
 
 class TestApplyIndex:
+    """m50_index = 100 * m50 / norm, against a norm set by one baseline day."""
+
+    LATER = dt.date(2020, 3, 9)
+
+    def index(self, norm, m50):
+        return indices([rec(norm), rec(m50, date=self.LATER)], (MON, MON))[(R1, self.LATER)]
+
     def test_ratio(self):
-        s = apply_index(day_stats(R1, MON, 1.5), {rid(R1): 3.0})
-        assert s.m50_index == 50.0
+        assert self.index(3.0, 1.5) == 50.0
 
     def test_identity(self):
-        s = apply_index(day_stats(R1, MON, 4.0), {rid(R1): 4.0})
-        assert s.m50_index == 100.0
+        assert self.index(4.0, 4.0) == 100.0
 
     def test_thirty_percent_of_normal(self):
-        s = apply_index(day_stats(R1, MON, 1.2), {rid(R1): 4.0})
-        assert s.m50_index == pytest.approx(30.0)
+        assert self.index(4.0, 1.2) == pytest.approx(30.0)
 
     def test_region_without_baseline_left_unindexed(self):
-        s = apply_index(day_stats(R1, MON, 1.5), {})
-        assert s.m50_index is None
+        assert indices([rec(1.5, date=self.LATER)], (MON, MON)) == {(R1, self.LATER): None}
 
 
 class TestScaleInvariance:
@@ -272,14 +298,12 @@ class TestScaleInvariance:
         base_date = MON
         target = dt.date(2020, 3, 9)
 
-        def table_and_stats(scale):
+        def indices_at_scale(scale):
             records = [rec(v * scale, date=base_date) for v in m_maxes]
             records += [rec(v * scale * 0.5, date=target) for v in m_maxes]
-            out = reduce_rows(records)
-            baseline = compute_baseline(out.values())
-            return [apply_index(s, baseline) for s in out.values()]
+            return indices(records, DEFAULT_WINDOW)
 
-        plain = {(region_of(s), s.date): s.m50_index for s in table_and_stats(1.0)}
-        scaled = {(region_of(s), s.date): s.m50_index for s in table_and_stats(c)}
+        plain = indices_at_scale(1.0)
+        scaled = indices_at_scale(c)
         for key, idx in plain.items():
             assert scaled[key] == pytest.approx(idx, rel=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats.aggregate import reduce_region_day
+from mobstats.aggregate import DEFAULT_BASELINE_END, DEFAULT_BASELINE_START, reduce_region_day
 from mobstats.collate import date_to_day_number
 from mobstats.errors import DataError
 from mobstats.geocode import RegionKey
@@ -16,7 +16,6 @@ from mobstats.output import (
     OutputRecord,
     read_csv,
     read_ndjson,
-    sorted_records,
     write_csv,
     write_ndjson,
 )
@@ -139,13 +138,14 @@ class TestWriteCsv:
 
 class TestRoundTrip:
     def make_records(self):
-        return sorted_records([
-            rec(),
-            rec(admin_level="admin1", admin2="", region_id="W", date="2020-03-03",
-                samples=25, m50=0.125, m50_index=None),
+        # in file order
+        return [
             rec(admin1="East", admin2="Eastburg", region_id="E-01", m50=3.5,
                 m50_index=100.0),
-        ])
+            rec(admin_level="admin1", admin2="", region_id="W", date="2020-03-03",
+                samples=25, m50=0.125, m50_index=None),
+            rec(),
+        ]
 
     def test_ndjson_round_trip(self, tmp_path):
         records = self.make_records()
@@ -247,10 +247,12 @@ class TestRoundTrip:
 
 
 def reduced(key, m_max=(0.2, 1.0, 1.8, 3.0, 4.0)):
-    """The one record reduce_region_day makes of a region's m_max values on 2020-03-02."""
+    """The one record reduce_region_day makes of a region's m_max values on 2020-03-02,
+    a baseline day."""
     day = date_to_day_number(dt.date(2020, 3, 2))
     (record,) = reduce_region_day([key], np.zeros(len(m_max), np.int32),
-                                  np.full(len(m_max), day), np.array(m_max))
+                                  np.full(len(m_max), day), np.array(m_max),
+                                  DEFAULT_BASELINE_START, DEFAULT_BASELINE_END)
     return record
 
 
@@ -268,30 +270,11 @@ class TestRecordFromStats:
         r = reduced(RegionKey("AA", "West", "", "W"))
         assert r.admin_level == "admin1"
         assert r.admin2 == ""
-        assert r.m50_index is None
+        # its only baseline day is its norm
+        assert r.m50_index == 100.0
 
     def test_verbose_carries_spread(self):
         r = reduced(RegionKey("AA", "West", "", "W"))
         assert (r.m_max_mean, r.m_max_q1, r.m_max_q3) == (2.0, 1.0, 3.0)
         obj = json.loads(ndjson_text([r], verbose=True))
         assert (obj["m_max_mean"], obj["m_max_q1"], obj["m_max_q3"]) == (2.0, 1.0, 3.0)
-
-
-class TestSortedRecords:
-    def test_canonical_order(self):
-        records = [
-            rec(country_code="BB"),
-            rec(admin1="East", admin2="Eastburg", region_id="E-01"),
-            rec(date="2020-03-01"),
-            rec(admin_level="admin1", admin2="", region_id="W"),
-            rec(),
-        ]
-        ordered = sorted_records(records)
-        keys = [r.sort_key() for r in ordered]
-        assert keys == sorted(keys)
-        # admin1 rows sort before admin2 rows of the same region and date
-        assert ordered[0].admin1 == "East"
-        assert ordered[-1].country_code == "BB"
-        same_day = [r for r in ordered if r.country_code == "AA"
-                    and r.date == "2020-03-02" and r.admin1 == "West"]
-        assert [r.admin_level for r in same_day] == ["admin1", "admin2"]

@@ -20,7 +20,7 @@ from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, read_shard_columns
-from mobstats.output import read_csv, read_ndjson, sorted_records, write_ndjson
+from mobstats.output import read_csv, read_ndjson, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
 
@@ -101,7 +101,8 @@ class TestRun:
         assert report["unmatched_geocode"] > 0
 
         records = read_ndjson(str(out / "stats.ndjson"))
-        assert records == sorted_records(records)
+        assert records == sorted(records, key=lambda r: (r.country_code, r.admin1, r.admin2,
+                                                         r.date, r.region_id))
         assert records == read_csv(str(out / "stats.csv"))
         assert sum(r.samples for r in records if r.admin_level == "admin1") == \
             report["admin1_level_samples"]
@@ -250,9 +251,9 @@ class TestRun:
         captured = []
         reduce_region_day = aggregate.reduce_region_day
 
-        def capture(keys, region, day, m_max):
+        def capture(keys, region, day, m_max, *args):
             captured.extend(zip((keys[r] for r in region.tolist()), day.tolist(), m_max.tolist()))
-            return reduce_region_day(keys, region, day, m_max)
+            return reduce_region_day(keys, region, day, m_max, *args)
 
         monkeypatch.setattr(aggregate, "reduce_region_day", capture)
         run(base_config(scenario, tmp_path / "out"))
@@ -342,6 +343,14 @@ class TestRun:
         cfg.inputs = [str(tmp_path / "nothing" / "*.csv")]
         with pytest.raises(ConfigError, match="no input files"):
             run(cfg)
+
+    def test_inputs_must_be_a_list_of_strings(self, tmp_path):
+        # a bare string would be read as one glob per character
+        for inputs in ["nomatch*.csv", [str(tmp_path / "*.csv"), 3]]:
+            cfg = PipelineConfig(inputs=inputs, gazetteer="g", output_dir=str(tmp_path / "o"))
+            with pytest.raises(ConfigError, match="list of glob strings"):
+                run(cfg)
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_validation(self, scenario, tmp_path):
         for field, value in [("format", "xml"), ("accuracy_max_m", 0.0),
@@ -866,6 +875,15 @@ class TestCli:
         assert main(["run", "--config", str(cfg_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "invalid date '2020-02-30'" in err
+        assert str(cfg_file) in err and key in err
+
+    @pytest.mark.parametrize("name", ["", "nope.json"])
+    def test_config_file_unreadable_exit_2(self, tmp_path, capsys, name):
+        path = str(tmp_path / name) if name else ""
+        rc = main(["run", "--config", path, "--input", str(tmp_path / "nomatch-*.csv"),
+                   "--gazetteer", "g", "--output-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: io:")
 
     def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
