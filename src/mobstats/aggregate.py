@@ -74,8 +74,9 @@ def reduce_region_day(
 
     Row i is one record: keys[region[i]], local day number day[i], m_max[i].
     m50_index is against the region's median weekday m50 in [baseline_start,
-    baseline_end], None where there is none or it is not positive. The same
-    multiset of rows yields identical output however the rows are shuffled.
+    baseline_end], None where there is none, it is not positive or the
+    ratio overflows. The same multiset of rows yields identical output
+    however the rows are shuffled.
     """
     # the distinct keys in file order, compared as tuples: a joined string
     # could not tell "a\0" + "b" from "a" + "\0b"
@@ -107,10 +108,12 @@ def reduce_region_day(
     norm[group_key[by_key[w_starts]]] = (m50[by_key[w_starts + (w_counts - 1) // 2]]
                                          + m50[by_key[w_starts + w_counts // 2]]) / 2
     group_norm = norm[group_key]
-    indexed = group_norm > 0.0
+    with np.errstate(all="ignore"):
+        ratio = 100.0 * m50 / group_norm
+    # no baseline (a zero norm), or a ratio past the float range: a null index
+    indexed = (group_norm > 0.0) & np.isfinite(ratio)
     m50_index = np.full(len(starts), None, object)
-    with np.errstate(over="ignore"):  # a ratio past the float range is inf, without a warning
-        m50_index[indexed] = 100.0 * m50[indexed] / group_norm[indexed]
+    m50_index[indexed] = ratio[indexed]
 
     heads = [(c, "admin2" if a2 else "admin1", a1, a2, r) for c, a1, a2, r in distinct]
     iso = {d: day_number_to_date(d).isoformat() for d in np.unique(group_day).tolist()}

@@ -57,7 +57,6 @@ def build_parser() -> _Parser:
                        help="input shard glob; repeat for multiple datasets")
     p_run.add_argument("--gazetteer", metavar="PATH")
     p_run.add_argument("--output-dir", metavar="DIR")
-    p_run.add_argument("--format", choices=["ndjson", "csv", "both"])
     p_run.add_argument("--accuracy-max-m", type=float)
     p_run.add_argument("--min-reports", type=int)
     p_run.add_argument("--min-span-hours", type=float)
@@ -67,7 +66,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--date-start", type=_parse_date, metavar="DATE")
     p_run.add_argument("--date-end", type=_parse_date, metavar="DATE")
     p_run.add_argument("--workers", type=int)
-    p_run.add_argument("--n-buckets", type=int)
     p_run.add_argument("--scratch-dir", metavar="DIR")
     p_run.add_argument("--verbose-stats", action="store_true")
     p_run.add_argument("--config", metavar="FILE", help="JSON config file; flags override")

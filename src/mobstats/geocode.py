@@ -166,7 +166,9 @@ def _validate_ring(ring: list, region_id: str) -> np.ndarray:
 
 def _validate_key(rec: dict) -> RegionKey:
     cc = rec.get("country_code", "")
-    rid = str(rec.get("region_id", ""))
+    rid = rec.get("region_id", "")
+    if not isinstance(rid, str):
+        raise DataError(f"region {rid!r}: region_id is not a string")
     if (not isinstance(cc, str) or len(cc) != 2 or not cc.isascii() or not cc.isalpha()
             or not cc.isupper()):
         raise DataError(f"region {rid}: bad country_code {cc!r}")

@@ -21,7 +21,7 @@ files are keyed by input shard index and their sections read back in
 shard order, device codes are renumbered in device id order, region-day
 samples are value-sorted before any arithmetic, and every output file is
 written in one canonical order, so results are byte-identical for any
-worker or bucket count. Each run clears the spill tree before scatter;
+worker count and any N_BUCKETS. Each run clears the spill tree before scatter;
 it is deleted on success and kept on failure.
 """
 
@@ -46,7 +46,9 @@ from .ingest import IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 from .output import write_compare
 
-FORMATS = ("ndjson", "csv", "both")
+# device-id hash buckets per dataset, one gather task each: no output byte
+# depends on the count, but gather runs at most this many tasks at once
+N_BUCKETS = 8
 
 # per-dataset device-day counters, in run-report order; the two rejected_*
 # keys are "rejected_" + a metrics.REASON_* value
@@ -66,7 +68,6 @@ class PipelineConfig:
     inputs: list[str] = field(default_factory=list)  # one glob pattern per dataset
     gazetteer: str | None = None
     output_dir: str = "out"
-    format: str = "both"
     accuracy_max_m: float = 50.0
     min_reports: int = metrics.DEFAULT_MIN_REPORTS
     min_span_hours: float = metrics.DEFAULT_MIN_SPAN_HOURS
@@ -76,7 +77,6 @@ class PipelineConfig:
     date_start: dt.date | None = None
     date_end: dt.date | None = None
     workers: int = 1
-    n_buckets: int = 8
     scratch_dir: str | None = None
     verbose_stats: bool = False
 
@@ -87,8 +87,6 @@ class PipelineConfig:
             raise ConfigError(f"inputs must be a list of glob strings, got {self.inputs!r}")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if not self.accuracy_max_m > 0:
             raise ConfigError(f"accuracy_max_m must be positive, got {self.accuracy_max_m}")
         if self.min_reports < 1:
@@ -103,8 +101,6 @@ class PipelineConfig:
             raise ConfigError(f"date range is empty: {self.date_start} > {self.date_end}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if not 1 <= self.n_buckets < 2**63:
-            raise ConfigError(f"n_buckets must be in [1, 2**63 - 1], got {self.n_buckets}")
 
 
 # gazetteer shared with forked gather workers
@@ -256,10 +252,8 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
     os.makedirs(scratch, exist_ok=True)
 
     stats = IngestStats()
-    scatter_tasks = [
-        (s, path, cfg.n_buckets, cfg.accuracy_max_m, scratch)
-        for s, path in enumerate(shards)
-    ]
+    scatter_tasks = [(s, path, N_BUCKETS, cfg.accuracy_max_m, scratch)
+                     for s, path in enumerate(shards)]
     sections: dict[int, list[tuple[str, int, int]]] = {}
     scattered = map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
     for s, (shard_stats, ranges) in enumerate(scattered):
@@ -277,16 +271,10 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
     records = aggregate.reduce_region_day(gaz.keys, *columns, cfg.baseline_start, cfg.baseline_end)
 
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.format in ("ndjson", "both"):
-        atomic_write(
-            os.path.join(out_dir, "stats.ndjson"),
-            lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats),
-        )
-    if cfg.format in ("csv", "both"):
-        atomic_write(
-            os.path.join(out_dir, "stats.csv"),
-            lambda fh: output.write_csv(records, fh, cfg.verbose_stats),
-        )
+    atomic_write(os.path.join(out_dir, "stats.ndjson"),
+                 lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats))
+    atomic_write(os.path.join(out_dir, "stats.csv"),
+                 lambda fh: output.write_csv(records, fh, cfg.verbose_stats))
 
     admin1_samples = sum(r.samples for r in records if r.admin_level == "admin1")
     report = {
@@ -306,8 +294,8 @@ def run(cfg: PipelineConfig) -> list[dict]:
 
     Output layout: a single dataset writes stats.ndjson / stats.csv directly
     under output_dir; multiple datasets write under dataset-NN/ plus, when
-    there are two, a compare.ndjson joined from the stats files written, in
-    either format. run_report.ndjson holds one line of counters per dataset.
+    there are two, a compare.ndjson joined from their stats.ndjson files.
+    run_report.ndjson holds one line of counters per dataset.
     """
     cfg.validate()
     datasets: list[list[str]] = []
@@ -347,10 +335,9 @@ def run(cfg: PipelineConfig) -> list[dict]:
         )
 
         if len(datasets) == 2:
-            name = "stats.csv" if cfg.format == "csv" else "stats.ndjson"
             rows = compare_stats(
-                os.path.join(cfg.output_dir, "dataset-00", name),
-                os.path.join(cfg.output_dir, "dataset-01", name),
+                os.path.join(cfg.output_dir, "dataset-00", "stats.ndjson"),
+                os.path.join(cfg.output_dir, "dataset-01", "stats.ndjson"),
             )
             atomic_write(
                 os.path.join(cfg.output_dir, "compare.ndjson"),

@@ -16,7 +16,7 @@ from time import perf_counter
 import pytest
 
 from adapters import contains, device_days, verdicts
-from mobstats import oracle
+from mobstats import oracle, pipeline
 from mobstats.cli import main
 from mobstats.geo import convex_hull_xy, unwrap_lonlat
 from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
@@ -48,10 +48,10 @@ def corpus(tmp_path_factory):
     return {"root": root, "glob": str(root / "shards" / "*.csv"), **result}
 
 
-def corpus_config(corpus, out_dir, workers=1, n_buckets=8):
+def corpus_config(corpus, out_dir, workers=1):
     return PipelineConfig(
         inputs=[corpus["glob"]], gazetteer=corpus["gazetteer_path"],
-        output_dir=str(out_dir), workers=workers, n_buckets=n_buckets,
+        output_dir=str(out_dir), workers=workers,
     )
 
 
@@ -130,7 +130,7 @@ class TestGates:
             gen = generate(spec, str(data))
             run(PipelineConfig(inputs=[str(data / "shards" / "*.csv")],
                                gazetteer=gen["gazetteer_path"],
-                               output_dir=str(out), workers=1, n_buckets=4))
+                               output_dir=str(out), workers=1))
             records = read_ndjson(str(out / "stats.ndjson"))
             pre = [r for r in records if r.date < "2020-03-09"]
             post = [r for r in records if r.date >= "2020-03-09"]
@@ -150,12 +150,13 @@ class TestGates:
               f"m50 {m50_low:.3f} km (target 0.031 +-0.002) and index {idx_low} "
               f"(target 0.6 +-0.2); scaled 0.30 gives index {idx_high} (target 30 +-1)")
 
-    def test_3_byte_determinism(self, corpus, reference_run, tmp_path):
+    def test_3_byte_determinism(self, corpus, reference_run, tmp_path, monkeypatch):
         golden = hashes(reference_run["out"])
         combos = [(1, 1), (4, 8), (16, 64), (1, 64), (16, 1)]
         for workers, buckets in combos:
+            monkeypatch.setattr(pipeline, "N_BUCKETS", buckets)
             out = tmp_path / f"w{workers}-b{buckets}"
-            run(corpus_config(corpus, out, workers=workers, n_buckets=buckets))
+            run(corpus_config(corpus, out, workers=workers))
             assert hashes(out) == golden, (workers, buckets)
         print(f"PASS: gate 3 determinism: byte-identical stats.ndjson/stats.csv/"
               f"run_report.ndjson for (workers, buckets) in {[(1, 8)] + combos} "

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapters import shard_rows
-from mobstats import aggregate, ingest
+from mobstats import aggregate, ingest, pipeline
 from mobstats.collate import day_number_to_date
 from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
 from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
@@ -304,11 +304,13 @@ class TestGatherKernel:
     @pytest.mark.parametrize("n_buckets", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("window", [None, (dt.date(2020, 3, 1), dt.date(2020, 3, 6))])
-    def test_matches_device_day_reference(self, scenario, tmp_path, n_buckets, workers, window):
+    def test_matches_device_day_reference(self, scenario, tmp_path, monkeypatch, n_buckets,
+                                          workers, window):
+        monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
         cfg = PipelineConfig(
             inputs=[str(scenario["root"] / "shards" / "*.csv")],
             gazetteer=scenario["gazetteer_path"], output_dir=str(tmp_path / "out"),
-            workers=workers, n_buckets=n_buckets,
+            workers=workers,
             date_start=window and window[0], date_end=window and window[1],
         )
         rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
@@ -322,7 +324,7 @@ class TestGatherKernel:
         if n_buckets == 1:  # one bucket: devices in id order, days in date order
             assert got_records == want_records
 
-    def test_key_table_twins_without_region_records(self, scenario, tmp_path):
+    def test_key_table_twins_without_region_records(self, scenario, tmp_path, monkeypatch):
         # no "East" admin1 record, so Eastburg County's admin1 twin has region_id "";
         # the Eastfield quarter is the country-only region BB, its own twin
         recs = [r for r in toy_gazetteer_records()
@@ -339,10 +341,11 @@ class TestGatherKernel:
         outputs = set()
         for workers in (1, 2):
             for n_buckets in (1, 3, 8):
+                monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
                 out = tmp_path / f"out-{workers}-{n_buckets}"
                 cfg = PipelineConfig(inputs=[str(scenario["root"] / "shards" / "*.csv")],
                                      gazetteer=str(gaz_path), output_dir=str(out),
-                                     workers=workers, n_buckets=n_buckets)
+                                     workers=workers)
                 want_counters, want_records = reference_gather(rows, gaz, cfg)
                 counters, records = run_captured(cfg)
                 assert counters == want_counters
@@ -358,7 +361,7 @@ class TestGatherKernel:
         assert {("AA", "East", "", ""), ("AA", "East", "Eastburg County", "AA-E-01"),
                 ("BB", "", "", "BB"), ("AA", "West", "", "AA-W")} <= emitted
 
-    def test_device_ids_survive_spill_round_trip(self, scenario, tmp_path):
+    def test_device_ids_survive_spill_round_trip(self, scenario, tmp_path, monkeypatch):
         # ids a numpy U array, str.splitlines or a strip would merge or split
         names = ["a", "a\x00", "b", "b\x85", "c", "c\u2028", "d", "d\x1c"]
         lines = [
@@ -368,8 +371,9 @@ class TestGatherKernel:
         data = tmp_path / "data"
         data.mkdir()
         (data / "part-00.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(pipeline, "N_BUCKETS", 3)
         cfg = PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=scenario["gazetteer_path"],
-                             output_dir=str(tmp_path / "out"), n_buckets=3)
+                             output_dir=str(tmp_path / "out"))
         counters, records = run_captured(cfg)
         want_counters, want_records = reference_gather(
             reference_read(str(data / "part-00.csv"), 50.0)[1],

@@ -303,6 +303,20 @@ class TestRegionFieldTypes:
         with pytest.raises(DataError, match="region R7"):
             load_gazetteer(p)
 
+    @pytest.mark.parametrize("region_id", [None, 7, ["a"]], ids=["null", "int", "list"])
+    def test_non_string_region_id_rejected(self, tmp_path, region_id):
+        # str() of it would have reached the output as "None", "7" or "['a']"
+        p = write_gaz(tmp_path / "g.ndjson", [region_rec(region_id, [square_ring(0, 0, 1, 1)])])
+        with pytest.raises(DataError, match="region_id is not a string") as e:
+            load_gazetteer(p)
+        assert f"region {region_id!r}" in str(e.value)
+
+    def test_missing_region_id_is_empty(self, tmp_path):
+        rec = region_rec("", [square_ring(0, 0, 1, 1)], admin1="West")
+        del rec["region_id"]
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [rec]))
+        assert gaz.regions[0].key == RegionKey("AA", "West", "", "")
+
 
 def linear_scan(gaz, pts):
     """The keys reverse_geocode finds at the (x, y) points, without the grid: every

@@ -171,6 +171,20 @@ class TestRoundTrip:
         p.write_text(csv_text(records, verbose=True), encoding="utf-8")
         assert read_csv(str(p)) == records
 
+    def test_overflowing_index_written_as_null(self, tmp_path):
+        # 100 * 20 / 1e-310 is past the float range: the index is null, not inf
+        key = RegionKey("AA", "West", "", "W")
+        days = [date_to_day_number(dt.date(2020, 3, d)) for d in (2, 9)]
+        records = reduce_region_day([key], np.zeros(2, np.int32), np.array(days, np.int64),
+                                    np.array([1e-310, 20.0]), dt.date(2020, 3, 2),
+                                    dt.date(2020, 3, 2))
+        assert [r.m50_index for r in records] == [100.0, None]
+        p = tmp_path / "stats.ndjson"
+        p.write_text(ndjson_text(records), encoding="utf-8")
+        assert [r.m50_index for r in read_ndjson(str(p))] == [100.0, None]
+        assert json.loads(p.read_text().splitlines()[1])["m50_index"] is None
+        assert csv_text(records).splitlines()[2].split(",")[-1] == ""
+
     def test_bad_ndjson_rejected(self, tmp_path):
         p = tmp_path / "stats.ndjson"
         p.write_text("not json\n", encoding="utf-8")

@@ -45,7 +45,6 @@ def base_config(scenario, out_dir, **overrides):
         gazetteer=scenario["gazetteer_path"],
         output_dir=str(out_dir),
         workers=1,
-        n_buckets=4,
     )
     cfg.update(overrides)
     return PipelineConfig(**cfg)
@@ -72,7 +71,7 @@ def fail_mid_scatter(scenario, tmp_path):
     (data / "part-01.csv").mkdir()
     out = tmp_path / "out"
     with pytest.raises(OSError):
-        run(base_config(scenario, out, inputs=[str(data / "*.csv")], n_buckets=8))
+        run(base_config(scenario, out, inputs=[str(data / "*.csv")]))
     return out
 
 
@@ -145,7 +144,7 @@ class TestRun:
         out = fail_mid_scatter(scenario, tmp_path)
         assert list((out / ".scratch" / "spill").rglob("spill-*"))
 
-        small_cfg = dict(small_scenario(tmp_path / "small"), n_buckets=8)
+        small_cfg = small_scenario(tmp_path / "small")
         after_failure = run(base_config(scenario, out, **small_cfg))
         clean = run(base_config(scenario, tmp_path / "clean", **small_cfg))
         assert after_failure == clean
@@ -157,23 +156,25 @@ class TestRun:
         # shard 0 was scattered into 8 buckets before shard 1 failed
         assert len(list((out / ".scratch" / "spill").rglob("spill-*"))) == 1
 
-    def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path):
+    def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path, monkeypatch):
         small_cfg = small_scenario(tmp_path / "small")
         outputs = set()
         for n_buckets in (1, 8, 4096, 2**63 - 1):
+            monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
             out = tmp_path / f"out-{n_buckets}"
-            run(base_config(scenario, out, n_buckets=n_buckets, **small_cfg))
+            run(base_config(scenario, out, **small_cfg))
             outputs.add(tuple((out / name).read_bytes()
                               for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
 
     def test_gather_opens_only_non_empty_sections_once(self, scenario, tmp_path, monkeypatch):
         # at 4096 buckets most (bucket, shard) pairs hold no report
-        cfg = base_config(scenario, tmp_path / "out", n_buckets=4096)
+        monkeypatch.setattr(pipeline, "N_BUCKETS", 4096)
+        cfg = base_config(scenario, tmp_path / "out")
         pairs = set()
         for s, path in enumerate(scenario["shard_paths"]):
             shard = read_shard_columns(path, cfg.accuracy_max_m, IngestStats())
-            pairs |= {(s, bucket_index(shard.names[c], cfg.n_buckets))
+            pairs |= {(s, bucket_index(shard.names[c], 4096))
                       for c in set(shard.code.tolist())}
         reads, sizes, gathered = [], {}, []
 
@@ -311,10 +312,12 @@ class TestRun:
         assert records
         assert all(lo.isoformat() <= r.date <= hi.isoformat() for r in records)
 
-    def test_worker_and_bucket_counts_do_not_change_bytes(self, scenario, tmp_path):
-        def run_with(tag, **kw):
+    def test_worker_and_bucket_counts_do_not_change_bytes(self, scenario, tmp_path,
+                                                          monkeypatch):
+        def run_with(tag, workers, n_buckets):
+            monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
             out = tmp_path / tag
-            run(base_config(scenario, out, **kw))
+            run(base_config(scenario, out, workers=workers))
             return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")}
 
@@ -329,14 +332,6 @@ class TestRun:
         assert {"m_max_mean", "m_max_q1", "m_max_q3"} <= set(obj)
         header = (out / "stats.csv").read_text().splitlines()[0]
         assert header.endswith("m50_index,m_max_mean,m_max_q1,m_max_q3")
-
-    def test_format_selection(self, scenario, tmp_path):
-        run(base_config(scenario, tmp_path / "nd", format="ndjson"))
-        assert (tmp_path / "nd" / "stats.ndjson").exists()
-        assert not (tmp_path / "nd" / "stats.csv").exists()
-        run(base_config(scenario, tmp_path / "cv", format="csv"))
-        assert (tmp_path / "cv" / "stats.csv").exists()
-        assert not (tmp_path / "cv" / "stats.ndjson").exists()
 
     def test_empty_glob_rejected(self, scenario, tmp_path):
         cfg = base_config(scenario, tmp_path / "out")
@@ -353,9 +348,8 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_config_validation(self, scenario, tmp_path):
-        for field, value in [("format", "xml"), ("accuracy_max_m", 0.0),
-                             ("min_reports", 0), ("trim_fraction", 1.0),
-                             ("workers", 0), ("n_buckets", 0), ("n_buckets", 2**63)]:
+        for field, value in [("accuracy_max_m", 0.0), ("min_reports", 0),
+                             ("trim_fraction", 1.0), ("workers", 0)]:
             cfg = base_config(scenario, tmp_path / "out")
             setattr(cfg, field, value)
             with pytest.raises(ConfigError):
@@ -381,18 +375,6 @@ class TestRun:
             else:
                 assert row["delta"] is None
 
-    def test_csv_only_run_writes_the_same_compare(self, scenario, tmp_path):
-        pattern = str(scenario["root"] / "shards" / "*.csv")
-        compare = {}
-        for fmt in ("csv", "both"):
-            cfg = base_config(scenario, tmp_path / fmt, format=fmt, date_end=dt.date(2020, 3, 5))
-            cfg.inputs = [pattern, str(scenario["root"] / "shards" / "part-0[01].csv")]
-            run(cfg)
-            compare[fmt] = (tmp_path / fmt / "compare.ndjson").read_bytes()
-        assert not (tmp_path / "csv" / "dataset-00" / "stats.ndjson").exists()
-        assert b'"status":"only_a"' in compare["both"]
-        assert compare["csv"] == compare["both"]
-
     def test_run_compare_matches_compare_subcommand(self, scenario, tmp_path):
         out = tmp_path / "out"
         pattern = str(scenario["root"] / "shards" / "*.csv")
@@ -412,7 +394,7 @@ class TestLockdownScenario:
         out = tmp_path / "out"
         run(PipelineConfig(inputs=[str(tmp_path / "data" / "shards" / "*.csv")],
                            gazetteer=result["gazetteer_path"],
-                           output_dir=str(out), workers=1, n_buckets=4))
+                           output_dir=str(out), workers=1))
         records = read_ndjson(str(out / "stats.ndjson"))
         pre = [r for r in records if r.date < "2020-03-09" and r.m50_index is not None]
         post = [r for r in records if r.date >= "2020-03-09" and r.m50_index is not None]
@@ -637,26 +619,28 @@ class TestCli:
         assert err.startswith("error: config:") and key in err and value in err
         assert not (tmp_path / "o").exists()
 
+    # every run writes both stats files and gathers in pipeline.N_BUCKETS buckets
+    @pytest.mark.parametrize("key, value", [("format", "csv"), ("n_buckets", 8)])
     @pytest.mark.parametrize("source", ["flag", "config_file"])
-    def test_n_buckets_above_int64_exit_1_before_any_shard_is_read(self, scenario, tmp_path,
-                                                                   capsys, monkeypatch, source):
-        # 2**64 + 5 ended in an OverflowError traceback in scatter
+    def test_removed_option_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
+                                                            monkeypatch, key, value, source):
         def no_read(*args):
             raise AssertionError("a shard was read")
 
         monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
-        text = str(2**64 + 5)
         args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
                 "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
         if source == "flag":
-            args += ["--n-buckets", text]
+            name = "--" + key.replace("_", "-")
+            args += [name, str(value)]
         else:
+            name = key
             cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text('{"n_buckets": %s}' % text)
+            cfg_file.write_text(json.dumps({key: value}))
             args += ["--config", str(cfg_file)]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config:") and "n_buckets" in err and text in err
+        assert err.startswith("error: config:") and name in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exit_1(self, capsys):
@@ -689,7 +673,7 @@ class TestCli:
             "inputs": [str(data / "shards" / "*.csv")],
             "gazetteer": str(data / "gazetteer.ndjson"),
             "output_dir": str(tmp_path / "from_file"),
-            "format": "ndjson",
+            "verbose_stats": True,
         }))
         rc = main(["run", "--config", str(cfg_file),
                    "--output-dir", str(tmp_path / "from_flag")])
@@ -697,20 +681,21 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "from_flag" / "stats.ndjson").exists()  # flag wins
         assert not (tmp_path / "from_file").exists()
-        assert not (tmp_path / "from_flag" / "stats.csv").exists()  # file format used
+        header = (tmp_path / "from_flag" / "stats.csv").read_text().splitlines()[0]
+        assert header.endswith(",m_max_q3")  # the file's verbose_stats used
 
     def test_config_defaults_follow_pipeline_config(self):
         cfg = PipelineConfig()
         assert list(CONFIG_DEFAULTS) == list(vars(cfg))
         assert CONFIG_DEFAULTS["baseline_start"] == cfg.baseline_start.isoformat()
-        assert CONFIG_DEFAULTS["n_buckets"] == cfg.n_buckets
+        assert CONFIG_DEFAULTS["workers"] == cfg.workers
 
     @pytest.mark.parametrize("key, value", [
         ("min_reports", "ten"), ("baseline_start", 20200217),
         # each of these was coerced into a wrong value or ended in a traceback
         ("verbose_stats", "false"), ("gazetteer", 7), ("inputs", "data/*.csv"),
-        ("inputs", ["a", 1]), ("workers", 2.7), ("workers", True), ("n_buckets", None),
-        ("baseline_start", None), ("format", ["csv"]),
+        ("inputs", ["a", 1]), ("workers", 2.7), ("workers", True), ("min_reports", None),
+        ("baseline_start", None), ("output_dir", ["o"]),
     ])
     def test_config_file_bad_value_type_exit_1(self, tmp_path, capsys, key, value):
         cfg_file = tmp_path / "cfg.json"
