@@ -2,9 +2,9 @@
 
 Subcommands: run (full pipeline), generate (synthetic scenario),
 compare (join two stats files), config-dump (print effective defaults).
-Flags mirror the pipeline configuration one-to-one in kebab-case; a JSON
-config file may supply the same keys, with explicit flags winning. Exit
-codes: 0 ok, 1 config error, 2 IO error, 3 data error.
+run's flags mirror the pipeline configuration one-to-one in kebab-case,
+and every run reduces all of its input. Exit codes: 0 ok, 1 config error,
+2 IO error, 3 data error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .errors import ConfigError, DataError
 from .output import write_compare
 from .pipeline import PipelineConfig, compare_stats, run
 
-_DATE_KEYS = ("baseline_start", "baseline_end", "date_start", "date_end")
-# PipelineConfig's defaults as config-dump prints them and a config file spells them
+# PipelineConfig's defaults as config-dump prints them, dates in ISO form
 CONFIG_DEFAULTS = {
     k: v.isoformat() if isinstance(v, dt.date) else v
     for k, v in dataclasses.asdict(PipelineConfig()).items()
@@ -35,11 +34,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_date(text: str, where: str = "") -> dt.date:
+def _parse_date(text: str) -> dt.date:
     try:
         return dt.date.fromisoformat(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}invalid date {text!r}, expected yyyy-mm-dd") from None
+    except ValueError:
+        raise ConfigError(f"invalid date {text!r}, expected yyyy-mm-dd") from None
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
@@ -50,7 +49,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mobstats", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a flag not given takes the config file's value, else PipelineConfig's default
+    # a flag not given takes PipelineConfig's default
     p_run = sub.add_parser("run", help="run the pipeline over one or more datasets",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--input", dest="inputs", action="append", metavar="GLOB",
@@ -63,12 +62,9 @@ def build_parser() -> _Parser:
     p_run.add_argument("--trim-fraction", type=float)
     p_run.add_argument("--baseline-start", type=_parse_date, metavar="DATE")
     p_run.add_argument("--baseline-end", type=_parse_date, metavar="DATE")
-    p_run.add_argument("--date-start", type=_parse_date, metavar="DATE")
-    p_run.add_argument("--date-end", type=_parse_date, metavar="DATE")
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--scratch-dir", metavar="DIR")
     p_run.add_argument("--verbose-stats", action="store_true")
-    p_run.add_argument("--config", metavar="FILE", help="JSON config file; flags override")
 
     # a flag not given takes ScenarioSpec's default
     p_gen = sub.add_parser("generate", help="write a synthetic scenario with truth sidecar",
@@ -100,48 +96,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    """A JSON config file's object as PipelineConfig fields.
-
-    Each value must be of its default's JSON type; a float field also takes
-    an int, and a field whose default is null a string. Dates are parsed.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"config file {path}: {e}") from None
-    if not isinstance(file_cfg, dict):
-        raise ConfigError(f"config file {path}: not a JSON object: {file_cfg!r}")
-    unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        default = CONFIG_DEFAULTS[key]
-        kind = str if default is None else type(default)
-        if kind is float and type(value) is int:
-            file_cfg[key] = float(value)
-        elif value is None and default is None:
-            continue
-        elif type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
-            want = "a list of strings" if kind is list else kind.__name__
-            raise ConfigError(f"config file {path}: {key} must be {want}"
-                              f"{' or null' if default is None else ''}, got {value!r}")
-    for key in _DATE_KEYS:
-        if file_cfg.get(key) is not None:
-            file_cfg[key] = _parse_date(file_cfg[key], f"config file {path}: {key}: ")
-    return file_cfg
-
-
-def _merged_run_config(args: argparse.Namespace) -> PipelineConfig:
-    given = {k: v for k, v in vars(args).items() if k != "command"}
-    path = given.pop("config", None)
-    file_values = {} if path is None else _read_config_file(path)
-    return PipelineConfig(**{**file_values, **given})
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    reports = run(_merged_run_config(args))
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    reports = run(PipelineConfig(**given))
     for r in reports:
         print(json.dumps(r, separators=(",", ":")))
     return 0

@@ -172,8 +172,8 @@ def _validate_key(rec: dict) -> RegionKey:
     if (not isinstance(cc, str) or len(cc) != 2 or not cc.isascii() or not cc.isalpha()
             or not cc.isupper()):
         raise DataError(f"region {rid}: bad country_code {cc!r}")
-    admin1 = rec.get("admin1", "") or ""
-    admin2 = rec.get("admin2", "") or ""
+    # a missing or null admin name is "" (that level absent); any other non-string is an error
+    admin1, admin2 = ("" if rec.get(name) is None else rec[name] for name in ("admin1", "admin2"))
     for name, value in (("admin1", admin1), ("admin2", admin2)):
         if not isinstance(value, str):
             raise DataError(f"region {rid}: {name} is not a string: {value!r}")

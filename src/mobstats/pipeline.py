@@ -39,7 +39,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import aggregate, metrics, output
-from .collate import bucket_index, date_to_day_number, group_device_days, run_starts
+from .collate import bucket_index, group_device_days, run_starts
 from .errors import ConfigError, DataError
 from .geocode import Gazetteer, load_gazetteer, locate
 from .ingest import IngestStats, read_shard_columns
@@ -55,7 +55,6 @@ N_BUCKETS = 8
 GATHER_COUNTERS = (
     "device_days",
     "device_day_reports",
-    "date_filtered_days",
     "rejected_too_few_reports",
     "rejected_short_span",
     "eligible_device_days",
@@ -74,8 +73,6 @@ class PipelineConfig:
     trim_fraction: float = metrics.DEFAULT_TRIM_FRACTION
     baseline_start: dt.date = aggregate.DEFAULT_BASELINE_START
     baseline_end: dt.date = aggregate.DEFAULT_BASELINE_END
-    date_start: dt.date | None = None
-    date_end: dt.date | None = None
     workers: int = 1
     scratch_dir: str | None = None
     verbose_stats: bool = False
@@ -97,8 +94,6 @@ class PipelineConfig:
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
         aggregate.check_baseline_window(self.baseline_start, self.baseline_end)
-        if self.date_start and self.date_end and self.date_start > self.date_end:
-            raise ConfigError(f"date range is empty: {self.date_start} > {self.date_end}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -199,17 +194,11 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     counters["device_days"] = len(dd.starts)
     counters["device_day_reports"] = len(dd.code)
 
-    in_dates = np.ones(len(dd.starts), bool)
-    if cfg.date_start is not None:
-        in_dates &= dd.day >= date_to_day_number(cfg.date_start)
-    if cfg.date_end is not None:
-        in_dates &= dd.day <= date_to_day_number(cfg.date_end)
     spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
     too_few, short_span = day_rejections(dd.counts, spans, cfg.min_reports, cfg.min_span_hours)
-    eligible = np.flatnonzero(in_dates & ~too_few & ~short_span)
-    counters["date_filtered_days"] = int(np.count_nonzero(~in_dates))
-    counters["rejected_too_few_reports"] = int(np.count_nonzero(in_dates & too_few))
-    counters["rejected_short_span"] = int(np.count_nonzero(in_dates & short_span))
+    eligible = np.flatnonzero(~too_few & ~short_span)
+    counters["rejected_too_few_reports"] = int(np.count_nonzero(too_few))
+    counters["rejected_short_span"] = int(np.count_nonzero(short_span))
     counters["eligible_device_days"] = len(eligible)
 
     # each day geocodes at its first report, the anchor of its m_max

@@ -167,8 +167,7 @@ class TestGates:
         assert r["lines_read"] == (r["lines_malformed"] + r["reports_accepted"]
                                    + r["reports_rejected_accuracy"])
         assert r["device_day_reports"] == r["reports_accepted"]
-        assert r["device_days"] == (r["date_filtered_days"]
-                                    + r["rejected_too_few_reports"]
+        assert r["device_days"] == (r["rejected_too_few_reports"]
                                     + r["rejected_short_span"]
                                     + r["eligible_device_days"])
         assert r["eligible_device_days"] == (r["admin1_level_samples"]

@@ -245,9 +245,6 @@ def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
             date = dt.date(1970, 1, 1) + dt.timedelta(days=day)
             counters["device_days"] += 1
             counters["device_day_reports"] += len(day_rows)
-            if (cfg.date_start and date < cfg.date_start) or (cfg.date_end and date > cfg.date_end):
-                counters["date_filtered_days"] += 1
-                continue
             if len(day_rows) < cfg.min_reports:
                 counters["rejected_too_few_reports"] += 1
                 continue
@@ -303,15 +300,13 @@ def run_captured(cfg: PipelineConfig) -> tuple[dict, list]:
 class TestGatherKernel:
     @pytest.mark.parametrize("n_buckets", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window", [None, (dt.date(2020, 3, 1), dt.date(2020, 3, 6))])
     def test_matches_device_day_reference(self, scenario, tmp_path, monkeypatch, n_buckets,
-                                          workers, window):
+                                          workers):
         monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
         cfg = PipelineConfig(
             inputs=[str(scenario["root"] / "shards" / "*.csv")],
             gazetteer=scenario["gazetteer_path"], output_dir=str(tmp_path / "out"),
             workers=workers,
-            date_start=window and window[0], date_end=window and window[1],
         )
         rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
         want_counters, want_records = reference_gather(

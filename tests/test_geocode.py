@@ -317,6 +317,22 @@ class TestRegionFieldTypes:
         gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [rec]))
         assert gaz.regions[0].key == RegionKey("AA", "West", "", "")
 
+    @pytest.mark.parametrize("value", [0, False, [], {}], ids=["zero", "false", "list", "dict"])
+    @pytest.mark.parametrize("field, admin1", [("admin1", ""), ("admin2", "West")])
+    def test_falsy_non_string_admin_name_rejected(self, tmp_path, field, admin1, value):
+        # read as "" it would make the record a region one level up
+        rec = {**region_rec("R7", [square_ring(0, 0, 1, 1)], admin1=admin1), field: value}
+        with pytest.raises(DataError, match=f"region R7: {field} is not a string"):
+            load_gazetteer(write_gaz(tmp_path / "g.ndjson", [rec]))
+
+    def test_null_or_missing_admin_name_is_empty(self, tmp_path):
+        null = region_rec("R7", [square_ring(0, 0, 1, 1)], admin1=None, admin2=None)
+        missing = region_rec("R8", [square_ring(0, 0, 1, 1)], admin1="West")
+        del missing["admin2"]
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", [null, missing]))
+        assert {r.key for r in gaz.regions} == {RegionKey("AA", "", "", "R7"),
+                                                RegionKey("AA", "West", "", "R8")}
+
 
 def linear_scan(gaz, pts):
     """The keys reverse_geocode finds at the (x, y) points, without the grid: every

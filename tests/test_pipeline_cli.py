@@ -55,8 +55,7 @@ def reconcile(report):
                                     + report["reports_accepted"]
                                     + report["reports_rejected_accuracy"])
     assert report["device_day_reports"] == report["reports_accepted"]
-    assert report["device_days"] == (report["date_filtered_days"]
-                                     + report["rejected_too_few_reports"]
+    assert report["device_days"] == (report["rejected_too_few_reports"]
                                      + report["rejected_short_span"]
                                      + report["eligible_device_days"])
     assert report["eligible_device_days"] == (report["admin1_level_samples"]
@@ -301,17 +300,6 @@ class TestRun:
         reports = run(base_config(scenario, tmp_path / "out", verbose_stats=True))
         assert reports[0]["eligible_device_days"] > 0
 
-    def test_date_filter(self, scenario, tmp_path):
-        lo, hi = dt.date(2020, 3, 2), dt.date(2020, 3, 6)
-        reports = run(base_config(scenario, tmp_path / "out",
-                                  date_start=lo, date_end=hi))
-        report = reports[0]
-        reconcile(report)
-        assert report["date_filtered_days"] > 0
-        records = read_ndjson(str(tmp_path / "out" / "stats.ndjson"))
-        assert records
-        assert all(lo.isoformat() <= r.date <= hi.isoformat() for r in records)
-
     def test_worker_and_bucket_counts_do_not_change_bytes(self, scenario, tmp_path,
                                                           monkeypatch):
         def run_with(tag, workers, n_buckets):
@@ -378,7 +366,7 @@ class TestRun:
     def test_run_compare_matches_compare_subcommand(self, scenario, tmp_path):
         out = tmp_path / "out"
         pattern = str(scenario["root"] / "shards" / "*.csv")
-        cfg = base_config(scenario, out, verbose_stats=True, date_end=dt.date(2020, 3, 5))
+        cfg = base_config(scenario, out, verbose_stats=True)
         cfg.inputs = [pattern, str(scenario["root"] / "shards" / "part-0[01].csv")]
         run(cfg)
         rc = main(["compare", str(out / "dataset-00" / "stats.ndjson"),
@@ -598,46 +586,35 @@ class TestCli:
         ("accuracy_max_m", "nan"), ("min_span_hours", "nan"),
         ("min_span_hours", "24"), ("min_span_hours", "inf"),
     ], ids=["accuracy_max_m", "min_span_hours", "min_span_hours_24", "min_span_hours_inf"])
-    @pytest.mark.parametrize("source", ["flag", "config_file"])
     def test_nan_value_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
-                                                       monkeypatch, key, value, source):
+                                                       monkeypatch, key, value):
         def no_read(*args):
             raise AssertionError("a shard was read")
 
         monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
         args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
-                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
-        if source == "flag":
-            args += ["--" + key.replace("_", "-"), value]
-        else:
-            cfg_file = tmp_path / "cfg.json"
-            json_value = {"nan": "NaN", "inf": "Infinity"}.get(value, value)
-            cfg_file.write_text('{"%s": %s}' % (key, json_value))
-            args += ["--config", str(cfg_file)]
+                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o"),
+                "--" + key.replace("_", "-"), value]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and key in err and value in err
         assert not (tmp_path / "o").exists()
 
-    # every run writes both stats files and gathers in pipeline.N_BUCKETS buckets
-    @pytest.mark.parametrize("key, value", [("format", "csv"), ("n_buckets", 8)])
-    @pytest.mark.parametrize("source", ["flag", "config_file"])
+    # every run writes both stats files, gathers in pipeline.N_BUCKETS buckets and
+    # reduces all of its input; each setting is a flag or a PipelineConfig field
+    @pytest.mark.parametrize("name, value", [
+        ("--format", "csv"), ("--n-buckets", "8"), ("--config", "cfg.json"),
+        ("--date-start", "2020-03-02"), ("--date-end", "2020-03-06"),
+    ])
     def test_removed_option_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
-                                                            monkeypatch, key, value, source):
+                                                            monkeypatch, name, value):
         def no_read(*args):
             raise AssertionError("a shard was read")
 
         monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
         args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
-                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o")]
-        if source == "flag":
-            name = "--" + key.replace("_", "-")
-            args += [name, str(value)]
-        else:
-            name = key
-            cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(json.dumps({key: value}))
-            args += ["--config", str(cfg_file)]
+                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o"),
+                name, value]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and name in err
@@ -662,76 +639,11 @@ class TestCli:
         assert rc == 1
         assert "warp" in capsys.readouterr().err
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        data = tmp_path / "data"
-        main(["generate", "--out-dir", str(data), "--devices", "6",
-              "--start-date", "2020-03-02", "--end-date", "2020-03-06",
-              "--shards", "2"])
-        capsys.readouterr()
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({
-            "inputs": [str(data / "shards" / "*.csv")],
-            "gazetteer": str(data / "gazetteer.ndjson"),
-            "output_dir": str(tmp_path / "from_file"),
-            "verbose_stats": True,
-        }))
-        rc = main(["run", "--config", str(cfg_file),
-                   "--output-dir", str(tmp_path / "from_flag")])
-        capsys.readouterr()
-        assert rc == 0
-        assert (tmp_path / "from_flag" / "stats.ndjson").exists()  # flag wins
-        assert not (tmp_path / "from_file").exists()
-        header = (tmp_path / "from_flag" / "stats.csv").read_text().splitlines()[0]
-        assert header.endswith(",m_max_q3")  # the file's verbose_stats used
-
     def test_config_defaults_follow_pipeline_config(self):
         cfg = PipelineConfig()
         assert list(CONFIG_DEFAULTS) == list(vars(cfg))
         assert CONFIG_DEFAULTS["baseline_start"] == cfg.baseline_start.isoformat()
         assert CONFIG_DEFAULTS["workers"] == cfg.workers
-
-    @pytest.mark.parametrize("key, value", [
-        ("min_reports", "ten"), ("baseline_start", 20200217),
-        # each of these was coerced into a wrong value or ended in a traceback
-        ("verbose_stats", "false"), ("gazetteer", 7), ("inputs", "data/*.csv"),
-        ("inputs", ["a", 1]), ("workers", 2.7), ("workers", True), ("min_reports", None),
-        ("baseline_start", None), ("output_dir", ["o"]),
-    ])
-    def test_config_file_bad_value_type_exit_1(self, tmp_path, capsys, key, value):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"inputs": ["x"], "gazetteer": "g", key: value}))
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:")
-        assert key in err and repr(value) in err
-
-    @pytest.mark.parametrize("text", ["5", '[{"a": 1}]'])
-    def test_config_file_not_an_object_exit_1(self, tmp_path, capsys, text):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(text)
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        assert capsys.readouterr().err.startswith("error: config:")
-
-    def test_config_file_int_for_float_and_null_for_null_default(self, tmp_path, capsys):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"inputs": [str(tmp_path / "none-*.csv")],
-                                        "gazetteer": "g", "accuracy_max_m": 40,
-                                        "date_start": None, "scratch_dir": None}))
-        # the values are taken, and the run gets as far as globbing the inputs
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        assert "no input files match" in capsys.readouterr().err
-
-    def test_config_file_not_utf8_exit_1(self, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_bytes(b'{"workers": 1, "x": "\xff"}')
-        proc = subprocess.run(
-            [sys.executable, "-m", "mobstats.cli", "run", "--config", str(cfg_file)],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: config:") and str(cfg_file) in proc.stderr
 
     @pytest.mark.parametrize("command", ["run", "generate", "compare", "config-dump"])
     def test_closed_stdout_exit_0(self, scenario, tmp_path, command):
@@ -836,7 +748,7 @@ class TestCli:
     def test_run_has_one_flag_per_config_field(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         flags = {a.dest: a.option_strings for a in sub.choices["run"]._actions
-                 if a.dest not in ("help", "config")}
+                 if a.dest != "help"}
         want = {f.name: ["--" + f.name.replace("_", "-")] for f in dataclasses.fields(PipelineConfig)}
         assert flags == {**want, "inputs": ["--input"]}
 
@@ -852,29 +764,6 @@ class TestCli:
         names = ("stats.ndjson", "stats.csv", "run_report.ndjson")
         assert all((tmp_path / "cli" / n).read_bytes() == (tmp_path / "lib" / n).read_bytes()
                    for n in names)
-
-    @pytest.mark.parametrize("key", ["baseline_start", "baseline_end", "date_start", "date_end"])
-    def test_config_file_invalid_date_exit_1(self, tmp_path, capsys, key):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"inputs": ["x"], "gazetteer": "g", key: "2020-02-30"}))
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:") and "invalid date '2020-02-30'" in err
-        assert str(cfg_file) in err and key in err
-
-    @pytest.mark.parametrize("name", ["", "nope.json"])
-    def test_config_file_unreadable_exit_2(self, tmp_path, capsys, name):
-        path = str(tmp_path / name) if name else ""
-        rc = main(["run", "--config", path, "--input", str(tmp_path / "nomatch-*.csv"),
-                   "--gazetteer", "g", "--output-dir", str(tmp_path / "o")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: io:")
-
-    def test_config_file_unknown_key_exit_1(self, tmp_path, capsys):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text('{"inputs": ["x"], "gazetteer": "g", "typo_key": 1}')
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        assert "typo_key" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path, capsys):
         from mobstats.output import OutputRecord
