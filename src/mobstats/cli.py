@@ -50,10 +50,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a flag not given takes PipelineConfig's default
-    p_run = sub.add_parser("run", help="run the pipeline over one or more datasets",
+    p_run = sub.add_parser("run", help="run the pipeline over one dataset",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--input", dest="inputs", action="append", metavar="GLOB",
-                       help="input shard glob; repeat for multiple datasets")
+                       help="the dataset's shard glob; join two runs with `compare`")
     p_run.add_argument("--gazetteer", metavar="PATH")
     p_run.add_argument("--output-dir", metavar="DIR")
     p_run.add_argument("--accuracy-max-m", type=float)

@@ -187,7 +187,9 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
     where = f"gazetteer line {lineno}: place {name!r}"
     if name is None:
         raise DataError(f"{where}: no name")
-    rid = str(rec.get("region_id", ""))
+    rid = rec.get("region_id", "")
+    if not isinstance(name, str) or not isinstance(rid, str):
+        raise DataError(f"{where}: name and region_id must be strings, region_id {rid!r}")
     if rid not in by_id:
         raise DataError(f"{where}: unknown region_id {rid!r}")
     try:
@@ -196,7 +198,7 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
         raise DataError(f"{where}: missing or non-numeric lat/lon: {e!r}") from None
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise DataError(f"{where}: lat/lon out of range: {lat}, {lon}")
-    return Place(str(name), lat, lon, by_id[rid])
+    return Place(name, lat, lon, by_id[rid])
 
 
 def load_gazetteer(path: str) -> Gazetteer:

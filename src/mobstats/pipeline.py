@@ -1,6 +1,6 @@
-"""End-to-end batch pipeline: scatter, gather, reduce, serialize.
+"""End-to-end batch pipeline over one dataset: scatter, gather, reduce, serialize.
 
-The scatter phase reads each input shard into numpy columns
+The scatter phase reads each shard of the dataset into numpy columns
 (ingest.read_shard_columns, whose accuracy filter is the last use of
 accuracy), hashes each distinct device id to a bucket once, groups the
 rows by bucket with one stable argsort, writes one section per bucket
@@ -21,8 +21,9 @@ files are keyed by input shard index and their sections read back in
 shard order, device codes are renumbered in device id order, region-day
 samples are value-sorted before any arithmetic, and every output file is
 written in one canonical order, so results are byte-identical for any
-worker count and any N_BUCKETS. Each run clears the spill tree before scatter;
-it is deleted on success and kept on failure.
+worker count and any N_BUCKETS. Before scatter a run removes the stats files
+and run_report.ndjson, which it writes last, and clears the spill tree, which
+it deletes on success and keeps on failure.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from .errors import ConfigError, DataError
 from .geocode import Gazetteer, load_gazetteer, locate
 from .ingest import IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
-from .output import write_compare
 
-# device-id hash buckets per dataset, one gather task each: no output byte
+# device-id hash buckets, one gather task each: no output byte
 # depends on the count, but gather runs at most this many tasks at once
 N_BUCKETS = 8
 
-# per-dataset device-day counters, in run-report order; the two rejected_*
+# the run's device-day counters, in run-report order; the two rejected_*
 # keys are "rejected_" + a metrics.REASON_* value
 GATHER_COUNTERS = (
     "device_days",
@@ -64,7 +64,7 @@ GATHER_COUNTERS = (
 
 @dataclass
 class PipelineConfig:
-    inputs: list[str] = field(default_factory=list)  # one glob pattern per dataset
+    inputs: list[str] = field(default_factory=list)  # the one dataset's shard glob
     gazetteer: str | None = None
     output_dir: str = "out"
     accuracy_max_m: float = 50.0
@@ -82,6 +82,10 @@ class PipelineConfig:
             raise ConfigError("no input globs given")
         if type(self.inputs) is not list or not all(type(p) is str for p in self.inputs):
             raise ConfigError(f"inputs must be a list of glob strings, got {self.inputs!r}")
+        if len(self.inputs) > 1:
+            raise ConfigError(f"run reduces one dataset, got {len(self.inputs)} input globs: "
+                              "run once per dataset and join the stats files with "
+                              "`mobstats compare`")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
         if not self.accuracy_max_m > 0:
@@ -236,10 +240,35 @@ def atomic_write(path: str, write_fn) -> None:
     os.replace(tmp, path)
 
 
-def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazetteer,
-                 scratch: str, out_dir: str) -> dict:
-    os.makedirs(scratch, exist_ok=True)
+def run(cfg: PipelineConfig) -> list[dict]:
+    """Reduce one dataset, the shards matching cfg.inputs' one glob; returns
+    a list holding its run report.
 
+    Writes stats.ndjson and stats.csv, then run_report.ndjson, under
+    output_dir. Once the config is valid and the gazetteer loaded, those three
+    are removed, so run_report.ndjson marks a complete tree. To join two
+    datasets, run each one and pass their stats files to compare_stats.
+    """
+    cfg.validate()
+    shards = sorted(globmod.glob(cfg.inputs[0]))
+    if not shards:
+        raise ConfigError(f"no input files match {cfg.inputs[0]!r}")
+
+    global _GAZ
+    gaz = load_gazetteer(cfg.gazetteer)
+    _GAZ = gaz
+
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    # an earlier run's results must not outlive a run that fails
+    for name in ("run_report.ndjson", "stats.ndjson", "stats.csv"):
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.output_dir, name))
+    scratch_base = cfg.scratch_dir or os.path.join(cfg.output_dir, ".scratch")
+    scratch = os.path.join(scratch_base, "spill")
+    # spill files left by an earlier failed run would be read as this run's
+    shutil.rmtree(scratch, ignore_errors=True)
+
+    os.makedirs(scratch, exist_ok=True)
     stats = IngestStats()
     scatter_tasks = [(s, path, N_BUCKETS, cfg.accuracy_max_m, scratch)
                      for s, path in enumerate(shards)]
@@ -259,87 +288,27 @@ def _run_dataset(ds_idx: int, shards: list[str], cfg: PipelineConfig, gaz: Gazet
 
     records = aggregate.reduce_region_day(gaz.keys, *columns, cfg.baseline_start, cfg.baseline_end)
 
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write(os.path.join(out_dir, "stats.ndjson"),
+    atomic_write(os.path.join(cfg.output_dir, "stats.ndjson"),
                  lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats))
-    atomic_write(os.path.join(out_dir, "stats.csv"),
+    atomic_write(os.path.join(cfg.output_dir, "stats.csv"),
                  lambda fh: output.write_csv(records, fh, cfg.verbose_stats))
 
-    admin1_samples = sum(r.samples for r in records if r.admin_level == "admin1")
     report = {
-        "dataset": ds_idx,
         "shards": len(shards),
         **asdict(stats),
         **counters,
         "regions_emitted": len(set(map(output.region_of, records))),
         "region_day_rows": len(records),
-        "admin1_level_samples": admin1_samples,
+        "admin1_level_samples": sum(r.samples for r in records if r.admin_level == "admin1"),
     }
-    return report
-
-
-def run(cfg: PipelineConfig) -> list[dict]:
-    """Run the full pipeline; returns the run-report record for each dataset.
-
-    Output layout: a single dataset writes stats.ndjson / stats.csv directly
-    under output_dir; multiple datasets write under dataset-NN/ plus, when
-    there are two, a compare.ndjson joined from their stats.ndjson files.
-    run_report.ndjson holds one line of counters per dataset.
-    """
-    cfg.validate()
-    datasets: list[list[str]] = []
-    for pattern in cfg.inputs:
-        shards = sorted(globmod.glob(pattern))
-        if not shards:
-            raise ConfigError(f"no input files match {pattern!r}")
-        datasets.append(shards)
-
-    global _GAZ
-    gaz = load_gazetteer(cfg.gazetteer)
-    _GAZ = gaz
-
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    scratch_base = cfg.scratch_dir or os.path.join(cfg.output_dir, ".scratch")
-    spill_root = os.path.join(scratch_base, "spill")
-    # spill files left by an earlier failed run would be read as this run's
-    shutil.rmtree(spill_root, ignore_errors=True)
-
-    reports: list[dict] = []
-    ok = False
-    try:
-        for i, shards in enumerate(datasets):
-            out_dir = (
-                cfg.output_dir
-                if len(datasets) == 1
-                else os.path.join(cfg.output_dir, f"dataset-{i:02d}")
-            )
-            scratch = os.path.join(spill_root, f"ds{i:02d}")
-            reports.append(_run_dataset(i, shards, cfg, gaz, scratch, out_dir))
-
-        atomic_write(
-            os.path.join(cfg.output_dir, "run_report.ndjson"),
-            lambda fh: fh.writelines(
-                json.dumps(r, separators=(",", ":")) + "\n" for r in reports
-            ),
-        )
-
-        if len(datasets) == 2:
-            rows = compare_stats(
-                os.path.join(cfg.output_dir, "dataset-00", "stats.ndjson"),
-                os.path.join(cfg.output_dir, "dataset-01", "stats.ndjson"),
-            )
-            atomic_write(
-                os.path.join(cfg.output_dir, "compare.ndjson"),
-                lambda fh: write_compare(rows, fh),
-            )
-        ok = True
-    finally:
-        if ok:
-            shutil.rmtree(spill_root, ignore_errors=True)
-            if not cfg.scratch_dir:
-                with suppress(OSError):  # not empty: something else lives there
-                    os.rmdir(scratch_base)
-    return reports
+    atomic_write(os.path.join(cfg.output_dir, "run_report.ndjson"),
+                 lambda fh: fh.write(json.dumps(report, separators=(",", ":")) + "\n"))
+    # reached only on success: a failed run keeps its spill files
+    shutil.rmtree(scratch, ignore_errors=True)
+    if not cfg.scratch_dir:
+        with suppress(OSError):  # not empty: something else lives there
+            os.rmdir(scratch_base)
+    return [report]
 
 
 def compare_stats(path_a: str, path_b: str) -> list[dict]:

@@ -86,6 +86,19 @@ class TestLoadGazetteer:
         with pytest.raises(DataError, match="line 2: .*no name"):
             load_gazetteer(p)
 
+    # a non-string used to pass through str(): region_id 7 named region "7"
+    @pytest.mark.parametrize("fields", [
+        {"name": 5, "region_id": "R1"}, {"name": ["Spot"], "region_id": "R1"},
+        {"name": "Spot", "region_id": 7}, {"name": "Spot", "region_id": None},
+    ])
+    def test_place_with_non_string_name_or_region_id_rejected(self, tmp_path, fields):
+        recs = [region_rec("R1", [square_ring(0, 0, 1, 1)]),
+                region_rec("7", [square_ring(2, 0, 3, 1)]),
+                {"type": "place", "lat": 0.5, "lon": 0.5, **fields}]
+        p = write_gaz(tmp_path / "g.ndjson", recs)
+        with pytest.raises(DataError, match="line 3: .*must be strings"):
+            load_gazetteer(p)
+
     def test_non_object_record_rejected(self, tmp_path):
         p = write_gaz(tmp_path / "g.ndjson", [["region", "R1"]])
         with pytest.raises(DataError, match="line 1: record is not a JSON object"):

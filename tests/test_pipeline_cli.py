@@ -20,8 +20,8 @@ from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, read_shard_columns
-from mobstats.output import read_csv, read_ndjson, write_ndjson
-from mobstats.pipeline import PipelineConfig, compare_stats, run, write_compare
+from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
+from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
 
 
@@ -337,42 +337,43 @@ class TestRun:
 
     def test_config_validation(self, scenario, tmp_path):
         for field, value in [("accuracy_max_m", 0.0), ("min_reports", 0),
-                             ("trim_fraction", 1.0), ("workers", 0)]:
+                             ("trim_fraction", 1.0), ("workers", 0),
+                             ("inputs", [str(scenario["root"] / "shards" / "*.csv")] * 2)]:
             cfg = base_config(scenario, tmp_path / "out")
             setattr(cfg, field, value)
             with pytest.raises(ConfigError):
                 run(cfg)
 
     def test_two_datasets_and_compare(self, scenario, tmp_path):
-        out = tmp_path / "out"
-        pattern = str(scenario["root"] / "shards" / "*.csv")
-        cfg = base_config(scenario, out)
-        cfg.inputs = [pattern, pattern]
-        reports = run(cfg)
-        assert [r["dataset"] for r in reports] == [0, 1]
-        a = read_ndjson(str(out / "dataset-00" / "stats.ndjson"))
-        b = read_ndjson(str(out / "dataset-01" / "stats.ndjson"))
+        # one run per dataset, joined on their stats files
+        paths = []
+        for name in ("a", "b"):
+            run(base_config(scenario, tmp_path / name))
+            paths.append(str(tmp_path / name / "stats.ndjson"))
+        a, b = map(read_ndjson, paths)
         assert a == b
-        lines = (out / "compare.ndjson").read_text().splitlines()
-        assert len(lines) == len(a)
-        for line in lines:
-            row = json.loads(line)
+        rows = compare_stats(*paths)
+        assert len(rows) == len(a)
+        for row in rows:
             assert row["status"] == "both"
             if row["m50_index_a"] is not None:
                 assert row["delta"] == 0.0
             else:
                 assert row["delta"] is None
 
-    def test_run_compare_matches_compare_subcommand(self, scenario, tmp_path):
-        out = tmp_path / "out"
-        pattern = str(scenario["root"] / "shards" / "*.csv")
-        cfg = base_config(scenario, out, verbose_stats=True)
-        cfg.inputs = [pattern, str(scenario["root"] / "shards" / "part-0[01].csv")]
-        run(cfg)
-        rc = main(["compare", str(out / "dataset-00" / "stats.ndjson"),
-                   str(out / "dataset-01" / "stats.ndjson"), "--out", str(tmp_path / "c.ndjson")])
-        assert rc == 0
-        assert (tmp_path / "c.ndjson").read_bytes() == (out / "compare.ndjson").read_bytes()
+    def test_failed_run_leaves_no_earlier_results(self, scenario, tmp_path, capsys):
+        out = tmp_path / "o"
+        common = ["--gazetteer", scenario["gazetteer_path"], "--output-dir", str(out)]
+        assert main(["run", "--input", str(scenario["root"] / "shards" / "*.csv"), *common]) == 0
+        (out / "notes.txt").write_text("not the run's")
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "part-00.csv.gz").write_bytes(
+            gzip.compress(Path(scenario["shard_paths"][0]).read_bytes()))
+        (data / "part-01.csv.gz").write_bytes(b"not a gzip file")
+        assert main(["run", "--input", str(data / "*.csv.gz"), *common]) == 2
+        # only the stats files and the run report are removed; the spill is kept
+        assert sorted(p.name for p in out.iterdir()) == [".scratch", "notes.txt"]
 
 
 class TestLockdownScenario:
@@ -618,6 +619,20 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_second_input_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_read(*args):
+            raise AssertionError("a shard was read")
+
+        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        pattern = str(scenario["root"] / "shards" / "*.csv")
+        assert main(["run", "--input", pattern, "--input", pattern,
+                     "--gazetteer", scenario["gazetteer_path"],
+                     "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "mobstats compare" in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exit_1(self, capsys):
