@@ -24,7 +24,6 @@ import numpy as np
 from .collate import (
     date_to_day_number, day_number_to_date, run_starts, same_length_segments, segment_sort,
 )
-from .errors import ConfigError
 from .geocode import RegionKey
 from .output import OutputRecord
 
@@ -122,12 +121,3 @@ def reduce_region_day(
         for k, d, n, median, index, avg, lower, upper in zip(
             *(c.tolist() for c in (group_key, group_day, counts, m50, m50_index, mean, q1, q3)))
     ]
-
-
-def check_baseline_window(start: dt.date, end: dt.date) -> None:
-    """Raise ConfigError unless [start, end] holds at least one Monday-Friday date."""
-    if start > end:
-        raise ConfigError(f"baseline window is empty: {start} > {end}")
-    week = range(min((end - start).days + 1, 7))
-    if all((start + dt.timedelta(days=i)).weekday() >= 5 for i in week):
-        raise ConfigError(f"baseline window {start}..{end} contains no weekdays")

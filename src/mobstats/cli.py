@@ -2,8 +2,9 @@
 
 Subcommands: run (full pipeline), generate (synthetic scenario),
 compare (join two stats files), config-dump (print effective defaults).
-run's flags mirror the pipeline configuration one-to-one in kebab-case,
-and every run reduces all of its input. Exit codes: 0 ok, 1 config error,
+run's flags mirror PipelineConfig's deployment settings one-to-one in
+kebab-case; the method's parameters are fixed, and config-dump prints them
+too. Every run reduces all of its input. Exit codes: 0 ok, 1 config error,
 2 IO error, 3 data error.
 """
 
@@ -16,14 +17,22 @@ import json
 import os
 import sys
 
+from .aggregate import DEFAULT_BASELINE_END, DEFAULT_BASELINE_START
 from .errors import ConfigError, DataError
+from .ingest import ACCURACY_MAX_M
+from .metrics import DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS, DEFAULT_TRIM_FRACTION
 from .output import write_compare
 from .pipeline import PipelineConfig, compare_stats, run
 
-# PipelineConfig's defaults as config-dump prints them, dates in ISO form
+# config-dump's output: PipelineConfig's defaults, then the method's fixed parameters
 CONFIG_DEFAULTS = {
-    k: v.isoformat() if isinstance(v, dt.date) else v
-    for k, v in dataclasses.asdict(PipelineConfig()).items()
+    **dataclasses.asdict(PipelineConfig()),
+    "accuracy_max_m": ACCURACY_MAX_M,
+    "min_reports": DEFAULT_MIN_REPORTS,
+    "min_span_hours": DEFAULT_MIN_SPAN_HOURS,
+    "trim_fraction": DEFAULT_TRIM_FRACTION,
+    "baseline_start": DEFAULT_BASELINE_START.isoformat(),
+    "baseline_end": DEFAULT_BASELINE_END.isoformat(),
 }
 
 
@@ -53,15 +62,9 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run the pipeline over one dataset",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--input", dest="inputs", action="append", metavar="GLOB",
-                       help="the dataset's shard glob; join two runs with `compare`")
+                       help="the one dataset's shard glob; join two runs with `compare`")
     p_run.add_argument("--gazetteer", metavar="PATH")
     p_run.add_argument("--output-dir", metavar="DIR")
-    p_run.add_argument("--accuracy-max-m", type=float)
-    p_run.add_argument("--min-reports", type=int)
-    p_run.add_argument("--min-span-hours", type=float)
-    p_run.add_argument("--trim-fraction", type=float)
-    p_run.add_argument("--baseline-start", type=_parse_date, metavar="DATE")
-    p_run.add_argument("--baseline-end", type=_parse_date, metavar="DATE")
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--scratch-dir", metavar="DIR")
     p_run.add_argument("--verbose-stats", action="store_true")
@@ -92,7 +95,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("stats_b", metavar="B")
     p_cmp.add_argument("--out", metavar="FILE", help="write NDJSON here instead of stdout")
 
-    sub.add_parser("config-dump", help="print the effective default configuration")
+    sub.add_parser("config-dump", help="print run's defaults and the method's fixed parameters")
     return parser
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# internal row shape used throughout the pipeline: (device_id, epoch_s, lat, lon, accuracy_m)
+# parse_fields' row: (device_id, epoch_s, lat, lon, accuracy_m)
 RawReport = tuple[str, int, float, float, float]
 
 # the last epoch whose local date, at a solar offset of up to +12 h, is a
@@ -235,6 +235,10 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: Inge
         cols = [c[order] for c in cols]
     cols[4][cols[4] == 180.0] = -180.0
     return cols[1:]
+
+
+# the accuracy filter: a report whose accuracy_m exceeds this is rejected
+ACCURACY_MAX_M = 50.0
 
 
 def read_shard_columns(path: str, accuracy_max_m: float, stats: IngestStats) -> ShardColumns:

@@ -28,7 +28,6 @@ it deletes on success and keeps on failure.
 
 from __future__ import annotations
 
-import datetime as dt
 import glob as globmod
 import json
 import os
@@ -43,7 +42,7 @@ from . import aggregate, metrics, output
 from .collate import bucket_index, group_device_days, run_starts
 from .errors import ConfigError, DataError
 from .geocode import Gazetteer, load_gazetteer, locate
-from .ingest import IngestStats, read_shard_columns
+from .ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 
 # device-id hash buckets, one gather task each: no output byte
@@ -67,12 +66,6 @@ class PipelineConfig:
     inputs: list[str] = field(default_factory=list)  # the one dataset's shard glob
     gazetteer: str | None = None
     output_dir: str = "out"
-    accuracy_max_m: float = 50.0
-    min_reports: int = metrics.DEFAULT_MIN_REPORTS
-    min_span_hours: float = metrics.DEFAULT_MIN_SPAN_HOURS
-    trim_fraction: float = metrics.DEFAULT_TRIM_FRACTION
-    baseline_start: dt.date = aggregate.DEFAULT_BASELINE_START
-    baseline_end: dt.date = aggregate.DEFAULT_BASELINE_END
     workers: int = 1
     scratch_dir: str | None = None
     verbose_stats: bool = False
@@ -88,16 +81,6 @@ class PipelineConfig:
                               "`mobstats compare`")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
-        if not self.accuracy_max_m > 0:
-            raise ConfigError(f"accuracy_max_m must be positive, got {self.accuracy_max_m}")
-        if self.min_reports < 1:
-            raise ConfigError(f"min_reports must be >= 1, got {self.min_reports}")
-        # a device's local day is one 86,400 s window, so no day spans 24 h
-        if not 0 <= self.min_span_hours < 24:
-            raise ConfigError(f"min_span_hours must be in [0, 24), got {self.min_span_hours}")
-        if not 0.0 <= self.trim_fraction < 1.0:
-            raise ConfigError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
-        aggregate.check_baseline_window(self.baseline_start, self.baseline_end)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -125,9 +108,9 @@ def _scatter_shard(task: tuple) -> tuple[IngestStats, list[tuple[int, int, int]]
     holds one), which the codes index. Buckets are hashed once per distinct
     device id.
     """
-    shard_idx, path, n_buckets, accuracy_max_m, scratch = task
+    shard_idx, path, n_buckets, scratch = task
     stats = IngestStats()
-    shard = read_shard_columns(path, accuracy_max_m, stats)
+    shard = read_shard_columns(path, ACCURACY_MAX_M, stats)
     present = np.flatnonzero(np.bincount(shard.code))
     device_bucket = np.array([bucket_index(shard.names[c], n_buckets) for c in present.tolist()],
                              np.int64)
@@ -181,15 +164,14 @@ def _read_bucket(sections: list[tuple[str, int, int]]) -> list[np.ndarray]:
     return [np.concatenate(c) for c in zip(*(columns for _, columns in spills))]
 
 
-def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Turn one bucket's spill file sections into (counters, record columns).
+def _gather_bucket(sections: list) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Turn one bucket's (path, start, end) spill sections into (counters, record columns).
 
     The columns are (key index into Gazetteer.keys, local day number,
     m_max): each matched device-day gives a record for its region's admin1
     twin, followed by one for the region itself when it is a county. Both
     levels reduce from device-days, because medians do not compose upward.
     """
-    sections, cfg = task
     gaz = _GAZ
     assert gaz is not None, "gazetteer not loaded before gather"
 
@@ -199,7 +181,8 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     counters["device_day_reports"] = len(dd.code)
 
     spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
-    too_few, short_span = day_rejections(dd.counts, spans, cfg.min_reports, cfg.min_span_hours)
+    too_few, short_span = day_rejections(dd.counts, spans, metrics.DEFAULT_MIN_REPORTS,
+                                        metrics.DEFAULT_MIN_SPAN_HOURS)
     eligible = np.flatnonzero(~too_few & ~short_span)
     counters["rejected_too_few_reports"] = int(np.count_nonzero(too_few))
     counters["rejected_short_span"] = int(np.count_nonzero(short_span))
@@ -211,7 +194,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     matched, region = eligible[region >= 0], region[region >= 0]
     counters["unmatched_geocode"] = len(eligible) - len(matched)
     m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
-                              cfg.trim_fraction)
+                              metrics.DEFAULT_TRIM_FRACTION)
 
     rows = gaz.key_rows[gaz.region_key[region]].ravel()
     keep = rows >= 0
@@ -233,11 +216,16 @@ def map_tasks(fn, tasks: list, workers: int) -> list:
 
 
 def atomic_write(path: str, write_fn) -> None:
-    """Text-write path through path + ".tmp", renamed into place once write_fn returns."""
+    """Text-write path through path + ".tmp", renamed into place; a failure removes the .tmp."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        write_fn(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write_fn(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def run(cfg: PipelineConfig) -> list[dict]:
@@ -270,8 +258,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
 
     os.makedirs(scratch, exist_ok=True)
     stats = IngestStats()
-    scatter_tasks = [(s, path, N_BUCKETS, cfg.accuracy_max_m, scratch)
-                     for s, path in enumerate(shards)]
+    scatter_tasks = [(s, path, N_BUCKETS, scratch) for s, path in enumerate(shards)]
     sections: dict[int, list[tuple[str, int, int]]] = {}
     scattered = map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
     for s, (shard_stats, ranges) in enumerate(scattered):
@@ -279,14 +266,14 @@ def run(cfg: PipelineConfig) -> list[dict]:
         for b, start, end in ranges:
             sections.setdefault(b, []).append((_spill_path(scratch, s), start, end))
 
-    gather_tasks = [(sections[b], cfg) for b in sorted(sections)]
-    gathered = map_tasks(_gather_bucket, gather_tasks, cfg.workers)
+    gathered = map_tasks(_gather_bucket, [sections[b] for b in sorted(sections)], cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     # the empty columns give a dataset with no accepted report its column types
     empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
     columns = [np.concatenate(c) for c in zip(empty, *(cols for _, cols in gathered))]
 
-    records = aggregate.reduce_region_day(gaz.keys, *columns, cfg.baseline_start, cfg.baseline_end)
+    records = aggregate.reduce_region_day(gaz.keys, *columns, aggregate.DEFAULT_BASELINE_START,
+                                          aggregate.DEFAULT_BASELINE_END)
 
     atomic_write(os.path.join(cfg.output_dir, "stats.ndjson"),
                  lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats))

@@ -27,6 +27,7 @@ from mobstats.collate import day_number_to_date
 from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
 from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
+from mobstats.metrics import DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS, DEFAULT_TRIM_FRACTION
 from mobstats.pipeline import GATHER_COUNTERS, PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, toy_gazetteer_records
 
@@ -227,7 +228,7 @@ def parent_m_max(rows, trim_fraction: float) -> float:
     return float(d.max()) if k == 0 else float(np.sort(d)[n - 1 - k])
 
 
-def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
+def reference_gather(rows, gaz) -> tuple[dict, list]:
     """Counters and records of the per-report device-day route."""
     by_device: dict[str, list] = {}
     for device_id, epoch, lat, lon, acc in rows:
@@ -245,10 +246,10 @@ def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
             date = dt.date(1970, 1, 1) + dt.timedelta(days=day)
             counters["device_days"] += 1
             counters["device_day_reports"] += len(day_rows)
-            if len(day_rows) < cfg.min_reports:
+            if len(day_rows) < DEFAULT_MIN_REPORTS:
                 counters["rejected_too_few_reports"] += 1
                 continue
-            if day_rows[-1][0] - day_rows[0][0] < cfg.min_span_hours * 3600.0:
+            if day_rows[-1][0] - day_rows[0][0] < DEFAULT_MIN_SPAN_HOURS * 3600.0:
                 counters["rejected_short_span"] += 1
                 continue
             counters["eligible_device_days"] += 1
@@ -256,7 +257,7 @@ def reference_gather(rows, gaz, cfg: PipelineConfig) -> tuple[dict, list]:
             if region is None:
                 counters["unmatched_geocode"] += 1
                 continue
-            m_max = parent_m_max(day_rows, cfg.trim_fraction)
+            m_max = parent_m_max(day_rows, DEFAULT_TRIM_FRACTION)
             a1_id = (gaz.admin1_ids.get((region.country_code, region.admin1), "")
                      if region.admin1 else region.region_id)
             records.append((RegionKey(region.country_code, region.admin1, "", a1_id), date, m_max))
@@ -310,7 +311,7 @@ class TestGatherKernel:
         )
         rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
         want_counters, want_records = reference_gather(
-            rows, load_gazetteer(scenario["gazetteer_path"]), cfg)
+            rows, load_gazetteer(scenario["gazetteer_path"]))
         got_counters, got_records = run_captured(cfg)
         assert got_counters == want_counters
         assert want_counters["eligible_device_days"] > 0
@@ -341,7 +342,7 @@ class TestGatherKernel:
                 cfg = PipelineConfig(inputs=[str(scenario["root"] / "shards" / "*.csv")],
                                      gazetteer=str(gaz_path), output_dir=str(out),
                                      workers=workers)
-                want_counters, want_records = reference_gather(rows, gaz, cfg)
+                want_counters, want_records = reference_gather(rows, gaz)
                 counters, records = run_captured(cfg)
                 assert counters == want_counters
                 assert Counter(records) == Counter(want_records)
@@ -372,7 +373,7 @@ class TestGatherKernel:
         counters, records = run_captured(cfg)
         want_counters, want_records = reference_gather(
             reference_read(str(data / "part-00.csv"), 50.0)[1],
-            load_gazetteer(scenario["gazetteer_path"]), cfg)
+            load_gazetteer(scenario["gazetteer_path"]))
         assert counters == want_counters
         assert counters["device_days"] == counters["eligible_device_days"] == len(names)
         assert Counter(records) == Counter(want_records)

@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from mobstats import aggregate, pipeline
+from mobstats import aggregate, metrics, pipeline
 from mobstats.cli import CONFIG_DEFAULTS, build_parser, main
 from mobstats.collate import bucket_index, day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
-from mobstats.ingest import IngestStats, read_shard_columns
+from mobstats.ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
 from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
@@ -121,11 +121,31 @@ class TestRun:
         run(base_config(scenario, tmp_path / "out", scratch_dir=str(scratch)))
         assert scratch.is_dir() and not (scratch / "spill").exists()
 
-    def test_all_reports_rejected_still_reduces(self, scenario, tmp_path):
+    def test_failed_write_leaves_no_tmp(self, scenario, tmp_path, monkeypatch):
+        def partial_write(records, fh, verbose):
+            fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.output, "write_csv", partial_write)
         out = tmp_path / "out"
-        (report,) = run(base_config(scenario, out, accuracy_max_m=1e-9))
+        with pytest.raises(OSError, match="disk full"):
+            run(base_config(scenario, out))
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "stats.csv").exists() and not (out / "run_report.ndjson").exists()
+
+    def test_all_reports_rejected_still_reduces(self, scenario, tmp_path):
+        # every accuracy is above the 50 m cut, the first by 1e-6 m
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "part-00.csv").write_text("".join(
+            f"dev-{d},{1583150400 + 3600 * h},1.5,-1.5,{acc}\n"
+            for d, acc in enumerate(["50.000001", "75", "1e9"]) for h in range(12)))
+        out = tmp_path / "out"
+        (report,) = run(PipelineConfig(inputs=[str(data / "*.csv")],
+                                       gazetteer=scenario["gazetteer_path"], output_dir=str(out)))
         reconcile(report)
         assert report["reports_accepted"] == 0 and report["device_days"] == 0
+        assert report["reports_rejected_accuracy"] == 36
         assert (out / "stats.ndjson").read_bytes() == b""
 
     def test_scratch_kept_on_failure(self, scenario, tmp_path):
@@ -172,7 +192,7 @@ class TestRun:
         cfg = base_config(scenario, tmp_path / "out")
         pairs = set()
         for s, path in enumerate(scenario["shard_paths"]):
-            shard = read_shard_columns(path, cfg.accuracy_max_m, IngestStats())
+            shard = read_shard_columns(path, ACCURACY_MAX_M, IngestStats())
             pairs |= {(s, bucket_index(shard.names[c], 4096))
                       for c in set(shard.code.tolist())}
         reads, sizes, gathered = [], {}, []
@@ -238,14 +258,6 @@ class TestRun:
             outputs.add(tuple((out / f).read_bytes()
                               for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
-
-    def test_weekend_only_baseline_rejected_before_any_work(self, scenario, tmp_path):
-        sat = dt.date(2020, 2, 22)
-        cfg = base_config(scenario, tmp_path / "out", baseline_start=sat,
-                          baseline_end=sat + dt.timedelta(days=1))
-        with pytest.raises(ConfigError, match="no weekdays"):
-            run(cfg)
-        assert list(tmp_path.iterdir()) == []
 
     def test_production_m_max_matches_truth_sidecar(self, scenario, tmp_path, monkeypatch):
         captured = []
@@ -336,8 +348,7 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_config_validation(self, scenario, tmp_path):
-        for field, value in [("accuracy_max_m", 0.0), ("min_reports", 0),
-                             ("trim_fraction", 1.0), ("workers", 0),
+        for field, value in [("workers", 0),
                              ("inputs", [str(scenario["root"] / "shards" / "*.csv")] * 2)]:
             cfg = base_config(scenario, tmp_path / "out")
             setattr(cfg, field, value)
@@ -582,30 +593,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "region R8" in err
 
-    # no local day spans 24 h, so a min_span_hours of 24 or more would reject every day
-    @pytest.mark.parametrize("key, value", [
-        ("accuracy_max_m", "nan"), ("min_span_hours", "nan"),
-        ("min_span_hours", "24"), ("min_span_hours", "inf"),
-    ], ids=["accuracy_max_m", "min_span_hours", "min_span_hours_24", "min_span_hours_inf"])
-    def test_nan_value_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
-                                                       monkeypatch, key, value):
-        def no_read(*args):
-            raise AssertionError("a shard was read")
-
-        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
-        args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
-                "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o"),
-                "--" + key.replace("_", "-"), value]
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:") and key in err and value in err
-        assert not (tmp_path / "o").exists()
-
-    # every run writes both stats files, gathers in pipeline.N_BUCKETS buckets and
-    # reduces all of its input; each setting is a flag or a PipelineConfig field
+    # every run writes both stats files, gathers in pipeline.N_BUCKETS buckets,
+    # reduces all of its input and uses the method's fixed parameters; each
+    # setting is a flag or a PipelineConfig field
     @pytest.mark.parametrize("name, value", [
         ("--format", "csv"), ("--n-buckets", "8"), ("--config", "cfg.json"),
         ("--date-start", "2020-03-02"), ("--date-end", "2020-03-06"),
+        ("--accuracy-max-m", "nan"), ("--min-reports", "5"), ("--min-span-hours", "24"),
+        ("--trim-fraction", "0.2"), ("--baseline-start", "2020-02-22"),
+        ("--baseline-end", "2020-02-23"),
     ])
     def test_removed_option_exit_1_before_any_shard_is_read(self, scenario, tmp_path, capsys,
                                                             monkeypatch, name, value):
@@ -644,10 +640,10 @@ class TestCli:
         assert "input" in capsys.readouterr().err
 
     def test_bad_date_exit_1(self, tmp_path, capsys):
-        rc = main(["run", "--input", "x", "--gazetteer", "g",
-                   "--baseline-start", "03/02/2020"])
+        rc = main(["generate", "--out-dir", str(tmp_path / "g"), "--start-date", "03/02/2020"])
         assert rc == 1
         assert "yyyy-mm-dd" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_unknown_style_exit_1(self, tmp_path, capsys):
         rc = main(["generate", "--out-dir", str(tmp_path), "--styles", "warp"])
@@ -656,9 +652,16 @@ class TestCli:
 
     def test_config_defaults_follow_pipeline_config(self):
         cfg = PipelineConfig()
-        assert list(CONFIG_DEFAULTS) == list(vars(cfg))
-        assert CONFIG_DEFAULTS["baseline_start"] == cfg.baseline_start.isoformat()
-        assert CONFIG_DEFAULTS["workers"] == cfg.workers
+        fixed = {
+            "accuracy_max_m": ACCURACY_MAX_M,
+            "min_reports": metrics.DEFAULT_MIN_REPORTS,
+            "min_span_hours": metrics.DEFAULT_MIN_SPAN_HOURS,
+            "trim_fraction": metrics.DEFAULT_TRIM_FRACTION,
+            "baseline_start": aggregate.DEFAULT_BASELINE_START.isoformat(),
+            "baseline_end": aggregate.DEFAULT_BASELINE_END.isoformat(),
+        }
+        assert list(CONFIG_DEFAULTS) == list(vars(cfg)) + list(fixed)
+        assert CONFIG_DEFAULTS == {**vars(cfg), **fixed}
 
     @pytest.mark.parametrize("command", ["run", "generate", "compare", "config-dump"])
     def test_closed_stdout_exit_0(self, scenario, tmp_path, command):
