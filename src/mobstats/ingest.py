@@ -11,7 +11,10 @@ error naming the shard.
 Shards are streamed in binary blocks into numpy columns. A line in the
 canonical form (see ``_CANONICAL``) is parsed in bulk and range-checked
 column-wise with parse_fields' comparisons; every other line is decoded
-and handed to parse_fields, the one per-line validation rule.
+and handed to parse_fields, the one per-line validation rule. A block's
+lines shorter than ``_WALK_WIDTH`` step together through the grammar's
+(state, byte) table, one numpy pass per byte position; a longer line is
+matched with ``_CANONICAL`` itself.
 """
 
 from __future__ import annotations
@@ -47,6 +50,60 @@ BLOCK_BYTES = 256 * 1024
 # decimal or exponent floats.
 _FLOAT = rb"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _CANONICAL = re.compile(rb"[\x20-\x2b\x2d-\x7e]+,[0-9]{1,18}," + b",".join([_FLOAT] * 3))
+
+
+def _line_table() -> np.ndarray:
+    """_CANONICAL's grammar as a DFA: table[state << 8 | byte] is the next state.
+    State 0 rejects and 1 accepts, for good; a line starts in the last state and
+    its LF takes it to 1 if it is canonical. States are made back to front."""
+    rows, d = [np.zeros(256, np.intp), np.ones(256, np.intp)], b"0123456789"
+
+    def state(*edges: tuple[bytes, int | None]) -> int:  # a target of None: the new state
+        rows.append(np.zeros(256, np.intp))
+        for chars, target in edges:
+            rows[-1][list(chars)] = len(rows) - 1 if target is None else target
+        return len(rows) - 1
+
+    def number(end: bytes, after: int) -> int:
+        # -?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?, then end
+        exp = state((d, None), (end, after))
+        e = state((b"+-", state((d, exp))), (d, exp))
+        frac = state((d, None), (b"eE", e), (end, after))  # digits and a point seen
+        whole = state((d, None), (b".", frac), (b"eE", e), (end, after))
+        point = state((d, frac))  # a leading point
+        return state((b"-", state((d, whole), (b".", point))), (d, whole), (b".", point))
+
+    numbers = number(b",", number(b",", number(b"\n", 1)))
+    epoch = state((b",", numbers))  # 18 digits seen
+    for _ in range(17):
+        epoch = state((d, epoch), (b",", numbers))
+    ids = bytes(range(0x20, 0x7F)).replace(b",", b"")
+    state((ids, state((ids, None), (b",", state((d, epoch))))))
+    return np.concatenate(rows)
+
+
+_LINE_TABLE = _line_table()
+_LINE_START = len(_LINE_TABLE) // 256 - 1
+# lines at least this long are matched one by one: the walk takes as many
+# numpy passes as the block's longest walked line has bytes
+_WALK_WIDTH = 96
+
+
+def _canonical(lines: list[bytes]) -> list[bool]:
+    """_CANONICAL.fullmatch's verdict on each line, which holds no LF."""
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    short = lengths < _WALK_WIDTH
+    # each line is followed by its LF; the padding keeps every step in the buffer
+    buf = np.frombuffer(b"\n".join(lines) + b"\n" * _WALK_WIDTH, np.uint8)
+    pos = np.cumsum(lengths + 1) - (lengths + 1)
+    state = np.full(len(lines), _LINE_START, np.intp)
+    for _ in range(int(lengths[short].max(initial=-1)) + 1):
+        state = _LINE_TABLE[(state << 8) | buf[pos]]
+        pos += 1
+    ok = (state == 1).tolist()
+    for i in np.flatnonzero(~short).tolist():
+        ok[i] = _CANONICAL.fullmatch(lines[i]) is not None
+    return ok
 
 
 @dataclass(slots=True)
@@ -200,7 +257,7 @@ def _in_range(epoch: np.ndarray, lat: np.ndarray, lon: np.ndarray,
 def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: IngestStats) -> list:
     """Valid rows of one block, in line order, as [code, epoch, lat, lon, acc] columns."""
     stats.lines_read += len(lines)
-    canonical = [m is not None for m in map(_CANONICAL.fullmatch, lines)]
+    canonical = _canonical(lines)
     fast = list(compress(lines, canonical))
     fields = b",".join(fast).split(b",") if fast else []
     n = len(fast)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import glob as globmod
 import json
 import os
+import pickle
 import shutil
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
@@ -81,8 +82,8 @@ class PipelineConfig:
                               "`mobstats compare`")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 # gazetteer shared with forked gather workers
@@ -201,18 +202,60 @@ def _gather_bucket(sections: list) -> tuple[dict, tuple[np.ndarray, np.ndarray, 
     return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 
 
-def map_tasks(fn, tasks: list, workers: int) -> list:
-    """Run tasks in order, inline or on a fork pool; results in task order.
-    Inline where the platform cannot fork (Windows)."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    import multiprocessing  # only here: a one-worker run never pays for the import
+def _run_share(fn, tasks: list, fd: int, inherited: list[int]):
+    """A forked worker: pickle (True, results) or (False, exception) into fd,
+    then exit, never returning into the caller's stack or flushing its stdio."""
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            data = pickle.dumps((True, [fn(t) for t in tasks]))
+        except BaseException as e:  # the parent raises it
+            data = pickle.dumps((False, e))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+
+def map_tasks(fn, tasks: list, workers: int) -> list:
+    """fn over tasks, results in task order, on forked workers, the caller
+    taking the first share: of w = min(workers, len(tasks)) shares, share k
+    is tasks[k::w]. A worker's exception is raised unchanged, and a worker
+    that ends without sending its results (a signal, the OOM killer) is an
+    OSError. Inline where the platform cannot fork (Windows)."""
+    w = min(workers, len(tasks))
+    if w <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+    reads, pids = [], []  # the parent's end of each worker's pipe, and its pid
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, tasks[k::w], wr, reads)
+            finally:
+                os.close(wr)  # in the parent only: the child never returns
+            pids.append(pid)
+        shares = [[fn(t) for t in tasks[0::w]]]
+        for k, (pid, r) in enumerate(zip(pids, reads), 1):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # nothing or a part came
+                raise OSError(f"map_tasks worker {k} of {w} (pid {pid}) sent no results") from None
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        for fd in reads:  # closed first: a worker blocked writing then fails and exits
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [shares[i % w][i // w] for i in range(len(tasks))]
 
 
 def atomic_write(path: str, write_fn) -> None:

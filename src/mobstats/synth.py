@@ -325,7 +325,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
     A spec outside ScenarioSpec.validate's domain raises ConfigError before
     anything is created. The previous tree's expected.json, truth.ndjson and
     shards/part-*.csv[.gz] are removed first. Device i goes to shard
-    i % spec.shards; one task per shard, inline or on a fork pool of the
+    i % spec.shards; one task per shard, inline or on forked workers for the
     usable CPUs (no byte depends on how many), streams its devices' lines
     to a .tmp file renamed into place when complete. expected.json is
     written last: it marks a complete tree.

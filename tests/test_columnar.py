@@ -175,6 +175,35 @@ class TestReaderParity:
         assert ((ingest._CANONICAL.fullmatch(line.encode("utf-8")) is None)
                 == (CANONICAL.fullmatch(line) is None))
 
+    @settings(max_examples=300)
+    @given(st.lists(byte_lines, max_size=40))
+    @example([line.encode("utf-8") for line in NEAR_MISS_LINES])
+    def test_table_walk_is_the_regex(self, lines):
+        assert ingest._canonical(lines) == [ingest._CANONICAL.fullmatch(x) is not None
+                                            for x in lines]
+
+    @staticmethod
+    def line_of(length, canonical):
+        """A line of `length` bytes, canonical or broken only in its last byte."""
+        tail = b",1584316800,1.5,-2.5,30" if canonical else b",1584316800,1.5,-2.5,3x"
+        return b"d" * (length - len(tail)) + tail
+
+    def test_lines_around_the_walk_width(self):
+        # the walk covers lines up to _WALK_WIDTH - 1 bytes; the regex the rest
+        width = ingest._WALK_WIDTH
+        lines, want = [], []
+        for length in (width - 1, width, width + 1):
+            for ok in (True, False):
+                lines += [b"d1,1,1.0,2.0,3.0", self.line_of(length, ok), b"x"]
+                want += [True, ok, False]
+        assert ingest._canonical(lines) == want
+        assert want == [ingest._CANONICAL.fullmatch(x) is not None for x in lines]
+
+    def test_block_of_long_lines_only(self):
+        lines = [self.line_of(200, True), self.line_of(150, False),
+                 self.line_of(ingest._WALK_WIDTH, True)]
+        assert ingest._canonical(lines) == [True, False, True]
+
     def test_range_boundaries_match_parse_fields(self, tmp_path):
         numbers = ["90", "90.0", "-90", "-90.0", "90.0000001", "-90.0000001", "180", "180.0",
                    "-180", "-180.0", "180.0000001", "-180.0000001", "0", "-0.0", "0.0",

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,24 @@ def fail_mid_scatter(scenario, tmp_path):
     with pytest.raises(OSError):
         run(base_config(scenario, out, inputs=[str(data / "*.csv")]))
     return out
+
+
+def fresh_run(code, env=os.environ, check=False):
+    """`code` run by a new interpreter that imports this mobstats; after 120 s
+    it and every process it forked are killed and TimeoutExpired raised."""
+    import mobstats
+    env = {**env, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    if check and proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def small_scenario(root):
@@ -348,12 +367,18 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_config_validation(self, scenario, tmp_path):
-        for field, value in [("workers", 0),
+        out = tmp_path / "out"
+        run(base_config(scenario, out))
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        for field, value in [("workers", 0), ("workers", 2.5), ("workers", "2"),
+                             ("workers", True),
                              ("inputs", [str(scenario["root"] / "shards" / "*.csv")] * 2)]:
-            cfg = base_config(scenario, tmp_path / "out")
+            cfg = base_config(scenario, out)
             setattr(cfg, field, value)
             with pytest.raises(ConfigError):
                 run(cfg)
+            # rejected before any work: the earlier run's results survive
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
     def test_two_datasets_and_compare(self, scenario, tmp_path):
         # one run per dataset, joined on their stats files
@@ -710,11 +735,9 @@ class TestCli:
 
     def test_generate_pool_worker_failure_exit_2(self, tmp_path, capfd, monkeypatch):
         # the shard task that fails runs in a forked worker, on any machine;
-        # its error reaches the parent as an I/O error, the pool leaves no
-        # process behind, and the good run's expected.json does not stay to
-        # mark the broken tree complete
-        import multiprocessing
-
+        # its error reaches the parent as an I/O error, every worker is
+        # reaped, and the good run's expected.json does not stay to mark the
+        # broken tree complete
         from mobstats import synth
         monkeypatch.setattr(synth, "map_tasks", lambda fn, tasks, _: pipeline.map_tasks(fn, tasks, 2))
         out = tmp_path / "gen"
@@ -727,7 +750,8 @@ class TestCli:
         err = capfd.readouterr().err
         assert err.startswith("error: io:") and "part-01.csv.tmp" in err
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         assert not (out / "expected.json").exists()
         assert not (out / "shards" / "part-01.csv").exists()
 
@@ -829,19 +853,22 @@ class TestCli:
     @staticmethod
     def fresh_python(code, env):
         """Standard output of `code` run by a new interpreter that imports this mobstats."""
-        import mobstats
-        env = {**env, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(mobstats.__file__)), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        return done.stdout.strip()
+        return fresh_run(code, env, check=True).stdout.strip()
 
-    def test_cli_import_leaves_multiprocessing_out(self):
-        # the fork pool is imported only by a run that uses it, the generator
-        # and the oracle only by generate
-        code = ("import sys, mobstats.cli; print(sorted(m for m in sys.modules if m in "
-                "('mobstats.synth', 'mobstats.oracle') or 'multiprocessing' in m))")
-        assert self.fresh_python(code, os.environ) == "[]"
+    def test_cli_import_leaves_multiprocessing_out(self, scenario, tmp_path):
+        # the generator and the oracle are imported only by generate; no run
+        # imports multiprocessing (map_tasks forks by hand) or numpy.ma
+        # (np.median and np.unique would, at 8-15 ms)
+        loaded = ("sorted(m for m in sys.modules if m in ('mobstats.synth', 'mobstats.oracle') "
+                  "or 'multiprocessing' in m or m.split('.')[:2] == ['numpy', 'ma'])")
+        assert self.fresh_python(f"import sys, mobstats.cli; print({loaded})", os.environ) == "[]"
+        for workers in ("1", "2"):
+            argv = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                    "--gazetteer", scenario["gazetteer_path"],
+                    "--output-dir", str(tmp_path / workers), "--workers", workers]
+            code = f"import sys, mobstats.cli; mobstats.cli.main({argv!r}); print({loaded})"
+            assert self.fresh_python(code, os.environ).splitlines()[-1] == "[]"
+            assert (tmp_path / workers / "run_report.ndjson").exists()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
     def test_import_starts_no_blas_thread(self):
@@ -901,3 +928,84 @@ class TestCli:
         rc = main(["compare", str(tmp_path / "a.ndjson"), str(tmp_path / "a.ndjson")])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["status"] == "both"
+
+
+def square_with_pid(x):
+    return x * x, os.getpid()
+
+
+class TestMapTasks:
+    @pytest.mark.parametrize("workers", [2, 3, 9])
+    def test_results_keep_task_order(self, workers):
+        got = pipeline.map_tasks(square_with_pid, list(range(7)), workers)
+        assert [r for r, _ in got] == [x * x for x in range(7)]
+        w = min(workers, 7)
+        pids = [pid for _, pid in got]
+        # the caller runs the first share, each forked worker one of the others
+        assert pids[0::w] == [os.getpid()] * len(pids[0::w])
+        assert len(set(pids)) == w
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_failure_returns_past_a_child_blocked_on_a_large_result(self):
+        # the child's 2 MiB result fills its pipe; the caller's own error
+        # must not wait on it (a new interpreter with a timeout keeps a
+        # deadlock from holding the suite)
+        code = """if True:
+            import os, time
+            from mobstats.pipeline import map_tasks
+
+            def task(x):
+                if x == 0:
+                    time.sleep(0.5)
+                    raise ValueError("the caller's share failed")
+                return b"x" * (2 << 20)
+
+            started = time.monotonic()
+            try:
+                map_tasks(task, [0, 1], 2)
+            except ValueError as e:
+                print(e, time.monotonic() - started < 30)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+            """
+        done = fresh_run(code)
+        assert done.stdout.splitlines() == ["the caller's share failed True", "no child left"]
+
+    def test_worker_killed_by_a_signal_is_an_io_error(self, scenario, tmp_path):
+        # a worker that ends without sending (a signal, the OOM killer) is an
+        # OSError naming it, and exit 2 from run; a new interpreter with a
+        # timeout keeps a hang from holding the suite
+        argv = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                "--gazetteer", scenario["gazetteer_path"],
+                "--output-dir", str(tmp_path / "out"), "--workers", "2"]
+        code = f"""if True:
+            import os, signal, sys
+            from mobstats import pipeline
+            from mobstats.cli import main
+
+            def killed_on_task_1(task):
+                if task == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return task
+
+            try:
+                pipeline.map_tasks(killed_on_task_1, [0, 1, 2], 2)
+            except OSError as e:
+                print(e)
+            scatter = pipeline._scatter_shard
+
+            def scatter_unless_shard_1(task):
+                killed_on_task_1(task[0])
+                return scatter(task)
+
+            pipeline._scatter_shard = scatter_unless_shard_1
+            sys.exit(main({argv!r}))
+            """
+        done = fresh_run(code)
+        assert done.stdout.startswith("map_tasks worker 1 of 2 ")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: io: map_tasks worker 1 of 2 ")
+        assert "Traceback" not in done.stderr

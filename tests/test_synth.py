@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import json
 import math
+import os
 import random
 from pathlib import Path
 
@@ -128,7 +129,7 @@ class TestGoldenBytes:
         assert got["shards/part-03.csv"] == hashlib.sha256(f"{HEADER}\n".encode()).hexdigest()
 
     def test_worker_count_changes_no_byte(self, tmp_path, monkeypatch):
-        # inline, a 2-process pool, and a pool request above the shard count
+        # inline, two processes, and a request for more workers than shards
         spec = ScenarioSpec(**GOLDEN_SPEC, gzip_shards=True)
         trees = []
         for workers in (1, 2, 9):
@@ -138,13 +139,8 @@ class TestGoldenBytes:
         assert trees[0] == trees[1] == trees[2]
 
     def test_no_fork_runs_inline(self, tmp_path, monkeypatch):
-        # where the platform cannot fork (Windows), a pool request runs inline
-        import multiprocessing
-
-        def no_pool(*args):
-            raise AssertionError("a pool was asked for")
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        # where the platform cannot fork (Windows), a two-worker request runs inline
+        monkeypatch.delattr(os, "fork")
         spec = ScenarioSpec(**GOLDEN_SPEC)
         pin_workers(monkeypatch, 2)
         generate(spec, str(tmp_path / "a"))
