@@ -66,7 +66,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--gazetteer", metavar="PATH")
     p_run.add_argument("--output-dir", metavar="DIR")
     p_run.add_argument("--workers", type=int)
-    p_run.add_argument("--scratch-dir", metavar="DIR")
+    p_run.add_argument("--scratch-dir", metavar="DIR", help="accepted and unused")
     p_run.add_argument("--verbose-stats", action="store_true")
 
     # a flag not given takes ScenarioSpec's default

@@ -3,27 +3,28 @@
 The scatter phase reads each shard of the dataset into numpy columns
 (ingest.read_shard_columns, whose accuracy filter is the last use of
 accuracy), hashes each distinct device id to a bucket once, groups the
-rows by bucket with one stable argsort, writes one section per bucket
-that holds any of the shard's reports to the shard's spill file and
-returns the sections' byte ranges. Each such bucket gets one gather task
-listing its sections in shard order. The task concatenates them,
-regroups them into device-days with collate.group_device_days, applies
-the metrics module's eligibility rule to all days at once, geocodes the
-eligible days with one geocode.locate call, measures the trimmed maximum
-distance m_max (the one per-device-day value any output depends on) for
-all matched days at once, and returns its counters and its records as
-three columns: an index into the gazetteer's output key table (built
-once in the parent, before any fork), the local day number and m_max.
+rows by bucket with one stable argsort and returns one section (device
+ids and columns) per bucket that holds any of the shard's reports. Each
+such bucket gets one gather task holding its sections in shard order and
+the gazetteer, both handed over in memory: a forked worker inherits its
+tasks, and only results travel back through a pipe. The task concatenates
+the sections, regroups them into device-days with
+collate.group_device_days, applies the metrics module's eligibility rule
+to all days at once, geocodes the eligible days with one geocode.locate
+call, measures the trimmed maximum distance m_max (the one
+per-device-day value any output depends on) for all matched days at
+once, and returns its counters and its records as three columns: an
+index into the gazetteer's output key table (built once in the parent,
+before any fork), the local day number and m_max.
 The parent concatenates the buckets' columns, reduces them into one
 finished output.OutputRecord per (region, date), indexed against its
-region's baseline, in file order, and writes the outputs atomically. Spill
-files are keyed by input shard index and their sections read back in
-shard order, device codes are renumbered in device id order, region-day
-samples are value-sorted before any arithmetic, and every output file is
-written in one canonical order, so results are byte-identical for any
-worker count and any N_BUCKETS. Before scatter a run removes the stats files
-and run_report.ndjson, which it writes last, and clears the spill tree, which
-it deletes on success and keeps on failure.
+region's baseline, in file order, and writes the outputs atomically.
+Sections are concatenated in shard order, device codes are renumbered in
+device id order, region-day samples are value-sorted before any
+arithmetic, and every output file is written in one canonical order, so
+results are byte-identical for any worker count and any N_BUCKETS. Before
+scatter a run removes the stats files and run_report.ndjson, which it
+writes last; it writes no other file than those three and their .tmp.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import glob as globmod
 import json
 import os
 import pickle
-import shutil
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
@@ -42,7 +42,7 @@ import numpy as np
 from . import aggregate, metrics, output
 from .collate import bucket_index, group_device_days, run_starts
 from .errors import ConfigError, DataError
-from .geocode import Gazetteer, load_gazetteer, locate
+from .geocode import load_gazetteer, locate
 from .ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 
@@ -68,7 +68,7 @@ class PipelineConfig:
     gazetteer: str | None = None
     output_dir: str = "out"
     workers: int = 1
-    scratch_dir: str | None = None
+    scratch_dir: str | None = None  # accepted and unused: a run writes no scratch file
     verbose_stats: bool = False
 
     def validate(self) -> None:
@@ -86,34 +86,18 @@ class PipelineConfig:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
-# gazetteer shared with forked gather workers
-_GAZ: Gazetteer | None = None
+def _scatter_shard(path: str) -> tuple[IngestStats, list[tuple[int, list[str], list]]]:
+    """One input shard's accepted reports, grouped by bucket.
 
-
-def _spill_path(scratch: str, shard: int) -> str:
-    return os.path.join(scratch, f"spill-{shard:05d}.bin")
-
-
-# a spill section's columns, after its int64 row count and before its ids
-_SECTION_COLUMNS = (np.int32, np.int64, np.float64, np.float64)
-
-
-def _scatter_shard(task: tuple) -> tuple[IngestStats, list[tuple[int, int, int]]]:
-    """Write one input shard's accepted reports to its spill file, grouped by bucket.
-
-    Returns the shard's stats and, in bucket order, (bucket, start, end) for
-    each bucket holding any of its reports: its section is bytes start : end
-    of the file, and the sections fill the file. A section is its int64 row
-    count, the columns (code, epoch, lat, lon) of its rows in file order,
-    and to its end the UTF-8 device ids joined by newlines (a line never
-    holds one), which the codes index. Buckets are hashed once per distinct
-    device id.
+    Returns the shard's stats and, in bucket order, (bucket, ids, columns)
+    for each bucket holding any of its reports: the columns are (code,
+    epoch, lat, lon) of its rows in file order, and the codes index the
+    device ids. Buckets are hashed once per distinct device id.
     """
-    shard_idx, path, n_buckets, scratch = task
     stats = IngestStats()
     shard = read_shard_columns(path, ACCURACY_MAX_M, stats)
     present = np.flatnonzero(np.bincount(shard.code))
-    device_bucket = np.array([bucket_index(shard.names[c], n_buckets) for c in present.tolist()],
+    device_bucket = np.array([bucket_index(shard.names[c], N_BUCKETS) for c in present.tolist()],
                              np.int64)
     # devices grouped by bucket; a device's code in its section is its rank there
     by_bucket = np.argsort(device_bucket, kind="stable")
@@ -127,55 +111,32 @@ def _scatter_shard(task: tuple) -> tuple[IngestStats, list[tuple[int, int, int]]
     order = np.argsort(row_bucket, kind="stable")
     columns = [local[shard.code[order]]] + [c[order] for c in (shard.epoch, shard.lat, shard.lon)]
     buckets = device_bucket[run_starts(len(device_bucket), device_bucket)]
-    row_bounds = np.searchsorted(row_bucket[order], buckets, "right").tolist()
-    device_bounds = np.searchsorted(device_bucket, buckets, "right").tolist()
-    ranges = []
-    r0 = d0 = pos = 0
-    with open(_spill_path(scratch, shard_idx), "wb") as fh:
-        for b, r1, d1 in zip(buckets.tolist(), row_bounds, device_bounds):
-            ids = "\n".join([shard.names[c] for c in devices[d0:d1].tolist()]).encode("utf-8")
-            size = fh.write(b"".join([np.int64(r1 - r0).tobytes(),
-                                      *(c[r0:r1].tobytes() for c in columns), ids]))
-            ranges.append((b, pos, pos + size))
-            r0, d0, pos = r1, d1, pos + size
-    return stats, ranges
+    row_bounds = np.searchsorted(row_bucket[order], buckets[:-1], "right")
+    bucket_devices = np.split(devices, np.searchsorted(device_bucket, buckets[:-1], "right"))
+    bucket_rows = zip(*(np.split(c, row_bounds) for c in columns))
+    return stats, [(b, [shard.names[c] for c in d.tolist()], list(rows))
+                   for b, d, rows in zip(buckets.tolist(), bucket_devices, bucket_rows)]
 
 
-def _read_section(path: str, start: int, end: int) -> tuple[list[str], list[np.ndarray]]:
-    """The (device ids, columns) of the spill file section at bytes start : end."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        section = fh.read(end - start)
-    n = int(np.frombuffer(section, np.int64, 1)[0])
-    columns, pos = [], 8
-    for dtype in _SECTION_COLUMNS:
-        columns.append(np.frombuffer(section, dtype, n, pos))
-        pos += n * np.dtype(dtype).itemsize
-    return section[pos:].decode("utf-8").split("\n"), columns
-
-
-def _read_bucket(sections: list[tuple[str, int, int]]) -> list[np.ndarray]:
-    """A bucket's columns from its (path, start, end) sections, concatenated in the
+def _read_bucket(sections: list[tuple[list[str], list]]) -> list[np.ndarray]:
+    """A bucket's columns from its (ids, columns) sections, concatenated in the
     order given, codes renumbered in id order."""
-    spills = [_read_section(*s) for s in sections]
-    ids = sorted({name for names, _ in spills for name in names})
+    ids = sorted({name for names, _ in sections for name in names})
     code_of = {name: i for i, name in enumerate(ids)}
-    for names, columns in spills:
-        columns[0] = np.array([code_of[n] for n in names], np.int32)[columns[0]]
-    return [np.concatenate(c) for c in zip(*(columns for _, columns in spills))]
+    renumbered = [[np.array([code_of[n] for n in names], np.int32)[columns[0]], *columns[1:]]
+                  for names, columns in sections]
+    return [np.concatenate(c) for c in zip(*renumbered)]
 
 
-def _gather_bucket(sections: list) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Turn one bucket's (path, start, end) spill sections into (counters, record columns).
+def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Turn a (gazetteer, one bucket's sections) task into (counters, record columns).
 
     The columns are (key index into Gazetteer.keys, local day number,
     m_max): each matched device-day gives a record for its region's admin1
     twin, followed by one for the region itself when it is a county. Both
     levels reduce from device-days, because medians do not compose upward.
     """
-    gaz = _GAZ
-    assert gaz is not None, "gazetteer not loaded before gather"
-
+    gaz, sections = task
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
     dd = group_device_days(*_read_bucket(sections))
     counters["device_days"] = len(dd.starts)
@@ -202,6 +163,13 @@ def _gather_bucket(sections: list) -> tuple[dict, tuple[np.ndarray, np.ndarray, 
     return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 
 
+def _stand_in(e: BaseException) -> Exception:
+    """e's type name and message in the nearest exit-code class e derives from."""
+    kind = next((k for k in type(e).__mro__ if k in (ConfigError, DataError, OSError)),
+                RuntimeError)
+    return kind(f"{type(e).__name__}: {e}")
+
+
 def _run_share(fn, tasks: list, fd: int, inherited: list[int]):
     """A forked worker: pickle (True, results) or (False, exception) into fd,
     then exit, never returning into the caller's stack or flushing its stdio."""
@@ -211,7 +179,11 @@ def _run_share(fn, tasks: list, fd: int, inherited: list[int]):
         try:
             data = pickle.dumps((True, [fn(t) for t in tasks]))
         except BaseException as e:  # the parent raises it
-            data = pickle.dumps((False, e))
+            try:
+                data = pickle.dumps((False, e))
+                pickle.loads(data)  # an __init__ taking other arguments pickles but does not load
+            except Exception:
+                data = pickle.dumps((False, _stand_in(e)))
         with open(fd, "wb") as fh:
             fh.write(data)
     finally:
@@ -221,9 +193,10 @@ def _run_share(fn, tasks: list, fd: int, inherited: list[int]):
 def map_tasks(fn, tasks: list, workers: int) -> list:
     """fn over tasks, results in task order, on forked workers, the caller
     taking the first share: of w = min(workers, len(tasks)) shares, share k
-    is tasks[k::w]. A worker's exception is raised unchanged, and a worker
-    that ends without sending its results (a signal, the OOM killer) is an
-    OSError. Inline where the platform cannot fork (Windows)."""
+    is tasks[k::w]. A worker's exception is raised unchanged, or as
+    _stand_in's copy where it cannot be pickled, and a worker that ends
+    without sending its results (a signal, the OOM killer) is an OSError.
+    Inline where the platform cannot fork (Windows)."""
     w = min(workers, len(tasks))
     if w <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
@@ -285,31 +258,22 @@ def run(cfg: PipelineConfig) -> list[dict]:
     if not shards:
         raise ConfigError(f"no input files match {cfg.inputs[0]!r}")
 
-    global _GAZ
     gaz = load_gazetteer(cfg.gazetteer)
-    _GAZ = gaz
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     # an earlier run's results must not outlive a run that fails
     for name in ("run_report.ndjson", "stats.ndjson", "stats.csv"):
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, name))
-    scratch_base = cfg.scratch_dir or os.path.join(cfg.output_dir, ".scratch")
-    scratch = os.path.join(scratch_base, "spill")
-    # spill files left by an earlier failed run would be read as this run's
-    shutil.rmtree(scratch, ignore_errors=True)
-
-    os.makedirs(scratch, exist_ok=True)
     stats = IngestStats()
-    scatter_tasks = [(s, path, N_BUCKETS, scratch) for s, path in enumerate(shards)]
-    sections: dict[int, list[tuple[str, int, int]]] = {}
-    scattered = map_tasks(_scatter_shard, scatter_tasks, cfg.workers)
-    for s, (shard_stats, ranges) in enumerate(scattered):
+    sections: dict[int, list[tuple[list[str], list]]] = {}
+    for shard_stats, shard_sections in map_tasks(_scatter_shard, shards, cfg.workers):
         stats.merge(shard_stats)
-        for b, start, end in ranges:
-            sections.setdefault(b, []).append((_spill_path(scratch, s), start, end))
+        for b, ids, columns in shard_sections:
+            sections.setdefault(b, []).append((ids, columns))
 
-    gathered = map_tasks(_gather_bucket, [sections[b] for b in sorted(sections)], cfg.workers)
+    gathered = map_tasks(_gather_bucket, [(gaz, sections[b]) for b in sorted(sections)],
+                         cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     # the empty columns give a dataset with no accepted report its column types
     empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
@@ -333,11 +297,6 @@ def run(cfg: PipelineConfig) -> list[dict]:
     }
     atomic_write(os.path.join(cfg.output_dir, "run_report.ndjson"),
                  lambda fh: fh.write(json.dumps(report, separators=(",", ":")) + "\n"))
-    # reached only on success: a failed run keeps its spill files
-    shutil.rmtree(scratch, ignore_errors=True)
-    if not cfg.scratch_dir:
-        with suppress(OSError):  # not empty: something else lives there
-            os.rmdir(scratch_base)
     return [report]
 
 

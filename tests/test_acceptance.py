@@ -111,6 +111,25 @@ def hashes(out_dir):
     }
 
 
+# sha256 of reference_run's files; they equal the benchmark gate workload's
+PUBLISHED_SHA256 = {
+    "stats.ndjson": "079eb1b353bbf06b3302cdad2dda7bf60c529d277454cc7507fd8e34c1d0a587",
+    "stats.csv": "41319b25539f1d2a9ed13ec5e8d53790db2f6e6dd061fedef792d8d25aa1f355",
+    "run_report.ndjson": "9c63f84bb4dae5eeb07cee427e2b0f5d067f0a86d0ded8a89c81784ddf375b53",
+}
+
+
+class TestPublishedBytes:
+    def test_reference_run_bytes_pinned(self, reference_run):
+        """The corpus's published files, byte for byte.
+
+        Gate 3 checks that worker and bucket counts change no byte, but not
+        that a change to the code does not. A change that alters the output on
+        purpose updates these pins in the same diff and says so in CHANGES.md.
+        """
+        assert hashes(reference_run["out"]) == PUBLISHED_SHA256
+
+
 class TestGates:
     def test_1_oracle_equivalence(self, oracle_sweep):
         assert oracle_sweep["days"] == 1000

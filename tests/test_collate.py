@@ -20,8 +20,8 @@ def raw(device_id, epoch, lat=0.0, lon=0.0, acc=5.0):
 def bucket_sort(reports, n_buckets):
     """Partition reports into n_buckets lists keyed by device id hash.
 
-    In-memory reference for the scatter phase, which streams the same
-    partition to spill files.
+    Row-wise reference for the scatter phase, which makes the same
+    partition column-wise.
     """
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")

@@ -63,7 +63,7 @@ def reconcile(report):
                                               + report["unmatched_geocode"])
 
 
-def fail_mid_scatter(scenario, tmp_path):
+def fail_mid_scatter(scenario, tmp_path, **overrides):
     """Output dir of an 8-bucket run that scattered shard 0, then failed on shard 1."""
     data = tmp_path / "data"
     data.mkdir()
@@ -71,7 +71,7 @@ def fail_mid_scatter(scenario, tmp_path):
     (data / "part-01.csv").mkdir()
     out = tmp_path / "out"
     with pytest.raises(OSError):
-        run(base_config(scenario, out, inputs=[str(data / "*.csv")]))
+        run(base_config(scenario, out, inputs=[str(data / "*.csv")], **overrides))
     return out
 
 
@@ -135,10 +135,16 @@ class TestRun:
         assert leftovers == []
         assert not (out / ".scratch").exists()
 
-    def test_given_scratch_dir_is_kept_without_its_spill(self, scenario, tmp_path):
+    def test_run_writes_only_its_files(self, scenario, tmp_path):
+        # a successful run and one that fails mid-scatter write nothing but the
+        # run's own files, and never create a given scratch dir
         scratch = tmp_path / "scratch"
-        run(base_config(scenario, tmp_path / "out", scratch_dir=str(scratch)))
-        assert scratch.is_dir() and not (scratch / "spill").exists()
+        out = tmp_path / "ok"
+        run(base_config(scenario, out, scratch_dir=str(scratch)))
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["run_report.ndjson", "stats.csv", "stats.ndjson"]
+        assert list(fail_mid_scatter(scenario, tmp_path, scratch_dir=str(scratch)).iterdir()) == []
+        assert not scratch.exists()
 
     def test_failed_write_leaves_no_tmp(self, scenario, tmp_path, monkeypatch):
         def partial_write(records, fh, verbose):
@@ -167,33 +173,6 @@ class TestRun:
         assert report["reports_rejected_accuracy"] == 36
         assert (out / "stats.ndjson").read_bytes() == b""
 
-    def test_scratch_kept_on_failure(self, scenario, tmp_path):
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "part-00.csv").mkdir()  # unreadable shard: a directory
-        cfg = PipelineConfig(inputs=[str(data / "*.csv")],
-                             gazetteer=scenario["gazetteer_path"],
-                             output_dir=str(tmp_path / "out"))
-        with pytest.raises(OSError):
-            run(cfg)
-        assert (tmp_path / "out" / ".scratch" / "spill").exists()
-
-    def test_stale_spill_from_failed_run_is_not_read(self, scenario, tmp_path):
-        out = fail_mid_scatter(scenario, tmp_path)
-        assert list((out / ".scratch" / "spill").rglob("spill-*"))
-
-        small_cfg = small_scenario(tmp_path / "small")
-        after_failure = run(base_config(scenario, out, **small_cfg))
-        clean = run(base_config(scenario, tmp_path / "clean", **small_cfg))
-        assert after_failure == clean
-        assert (out / "stats.ndjson").read_bytes() == \
-            (tmp_path / "clean" / "stats.ndjson").read_bytes()
-
-    def test_failed_run_keeps_one_spill_file_per_scattered_shard(self, scenario, tmp_path):
-        out = fail_mid_scatter(scenario, tmp_path)
-        # shard 0 was scattered into 8 buckets before shard 1 failed
-        assert len(list((out / ".scratch" / "spill").rglob("spill-*"))) == 1
-
     def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path, monkeypatch):
         small_cfg = small_scenario(tmp_path / "small")
         outputs = set()
@@ -206,57 +185,43 @@ class TestRun:
         assert len(outputs) == 1
 
     def test_gather_opens_only_non_empty_sections_once(self, scenario, tmp_path, monkeypatch):
-        # at 4096 buckets most (bucket, shard) pairs hold no report
+        # at 4096 buckets most (bucket, shard) pairs hold no report: the gather
+        # tasks hold exactly the non-empty ones, each once and in shard order.
+        # Shard 0 here is the scenario's shard 0; the lines of its shards 1 and
+        # 2 alternate between shards 1 and 2, so those devices span two shards.
         monkeypatch.setattr(pipeline, "N_BUCKETS", 4096)
-        cfg = base_config(scenario, tmp_path / "out")
-        pairs = set()
-        for s, path in enumerate(scenario["shard_paths"]):
+        first, *rest = (Path(p).read_text() for p in scenario["shard_paths"])
+        mixed = "".join(rest).splitlines(keepends=True)
+        data = tmp_path / "data"
+        data.mkdir()
+        paths = [str(data / f"part-0{s}.csv") for s in range(3)]
+        for path, text in zip(paths, (first, "".join(mixed[0::2]), "".join(mixed[1::2]))):
+            Path(path).write_text(text)
+        want = {}
+        for path in paths:
             shard = read_shard_columns(path, ACCURACY_MAX_M, IngestStats())
-            pairs |= {(s, bucket_index(shard.names[c], 4096))
-                      for c in set(shard.code.tolist())}
-        reads, sizes, gathered = [], {}, []
+            for b in sorted({bucket_index(shard.names[c], 4096) for c in set(shard.code.tolist())}):
+                want.setdefault(b, []).append((path, b))
 
-        class Recording:
-            def __init__(self, fh):
-                self.fh = fh
+        origin, tasks = {}, []
+        scatter, gather = pipeline._scatter_shard, pipeline._gather_bucket
 
-            def __enter__(self):
-                return self
+        def recording_scatter(path):
+            stats, sections = scatter(path)
+            origin.update({id(ids): (path, b) for b, ids, _ in sections})
+            return stats, sections
 
-            def __exit__(self, *exc):
-                self.fh.close()
+        def recording_gather(task):
+            tasks.append(task)
+            return gather(task)
 
-            def seek(self, pos):
-                self.pos = pos
-                return self.fh.seek(pos)
-
-            def read(self, n):
-                data = self.fh.read(n)
-                reads.append((self.fh.name, self.pos, len(data)))
-                return data
-
-        def recording_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            if mode != "rb":
-                return fh
-            sizes[path] = os.fstat(fh.fileno()).st_size
-            return Recording(fh)
-
-        gather_bucket = pipeline._gather_bucket
-
-        def counting_gather(task):
-            gathered.append(task)
-            return gather_bucket(task)
-
-        monkeypatch.setattr(pipeline, "open", recording_open, raising=False)
-        monkeypatch.setattr(pipeline, "_gather_bucket", counting_gather)
-        run(cfg)
-        assert len(sizes) == len(scenario["shard_paths"])
-        # one non-empty read per (bucket, shard) pair holding reports, none twice
-        assert len(reads) == len(set(reads)) == len(pairs)
-        assert all(n > 0 for _, _, n in reads)
-        assert sum(n for _, _, n in reads) == sum(sizes.values())
-        assert len(gathered) == len({b for _, b in pairs})
+        monkeypatch.setattr(pipeline, "_scatter_shard", recording_scatter)
+        monkeypatch.setattr(pipeline, "_gather_bucket", recording_gather)
+        run(base_config(scenario, tmp_path / "out", inputs=[str(data / "*.csv")]))
+        got = [[origin[id(ids)] for ids, _ in sections] for _, sections in tasks]
+        assert got == [want[b] for b in sorted(want)]
+        # some bucket spans two shards, and some non-empty bucket misses one
+        assert {len(pairs) for pairs in got} >= {1, 2}
 
     def test_tied_reports_differing_in_accuracy_do_not_change_bytes(self, tmp_path):
         small_cfg = small_scenario(tmp_path / "small")
@@ -408,8 +373,8 @@ class TestRun:
             gzip.compress(Path(scenario["shard_paths"][0]).read_bytes()))
         (data / "part-01.csv.gz").write_bytes(b"not a gzip file")
         assert main(["run", "--input", str(data / "*.csv.gz"), *common]) == 2
-        # only the stats files and the run report are removed; the spill is kept
-        assert sorted(p.name for p in out.iterdir()) == [".scratch", "notes.txt"]
+        # only the stats files and the run report are removed, and nothing is left
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
 
 class TestLockdownScenario:
@@ -934,6 +899,22 @@ def square_with_pid(x):
     return x * x, os.getpid()
 
 
+class HoldsALambda(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # pickle cannot take it
+
+
+class DataErrorHoldingALambda(HoldsALambda, DataError):
+    pass
+
+
+class TwoArgumentError(OSError):
+    def __init__(self, message, path):  # pickles, but loads as TwoArgumentError(message)
+        super().__init__(message)
+        self.path = path
+
+
 class TestMapTasks:
     @pytest.mark.parametrize("workers", [2, 3, 9])
     def test_results_keep_task_order(self, workers):
@@ -946,6 +927,24 @@ class TestMapTasks:
         assert len(set(pids)) == w
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error, raised", [
+        (HoldsALambda("task 1 failed"), RuntimeError),
+        (DataErrorHoldingALambda("task 1 failed"), DataError),
+        (TwoArgumentError("task 1 failed", "part-01.csv"), OSError),
+    ])
+    def test_worker_exception_that_cannot_travel_keeps_its_message(self, error, raised):
+        # the parent gets the nearest exit-code class of the worker's exception,
+        # with its type name and message, instead of "sent no results"
+        def task(x):
+            if x == 1:
+                raise error
+            return x
+
+        with pytest.raises(raised) as info:
+            pipeline.map_tasks(task, [0, 1], 2)
+        assert type(info.value) is raised
+        assert str(info.value) == f"{type(error).__name__}: task 1 failed"
 
     def test_caller_failure_returns_past_a_child_blocked_on_a_large_result(self):
         # the child's 2 MiB result fills its pipe; the caller's own error
@@ -997,9 +996,9 @@ class TestMapTasks:
                 print(e)
             scatter = pipeline._scatter_shard
 
-            def scatter_unless_shard_1(task):
-                killed_on_task_1(task[0])
-                return scatter(task)
+            def scatter_unless_shard_1(path):
+                killed_on_task_1(int(path.endswith("part-01.csv")))
+                return scatter(path)
 
             pipeline._scatter_shard = scatter_unless_shard_1
             sys.exit(main({argv!r}))
