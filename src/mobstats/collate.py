@@ -9,7 +9,6 @@ flaps between adjacent offsets within a day.
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,6 @@ def day_number_to_date(day_number: int) -> dt.date:
 
 def date_to_day_number(date: dt.date) -> int:
     return date.toordinal() - _EPOCH_ORDINAL
-
-
-def bucket_index(device_id: str, n_buckets: int) -> int:
-    """Stable bucket assignment: 64-bit blake2b of the device id, mod n_buckets."""
-    digest = hashlib.blake2b(device_id.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % n_buckets
 
 
 def run_starts(n: int, *keys: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -157,8 +158,12 @@ def _validate_ring(ring: list, region_id: str) -> np.ndarray:
         pts = np.array(ring, float)
     except (TypeError, ValueError, OverflowError) as e:
         raise DataError(f"region {region_id}: bad ring point: {e}") from None
-    if pts.shape != (len(ring), 2) or not np.isfinite(pts).all():
-        raise DataError(f"region {region_id}: bad ring point: not a finite [lon, lat] pair")
+    if pts.shape != (len(ring), 2) or not (np.abs(pts) <= (180.0, 90.0)).all():
+        raise DataError(f"region {region_id}: bad ring point: not a [lon, lat] pair "
+                        "in [-180, 180] x [-90, 90]")
+    # float() reads a JSON true as 1.0 and "1.5" as 1.5
+    if not set(map(type, chain.from_iterable(ring))) <= {int, float}:
+        raise DataError(f"region {region_id}: bad ring point: a coordinate is not a number")
     if (pts[0] != pts[-1]).any():
         raise DataError(f"region {region_id}: ring is not closed")
     return pts

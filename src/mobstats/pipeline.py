@@ -1,30 +1,28 @@
 """End-to-end batch pipeline over one dataset: scatter, gather, reduce, serialize.
 
-The scatter phase reads each shard of the dataset into numpy columns
-(ingest.read_shard_columns, whose accuracy filter is the last use of
-accuracy), hashes each distinct device id to a bucket once, groups the
-rows by bucket with one stable argsort and returns one section (device
-ids and columns) per bucket that holds any of the shard's reports. Each
-such bucket gets one gather task holding its sections in shard order and
-the gazetteer, both handed over in memory: a forked worker inherits its
-tasks, and only results travel back through a pipe. The task concatenates
-the sections, regroups them into device-days with
-collate.group_device_days, applies the metrics module's eligibility rule
-to all days at once, geocodes the eligible days with one geocode.locate
-call, measures the trimmed maximum distance m_max (the one
-per-device-day value any output depends on) for all matched days at
-once, and returns its counters and its records as three columns: an
-index into the gazetteer's output key table (built once in the parent,
-before any fork), the local day number and m_max.
-The parent concatenates the buckets' columns, reduces them into one
-finished output.OutputRecord per (region, date), indexed against its
-region's baseline, in file order, and writes the outputs atomically.
-Sections are concatenated in shard order, device codes are renumbered in
-device id order, region-day samples are value-sorted before any
-arithmetic, and every output file is written in one canonical order, so
-results are byte-identical for any worker count and any N_BUCKETS. Before
-scatter a run removes the stats files and run_report.ndjson, which it
-writes last; it writes no other file than those three and their .tmp.
+Scatter reads each shard into numpy columns (ingest.read_shard_columns,
+whose accuracy filter is the last use of accuracy): its device ids and its
+(code, epoch, lat, lon) rows. The parent numbers the run's distinct ids
+once, in sorted order, and maps every shard's codes onto that numbering.
+Gather task b of n = min(N_BUCKETS, devices) takes the rows whose code is
+b mod n, so all of a device's reports meet in one task. A forked worker
+inherits its tasks and the gazetteer; only results travel back through a
+pipe. The task regroups its rows into device-days with
+collate.group_device_days, then, for all its days at once, applies the
+eligibility rule, geocodes the eligible days with one geocode.locate call
+and measures the trimmed maximum distance m_max, the one per-device-day
+value any output depends on. It returns its counters and three record
+columns: an index into the gazetteer's output key table (built once in
+the parent, before any fork), the local day number and m_max. The parent
+concatenates the tasks' columns, reduces them into one finished
+output.OutputRecord per (region, date), indexed against its region's
+baseline, in file order, and writes the outputs atomically. A task's rows
+keep shard and file order, codes follow the sorted ids, region-day
+samples are value-sorted before any arithmetic, and every output file is
+written in one canonical order, so results are byte-identical for any
+worker count and any N_BUCKETS. Before scatter a run removes the stats
+files and run_report.ndjson, which it writes last; it writes no other
+file than those three and their .tmp.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ import glob as globmod
 import json
 import os
 import pickle
+import signal
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
@@ -40,14 +39,13 @@ from operator import attrgetter
 import numpy as np
 
 from . import aggregate, metrics, output
-from .collate import bucket_index, group_device_days, run_starts
+from .collate import group_device_days
 from .errors import ConfigError, DataError
 from .geocode import load_gazetteer, locate
 from .ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 
-# device-id hash buckets, one gather task each: no output byte
-# depends on the count, but gather runs at most this many tasks at once
+# gather runs at most this many tasks; a device's is its code mod the task count
 N_BUCKETS = 8
 
 # the run's device-day counters, in run-report order; the two rejected_*
@@ -86,59 +84,29 @@ class PipelineConfig:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
-def _scatter_shard(path: str) -> tuple[IngestStats, list[tuple[int, list[str], list]]]:
-    """One input shard's accepted reports, grouped by bucket.
-
-    Returns the shard's stats and, in bucket order, (bucket, ids, columns)
-    for each bucket holding any of its reports: the columns are (code,
-    epoch, lat, lon) of its rows in file order, and the codes index the
-    device ids. Buckets are hashed once per distinct device id.
-    """
+def _scatter_shard(path: str) -> tuple[IngestStats, list[str], list[np.ndarray]]:
+    """One input shard's stats, device ids and accepted reports: (code, epoch,
+    lat, lon) columns in file order, each code indexing the ids."""
     stats = IngestStats()
     shard = read_shard_columns(path, ACCURACY_MAX_M, stats)
-    present = np.flatnonzero(np.bincount(shard.code))
-    device_bucket = np.array([bucket_index(shard.names[c], N_BUCKETS) for c in present.tolist()],
-                             np.int64)
-    # devices grouped by bucket; a device's code in its section is its rank there
-    by_bucket = np.argsort(device_bucket, kind="stable")
-    device_bucket, devices = device_bucket[by_bucket], present[by_bucket]
-    local = np.zeros(len(shard.names), np.int32)
-    local[devices] = np.arange(len(devices)) - np.searchsorted(device_bucket, device_bucket)
-    bucket_of = np.zeros(len(shard.names), np.int64)
-    bucket_of[devices] = device_bucket
-
-    row_bucket = bucket_of[shard.code]
-    order = np.argsort(row_bucket, kind="stable")
-    columns = [local[shard.code[order]]] + [c[order] for c in (shard.epoch, shard.lat, shard.lon)]
-    buckets = device_bucket[run_starts(len(device_bucket), device_bucket)]
-    row_bounds = np.searchsorted(row_bucket[order], buckets[:-1], "right")
-    bucket_devices = np.split(devices, np.searchsorted(device_bucket, buckets[:-1], "right"))
-    bucket_rows = zip(*(np.split(c, row_bounds) for c in columns))
-    return stats, [(b, [shard.names[c] for c in d.tolist()], list(rows))
-                   for b, d, rows in zip(buckets.tolist(), bucket_devices, bucket_rows)]
-
-
-def _read_bucket(sections: list[tuple[list[str], list]]) -> list[np.ndarray]:
-    """A bucket's columns from its (ids, columns) sections, concatenated in the
-    order given, codes renumbered in id order."""
-    ids = sorted({name for names, _ in sections for name in names})
-    code_of = {name: i for i, name in enumerate(ids)}
-    renumbered = [[np.array([code_of[n] for n in names], np.int32)[columns[0]], *columns[1:]]
-                  for names, columns in sections]
-    return [np.concatenate(c) for c in zip(*renumbered)]
+    return stats, shard.names, [shard.code, shard.epoch, shard.lat, shard.lon]
 
 
 def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Turn a (gazetteer, one bucket's sections) task into (counters, record columns).
+    """Turn a (gazetteer, shards' columns, n, b) task into (counters, record
+    columns) for bucket b, the devices whose code is b mod n.
 
     The columns are (key index into Gazetteer.keys, local day number,
     m_max): each matched device-day gives a record for its region's admin1
     twin, followed by one for the region itself when it is a county. Both
     levels reduce from device-days, because medians do not compose upward.
     """
-    gaz, sections = task
+    gaz, shards, n, b = task
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
-    dd = group_device_days(*_read_bucket(sections))
+    # the bucket's rows, shard by shard in file order
+    mine = [columns[0] % n == b for columns in shards]
+    dd = group_device_days(*(np.concatenate([c[m] for c, m in zip(column, mine)])
+                             for column in zip(*shards)))
     counters["device_days"] = len(dd.starts)
     counters["device_day_reports"] = len(dd.code)
 
@@ -196,6 +164,7 @@ def map_tasks(fn, tasks: list, workers: int) -> list:
     is tasks[k::w]. A worker's exception is raised unchanged, or as
     _stand_in's copy where it cannot be pickled, and a worker that ends
     without sending its results (a signal, the OOM killer) is an OSError.
+    On any error the workers still running are killed before it is raised.
     Inline where the platform cannot fork (Windows)."""
     w = min(workers, len(tasks))
     if w <= 1 or not hasattr(os, "fork"):
@@ -223,6 +192,10 @@ def map_tasks(fn, tasks: list, workers: int) -> list:
             if not ok:
                 raise value
             shares.append(value)
+    except BaseException:
+        for pid in pids:  # their results would be thrown away: stop them now
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for fd in reads:  # closed first: a worker blocked writing then fails and exits
             os.close(fd)
@@ -265,14 +238,18 @@ def run(cfg: PipelineConfig) -> list[dict]:
     for name in ("run_report.ndjson", "stats.ndjson", "stats.csv"):
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, name))
-    stats = IngestStats()
-    sections: dict[int, list[tuple[list[str], list]]] = {}
-    for shard_stats, shard_sections in map_tasks(_scatter_shard, shards, cfg.workers):
+    scattered = map_tasks(_scatter_shard, shards, cfg.workers)
+    stats, held = IngestStats(), set()
+    for shard_stats, names, columns in scattered:
         stats.merge(shard_stats)
-        for b, ids, columns in shard_sections:
-            sections.setdefault(b, []).append((ids, columns))
-
-    gathered = map_tasks(_gather_bucket, [(gaz, sections[b]) for b in sorted(sections)],
+        held.update(names[c] for c in np.flatnonzero(np.bincount(columns[0])).tolist())
+    # one sorted numbering of the run's ids for every shard; -1 marks an id with no row
+    code_of = {name: i for i, name in enumerate(sorted(held))}
+    for _, names, columns in scattered:
+        columns[0] = np.array([code_of.get(name, -1) for name in names], np.int32)[columns[0]]
+    n = min(N_BUCKETS, len(code_of))
+    shard_columns = [columns for _, _, columns in scattered]
+    gathered = map_tasks(_gather_bucket, [(gaz, shard_columns, n, b) for b in range(n)],
                          cfg.workers)
     counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
     # the empty columns give a dataset with no accepted report its column types

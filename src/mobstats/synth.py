@@ -29,6 +29,7 @@ import json
 import math
 import os
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 
 from . import oracle
@@ -327,8 +328,9 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
     shards/part-*.csv[.gz] are removed first. Device i goes to shard
     i % spec.shards; one task per shard, inline or on forked workers for the
     usable CPUs (no byte depends on how many), streams its devices' lines
-    to a .tmp file renamed into place when complete. expected.json is
-    written last: it marks a complete tree.
+    to a .tmp file renamed into place when complete; when any task fails,
+    the .tmp files are removed. expected.json is written last: it marks a
+    complete tree.
 
     Returns the expected ingest counters and file paths. The sidecar holds
     one NDJSON record per device-day with the reference verdict and metrics,
@@ -349,7 +351,15 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
         os.path.join(shards_dir, f"part-{s:02d}{suffix}") for s in range(spec.shards)
     ]
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    done = map_tasks(_write_shard, [(spec, s, path) for s, path in enumerate(shard_paths)], workers)
+    try:
+        done = map_tasks(_write_shard, [(spec, s, path) for s, path in enumerate(shard_paths)],
+                         workers)
+    except BaseException:
+        # a failed or killed task's partial shard must not stay behind
+        for path in shard_paths:
+            with suppress(OSError):
+                os.remove(path + ".tmp")
+        raise
     truth = sorted((t for recs, *_ in done for t in recs), key=lambda t: (t["device_id"], t["date"]))
     accepted, rejected, malformed = map(sum, zip(*(counts for _, *counts in done)))
 

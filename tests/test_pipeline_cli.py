@@ -10,13 +10,15 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mobstats import aggregate, metrics, pipeline
 from mobstats.cli import CONFIG_DEFAULTS, build_parser, main
-from mobstats.collate import bucket_index, day_number_to_date
+from mobstats.collate import day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
@@ -184,12 +186,12 @@ class TestRun:
                               for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
 
-    def test_gather_opens_only_non_empty_sections_once(self, scenario, tmp_path, monkeypatch):
-        # at 4096 buckets most (bucket, shard) pairs hold no report: the gather
-        # tasks hold exactly the non-empty ones, each once and in shard order.
-        # Shard 0 here is the scenario's shard 0; the lines of its shards 1 and
-        # 2 alternate between shards 1 and 2, so those devices span two shards.
-        monkeypatch.setattr(pipeline, "N_BUCKETS", 4096)
+    @pytest.mark.parametrize("n_buckets", [3, 4096])
+    def test_gather_tasks_split_the_run_by_device_code(self, scenario, tmp_path, monkeypatch,
+                                                       n_buckets):
+        # shard 0 here is the scenario's shard 0; the lines of its shards 1 and
+        # 2 alternate between shards 1 and 2, so those devices span two shards
+        monkeypatch.setattr(pipeline, "N_BUCKETS", n_buckets)
         first, *rest = (Path(p).read_text() for p in scenario["shard_paths"])
         mixed = "".join(rest).splitlines(keepends=True)
         data = tmp_path / "data"
@@ -197,31 +199,38 @@ class TestRun:
         paths = [str(data / f"part-0{s}.csv") for s in range(3)]
         for path, text in zip(paths, (first, "".join(mixed[0::2]), "".join(mixed[1::2]))):
             Path(path).write_text(text)
-        want = {}
-        for path in paths:
+        rows, shards_of = [], {}  # every accepted row, shard by shard in file order
+        for s, path in enumerate(paths):
             shard = read_shard_columns(path, ACCURACY_MAX_M, IngestStats())
-            for b in sorted({bucket_index(shard.names[c], 4096) for c in set(shard.code.tolist())}):
-                want.setdefault(b, []).append((path, b))
+            names = [shard.names[c] for c in shard.code.tolist()]
+            rows += zip(names, shard.epoch.tolist(), shard.lat.tolist(), shard.lon.tolist())
+            for name in names:
+                shards_of.setdefault(name, set()).add(s)
+        ids = sorted(shards_of)
+        assert {len(s) for s in shards_of.values()} == {1, 2}
 
-        origin, tasks = {}, []
-        scatter, gather = pipeline._scatter_shard, pipeline._gather_bucket
+        taken = []  # each task's rows as group_device_days gets them, codes read as ranks
+        group = pipeline.group_device_days
 
-        def recording_scatter(path):
-            stats, sections = scatter(path)
-            origin.update({id(ids): (path, b) for b, ids, _ in sections})
-            return stats, sections
+        def recording_group(code, epoch, lat, lon):
+            taken.append(list(zip([ids[c] for c in code.tolist()], epoch.tolist(),
+                                  lat.tolist(), lon.tolist())))
+            return group(code, epoch, lat, lon)
 
-        def recording_gather(task):
-            tasks.append(task)
-            return gather(task)
-
-        monkeypatch.setattr(pipeline, "_scatter_shard", recording_scatter)
-        monkeypatch.setattr(pipeline, "_gather_bucket", recording_gather)
+        monkeypatch.setattr(pipeline, "group_device_days", recording_group)
         run(base_config(scenario, tmp_path / "out", inputs=[str(data / "*.csv")]))
-        got = [[origin[id(ids)] for ids, _ in sections] for _, sections in tasks]
-        assert got == [want[b] for b in sorted(want)]
-        # some bucket spans two shards, and some non-empty bucket misses one
-        assert {len(pairs) for pairs in got} >= {1, 2}
+        n = min(n_buckets, len(ids))
+        assert len(taken) == n
+        # task b holds the devices whose rank among the sorted ids is b mod n,
+        # so no device is in two tasks
+        devices = [sorted({r[0] for r in t}) for t in taken]
+        assert devices == [ids[b::n] for b in range(n)]
+        # every accepted row reaches exactly one task, under its own id, so
+        # each task's codes number the run's ids in sorted order
+        # (group_device_days' precondition); a task keeps shard and file order
+        assert Counter(r for t in taken for r in t) == Counter(rows)
+        for t, mine in zip(taken, map(set, devices)):
+            assert t == [r for r in rows if r[0] in mine]
 
     def test_tied_reports_differing_in_accuracy_do_not_change_bytes(self, tmp_path):
         small_cfg = small_scenario(tmp_path / "small")
@@ -571,7 +580,13 @@ class TestCli:
         [[0, 0], [None, 0], [1, 1], [0, 0]],
         [[0, 0], 5, [1, 1], [0, 0]],
         [[0, 0], [1, 0, 0], [1, 1], [0, 0]],
-    ], ids=["huge_int", "three_coordinates", "null_coordinate", "non_list_point", "ragged"])
+        [[0, 0], [500, 5], [1, 1], [0, 0]],
+        [[0, 0], [1, 95], [1, 1], [0, 0]],
+        [[0, 0], [1.7e308, -1.7e308], [1, 1], [0, 0]],
+        [[0, 0], [True, 0], [1, 1], [0, 0]],
+        [[0, 0], ["1.5", 0], [1, 1], [0, 0]],
+    ], ids=["huge_int", "three_coordinates", "null_coordinate", "non_list_point", "ragged",
+            "lon_range", "lat_range", "huge_float", "bool_coordinate", "string_coordinate"])
     def test_bad_ring_point_exit_3(self, scenario, tmp_path, capsys, ring):
         gaz = tmp_path / "gaz.ndjson"
         bad = {"type": "region", "country_code": "AA", "region_id": "R8", "polygons": [ring]}
@@ -719,6 +734,37 @@ class TestCli:
             os.waitpid(-1, os.WNOHANG)
         assert not (out / "expected.json").exists()
         assert not (out / "shards" / "part-01.csv").exists()
+
+    def test_failed_generate_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        # the caller's shard fails while a forked worker is part-way through
+        # its own: the worker is killed and its .tmp removed
+        from mobstats import synth
+        write = synth._write_shard
+        out = tmp_path / "gen"
+
+        def write_or_fail(task):
+            _, s, path = task
+            if s == 0:
+                for _ in range(3000):
+                    if (out / "shards" / "part-01.csv.tmp").exists():
+                        break
+                    time.sleep(0.01)
+                raise OSError("no space left on part-00.csv")
+            with open(path + ".tmp", "w") as fh:
+                fh.write("device_id,epoch_s,lat,lon,accuracy_m\n")
+            time.sleep(30)
+            return write(task)
+
+        monkeypatch.setattr(synth, "_write_shard", write_or_fail)
+        monkeypatch.setattr(synth, "map_tasks", lambda fn, tasks, _: pipeline.map_tasks(fn, tasks, 2))
+        started = time.monotonic()
+        with pytest.raises(OSError, match="no space left"):
+            generate(ScenarioSpec(seed=3, devices=4, start_date=dt.date(2020, 3, 2),
+                                  end_date=dt.date(2020, 3, 3), shards=2), str(out))
+        assert time.monotonic() - started < 10
+        assert sorted(os.listdir(out / "shards")) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("first, second", [
         (["--shards", "8"], ["--shards", "4"]),
@@ -945,6 +991,25 @@ class TestMapTasks:
             pipeline.map_tasks(task, [0, 1], 2)
         assert type(info.value) is raised
         assert str(info.value) == f"{type(error).__name__}: task 1 failed"
+
+    @pytest.mark.parametrize("tasks, failing", [([0, 1], 0), ([0, 1, 2], 1)],
+                             ids=["caller", "worker"])
+    def test_error_kills_the_busy_workers(self, tasks, failing):
+        # one task fails at once while another worker sleeps: map_tasks
+        # raises without waiting for it and leaves no child behind
+        def task(x):
+            if x == failing:
+                raise ValueError(f"task {x} failed")
+            if x == len(tasks) - 1:
+                time.sleep(30)
+            return x
+
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=f"task {failing} failed"):
+            pipeline.map_tasks(task, tasks, len(tasks))
+        assert time.monotonic() - started < 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_caller_failure_returns_past_a_child_blocked_on_a_large_result(self):
         # the child's 2 MiB result fills its pipe; the caller's own error
