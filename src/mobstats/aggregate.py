@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .collate import (
-    date_to_day_number, day_number_to_date, run_starts, same_length_segments, segment_sort,
+    date_to_day_number, day_number_to_date, runs, same_length_segments, segment_sort,
 )
 from .geocode import RegionKey
 from .output import OutputRecord
@@ -88,8 +88,7 @@ def reduce_region_day(
     name_rank = np.array([first.setdefault(f[:3], i) for i, f in enumerate(distinct)])
     order = np.lexsort((key, day, name_rank[key]))
     key, day = key[order], day[order]
-    starts = run_starts(len(order), key, day)
-    counts = np.diff(starts, append=len(order))
+    starts, counts = runs(len(order), key, day)
     values = segment_sort(m_max[order], starts, counts)
     mean, m50, q1, q3 = segment_stats(values, starts, counts)
     group_key, group_day = key[starts], day[starts]
@@ -99,8 +98,7 @@ def reduce_region_day(
                             & (group_day <= date_to_day_number(baseline_end))
                             & ((group_day + 3) % 7 < 5))
     by_key = window[np.lexsort((m50[window], group_key[window]))]
-    w_starts = run_starts(len(by_key), group_key[by_key])
-    w_counts = np.diff(w_starts, append=len(by_key))
+    w_starts, w_counts = runs(len(by_key), group_key[by_key])
     # np.median's arithmetic, not the lerp that gives m50: (a + b) / 2 of the
     # middle two; np.median itself imports numpy.ma on its first call (about 15 ms)
     norm = np.zeros(len(distinct))

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .ingest import ACCURACY_MAX_M
 from .metrics import DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS, DEFAULT_TRIM_FRACTION
 from .output import write_compare
-from .pipeline import PipelineConfig, compare_stats, run
+from .pipeline import PipelineConfig, atomic_write, compare_stats, run
 
 # config-dump's output: PipelineConfig's defaults, then the method's fixed parameters
 CONFIG_DEFAULTS = {
@@ -119,8 +119,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     rows = compare_stats(args.stats_a, args.stats_b)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_compare(rows, fh)
+        atomic_write(args.out, lambda fh: write_compare(rows, fh))
     else:
         write_compare(rows, sys.stdout)
     return 0

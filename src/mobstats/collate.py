@@ -54,13 +54,20 @@ def date_to_day_number(date: dt.date) -> int:
     return date.toordinal() - _EPOCH_ORDINAL
 
 
-def run_starts(n: int, *keys: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal key tuples starts, over n rows."""
+def runs(n: int, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, counts) of the runs of equal key tuples over n rows."""
     change = np.zeros(n, bool)
     change[:1] = True
     for k in keys:
         change[1:] |= k[1:] != k[:-1]
-    return np.flatnonzero(change)
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=n)
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[k], starts[k] + counts[k]), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
 
 
 def same_length_segments(starts: np.ndarray, counts: np.ndarray):
@@ -69,7 +76,7 @@ def same_length_segments(starts: np.ndarray, counts: np.ndarray):
     Row i of the index array is segment seg[i]'s rows starts[seg[i]] + 0..n-1.
     """
     lengths = np.sort(counts)
-    for n in lengths[run_starts(len(lengths), lengths)].tolist():
+    for n in lengths[runs(len(lengths), lengths)[0]].tolist():
         seg = np.flatnonzero(counts == n)
         yield seg, starts[seg][:, None] + np.arange(n)
 
@@ -91,7 +98,7 @@ def segment_sort(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
 def group_device_days(code, epoch, lat, lon) -> DayColumns:
     """Regroup one bucket's report columns into device-days, in canonical order.
 
-    code must number the device ids in sorted order. Per device: reports are
+    code numbers the devices in any order. Per device: reports are
     sorted by (epoch, lat, lon), stably, the solar offset of the first
     report becomes the device's single offset, every report is re-dated with
     it, and each local day is one device-day. Devices come in code order,
@@ -118,10 +125,9 @@ def group_device_days(code, epoch, lat, lon) -> DayColumns:
         t = order[rows]
         order[rows] = t[np.lexsort((lon[t], lat[t], epoch[rows], code[rows]))]
     lat, lon = lat[order], lon[order]
-    devices = run_starts(n, code)
+    devices, reports = runs(n, code)
     tz_by_device = [solar_tz_offset_hours(x) for x in lon[devices].tolist()]
-    tz = np.repeat(np.array(tz_by_device, np.int64), np.diff(devices, append=n))
+    tz = np.repeat(np.array(tz_by_device, np.int64), reports)
     day = local_day_number(epoch, tz)
-    starts = run_starts(n, code, day)
-    counts = np.diff(starts, append=n)
+    starts, counts = runs(n, code, day)
     return DayColumns(code, epoch, lat, lon, order, starts, counts, day[starts], tz[starts])

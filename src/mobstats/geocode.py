@@ -1,6 +1,6 @@
 """Reverse geocoding against a local gazetteer file.
 
-The gazetteer is newline-delimited JSON: region records carry one or more
+The gazetteer is plain UTF-8 NDJSON: region records carry one or more
 closed polygon rings as [lon, lat] pairs, place records are named points.
 Containment uses even-odd ray casting with boundary points counting as
 inside; when several regions contain a point, the deepest admin level
@@ -21,9 +21,9 @@ from itertools import chain
 
 import numpy as np
 
+from .collate import ranges
 from .errors import DataError, numbered_lines
 from .geo import GeoPoint
-from .ingest import gzip_errors_as_io, open_shard_text
 
 # (point, edge) rows per pass of the edge kernel: bounds locate's transient arrays
 EDGE_ROWS = 1 << 14
@@ -60,12 +60,6 @@ class Place:
     region: RegionKey
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [starts[k], starts[k] + counts[k]), concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
-
-
 def _grid_cell(v: np.ndarray, v0: float, step: float, n: int) -> np.ndarray:
     """Cell index of coordinates v >= v0: floor((v - v0) / step), at most n - 1."""
     return np.minimum((v - v0) / step, n - 1).astype(np.intp)
@@ -100,7 +94,7 @@ class RegionGrid:
         j0, j1 = (_grid_cell(bbox[:, c], y0, step[1], n) for c in (1, 3))
         width, size = i1 - i0 + 1, (i1 - i0 + 1) * (j1 - j0 + 1)
         region = np.repeat(np.arange(len(bbox)), size)
-        k = _ranges(np.zeros_like(size), size)
+        k = ranges(np.zeros_like(size), size)
         cell = (j0[region] + k // width[region]) * n + i0[region] + k % width[region]
         cell_ptr = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=n * n))))
         return cls((x0, y0, x1, y1), step, n, cell_ptr, region[np.argsort(cell, kind="stable")])
@@ -215,7 +209,7 @@ def load_gazetteer(path: str) -> Gazetteer:
     """
     parsed: list[tuple[RegionKey, list[np.ndarray]]] = []
     places_raw: list[tuple[int, dict]] = []
-    with gzip_errors_as_io(path), open_shard_text(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if not line:
@@ -314,7 +308,7 @@ def _pairs_inside(x: np.ndarray, y: np.ndarray, edges: np.ndarray, start: np.nda
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + EDGE_ROWS, "right")))
         pair = np.repeat(np.arange(hi - lo), count[lo:hi])
         on, crossing = _edge_hits(x[lo:hi][pair], y[lo:hi][pair],
-                                  edges[_ranges(start[lo:hi], count[lo:hi])])
+                                  edges[ranges(start[lo:hi], count[lo:hi])])
         inside[lo:hi] = ((np.bincount(pair[on], minlength=hi - lo) > 0)
                          | (np.bincount(pair[crossing], minlength=hi - lo) % 2 == 1))
         lo = hi
@@ -335,12 +329,12 @@ def locate(gaz: Gazetteer, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     cell = _grid_cell(y[point], y0, grid.step[1], n) * n + _grid_cell(x[point], x0, grid.step[0], n)
     n_candidates = grid.cell_ptr[cell + 1] - grid.cell_ptr[cell]
     point = np.repeat(point, n_candidates)
-    region = grid.cell_regions[_ranges(grid.cell_ptr[cell], n_candidates)]
+    region = grid.cell_regions[ranges(grid.cell_ptr[cell], n_candidates)]
     px, py, (bx0, by0, bx1, by1) = x[point], y[point], gaz.bbox[region].T
-    held = np.flatnonzero((bx0 <= px) & (px <= bx1) & (by0 <= py) & (py <= by1))
-    point, region = point[held], region[held]
+    boxed = np.flatnonzero((bx0 <= px) & (px <= bx1) & (by0 <= py) & (py <= by1))
+    point, region = point[boxed], region[boxed]
     start = gaz.edge_ptr[region]
-    inside = _pairs_inside(px[held], py[held], gaz.edges, start, gaz.edge_ptr[region + 1] - start)
+    inside = _pairs_inside(px[boxed], py[boxed], gaz.edges, start, gaz.edge_ptr[region + 1] - start)
     best = np.full(len(x), len(gaz.regions), np.intp)
     np.minimum.at(best, point[inside], gaz.rank[region[inside]])
     return gaz.by_rank[best]

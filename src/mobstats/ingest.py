@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
-import io
 import logging
 import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from typing import IO, BinaryIO, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -170,11 +169,6 @@ def _open_shard_binary(path: str) -> BinaryIO:
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")
     return open(path, "rb")
-
-
-def open_shard_text(path: str) -> IO[str]:
-    """Open a shard as strict UTF-8 text, transparently decompressing ``.gz`` files."""
-    return io.TextIOWrapper(_open_shard_binary(path), encoding="utf-8", newline="")
 
 
 @contextmanager

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collate import segment_sort
+from .collate import ranges, segment_sort
 from .geo import (
     area_to_linear_km,
     convex_hull_xy,
@@ -69,8 +69,8 @@ def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, coun
     Device-day i is rows starts[i] : starts[i] + counts[i] of the lat/lon
     columns; the days need not be adjacent.
     """
+    rows = ranges(starts, counts)
     offsets = np.cumsum(counts) - counts
-    rows = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
     anchor_lat, anchor_lon = lat[starts], lon[starts]
     cos_lat0 = np.array([math.cos(math.radians(a)) for a in anchor_lat.tolist()])
     distances = haversine_km_arr(

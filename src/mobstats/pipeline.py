@@ -3,26 +3,26 @@
 Scatter reads each shard into numpy columns (ingest.read_shard_columns,
 whose accuracy filter is the last use of accuracy): its device ids and its
 (code, epoch, lat, lon) rows. The parent numbers the run's distinct ids
-once, in sorted order, and maps every shard's codes onto that numbering.
-Gather task b of n = min(N_BUCKETS, devices) takes the rows whose code is
-b mod n, so all of a device's reports meet in one task. A forked worker
-inherits its tasks and the gazetteer; only results travel back through a
-pipe. The task regroups its rows into device-days with
-collate.group_device_days, then, for all its days at once, applies the
-eligibility rule, geocodes the eligible days with one geocode.locate call
-and measures the trimmed maximum distance m_max, the one per-device-day
-value any output depends on. It returns its counters and three record
-columns: an index into the gazetteer's output key table (built once in
-the parent, before any fork), the local day number and m_max. The parent
-concatenates the tasks' columns, reduces them into one finished
-output.OutputRecord per (region, date), indexed against its region's
-baseline, in file order, and writes the outputs atomically. A task's rows
-keep shard and file order, codes follow the sorted ids, region-day
-samples are value-sorted before any arithmetic, and every output file is
-written in one canonical order, so results are byte-identical for any
-worker count and any N_BUCKETS. Before scatter a run removes the stats
-files and run_report.ndjson, which it writes last; it writes no other
-file than those three and their .tmp.
+once, in the order the sorted shards first name them, and maps every
+shard's codes onto that numbering. Gather task b of n = min(N_BUCKETS,
+devices) takes the rows whose code is b mod n, so all of a device's
+reports meet in one task. A forked worker inherits its tasks and the
+gazetteer; only results travel back through a pipe. The task regroups its
+rows into device-days with collate.group_device_days, then, for all its
+days at once, applies the eligibility rule, geocodes the eligible days
+with one geocode.locate call and measures the trimmed maximum distance
+m_max, the one per-device-day value any output depends on. It returns its
+counters and three record columns: an index into the gazetteer's output
+key table (built once in the parent, before any fork), the local day
+number and m_max. The parent concatenates the tasks' columns, reduces them
+into one finished output.OutputRecord per (region, date), indexed against
+its region's baseline, in file order, and writes the outputs atomically.
+Device-days are sorted on all four columns and region-day samples are
+value-sorted before any arithmetic, so the outputs depend only on the
+multiset of accepted reports: byte-identical for any worker count, any
+N_BUCKETS and any numbering of the devices. Before scatter a run removes
+the stats files and run_report.ndjson, which it writes last; it writes no
+other file than those three and their .tmp.
 """
 
 from __future__ import annotations
@@ -45,19 +45,11 @@ from .geocode import load_gazetteer, locate
 from .ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
 from .metrics import day_max_distances, day_rejections
 
-# gather runs at most this many tasks; a device's is its code mod the task count
+# gather runs at most this many tasks, a device's being its code mod the task count.
+# It bounds memory: one task per worker took the CLI's peak RSS from 38.1 to 50.6 MB
+# on gate (dense-gz 38.5 to 45.5, gazetteer 44.4 to 55.5); a count from shards or
+# workers has to keep that bound.
 N_BUCKETS = 8
-
-# the run's device-day counters, in run-report order; the two rejected_*
-# keys are "rejected_" + a metrics.REASON_* value
-GATHER_COUNTERS = (
-    "device_days",
-    "device_day_reports",
-    "rejected_too_few_reports",
-    "rejected_short_span",
-    "eligible_device_days",
-    "unmatched_geocode",
-)
 
 
 @dataclass
@@ -102,32 +94,34 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     levels reduce from device-days, because medians do not compose upward.
     """
     gaz, shards, n, b = task
-    counters = dict.fromkeys(GATHER_COUNTERS, 0)
     # the bucket's rows, shard by shard in file order
     mine = [columns[0] % n == b for columns in shards]
     dd = group_device_days(*(np.concatenate([c[m] for c, m in zip(column, mine)])
                              for column in zip(*shards)))
-    counters["device_days"] = len(dd.starts)
-    counters["device_day_reports"] = len(dd.code)
-
     spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
     too_few, short_span = day_rejections(dd.counts, spans, metrics.DEFAULT_MIN_REPORTS,
                                         metrics.DEFAULT_MIN_SPAN_HOURS)
     eligible = np.flatnonzero(~too_few & ~short_span)
-    counters["rejected_too_few_reports"] = int(np.count_nonzero(too_few))
-    counters["rejected_short_span"] = int(np.count_nonzero(short_span))
-    counters["eligible_device_days"] = len(eligible)
 
     # each day geocodes at its first report, the anchor of its m_max
     first = dd.starts[eligible]
     region = locate(gaz, dd.lat[first], dd.lon[first])
     matched, region = eligible[region >= 0], region[region >= 0]
-    counters["unmatched_geocode"] = len(eligible) - len(matched)
     m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
                               metrics.DEFAULT_TRIM_FRACTION)
 
     rows = gaz.key_rows[gaz.region_key[region]].ravel()
     keep = rows >= 0
+    # the run report's device-day counters, in its order; each rejected_* key
+    # is "rejected_" + a metrics.REASON_* value
+    counters = {
+        "device_days": len(dd.starts),
+        "device_day_reports": len(dd.code),
+        "rejected_too_few_reports": int(np.count_nonzero(too_few)),
+        "rejected_short_span": int(np.count_nonzero(short_span)),
+        "eligible_device_days": len(eligible),
+        "unmatched_geocode": len(eligible) - len(matched),
+    }
     return counters, (rows[keep], np.repeat(dd.day[matched], 2)[keep], np.repeat(m_max, 2)[keep])
 
 
@@ -239,22 +233,19 @@ def run(cfg: PipelineConfig) -> list[dict]:
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, name))
     scattered = map_tasks(_scatter_shard, shards, cfg.workers)
-    stats, held = IngestStats(), set()
+    # one numbering of the run's ids for every shard, in the order the shards first name them
+    stats, code_of = IngestStats(), {}
     for shard_stats, names, columns in scattered:
         stats.merge(shard_stats)
-        held.update(names[c] for c in np.flatnonzero(np.bincount(columns[0])).tolist())
-    # one sorted numbering of the run's ids for every shard; -1 marks an id with no row
-    code_of = {name: i for i, name in enumerate(sorted(held))}
-    for _, names, columns in scattered:
-        columns[0] = np.array([code_of.get(name, -1) for name in names], np.int32)[columns[0]]
-    n = min(N_BUCKETS, len(code_of))
+        columns[0] = np.array([code_of.setdefault(name, len(code_of)) for name in names],
+                              np.int32)[columns[0]]
+    # a run with no device id still gathers once, so its columns keep their types
+    n = min(N_BUCKETS, len(code_of)) or 1
     shard_columns = [columns for _, _, columns in scattered]
     gathered = map_tasks(_gather_bucket, [(gaz, shard_columns, n, b) for b in range(n)],
                          cfg.workers)
-    counters = {k: sum(c[k] for c, _ in gathered) for k in GATHER_COUNTERS}
-    # the empty columns give a dataset with no accepted report its column types
-    empty = (np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0))
-    columns = [np.concatenate(c) for c in zip(empty, *(cols for _, cols in gathered))]
+    counters = {k: sum(c[k] for c, _ in gathered) for k in gathered[0][0]}
+    columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
 
     records = aggregate.reduce_region_day(gaz.keys, *columns, aggregate.DEFAULT_BASELINE_START,
                                           aggregate.DEFAULT_BASELINE_END)
@@ -282,8 +273,8 @@ def compare_stats(path_a: str, path_b: str) -> list[dict]:
 
     A path ending in .csv is read as CSV, any other as NDJSON. Rows missing
     on either side, or missing an index, carry a null delta; status says
-    which side(s) the key appeared on. A key held by two rows of one file
-    is a DataError naming the second row's path:line.
+    which side(s) the key appeared on. A key on two rows of one file is a
+    DataError naming the second row's path:line.
     """
     key_names = [name for name, _ in output.KEY_FIELDS]
     key_of = attrgetter(*key_names)

@@ -11,6 +11,7 @@ import datetime as dt
 import hashlib
 import json
 import random
+import shutil
 from time import perf_counter
 
 import pytest
@@ -128,6 +129,19 @@ class TestPublishedBytes:
         purpose updates these pins in the same diff and says so in CHANGES.md.
         """
         assert hashes(reference_run["out"]) == PUBLISHED_SHA256
+
+    def test_reversed_shard_names_give_the_pinned_bytes(self, corpus, tmp_path):
+        """The corpus's shards copied under reversed names: the devices are
+        numbered in another order and split into other gather tasks, and no
+        output byte changes."""
+        shards = sorted((corpus["root"] / "shards").glob("*.csv"))
+        data = tmp_path / "data"
+        data.mkdir()
+        for shard, name in zip(shards, reversed([p.name for p in shards])):
+            shutil.copy(shard, data / name)
+        run(PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=corpus["gazetteer_path"],
+                           output_dir=str(tmp_path / "out"), workers=1))
+        assert hashes(tmp_path / "out") == PUBLISHED_SHA256
 
 
 class TestGates:

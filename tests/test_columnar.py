@@ -28,10 +28,20 @@ from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
 from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
 from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
 from mobstats.metrics import DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS, DEFAULT_TRIM_FRACTION
-from mobstats.pipeline import GATHER_COUNTERS, PipelineConfig, run
+from mobstats.pipeline import PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, toy_gazetteer_records
 
 T0 = 1584316800  # 2020-03-16T00:00:00Z
+
+# the run report's device-day counters, in its order
+GATHER_COUNTERS = (
+    "device_days",
+    "device_day_reports",
+    "rejected_too_few_reports",
+    "rejected_short_span",
+    "eligible_device_days",
+    "unmatched_geocode",
+)
 
 
 # ---------------------------------------------------------------- slow reader
@@ -346,8 +356,6 @@ class TestGatherKernel:
         assert want_counters["eligible_device_days"] > 0
         # m_max compares with ==: the kernel's values are the per-day formula's, bit for bit
         assert Counter(got_records) == Counter(want_records)
-        if n_buckets == 1:  # one bucket: devices in id order, days in date order
-            assert got_records == want_records
 
     def test_key_table_twins_without_region_records(self, scenario, tmp_path, monkeypatch):
         # no "East" admin1 record, so Eastburg County's admin1 twin has region_id "";
@@ -375,8 +383,6 @@ class TestGatherKernel:
                 counters, records = run_captured(cfg)
                 assert counters == want_counters
                 assert Counter(records) == Counter(want_records)
-                if n_buckets == 1:
-                    assert records == want_records
                 outputs.add(tuple((out / name).read_bytes()
                                   for name in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
@@ -386,7 +392,7 @@ class TestGatherKernel:
         assert {("AA", "East", "", ""), ("AA", "East", "Eastburg County", "AA-E-01"),
                 ("BB", "", "", "BB"), ("AA", "West", "", "AA-W")} <= emitted
 
-    def test_device_ids_survive_spill_round_trip(self, scenario, tmp_path, monkeypatch):
+    def test_device_ids_survive_scatter_and_gather(self, scenario, tmp_path, monkeypatch):
         # ids a numpy U array, str.splitlines or a strip would merge or split
         names = ["a", "a\x00", "b", "b\x85", "c", "c\u2028", "d", "d\x1c"]
         lines = [

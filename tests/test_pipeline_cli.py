@@ -130,13 +130,6 @@ class TestRun:
                       for line in (out / "run_report.ndjson").read_text().splitlines()]
         assert run_report == reports
 
-    def test_no_leftover_tmp_or_scratch(self, scenario, tmp_path):
-        out = tmp_path / "out"
-        run(base_config(scenario, out))
-        leftovers = [p for p in out.rglob("*") if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert not (out / ".scratch").exists()
-
     def test_run_writes_only_its_files(self, scenario, tmp_path):
         # a successful run and one that fails mid-scatter write nothing but the
         # run's own files, and never create a given scratch dir
@@ -200,37 +193,45 @@ class TestRun:
         for path, text in zip(paths, (first, "".join(mixed[0::2]), "".join(mixed[1::2]))):
             Path(path).write_text(text)
         rows, shards_of = [], {}  # every accepted row, shard by shard in file order
+        named, shard_ids = set(), []  # the ids the shards name; each shard's row ids
         for s, path in enumerate(paths):
             shard = read_shard_columns(path, ACCURACY_MAX_M, IngestStats())
             names = [shard.names[c] for c in shard.code.tolist()]
+            named.update(shard.names)
+            shard_ids.append(names)
             rows += zip(names, shard.epoch.tolist(), shard.lat.tolist(), shard.lon.tolist())
             for name in names:
                 shards_of.setdefault(name, set()).add(s)
-        ids = sorted(shards_of)
         assert {len(s) for s in shards_of.values()} == {1, 2}
 
-        taken = []  # each task's rows as group_device_days gets them, codes read as ranks
-        group = pipeline.group_device_days
+        tasks, taken = [], []  # the gather tasks; each one's rows as group_device_days gets them
+        gather, group = pipeline._gather_bucket, pipeline.group_device_days
+
+        def recording_gather(task):
+            tasks.append(task)
+            return gather(task)
 
         def recording_group(code, epoch, lat, lon):
-            taken.append(list(zip([ids[c] for c in code.tolist()], epoch.tolist(),
-                                  lat.tolist(), lon.tolist())))
+            taken.append((code.tolist(), epoch.tolist(), lat.tolist(), lon.tolist()))
             return group(code, epoch, lat, lon)
 
+        monkeypatch.setattr(pipeline, "_gather_bucket", recording_gather)
         monkeypatch.setattr(pipeline, "group_device_days", recording_group)
         run(base_config(scenario, tmp_path / "out", inputs=[str(data / "*.csv")]))
-        n = min(n_buckets, len(ids))
-        assert len(taken) == n
-        # task b holds the devices whose rank among the sorted ids is b mod n,
-        # so no device is in two tasks
-        devices = [sorted({r[0] for r in t}) for t in taken]
-        assert devices == [ids[b::n] for b in range(n)]
-        # every accepted row reaches exactly one task, under its own id, so
-        # each task's codes number the run's ids in sorted order
-        # (group_device_days' precondition); a task keeps shard and file order
-        assert Counter(r for t in taken for r in t) == Counter(rows)
-        for t, mine in zip(taken, map(set, devices)):
-            assert t == [r for r in rows if r[0] in mine]
+        # each code names one id, and each id has one code
+        id_of, code_of = {}, {}
+        for columns, names in zip(tasks[0][1], shard_ids):
+            for code, name in zip(columns[0].tolist(), names):
+                assert id_of.setdefault(code, name) == name
+                assert code_of.setdefault(name, code) == code
+        assert len(taken) == min(n_buckets, len(named))
+        # the tasks' device sets are disjoint and cover every device
+        devices = [{id_of[c] for c in t[0]} for t in taken]
+        assert sum(map(len, devices)) == len(shards_of)
+        assert set().union(*devices) == set(shards_of)
+        # each task holds exactly its devices' rows, in shard and file order
+        for t, mine in zip(taken, devices):
+            assert list(zip([id_of[c] for c in t[0]], *t[1:])) == [r for r in rows if r[0] in mine]
 
     def test_tied_reports_differing_in_accuracy_do_not_change_bytes(self, tmp_path):
         small_cfg = small_scenario(tmp_path / "small")
@@ -562,6 +563,62 @@ class TestCli:
                    "--gazetteer", str(gaz), "--output-dir", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: data:")
+
+    def test_gzipped_gazetteer_exit_3_names_path(self, scenario, tmp_path, capsys):
+        # the gazetteer is plain UTF-8: gzip's second magic byte, 0x8b, never decodes
+        gaz = tmp_path / "gazetteer.ndjson.gz"
+        gaz.write_bytes(gzip.compress(Path(scenario["gazetteer_path"]).read_bytes()))
+        out = tmp_path / "o"
+        rc = main(["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
+                   "--gazetteer", str(gaz), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: data:") and "gazetteer.ndjson.gz" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shards, malformed", [
+        (["device_id,epoch_s,lat,lon,accuracy_m\n"], 0),
+        (["d1,1583150400,91.0,0.0,5.0\nd2,1583150400,1.0\n", "d3,1583150400,1.0,2.0,-1\n"], 3),
+    ], ids=["header_only", "malformed_only"])
+    def test_run_without_a_valid_line_writes_empty_stats(self, scenario, tmp_path, capsys,
+                                                         shards, malformed):
+        data = tmp_path / "data"
+        data.mkdir()
+        for s, text in enumerate(shards):
+            (data / f"part-0{s}.csv").write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run", "--input", str(data / "*.csv"), "--gazetteer",
+                   scenario["gazetteer_path"], "--output-dir", str(out), "--workers", "2"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        reconcile(report)
+        assert report["lines_read"] == report["lines_malformed"] == malformed
+        gather_counters = ("device_days", "device_day_reports", "rejected_too_few_reports",
+                           "rejected_short_span", "eligible_device_days", "unmatched_geocode")
+        assert {report[k] for k in gather_counters} == {0}
+        assert report["reports_accepted"] == report["region_day_rows"] == 0
+        assert (out / "stats.ndjson").read_bytes() == b""
+        assert (out / "stats.csv").read_text().count("\n") == 1
+        assert read_csv(str(out / "stats.csv")) == []
+
+    def test_compare_out_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        from mobstats import cli
+        from mobstats.output import OutputRecord
+        with open(tmp_path / "a.ndjson", "w", newline="\n") as fh:
+            write_ndjson([OutputRecord("AA", "admin1", "W", "", "W", "2020-03-02",
+                                       5, 1.0, 100.0)], fh)
+
+        def partial_write(rows, fh):
+            fh.write('{"country_code":')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_compare", partial_write)
+        out_file = tmp_path / "cmp.ndjson"
+        rc = main(["compare", str(tmp_path / "a.ndjson"), str(tmp_path / "a.ndjson"),
+                   "--out", str(out_file)])
+        assert rc == 2
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ndjson"]
 
     def test_wrong_typed_region_field_exit_3(self, scenario, tmp_path, capsys):
         gaz = tmp_path / "gaz.ndjson"
