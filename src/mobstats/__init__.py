@@ -16,7 +16,7 @@ from .aggregate import reduce_region_day
 from .errors import ConfigError, DataError
 from .geo import GeoPoint, solar_tz_offset_hours
 from .geocode import Gazetteer, RegionKey, load_gazetteer, reverse_geocode
-from .ingest import IngestStats, parse_fields
+from .ingest import parse_fields
 from .pipeline import PipelineConfig, compare_stats, run
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "DataError",
     "Gazetteer",
     "GeoPoint",
-    "IngestStats",
     "PipelineConfig",
     "RegionKey",
     "compare_stats",

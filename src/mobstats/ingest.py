@@ -8,24 +8,23 @@ treated as a vendor header and skipped silently. Bytes that are not UTF-8
 make their line malformed; a truncated or corrupt ``.gz`` stream is an IO
 error naming the shard.
 
-Shards are streamed in binary blocks into numpy columns. A line in the
-canonical form (see ``_CANONICAL``) is parsed in bulk and range-checked
-column-wise with parse_fields' comparisons; every other line is decoded
-and handed to parse_fields, the one per-line validation rule. A block's
-lines shorter than ``_WALK_WIDTH`` step together through the grammar's
-(state, byte) table, one numpy pass per byte position; a longer line is
-matched with ``_CANONICAL`` itself.
+read_shard streams a shard in binary blocks into numpy columns, applies
+the accuracy filter (ACCURACY_MAX_M) and counts the shard's lines as read,
+malformed, accepted and rejected for accuracy. A line in the canonical
+form (see ``_CANONICAL``) is parsed in bulk and range-checked column-wise
+with parse_fields' comparisons; every other line is decoded and handed to
+parse_fields, the one per-line validation rule. A block's lines shorter
+than ``_WALK_WIDTH`` step together through the grammar's (state, byte)
+table, one numpy pass per byte position; a longer line is matched with
+``_CANONICAL`` itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import logging
 import re
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import compress
 from typing import BinaryIO, Iterator
 
@@ -105,20 +104,6 @@ def _canonical(lines: list[bytes]) -> list[bool]:
     return ok
 
 
-@dataclass(slots=True)
-class IngestStats:
-    """Per-shard line accounting; every input line lands in exactly one bucket."""
-
-    lines_read: int = 0
-    lines_malformed: int = 0
-    reports_accepted: int = 0
-    reports_rejected_accuracy: int = 0
-
-    def merge(self, other: "IngestStats") -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
 def parse_fields(line: str) -> RawReport | str:
     """Parse one record into a raw tuple, or return the failure reason."""
     parts = line.rstrip("\r\n").split(",")
@@ -164,22 +149,6 @@ def _has_surrogate(text: str) -> bool:
     return False
 
 
-def _open_shard_binary(path: str) -> BinaryIO:
-    """Open a shard for reading bytes, transparently decompressing ``.gz`` files."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-@contextmanager
-def gzip_errors_as_io(path: str) -> Iterator[None]:
-    """Re-raise a truncated or corrupt gzip stream read inside the block as OSError."""
-    try:
-        yield
-    except (EOFError, zlib.error) as e:
-        raise OSError(f"{path}: truncated or corrupt gzip data: {e}") from None
-
-
 def _looks_like_header(line: str) -> bool:
     parts = line.rstrip("\r\n").split(",")
     if len(parts) < 2:
@@ -189,22 +158,6 @@ def _looks_like_header(line: str) -> bool:
     except ValueError:
         return True
     return False
-
-
-@dataclass(slots=True)
-class ShardColumns:
-    """A shard's accepted reports as columns, in file order.
-
-    Row i is (names[code[i]], epoch[i], lat[i], lon[i], acc[i]); a code is the
-    device id's position in names, which holds each id of the shard once.
-    """
-
-    names: list[str]
-    code: np.ndarray  # int32
-    epoch: np.ndarray  # int64
-    lat: np.ndarray
-    lon: np.ndarray
-    acc: np.ndarray
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
@@ -248,9 +201,8 @@ def _in_range(epoch: np.ndarray, lat: np.ndarray, lon: np.ndarray,
     )
 
 
-def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: IngestStats) -> list:
+def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
     """Valid rows of one block, in line order, as [code, epoch, lat, lon, acc] columns."""
-    stats.lines_read += len(lines)
     canonical = _canonical(lines)
     fast = list(compress(lines, canonical))
     fields = b",".join(fast).split(b",") if fast else []
@@ -265,7 +217,6 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: Inge
         *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
     ]
     valid = _in_range(*cols[2:])
-    stats.lines_malformed += n - int(np.count_nonzero(valid))
     cols = [c[valid] for c in cols]
 
     slow = []
@@ -274,7 +225,6 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: Inge
             continue
         row = parse_fields(lines[i].decode("utf-8", "surrogateescape"))
         if isinstance(row, str):
-            stats.lines_malformed += 1
             log.debug("malformed line in %s: %s", path, row)
             continue
         slow.append((i, ids.setdefault(row[0], len(ids))) + row[1:])
@@ -292,20 +242,36 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str, stats: Inge
 ACCURACY_MAX_M = 50.0
 
 
-def read_shard_columns(path: str, accuracy_max_m: float, stats: IngestStats) -> ShardColumns:
-    """Read one shard into columns of its accepted reports, updating stats in place.
+def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
+    """One shard's line counters, in run-report order, its device ids and its
+    accepted reports as [code, epoch, lat, lon] columns in file order, each
+    code indexing the ids. An id is listed only if it holds an accepted report.
 
     A leading header line is skipped before any counting. IO and
-    decompression failures raise OSError; malformed data lines, undecodable
-    bytes included, never raise.
+    decompression failures raise OSError naming the shard; malformed data
+    lines, undecodable bytes included, never raise.
     """
     ids: dict[str, int] = {}
-    with gzip_errors_as_io(path), _open_shard_binary(path) as fh:
-        blocks = [_parse_block(lines, ids, path, stats) for lines in _line_blocks(fh)]
+    lines_read, blocks = 0, []
+    try:
+        with gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb") as fh:
+            for lines in _line_blocks(fh):
+                lines_read += len(lines)
+                blocks.append(_parse_block(lines, ids, path))
+    except (EOFError, zlib.error) as e:
+        raise OSError(f"{path}: truncated or corrupt gzip data: {e}") from None
     # an empty block gives an empty shard its column types
-    cols = [np.concatenate(c) for c in zip(*(blocks or [_parse_block([], ids, path, stats)]))]
-    keep = cols[4] <= accuracy_max_m
+    code, epoch, lat, lon, acc = (np.concatenate(c)
+                                  for c in zip(*(blocks or [_parse_block([], ids, path)])))
+    keep = acc <= ACCURACY_MAX_M
     accepted = int(np.count_nonzero(keep))
-    stats.reports_accepted += accepted
-    stats.reports_rejected_accuracy += len(keep) - accepted
-    return ShardColumns(list(ids), *(c[keep] for c in cols))
+    counters = {
+        "lines_read": lines_read,
+        "lines_malformed": lines_read - len(keep),
+        "reports_accepted": accepted,
+        "reports_rejected_accuracy": len(keep) - accepted,
+    }
+    # the ids left holding a report, numbered again in their order
+    held = np.bincount(code[keep], minlength=len(ids)) > 0
+    code = (np.cumsum(held, dtype=np.int32) - 1)[code[keep]]
+    return counters, list(compress(ids, held)), [code, epoch[keep], lat[keep], lon[keep]]

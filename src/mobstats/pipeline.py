@@ -1,28 +1,30 @@
 """End-to-end batch pipeline over one dataset: scatter, gather, reduce, serialize.
 
-Scatter reads each shard into numpy columns (ingest.read_shard_columns,
-whose accuracy filter is the last use of accuracy): its device ids and its
-(code, epoch, lat, lon) rows. The parent numbers the run's distinct ids
-once, in the order the sorted shards first name them, and maps every
-shard's codes onto that numbering. Gather task b of n = min(N_BUCKETS,
-devices) takes the rows whose code is b mod n, so all of a device's
-reports meet in one task. A forked worker inherits its tasks and the
-gazetteer; only results travel back through a pipe. The task regroups its
-rows into device-days with collate.group_device_days, then, for all its
-days at once, applies the eligibility rule, geocodes the eligible days
-with one geocode.locate call and measures the trimmed maximum distance
-m_max, the one per-device-day value any output depends on. It returns its
-counters and three record columns: an index into the gazetteer's output
-key table (built once in the parent, before any fork), the local day
-number and m_max. The parent concatenates the tasks' columns, reduces them
-into one finished output.OutputRecord per (region, date), indexed against
-its region's baseline, in file order, and writes the outputs atomically.
-Device-days are sorted on all four columns and region-day samples are
-value-sorted before any arithmetic, so the outputs depend only on the
-multiset of accepted reports: byte-identical for any worker count, any
-N_BUCKETS and any numbering of the devices. Before scatter a run removes
-the stats files and run_report.ndjson, which it writes last; it writes no
-other file than those three and their .tmp.
+Scatter runs ingest.read_shard on each shard: its line counters, the
+device ids that hold an accepted report (the accuracy filter is the last
+use of accuracy) and its (code, epoch, lat, lon) rows. The parent numbers
+the run's distinct ids once, in the order the sorted shards first name
+them, and maps every shard's codes onto that numbering. Gather task b of
+n = min(N_BUCKETS, devices) takes the rows whose code is b mod n, so all
+of a device's reports meet in one task. A forked worker inherits its
+tasks and the gazetteer; only results travel back through a pipe. The
+task regroups its rows into device-days with collate.group_device_days,
+then, for all its days at once, applies the eligibility rule, geocodes
+the eligible days with one geocode.locate call and measures the trimmed
+maximum distance m_max, the one per-device-day value any output depends
+on. It returns its counters and three record columns: an index into the
+gazetteer's output key table (built once in the parent, before any
+fork), the local day number and m_max. The run report sums scatter's and
+gather's counters over their tasks, key by key. The parent concatenates
+the tasks' columns, reduces them into one finished output.OutputRecord
+per (region, date), indexed against its region's baseline, in file
+order, and writes the outputs atomically. Device-days are sorted on all
+four columns and region-day samples are value-sorted before any
+arithmetic, so the outputs depend only on the multiset of accepted
+reports: byte-identical for any worker count, any N_BUCKETS and any
+numbering of the devices. Before scatter a run removes the stats files
+and run_report.ndjson, which it writes last; it writes no other file
+than those three and their .tmp.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import os
 import pickle
 import signal
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -42,7 +44,7 @@ from . import aggregate, metrics, output
 from .collate import group_device_days
 from .errors import ConfigError, DataError
 from .geocode import load_gazetteer, locate
-from .ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
+from .ingest import read_shard
 from .metrics import day_max_distances, day_rejections
 
 # gather runs at most this many tasks, a device's being its code mod the task count.
@@ -74,14 +76,6 @@ class PipelineConfig:
             raise ConfigError("no gazetteer path given")
         if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-
-
-def _scatter_shard(path: str) -> tuple[IngestStats, list[str], list[np.ndarray]]:
-    """One input shard's stats, device ids and accepted reports: (code, epoch,
-    lat, lon) columns in file order, each code indexing the ids."""
-    stats = IngestStats()
-    shard = read_shard_columns(path, ACCURACY_MAX_M, stats)
-    return stats, shard.names, [shard.code, shard.epoch, shard.lat, shard.lon]
 
 
 def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -232,11 +226,10 @@ def run(cfg: PipelineConfig) -> list[dict]:
     for name in ("run_report.ndjson", "stats.ndjson", "stats.csv"):
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, name))
-    scattered = map_tasks(_scatter_shard, shards, cfg.workers)
+    scattered = map_tasks(read_shard, shards, cfg.workers)
     # one numbering of the run's ids for every shard, in the order the shards first name them
-    stats, code_of = IngestStats(), {}
-    for shard_stats, names, columns in scattered:
-        stats.merge(shard_stats)
+    code_of = {}
+    for _, names, columns in scattered:
         columns[0] = np.array([code_of.setdefault(name, len(code_of)) for name in names],
                               np.int32)[columns[0]]
     # a run with no device id still gathers once, so its columns keep their types
@@ -244,7 +237,9 @@ def run(cfg: PipelineConfig) -> list[dict]:
     shard_columns = [columns for _, _, columns in scattered]
     gathered = map_tasks(_gather_bucket, [(gaz, shard_columns, n, b) for b in range(n)],
                          cfg.workers)
-    counters = {k: sum(c[k] for c, _ in gathered) for k in gathered[0][0]}
+    # each counter summed over its stage's tasks, in the tasks' key order
+    counters = {k: sum(r[0][k] for r in results)
+                for results in (scattered, gathered) for k in results[0][0]}
     columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
 
     records = aggregate.reduce_region_day(gaz.keys, *columns, aggregate.DEFAULT_BASELINE_START,
@@ -257,7 +252,6 @@ def run(cfg: PipelineConfig) -> list[dict]:
 
     report = {
         "shards": len(shards),
-        **asdict(stats),
         **counters,
         "regions_emitted": len(set(map(output.region_of, records))),
         "region_day_rows": len(records),

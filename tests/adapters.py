@@ -1,9 +1,9 @@
 """Adapters from plain tuples and rings to the column functions the pipeline runs.
 
-Tests state reports as (device_id, epoch_s, lat, lon, accuracy_m) tuples and
-regions as closed rings of (x, y) points. These helpers hand them to
-read_shard_columns' output, group_device_days, day_rejections and locate in
-the forms the pipeline uses, and reimplement none of their rules.
+Tests state reports as (device_id, epoch_s, lat, lon[, accuracy_m]) tuples
+and regions as closed rings of (x, y) points. These helpers hand them to
+group_device_days, day_rejections and locate, and take read_shard's result
+back, in the forms the pipeline uses, and reimplement none of their rules.
 """
 
 import datetime as dt
@@ -16,7 +16,6 @@ import numpy as np
 
 from mobstats.collate import DayColumns, day_number_to_date, group_device_days
 from mobstats.geocode import load_gazetteer, locate
-from mobstats.ingest import ShardColumns
 from mobstats.metrics import (
     DEFAULT_MIN_REPORTS,
     DEFAULT_MIN_SPAN_HOURS,
@@ -26,17 +25,17 @@ from mobstats.metrics import (
 )
 
 
-def shard_rows(cols: ShardColumns) -> list[tuple]:
-    """A shard's accepted reports as (device_id, epoch, lat, lon, acc) tuples, in file order."""
-    return list(zip([cols.names[c] for c in cols.code.tolist()], cols.epoch.tolist(),
-                    cols.lat.tolist(), cols.lon.tolist(), cols.acc.tolist()))
+def shard_rows(shard: tuple) -> list[tuple]:
+    """read_shard's accepted reports as (device_id, epoch, lat, lon) tuples, in file order."""
+    _, ids, (code, *columns) = shard
+    return list(zip([ids[c] for c in code.tolist()], *(c.tolist() for c in columns)))
 
 
 class Day(NamedTuple):
     device_id: str
     local_date: dt.date
     tz_offset_hours: int
-    reports: list[tuple]  # (epoch, lat, lon, acc) rows, in group_device_days' order
+    reports: list[tuple]  # (epoch, lat, lon[, acc]) rows, in group_device_days' order
 
 
 def device_days(reports: list[tuple]) -> tuple[list[Day], DayColumns]:

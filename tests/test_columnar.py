@@ -26,7 +26,7 @@ from mobstats import aggregate, ingest, pipeline
 from mobstats.collate import day_number_to_date
 from mobstats.geo import EARTH_RADIUS_KM, GeoPoint, solar_tz_offset_hours
 from mobstats.geocode import RegionKey, load_gazetteer, reverse_geocode
-from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
+from mobstats.ingest import parse_fields, read_shard
 from mobstats.metrics import DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS, DEFAULT_TRIM_FRACTION
 from mobstats.pipeline import PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, toy_gazetteer_records
@@ -58,31 +58,28 @@ def _header_like(line: str) -> bool:
     return False
 
 
-def reference_read(path: str, accuracy_max_m: float) -> tuple[IngestStats, list]:
-    """Accepted rows and counters of one shard, one parse_fields call per line."""
-    stats = IngestStats()
+def reference_read(path: str) -> tuple[dict, list]:
+    """Counters and accepted (device_id, epoch, lat, lon) rows of one shard, one
+    parse_fields call per line, with the 50 m accuracy filter."""
+    counters = dict.fromkeys(("lines_read", "lines_malformed", "reports_accepted",
+                              "reports_rejected_accuracy"), 0)
     rows = []
     raw = gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
     with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         first = fh.readline()
         if not first:
-            return stats, rows
+            return counters, rows
         for line in fh if _header_like(first) else chain([first], fh):
-            stats.lines_read += 1
+            counters["lines_read"] += 1
             row = parse_fields(line)
             if isinstance(row, str):
-                stats.lines_malformed += 1
-            elif row[4] > accuracy_max_m:
-                stats.reports_rejected_accuracy += 1
+                counters["lines_malformed"] += 1
+            elif row[4] > 50.0:
+                counters["reports_rejected_accuracy"] += 1
             else:
-                stats.reports_accepted += 1
-                rows.append(row)
-    return stats, rows
-
-
-def counts(stats: IngestStats) -> tuple:
-    return (stats.lines_read, stats.lines_malformed, stats.reports_accepted,
-            stats.reports_rejected_accuracy)
+                counters["reports_accepted"] += 1
+                rows.append(row[:4])
+    return counters, rows
 
 
 # an independent statement of the grammar the bulk path accepts
@@ -167,12 +164,11 @@ class TestReaderParity:
         data = shard_bytes(*shard)
         path = tmp_path_factory.mktemp("shard") / ("s.csv.gz" if compressed else "s.csv")
         path.write_bytes(gzip.compress(data) if compressed else data)
-        want_stats, want_rows = reference_read(str(path), 50.0)
+        want_counters, want_rows = reference_read(str(path))
 
-        stats = IngestStats()
         with mock.patch.object(ingest, "BLOCK_BYTES", block):
-            got = read_shard_columns(str(path), 50.0, stats)
-        assert counts(stats) == counts(want_stats)
+            got = read_shard(str(path))
+        assert got[0] == want_counters
         got_rows = shard_rows(got)
         assert got_rows == want_rows
         # == cannot tell -0.0 from 0.0; repr can
@@ -218,17 +214,23 @@ class TestReaderParity:
         numbers = ["90", "90.0", "-90", "-90.0", "90.0000001", "-90.0000001", "180", "180.0",
                    "-180", "-180.0", "180.0000001", "-180.0000001", "0", "-0.0", "0.0",
                    "50", "50.0", "50.0000001", "-1e-300", "1e999", "-1e999", "1e-400"]
-        lines = [f"d{i},{T0 + i},{lat},{lon},{acc}"
-                 for i, (lat, lon, acc) in enumerate(
-                     (a, b, c) for a in numbers for b in numbers for c in numbers[12:])]
-        path = tmp_path / "s.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        want_stats, want_rows = reference_read(str(path), 50.0)
-        stats = IngestStats()
-        got = shard_rows(read_shard_columns(str(path), 50.0, stats))
-        assert counts(stats) == counts(want_stats)
-        assert want_stats.lines_malformed and want_stats.reports_rejected_accuracy
-        assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want_rows]
+        # an ASCII id keeps every line on the bulk path, a non-ASCII one sends it to parse_fields
+        for prefix, per_line in (("d", False), ("caf\u00e9", True)):
+            lines = [f"{prefix}{i},{T0 + i},{lat},{lon},{acc}"
+                     for i, (lat, lon, acc) in enumerate(
+                         (a, b, c) for a in numbers for b in numbers for c in numbers[12:])]
+            path = tmp_path / "s.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            want_counters, want_rows = reference_read(str(path))
+            calls = []
+            with mock.patch.object(ingest, "parse_fields",
+                                   lambda line: calls.append(line) or parse_fields(line)):
+                got = read_shard(str(path))
+            assert len(calls) == per_line * len(lines)
+            assert got[0] == want_counters
+            assert want_counters["lines_malformed"] and want_counters["reports_rejected_accuracy"]
+            assert ([tuple(map(repr, r)) for r in shard_rows(got)]
+                    == [tuple(map(repr, r)) for r in want_rows])
 
     @pytest.mark.parametrize("data", [
         b"d1,1,1.0,2.0,3.0\r\nd2,2,1.0,2.0,3.0\rd3,3,1.0,2.0,3.0\n",
@@ -240,11 +242,10 @@ class TestReaderParity:
     def test_line_endings_across_block_boundaries(self, tmp_path, data, block):
         path = tmp_path / "s.csv"
         path.write_bytes(data)
-        want_stats, want_rows = reference_read(str(path), 50.0)
-        stats = IngestStats()
+        want_counters, want_rows = reference_read(str(path))
         with mock.patch.object(ingest, "BLOCK_BYTES", block):
-            got = read_shard_columns(str(path), 50.0, stats)
-        assert counts(stats) == counts(want_stats)
+            got = read_shard(str(path))
+        assert got[0] == want_counters
         assert shard_rows(got) == want_rows
 
 
@@ -270,8 +271,8 @@ def parent_m_max(rows, trim_fraction: float) -> float:
 def reference_gather(rows, gaz) -> tuple[dict, list]:
     """Counters and records of the per-report device-day route."""
     by_device: dict[str, list] = {}
-    for device_id, epoch, lat, lon, acc in rows:
-        by_device.setdefault(device_id, []).append((epoch, lat, lon, acc))
+    for device_id, epoch, lat, lon in rows:
+        by_device.setdefault(device_id, []).append((epoch, lat, lon))
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
     records = []
     for device_id in sorted(by_device):
@@ -348,7 +349,7 @@ class TestGatherKernel:
             gazetteer=scenario["gazetteer_path"], output_dir=str(tmp_path / "out"),
             workers=workers,
         )
-        rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
+        rows = [r for p in scenario["shard_paths"] for r in reference_read(p)[1]]
         want_counters, want_records = reference_gather(
             rows, load_gazetteer(scenario["gazetteer_path"]))
         got_counters, got_records = run_captured(cfg)
@@ -370,7 +371,7 @@ class TestGatherKernel:
         ghost = RegionKey("AA", "East", "", "")
         assert ghost in gaz.keys and ghost not in {r.key for r in gaz.regions}
 
-        rows = [r for p in scenario["shard_paths"] for r in reference_read(p, 50.0)[1]]
+        rows = [r for p in scenario["shard_paths"] for r in reference_read(p)[1]]
         outputs = set()
         for workers in (1, 2):
             for n_buckets in (1, 3, 8):
@@ -407,7 +408,7 @@ class TestGatherKernel:
                              output_dir=str(tmp_path / "out"))
         counters, records = run_captured(cfg)
         want_counters, want_records = reference_gather(
-            reference_read(str(data / "part-00.csv"), 50.0)[1],
+            reference_read(str(data / "part-00.csv"))[1],
             load_gazetteer(scenario["gazetteer_path"]))
         assert counters == want_counters
         assert counters["device_days"] == counters["eligible_device_days"] == len(names)

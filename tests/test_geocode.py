@@ -511,7 +511,7 @@ class TestLocate:
         def no_read(*args):
             raise AssertionError("a shard was read")
 
-        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        monkeypatch.setattr(pipeline, "read_shard", no_read)
         shard = tmp_path / "part-00.csv"
         shard.write_text("d1,1584316800,1.0,2.0,5.0\n", encoding="utf-8")
         out = tmp_path / "o"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adapters import shard_rows
-from mobstats.ingest import MAX_EPOCH, IngestStats, parse_fields, read_shard_columns
+from mobstats.ingest import MAX_EPOCH, parse_fields, read_shard
 from mobstats.synth import MALFORMED_LINES
 
 
@@ -88,94 +88,88 @@ def write_shard(path, lines, header=None, compress=False):
     return str(path)
 
 
+def counters(path) -> tuple:
+    """read_shard's counters in the dict's order, the run report's: lines read,
+    malformed, accepted, rejected for accuracy."""
+    return tuple(read_shard(path)[0].values())
+
+
 class TestReadShard:
     def test_counts(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [BAD])
-        stats = IngestStats()
-        reports = shard_rows(read_shard_columns(p, 50.0, stats))
-        assert len(reports) == 3
-        assert stats.lines_read == 4
-        assert stats.lines_malformed == 1
-        assert stats.reports_accepted == 3
-        assert stats.reports_rejected_accuracy == 0
+        assert len(shard_rows(read_shard(p))) == 3
+        assert counters(p) == (4, 1, 3, 0)
 
     def test_accuracy_rejection_counted(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD + [REJ])
-        stats = IngestStats()
-        reports = shard_rows(read_shard_columns(p, 50.0, stats))
-        assert len(reports) == 3
-        assert stats.reports_rejected_accuracy == 1
+        assert len(shard_rows(read_shard(p))) == 3
+        assert counters(p) == (4, 0, 3, 1)
+
+    def test_ids_hold_an_accepted_report(self, tmp_path):
+        # d3's only line is out of range and d4's over the accuracy cut
+        p = write_shard(tmp_path / "s.csv", [BAD, REJ, GOOD[2], GOOD[0]])
+        _, ids, (code, *_) = read_shard(p)
+        assert ids == ["d2", "d1"]
+        assert code.tolist() == [0, 1]
 
     def test_gzip_twin_identical(self, tmp_path):
         lines = GOOD + [BAD, REJ]
         plain = write_shard(tmp_path / "a.csv", lines)
         packed = write_shard(tmp_path / "a.csv.gz", lines, compress=True)
-        assert shard_rows(read_shard_columns(plain, 50.0, IngestStats())) == \
-            shard_rows(read_shard_columns(packed, 50.0, IngestStats()))
+        assert shard_rows(read_shard(plain)) == shard_rows(read_shard(packed))
+        assert counters(plain) == counters(packed) == (5, 1, 3, 1)
 
     def test_empty_file(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", [])
-        stats = IngestStats()
-        assert shard_rows(read_shard_columns(p, 50.0, stats)) == []
-        assert stats.lines_read == 0
+        assert shard_rows(read_shard(p)) == []
+        assert counters(p) == (0, 0, 0, 0)
 
     def test_header_skipped_silently(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD, header="device_id,epoch_s,lat,lon,accuracy_m")
-        stats = IngestStats()
-        reports = shard_rows(read_shard_columns(p, 50.0, stats))
-        assert len(reports) == 3
-        # header is not a data line, so it lands in no stats bucket
-        assert stats.lines_read == 3
-        assert stats.lines_malformed == 0
+        assert len(shard_rows(read_shard(p))) == 3
+        # header is not a data line, so it lands in no counter
+        assert counters(p) == (3, 0, 3, 0)
 
     def test_first_data_line_not_eaten_as_header(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        assert len(shard_rows(read_shard_columns(p, 50.0, IngestStats()))) == 3
+        assert len(shard_rows(read_shard(p))) == 3
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            read_shard_columns(str(tmp_path / "nope.csv"), 50.0, IngestStats())
+            read_shard(str(tmp_path / "nope.csv"))
 
     def test_corrupt_gzip_raises(self, tmp_path):
         p = tmp_path / "s.csv.gz"
         p.write_bytes(b"this is not gzip data")
         with pytest.raises(OSError):
-            read_shard_columns(str(p), 50.0, IngestStats())
+            read_shard(str(p))
 
     def test_truncated_gzip_raises_oserror_naming_path(self, tmp_path):
         packed = write_shard(tmp_path / "s.csv.gz", GOOD * 50, compress=True)
         p = tmp_path / "cut.csv.gz"
         p.write_bytes(Path(packed).read_bytes()[:-20])
         with pytest.raises(OSError, match="cut.csv.gz"):
-            read_shard_columns(str(p), 50.0, IngestStats())
+            read_shard(str(p))
 
     def test_corrupt_deflate_block_raises_oserror_naming_path(self, tmp_path):
         p = tmp_path / "bad.csv.gz"
         # a valid gzip header followed by a deflate block of reserved type 3
         p.write_bytes(gzip.compress(b"")[:10] + b"\xff" * 32)
         with pytest.raises(OSError, match="bad.csv.gz"):
-            read_shard_columns(str(p), 50.0, IngestStats())
+            read_shard(str(p))
 
     def test_non_utf8_byte_is_a_malformed_line(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes("\n".join(GOOD).encode() + b"\nd\xff9,1584316800,1.0,2.0,3.0\n"
                       + b"d5,15843\xe96800,1.0,2.0,3.0\n")
-        stats = IngestStats()
-        reports = shard_rows(read_shard_columns(str(p), 50.0, stats))
+        reports = shard_rows(read_shard(str(p)))
         assert [r[0] for r in reports] == ["d1", "d1", "d2"]
-        assert (stats.lines_read, stats.lines_malformed, stats.reports_accepted) == (5, 2, 3)
+        assert counters(str(p)) == (5, 2, 3, 0)
 
     def test_file_order_preserved(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
-        epochs = [r[1] for r in shard_rows(read_shard_columns(p, 50.0, IngestStats()))]
+        epochs = [r[1] for r in shard_rows(read_shard(p))]
         assert epochs == [1584316800, 1584320400, 1584316900]
-
-    def test_stats_merge_is_fieldwise_sum(self):
-        a = IngestStats(10, 1, 8, 1)
-        b = IngestStats(5, 0, 4, 1)
-        a.merge(b)
-        assert (a.lines_read, a.lines_malformed, a.reports_accepted,
-                a.reports_rejected_accuracy) == (15, 1, 12, 2)
 
     @given(lines=st.lists(st.sampled_from(GOOD + [BAD, REJ] + list(MALFORMED_LINES)), max_size=40))
     def test_every_line_lands_in_exactly_one_bucket(self, tmp_path_factory, lines):
@@ -183,9 +177,8 @@ class TestReadShard:
         p = write_shard(tmp_path_factory.mktemp("shard") / "s.csv",
                         [ln.replace("\n", " ") for ln in lines],
                         header="device_id,epoch_s,lat,lon,accuracy_m")
-        stats = IngestStats()
-        n = len(shard_rows(read_shard_columns(p, 50.0, stats)))
-        assert stats.lines_read == len(lines)
-        assert stats.reports_accepted == n
-        assert (stats.lines_malformed + stats.reports_accepted
-                + stats.reports_rejected_accuracy) == stats.lines_read
+        # each counter against the kind of line it counts, not against the others
+        good, rej = sum(ln in GOOD for ln in lines), lines.count(REJ)
+        bad = sum(ln == BAD or ln in MALFORMED_LINES for ln in lines)
+        assert counters(p) == (len(lines), bad, good, rej)
+        assert len(shard_rows(read_shard(p))) == good

@@ -22,7 +22,7 @@ from mobstats.collate import day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
-from mobstats.ingest import ACCURACY_MAX_M, IngestStats, read_shard_columns
+from mobstats.ingest import ACCURACY_MAX_M, read_shard
 from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
@@ -153,19 +153,28 @@ class TestRun:
         assert not list(out.glob("*.tmp"))
         assert not (out / "stats.csv").exists() and not (out / "run_report.ndjson").exists()
 
-    def test_all_reports_rejected_still_reduces(self, scenario, tmp_path):
-        # every accuracy is above the 50 m cut, the first by 1e-6 m
+    def test_all_reports_rejected_still_reduces(self, scenario, tmp_path, monkeypatch):
+        # every accuracy is above the 50 m cut, the first by 1e-6 m; dev-3's
+        # latitude is out of range
         data = tmp_path / "data"
         data.mkdir()
         (data / "part-00.csv").write_text("".join(
-            f"dev-{d},{1583150400 + 3600 * h},1.5,-1.5,{acc}\n"
-            for d, acc in enumerate(["50.000001", "75", "1e9"]) for h in range(12)))
+            f"dev-{d},{1583150400 + 3600 * h},{lat},-1.5,{acc}\n"
+            for d, (lat, acc) in enumerate([(1.5, "50.000001"), (1.5, "75"), (1.5, "1e9"),
+                                            (95.0, "5")])
+            for h in range(12)))
+        # no id holds a report, so the run gathers once, on no row
+        assert read_shard(str(data / "part-00.csv"))[1] == []
+        tasks, gather = [], pipeline._gather_bucket
+        monkeypatch.setattr(pipeline, "_gather_bucket",
+                            lambda task: tasks.append(task) or gather(task))
         out = tmp_path / "out"
         (report,) = run(PipelineConfig(inputs=[str(data / "*.csv")],
                                        gazetteer=scenario["gazetteer_path"], output_dir=str(out)))
         reconcile(report)
+        assert len(tasks) == 1
         assert report["reports_accepted"] == 0 and report["device_days"] == 0
-        assert report["reports_rejected_accuracy"] == 36
+        assert report["reports_rejected_accuracy"] == 36 and report["lines_malformed"] == 12
         assert (out / "stats.ndjson").read_bytes() == b""
 
     def test_bucket_count_does_not_change_bytes(self, scenario, tmp_path, monkeypatch):
@@ -193,13 +202,13 @@ class TestRun:
         for path, text in zip(paths, (first, "".join(mixed[0::2]), "".join(mixed[1::2]))):
             Path(path).write_text(text)
         rows, shards_of = [], {}  # every accepted row, shard by shard in file order
-        named, shard_ids = set(), []  # the ids the shards name; each shard's row ids
+        named, shard_ids = set(), []  # the ids holding a row; each shard's row ids
         for s, path in enumerate(paths):
-            shard = read_shard_columns(path, ACCURACY_MAX_M, IngestStats())
-            names = [shard.names[c] for c in shard.code.tolist()]
-            named.update(shard.names)
+            _, ids, (code, epoch, lat, lon) = read_shard(path)
+            names = [ids[c] for c in code.tolist()]
+            named.update(ids)
             shard_ids.append(names)
-            rows += zip(names, shard.epoch.tolist(), shard.lat.tolist(), shard.lon.tolist())
+            rows += zip(names, epoch.tolist(), lat.tolist(), lon.tolist())
             for name in names:
                 shards_of.setdefault(name, set()).add(s)
         assert {len(s) for s in shards_of.values()} == {1, 2}
@@ -670,7 +679,7 @@ class TestCli:
         def no_read(*args):
             raise AssertionError("a shard was read")
 
-        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        monkeypatch.setattr(pipeline, "read_shard", no_read)
         args = ["run", "--input", str(scenario["root"] / "shards" / "*.csv"),
                 "--gazetteer", scenario["gazetteer_path"], "--output-dir", str(tmp_path / "o"),
                 name, value]
@@ -684,7 +693,7 @@ class TestCli:
         def no_read(*args):
             raise AssertionError("a shard was read")
 
-        monkeypatch.setattr(pipeline, "read_shard_columns", no_read)
+        monkeypatch.setattr(pipeline, "read_shard", no_read)
         pattern = str(scenario["root"] / "shards" / "*.csv")
         assert main(["run", "--input", pattern, "--input", pattern,
                      "--gazetteer", scenario["gazetteer_path"],
@@ -1116,13 +1125,13 @@ class TestMapTasks:
                 pipeline.map_tasks(killed_on_task_1, [0, 1, 2], 2)
             except OSError as e:
                 print(e)
-            scatter = pipeline._scatter_shard
+            scatter = pipeline.read_shard
 
             def scatter_unless_shard_1(path):
                 killed_on_task_1(int(path.endswith("part-01.csv")))
                 return scatter(path)
 
-            pipeline._scatter_shard = scatter_unless_shard_1
+            pipeline.read_shard = scatter_unless_shard_1
             sys.exit(main({argv!r}))
             """
         done = fresh_run(code)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from adapters import device_days, shard_rows, verdicts
 from mobstats import oracle, pipeline, synth
 from mobstats.errors import ConfigError
-from mobstats.ingest import IngestStats, parse_fields, read_shard_columns
+from mobstats.ingest import parse_fields, read_shard
 from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
 from mobstats.synth import (
     ELIGIBLE_STYLES,
@@ -72,8 +73,7 @@ class TestDeterminism:
     def test_gzip_twin_same_reports(self, tmp_path):
         plain = generate(small_spec(), str(tmp_path / "plain"))
         packed = generate(small_spec(gzip_shards=True), str(tmp_path / "gz"))
-        read = lambda paths: [r for p in paths
-                              for r in shard_rows(read_shard_columns(p, 50.0, IngestStats()))]
+        read = lambda paths: [r for p in paths for r in shard_rows(read_shard(p))]
         assert read(plain["shard_paths"]) == read(packed["shard_paths"])
         assert all(p.endswith(".csv.gz") for p in packed["shard_paths"])
 
@@ -153,23 +153,22 @@ class TestGeneratedCounters:
     def test_zero_malformed_fraction_end_to_end(self, tmp_path):
         result = generate(small_spec(), str(tmp_path))
         assert result["lines_malformed"] == 0
-        stats = IngestStats()
+        stats = Counter()
         for p in result["shard_paths"]:
-            read_shard_columns(p, 50.0, stats)
-        assert stats.lines_malformed == 0
-        assert stats.lines_read == result["lines_read"]
-        assert stats.reports_accepted == result["reports_accepted"]
+            stats.update(read_shard(p)[0])
+        assert stats["lines_malformed"] == 0
+        assert stats["lines_read"] == result["lines_read"]
+        assert stats["reports_accepted"] == result["reports_accepted"]
 
     def test_counters_match_ingest(self, tmp_path):
         result = generate(small_spec(malformed_fraction=0.15,
                                      accuracy_reject_fraction=0.25), str(tmp_path))
-        stats = IngestStats()
+        stats = Counter()
         for p in result["shard_paths"]:
-            read_shard_columns(p, 50.0, stats)
-        assert stats.lines_read == result["lines_read"]
-        assert stats.lines_malformed == result["lines_malformed"]
-        assert stats.reports_accepted == result["reports_accepted"]
-        assert stats.reports_rejected_accuracy == result["reports_rejected_accuracy"]
+            stats.update(read_shard(p)[0])
+        for key in ("lines_read", "lines_malformed", "reports_accepted",
+                    "reports_rejected_accuracy"):
+            assert stats[key] == result[key], key
         assert result["lines_malformed"] > 0
         assert result["reports_rejected_accuracy"] > 0
 
@@ -202,10 +201,7 @@ class TestTruthSidecar:
                 t = json.loads(line)
                 truth[(t["device_id"], t["date"])] = t
 
-        rows = []
-        stats = IngestStats()
-        for p in result["shard_paths"]:
-            rows.extend(shard_rows(read_shard_columns(p, 50.0, stats)))
+        rows = [r for p in result["shard_paths"] for r in shard_rows(read_shard(p))]
         days, dd = device_days(rows)
         assert len(days) == len(truth)
         reasons = verdicts(dd)
