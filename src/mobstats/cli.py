@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import gc
 import json
 import os
 import sys
@@ -160,5 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> int:
+    """main() after gc.freeze(), so the exit-time collections skip start-up's objects."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -23,24 +23,32 @@ EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
 KM_PER_DEGREE = 111.0  # constant used by the linear-distance conversion
 
 
+def lat_ok(lat):
+    """|lat| <= 90, on a float or element-wise on an array; nan fails."""
+    return abs(lat) <= 90.0
+
+
+def lon_ok(lon):
+    """|lon| <= 180, on a float or element-wise on an array; nan fails."""
+    return abs(lon) <= 180.0
+
+
+def fold_lon(lon):
+    """lon 180 as -180, the same meridian; on a float or element-wise on an array."""
+    return lon - 360.0 * (lon == 180.0)
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
-    """A validated WGS-style coordinate: lat in [-90, 90], lon in [-180, 180).
-
-    A longitude of exactly 180 is normalized to -180; anything else out of
-    range raises ValueError.
-    """
+    """A coordinate passing lat_ok and lon_ok, its lon folded by fold_lon, or ValueError."""
 
     lat: float
     lon: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat) and -90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat!r}")
-        if not (math.isfinite(self.lon) and -180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon!r}")
-        if self.lon == 180.0:
-            object.__setattr__(self, "lon", -180.0)
+        if not (lat_ok(self.lat) and lon_ok(self.lon)):
+            raise ValueError(f"coordinate out of range: lat {self.lat!r}, lon {self.lon!r}")
+        object.__setattr__(self, "lon", fold_lon(self.lon))
 
 
 def haversine_km_arr(lat0, lon0, lats: np.ndarray, lons: np.ndarray, cos_lat0=None) -> np.ndarray:

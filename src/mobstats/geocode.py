@@ -23,7 +23,7 @@ import numpy as np
 
 from .collate import ranges
 from .errors import DataError, numbered_lines
-from .geo import GeoPoint
+from .geo import GeoPoint, lat_ok, lon_ok
 
 # (point, edge) rows per pass of the edge kernel: bounds locate's transient arrays
 EDGE_ROWS = 1 << 14
@@ -152,7 +152,7 @@ def _validate_ring(ring: list, region_id: str) -> np.ndarray:
         pts = np.array(ring, float)
     except (TypeError, ValueError, OverflowError) as e:
         raise DataError(f"region {region_id}: bad ring point: {e}") from None
-    if pts.shape != (len(ring), 2) or not (np.abs(pts) <= (180.0, 90.0)).all():
+    if pts.shape != (len(ring), 2) or not (lon_ok(pts[:, 0]) & lat_ok(pts[:, 1])).all():
         raise DataError(f"region {region_id}: bad ring point: not a [lon, lat] pair "
                         "in [-180, 180] x [-90, 90]")
     # float() reads a JSON true as 1.0 and "1.5" as 1.5
@@ -195,7 +195,7 @@ def _validate_place(rec: dict, lineno: int, by_id: dict[str, RegionKey]) -> Plac
         lat, lon = float(rec["lat"]), float(rec["lon"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{where}: missing or non-numeric lat/lon: {e!r}") from None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+    if not (lat_ok(lat) and lon_ok(lon)):
         raise DataError(f"{where}: lat/lon out of range: {lat}, {lon}")
     return Place(name, lat, lon, by_id[rid])
 

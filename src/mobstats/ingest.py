@@ -6,13 +6,15 @@ lone CR each end a line. A ``.gz`` suffix means the shard is
 gzip-compressed. A first line whose second field is not an integer is
 treated as a vendor header and skipped silently. Bytes that are not UTF-8
 make their line malformed; a truncated or corrupt ``.gz`` stream is an IO
-error naming the shard.
+error naming the shard. A malformed line's reason is the first that fails:
+field_count, empty_device_id, bad_utf8, bad_epoch, bad_number, then the
+range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 
 read_shard streams a shard in binary blocks into numpy columns, applies
 the accuracy filter (ACCURACY_MAX_M) and counts the shard's lines as read,
 malformed, accepted and rejected for accuracy. A line in the canonical
-form (see ``_CANONICAL``) is parsed in bulk and range-checked column-wise
-with parse_fields' comparisons; every other line is decoded and handed to
+form (see ``_CANONICAL``) is parsed in bulk and checked column-wise
+against ``_RANGE_RULES``; every other line is decoded and handed to
 parse_fields, the one per-line validation rule. A block's lines shorter
 than ``_WALK_WIDTH`` step together through the grammar's (state, byte)
 table, one numpy pass per byte position; a longer line is matched with
@@ -30,6 +32,8 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from .geo import fold_lon, lat_ok, lon_ok
+
 log = logging.getLogger(__name__)
 
 # parse_fields' row: (device_id, epoch_s, lat, lon, accuracy_m)
@@ -38,6 +42,15 @@ RawReport = tuple[str, int, float, float, float]
 # the last epoch whose local date, at a solar offset of up to +12 h, is a
 # datetime.date: 9999-12-31T11:59:59Z
 MAX_EPOCH = 253_402_257_599
+
+# the range rules, tried in order: (reason, field of a RawReport, test on a value or column)
+_RANGE_RULES = (
+    ("negative_epoch", 1, lambda epoch: epoch >= 0),
+    ("epoch_range", 1, lambda epoch: epoch <= MAX_EPOCH),
+    ("lat_range", 2, lat_ok),
+    ("lon_range", 3, lon_ok),
+    ("bad_accuracy", 4, lambda acc: (0.0 <= acc) & (acc < np.inf)),
+)
 
 # shards are read in binary blocks of this size, never whole
 BLOCK_BYTES = 256 * 1024
@@ -118,26 +131,15 @@ def parse_fields(line: str) -> RawReport | str:
         epoch = int(parts[1])
     except ValueError:
         return "bad_epoch"
-    if epoch < 0:
-        return "negative_epoch"
-    if epoch > MAX_EPOCH:
-        return "epoch_range"
     try:
-        lat = float(parts[2])
-        lon = float(parts[3])
-        acc = float(parts[4])
+        lat, lon, acc = map(float, parts[2:])
     except ValueError:
         return "bad_number"
-    # the comparisons also reject nan/inf
-    if not -90.0 <= lat <= 90.0:
-        return "lat_range"
-    if not -180.0 <= lon <= 180.0:
-        return "lon_range"
-    if lon == 180.0:
-        lon = -180.0
-    if not 0.0 <= acc < float("inf"):
-        return "bad_accuracy"
-    return device_id, epoch, lat, lon, acc
+    row = (device_id, epoch, lat, lon, acc)
+    for reason, field, test in _RANGE_RULES:
+        if not test(row[field]):
+            return reason
+    return device_id, epoch, lat, fold_lon(lon), acc
 
 
 def _has_surrogate(text: str) -> bool:
@@ -190,17 +192,6 @@ def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
             return
 
 
-def _in_range(epoch: np.ndarray, lat: np.ndarray, lon: np.ndarray,
-              acc: np.ndarray) -> np.ndarray:
-    """parse_fields' range rules over columns, with its comparisons; nan and inf fail."""
-    return (
-        (epoch <= MAX_EPOCH)
-        & (-90.0 <= lat) & (lat <= 90.0)
-        & (-180.0 <= lon) & (lon <= 180.0)
-        & (0.0 <= acc) & (acc < float("inf"))
-    )
-
-
 def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
     """Valid rows of one block, in line order, as [code, epoch, lat, lon, acc] columns."""
     canonical = _canonical(lines)
@@ -211,12 +202,12 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
     for raw_id in dict.fromkeys(fields[0::5]):
         local[raw_id] = ids.setdefault(raw_id.decode("ascii"), len(ids))
     cols = [
-        np.flatnonzero(canonical),
+        np.flatnonzero(canonical),  # the line, then a RawReport's fields with a code for the id
         np.fromiter(map(local.__getitem__, fields[0::5]), np.int32, n),
         np.fromiter(map(int, fields[1::5]), np.int64, n),
         *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
     ]
-    valid = _in_range(*cols[2:])
+    valid = np.logical_and.reduce([test(cols[1 + field]) for _, field, test in _RANGE_RULES])
     cols = [c[valid] for c in cols]
 
     slow = []
@@ -234,7 +225,7 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
             cols[j] = np.concatenate([cols[j], np.array(column, cols[j].dtype)])
         order = np.argsort(cols[0], kind="stable")
         cols = [c[order] for c in cols]
-    cols[4][cols[4] == 180.0] = -180.0
+    cols[4] = fold_lon(cols[4])
     return cols[1:]
 
 

@@ -13,7 +13,10 @@ from mobstats.geo import (
     GeoPoint,
     area_to_linear_km,
     convex_hull_xy,
+    fold_lon,
     haversine_km_arr,
+    lat_ok,
+    lon_ok,
     polygon_area,
     solar_tz_offset_hours,
     unwrap_lonlat,
@@ -29,6 +32,23 @@ lon_st = st.floats(min_value=-179.0, max_value=179.0)
 
 def lonlats(n):
     return st.lists(st.tuples(lon_st, lat_st), min_size=n, max_size=40)
+
+
+class TestDomain:
+    VALUES = [-180.0000001, -180.0, -90.0000001, -90.0, -0.0, 90.0, 90.0000001, 180.0,
+              180.0000001, math.nan, math.inf, -math.inf]
+
+    def test_float_and_array_agree(self):
+        arr = np.array(self.VALUES)
+        lat = [False] * 3 + [True] * 3 + [False] * 6
+        lon = [False] + [True] * 7 + [False] * 4
+        assert [lat_ok(v) for v in self.VALUES] == lat_ok(arr).tolist() == lat
+        assert [lon_ok(v) for v in self.VALUES] == lon_ok(arr).tolist() == lon
+        # only 180 changes, and -0.0 keeps its sign
+        folded = [repr(-180.0 if v == 180.0 else v) for v in self.VALUES]
+        assert [repr(fold_lon(v)) for v in self.VALUES] == folded
+        assert list(map(repr, fold_lon(arr).tolist())) == folded
+
 
 class TestGeoPoint:
     def test_valid(self):

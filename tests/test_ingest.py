@@ -36,6 +36,11 @@ class TestParseReportLine:
         # a local date after 9999-12-31 is past datetime.date
         ("abc,253402257600,40.7,-74.0,12.5", "epoch_range"),
         ("abc,9223372036854775808,40.7,-74.0,12.5", "epoch_range"),
+        # several faults: syntax before range, then the range rules in their order
+        ("abc,253402257600,x,0,1", "bad_number"),
+        ("abc,-5,40,x,1", "bad_number"),
+        ("abc,1,95,181,-1", "lat_range"),
+        ("abc,1,0,181,-1", "lon_range"),
     ])
     def test_malformed(self, line, reason):
         assert parse_fields(line) == reason

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import datetime as dt
+import gc
+import glob
 import gzip
 import hashlib
 import io
@@ -16,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from mobstats import aggregate, metrics, pipeline
+from mobstats import aggregate, ingest, metrics, pipeline
 from mobstats.cli import CONFIG_DEFAULTS, build_parser, main
 from mobstats.collate import day_number_to_date
 from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
-from mobstats.ingest import ACCURACY_MAX_M, read_shard
+from mobstats.ingest import ACCURACY_MAX_M, parse_fields, read_shard
 from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
@@ -53,10 +55,16 @@ def base_config(scenario, out_dir, **overrides):
     return PipelineConfig(**cfg)
 
 
-def reconcile(report):
-    assert report["lines_read"] == (report["lines_malformed"]
-                                    + report["reports_accepted"]
-                                    + report["reports_rejected_accuracy"])
+def reconcile(report, shards):
+    """report's sums hold, and its line counters match the data lines of the run's
+    shards (a glob) and how many of them parse_fields calls malformed."""
+    lines = []
+    for path in sorted(glob.glob(shards)):
+        with open(path, "rb") as fh:
+            lines += [line for block in ingest._line_blocks(fh) for line in block]
+    malformed = sum(isinstance(parse_fields(line.decode("utf-8", "surrogateescape")), str)
+                    for line in lines)
+    assert (report["lines_read"], report["lines_malformed"]) == (len(lines), malformed)
     assert report["device_day_reports"] == report["reports_accepted"]
     assert report["device_days"] == (report["rejected_too_few_reports"]
                                      + report["rejected_short_span"]
@@ -105,10 +113,11 @@ def small_scenario(root):
 class TestRun:
     def test_end_to_end(self, scenario, tmp_path):
         out = tmp_path / "out"
-        reports = run(base_config(scenario, out))
+        cfg = base_config(scenario, out)
+        reports = run(cfg)
         assert len(reports) == 1
         report = reports[0]
-        reconcile(report)
+        reconcile(report, cfg.inputs[0])
 
         # ingest counters equal the generator's ground truth
         for key in ("lines_read", "lines_malformed", "reports_accepted",
@@ -171,7 +180,7 @@ class TestRun:
         out = tmp_path / "out"
         (report,) = run(PipelineConfig(inputs=[str(data / "*.csv")],
                                        gazetteer=scenario["gazetteer_path"], output_dir=str(out)))
-        reconcile(report)
+        reconcile(report, str(data / "*.csv"))
         assert len(tasks) == 1
         assert report["reports_accepted"] == 0 and report["device_days"] == 0
         assert report["reports_rejected_accuracy"] == 36 and report["lines_malformed"] == 12
@@ -298,7 +307,7 @@ class TestRun:
             fh.write(b"dev-1,15831\xe90400,1.0,2.0,3.0\n")      # epoch not UTF-8
         clean = run(base_config(scenario, tmp_path / "clean"))[0]
         report = run(base_config(scenario, tmp_path / "out", inputs=[str(data / "*.csv")]))[0]
-        reconcile(report)
+        reconcile(report, str(data / "*.csv"))
         assert report["lines_read"] == clean["lines_read"] + 2
         assert report["lines_malformed"] == clean["lines_malformed"] + 2
         assert (tmp_path / "out" / "stats.ndjson").read_bytes() == \
@@ -503,6 +512,19 @@ class TestCompare:
 
 
 class TestCli:
+    def test_main_leaves_the_gc_unfrozen(self, capsys):
+        # tests and perfbench's in-process round call main(); only entry() freezes
+        frozen = gc.get_freeze_count()
+        assert main(["config-dump"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_then_runs_main(self):
+        code = ("import gc, sys; from mobstats import cli; sys.argv[1:] = ['config-dump'];"
+                "rc = cli.entry(); print(rc, gc.get_freeze_count() > 0, file=sys.stderr)")
+        proc = fresh_run(code, check=True)
+        assert json.loads(proc.stdout) == CONFIG_DEFAULTS
+        assert proc.stderr == "0 True\n"
+
     def test_config_dump(self, capsys):
         assert main(["config-dump"]) == 0
         dumped = json.loads(capsys.readouterr().out)
@@ -529,7 +551,7 @@ class TestCli:
                    "--output-dir", str(out), "--workers", "2"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        reconcile(report)
+        reconcile(report, str(data / "shards" / "*.csv"))
         assert (out / "stats.ndjson").exists()
 
     def test_missing_gazetteer_exit_2_names_path(self, tmp_path, capsys):
@@ -600,7 +622,7 @@ class TestCli:
                    scenario["gazetteer_path"], "--output-dir", str(out), "--workers", "2"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        reconcile(report)
+        reconcile(report, str(data / "*.csv"))
         assert report["lines_read"] == report["lines_malformed"] == malformed
         gather_counters = ("device_days", "device_day_reports", "rejected_too_few_reports",
                            "rejected_short_span", "eligible_device_days", "unmatched_geocode")
@@ -995,7 +1017,7 @@ class TestCli:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["lines_malformed"] == reports
-        reconcile(report)
+        reconcile(report, str(shard))
 
     def test_compare_to_stdout(self, tmp_path, capsys):
         from mobstats.output import OutputRecord
