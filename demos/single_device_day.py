@@ -14,14 +14,7 @@ import numpy as np
 from mobstats import oracle
 from mobstats.collate import day_number_to_date, group_device_days
 from mobstats.ingest import parse_fields
-from mobstats.metrics import (
-    DEFAULT_MIN_REPORTS,
-    DEFAULT_MIN_SPAN_HOURS,
-    DEFAULT_TRIM_FRACTION,
-    day_box_and_hull,
-    day_max_distances,
-    day_rejections,
-)
+from mobstats.metrics import day_box_and_hull, day_max_distances, day_rejections
 
 # Twelve reports from one device on 2020-03-16, plus one malformed line
 # and one with hopeless accuracy. Longitude ~ -105 so local midnight is
@@ -49,7 +42,7 @@ print(f"kept {len(reports)} of {len(lines)} lines\n")
 epoch, lat, lon = (np.array([r[j] for r in reports]) for j in (1, 2, 3))
 dd = group_device_days(np.zeros(len(reports), np.int64), epoch, lat, lon)
 spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
-too_few, short_span = day_rejections(dd.counts, spans, DEFAULT_MIN_REPORTS, DEFAULT_MIN_SPAN_HOURS)
+too_few, short_span = day_rejections(dd.counts, spans)
 print(f"device    {reports[0][0]}")
 print(f"local day {day_number_to_date(int(dd.day[0]))}  (solar offset {int(dd.tz[0]):+d} h)")
 print(f"reports   {dd.counts[0]}, span {spans[0] / 3600:.2f} h")
@@ -57,7 +50,7 @@ print(f"eligible  {not (too_few[0] or short_span[0])}\n")
 
 # m_max, the measure the pipeline publishes, for every day at once; the
 # box and hull measures take the day's rows in the same sorted order.
-m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)[0]
+m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts)[0]
 m_bb, m_ch, _, _ = day_box_and_hull([reports[i][1:] for i in dd.order.tolist()])
 print(f"m_max (trimmed max from first report) {m_max:8.3f} km")
 print(f"m_bb  (bounding box measure)          {m_bb:8.3f} km")

@@ -65,17 +65,15 @@ def segment_stats(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return mean, median, q1, q3
 
 
-def reduce_region_day(
-    keys: Sequence[RegionKey], region: np.ndarray, day: np.ndarray, m_max: np.ndarray,
-    baseline_start: dt.date, baseline_end: dt.date,
-) -> list[OutputRecord]:
+def reduce_region_day(keys: Sequence[RegionKey], region: np.ndarray, day: np.ndarray,
+                      m_max: np.ndarray) -> list[OutputRecord]:
     """One finished record per (region, day) group of device-day m_max values, in file order.
 
     Row i is one record: keys[region[i]], local day number day[i], m_max[i].
-    m50_index is against the region's median weekday m50 in [baseline_start,
-    baseline_end], None where there is none, it is not positive or the
-    ratio overflows. The same multiset of rows yields identical output
-    however the rows are shuffled.
+    m50_index is against the region's median weekday m50 in the fixed window
+    [DEFAULT_BASELINE_START, DEFAULT_BASELINE_END], None where there is none,
+    it is not positive or the ratio overflows. The same multiset of rows
+    yields identical output however the rows are shuffled.
     """
     # the distinct keys in file order, compared as tuples: a joined string
     # could not tell "a\0" + "b" from "a" + "\0b"
@@ -94,8 +92,8 @@ def reduce_region_day(
     group_key, group_day = key[starts], day[starts]
 
     # day 0, 1970-01-01, was a Thursday, so (day + 3) % 7 is the weekday, Monday 0
-    window = np.flatnonzero((group_day >= date_to_day_number(baseline_start))
-                            & (group_day <= date_to_day_number(baseline_end))
+    window = np.flatnonzero((group_day >= date_to_day_number(DEFAULT_BASELINE_START))
+                            & (group_day <= date_to_day_number(DEFAULT_BASELINE_END))
                             & ((group_day + 3) % 7 < 5))
     by_key = window[np.lexsort((m50[window], group_key[window]))]
     w_starts, w_counts = runs(len(by_key), group_key[by_key])

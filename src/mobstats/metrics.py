@@ -1,12 +1,13 @@
 """Per-device-day eligibility rules and mobility measures, one kernel per rule.
 
-The pipeline publishes one measure per eligible device-day: the trimmed
-maximum haversine distance from the day's first report (m_max), computed
-for a bucket's days at once by day_max_distances. day_box_and_hull gives
-a day's linearized bounding box and convex hull measures (m_bb, m_ch),
-obtained from square-degree areas via 111 * sqrt(area) * cos(mean
-latitude); they are library measures checked against the oracle, and no
-pipeline output uses them.
+The kernels take only data and apply the method's fixed DEFAULT_*
+constants themselves. The pipeline publishes one measure per eligible
+device-day: the trimmed maximum haversine distance from the day's first
+report (m_max), computed for a bucket's days at once by day_max_distances.
+day_box_and_hull gives a day's linearized bounding box and convex hull
+measures (m_bb, m_ch), obtained from square-degree areas via 111 *
+sqrt(area) * cos(mean latitude); they are library measures checked
+against the oracle, and no pipeline output uses them.
 """
 
 from __future__ import annotations
@@ -36,18 +37,18 @@ REASON_SHORT_SPAN = "short_span"
 DayRow = tuple[int, float, float, float]
 
 
-def day_rejections(counts, spans_s, min_reports: int, min_span_hours: float):
+def day_rejections(counts, spans_s):
     """Per device-day (too_few, short_span) masks; a day in neither is eligible.
 
     counts and spans_s (last minus first epoch) are arrays with one entry per
     device-day. Too few reports is checked before short span; both
-    boundaries are inclusive (exactly min_reports reports or exactly
-    min_span_hours pass). The span is compared in seconds against
-    min_span_hours * 3600, the oracle's form: dividing instead rounds
-    differently at some boundaries (3,960 s against 1.1 h).
+    boundaries are inclusive (exactly DEFAULT_MIN_REPORTS reports or exactly
+    DEFAULT_MIN_SPAN_HOURS pass). The span is compared in seconds against
+    hours * 3600, the oracle's form: dividing instead rounds differently at
+    some boundaries (3,960 s against 1.1 h).
     """
-    too_few = counts < min_reports
-    short_span = ~too_few & (spans_s < min_span_hours * 3600.0)
+    too_few = counts < DEFAULT_MIN_REPORTS
+    short_span = ~too_few & (spans_s < DEFAULT_MIN_SPAN_HOURS * 3600.0)
     return too_few, short_span
 
 
@@ -62,9 +63,10 @@ def segment_trimmed_max(distances_km: np.ndarray, starts: np.ndarray, counts: np
     return segment_sort(distances_km, starts, counts)[starts + counts - 1 - k]
 
 
-def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                      trim_fraction: float) -> np.ndarray:
-    """m_max of each device-day: trimmed maximum haversine distance (km) from its first row.
+def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
+    """m_max of each device-day: the maximum haversine distance (km) from its first
+    row after dropping its top floor(DEFAULT_TRIM_FRACTION * n).
 
     Device-day i is rows starts[i] : starts[i] + counts[i] of the lat/lon
     columns; the days need not be adjacent.
@@ -77,7 +79,7 @@ def day_max_distances(lat: np.ndarray, lon: np.ndarray, starts: np.ndarray, coun
         np.repeat(anchor_lat, counts), np.repeat(anchor_lon, counts),
         lat[rows], lon[rows], np.repeat(cos_lat0, counts),
     )
-    return segment_trimmed_max(distances, offsets, counts, trim_fraction)
+    return segment_trimmed_max(distances, offsets, counts, DEFAULT_TRIM_FRACTION)
 
 
 def day_box_and_hull(rows: Sequence[DayRow]) -> tuple[float, float, float, float]:

@@ -93,26 +93,23 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     dd = group_device_days(*(np.concatenate([c[m] for c, m in zip(column, mine)])
                              for column in zip(*shards)))
     spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
-    too_few, short_span = day_rejections(dd.counts, spans, metrics.DEFAULT_MIN_REPORTS,
-                                        metrics.DEFAULT_MIN_SPAN_HOURS)
+    too_few, short_span = day_rejections(dd.counts, spans)
     eligible = np.flatnonzero(~too_few & ~short_span)
 
     # each day geocodes at its first report, the anchor of its m_max
     first = dd.starts[eligible]
     region = locate(gaz, dd.lat[first], dd.lon[first])
     matched, region = eligible[region >= 0], region[region >= 0]
-    m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched],
-                              metrics.DEFAULT_TRIM_FRACTION)
+    m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched])
 
     rows = gaz.key_rows[gaz.region_key[region]].ravel()
     keep = rows >= 0
-    # the run report's device-day counters, in its order; each rejected_* key
-    # is "rejected_" + a metrics.REASON_* value
+    # the run report's device-day counters, in its order
     counters = {
         "device_days": len(dd.starts),
         "device_day_reports": len(dd.code),
-        "rejected_too_few_reports": int(np.count_nonzero(too_few)),
-        "rejected_short_span": int(np.count_nonzero(short_span)),
+        "rejected_" + metrics.REASON_TOO_FEW: int(np.count_nonzero(too_few)),
+        "rejected_" + metrics.REASON_SHORT_SPAN: int(np.count_nonzero(short_span)),
         "eligible_device_days": len(eligible),
         "unmatched_geocode": len(eligible) - len(matched),
     }
@@ -242,8 +239,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
                 for results in (scattered, gathered) for k in results[0][0]}
     columns = [np.concatenate(c) for c in zip(*(cols for _, cols in gathered))]
 
-    records = aggregate.reduce_region_day(gaz.keys, *columns, aggregate.DEFAULT_BASELINE_START,
-                                          aggregate.DEFAULT_BASELINE_END)
+    records = aggregate.reduce_region_day(gaz.keys, *columns)
 
     atomic_write(os.path.join(cfg.output_dir, "stats.ndjson"),
                  lambda fh: output.write_ndjson(records, fh, cfg.verbose_stats))

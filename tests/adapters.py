@@ -16,13 +16,7 @@ import numpy as np
 
 from mobstats.collate import DayColumns, day_number_to_date, group_device_days
 from mobstats.geocode import load_gazetteer, locate
-from mobstats.metrics import (
-    DEFAULT_MIN_REPORTS,
-    DEFAULT_MIN_SPAN_HOURS,
-    REASON_SHORT_SPAN,
-    REASON_TOO_FEW,
-    day_rejections,
-)
+from mobstats.metrics import REASON_SHORT_SPAN, REASON_TOO_FEW, day_rejections
 
 
 def shard_rows(shard: tuple) -> list[tuple]:
@@ -56,11 +50,10 @@ def device_days(reports: list[tuple]) -> tuple[list[Day], DayColumns]:
     return days, dd
 
 
-def verdicts(dd: DayColumns, min_reports: int = DEFAULT_MIN_REPORTS,
-             min_span_hours: float = DEFAULT_MIN_SPAN_HOURS) -> list[str | None]:
+def verdicts(dd: DayColumns) -> list[str | None]:
     """Each device-day's rejection reason from day_rejections, None when eligible."""
     spans = dd.epoch[dd.starts + dd.counts - 1] - dd.epoch[dd.starts]
-    too_few, short_span = day_rejections(dd.counts, spans, min_reports, min_span_hours)
+    too_few, short_span = day_rejections(dd.counts, spans)
     return [REASON_TOO_FEW if few else REASON_SHORT_SPAN if short else None
             for few, short in zip(too_few.tolist(), short_span.tolist())]
 

@@ -20,7 +20,7 @@ from adapters import contains, device_days, verdicts
 from mobstats import oracle, pipeline
 from mobstats.cli import main
 from mobstats.geo import convex_hull_xy, unwrap_lonlat
-from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
+from mobstats.metrics import day_box_and_hull, day_max_distances
 from mobstats.output import read_csv, read_ndjson
 from mobstats.pipeline import PipelineConfig, run
 from mobstats.synth import ELIGIBLE_STYLES, STYLES, ScenarioSpec, generate, random_day_rows
@@ -82,7 +82,7 @@ def oracle_sweep():
     built, dd = device_days([(f"dev-{i}",) + r for i, rows in enumerate(day_rows) for r in rows])
     assert len(built) == 1000
     reasons = verdicts(dd)
-    m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+    m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts)
     day_of = {day.device_id: k for k, day in enumerate(built)}
     for i, rows in enumerate(day_rows):
         ref = oracle.oracle_metrics(rows)

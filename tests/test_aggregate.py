@@ -1,11 +1,13 @@
 import datetime as dt
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobstats import aggregate
 from mobstats.aggregate import (
     DEFAULT_BASELINE_END,
     DEFAULT_BASELINE_START,
@@ -30,19 +32,20 @@ def rec(m_max, region=R1, date=MON):
 
 def reduce_rows(records, window=DEFAULT_WINDOW):
     """reduce_region_day over (RegionKey, date, m_max) rows, as gather's columns,
-    with the baseline window (start, end).
+    with the baseline window constants patched to (start, end).
 
     The returned records are indexed by (RegionKey, date).
     """
     keys = list(dict.fromkeys(region for region, _, _ in records))
     index = {key: i for i, key in enumerate(keys)}
-    out = reduce_region_day(
-        keys,
-        np.array([index[region] for region, _, _ in records], np.int32),
-        np.array([date_to_day_number(date) for _, date, _ in records], np.int64),
-        np.array([m for _, _, m in records], np.float64),
-        *window,
-    )
+    with mock.patch.object(aggregate, "DEFAULT_BASELINE_START", window[0]), \
+            mock.patch.object(aggregate, "DEFAULT_BASELINE_END", window[1]):
+        out = reduce_region_day(
+            keys,
+            np.array([index[region] for region, _, _ in records], np.int32),
+            np.array([date_to_day_number(date) for _, date, _ in records], np.int64),
+            np.array([m for _, _, m in records], np.float64),
+        )
     return {(RegionKey(r.country_code, r.admin1, r.admin2, r.region_id),
              dt.date.fromisoformat(r.date)): r for r in out}
 

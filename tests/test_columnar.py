@@ -326,12 +326,12 @@ def run_captured(cfg: PipelineConfig) -> tuple[dict, list]:
     captured = []
     reduce_region_day = aggregate.reduce_region_day
 
-    def capture(keys, region, day, m_max, *args):
+    def capture(keys, region, day, m_max):
         captured.extend(
             (keys[r], day_number_to_date(d), m)
             for r, d, m in zip(region.tolist(), day.tolist(), m_max.tolist())
         )
-        return reduce_region_day(keys, region, day, m_max, *args)
+        return reduce_region_day(keys, region, day, m_max)
 
     with mock.patch.object(aggregate, "reduce_region_day", capture):
         (report,) = run(cfg)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapters import device_days, verdicts
-from mobstats import oracle
+from mobstats import metrics, oracle
 from mobstats.geo import GeoPoint
 from mobstats.metrics import (
-    DEFAULT_TRIM_FRACTION,
     REASON_SHORT_SPAN,
     REASON_TOO_FEW,
     day_box_and_hull,
@@ -35,14 +35,14 @@ def spread(n, span_s=10 * 3600, lat=0.0, lon=0.0):
     return [(T0 + i * span_s // (n - 1), lat, lon, 5.0) for i in range(n)]
 
 
-def reason(rows, **thresholds):
-    (got,) = verdicts(dday(rows), **thresholds)
+def reason(rows):
+    (got,) = verdicts(dday(rows))
     return got
 
 
-def m_max(rows, trim_fraction=DEFAULT_TRIM_FRACTION):
+def m_max(rows):
     dd = dday(rows)
-    (got,) = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, trim_fraction).tolist()
+    (got,) = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts).tolist()
     return got
 
 
@@ -73,15 +73,19 @@ class TestEligibility:
 
     def test_custom_thresholds(self):
         rows = spread(5, span_s=4 * 3600)
-        assert reason(rows, min_reports=5, min_span_hours=4.0) is None
-        assert reason(rows, min_reports=6, min_span_hours=4.0) == REASON_TOO_FEW
+        with mock.patch.object(metrics, "DEFAULT_MIN_SPAN_HOURS", 4.0):
+            with mock.patch.object(metrics, "DEFAULT_MIN_REPORTS", 5):
+                assert reason(rows) is None
+            with mock.patch.object(metrics, "DEFAULT_MIN_REPORTS", 6):
+                assert reason(rows) == REASON_TOO_FEW
 
     @pytest.mark.parametrize("hours, span_s", [(1.1, 3960), (8.3, 29880)])
     def test_span_boundary_verdict_matches_oracle(self, hours, span_s):
         # hours * 3600 rounds just above span_s while span_s / 3600 rounds to hours
         rows = spread(10, span_s=span_s)
         ref = oracle.oracle_metrics(rows, min_span_hours=hours)
-        assert reason(rows, min_span_hours=hours) == ref["reason"]
+        with mock.patch.object(metrics, "DEFAULT_MIN_SPAN_HOURS", hours):
+            assert reason(rows) == ref["reason"]
 
 
 class TestTrimmedMax:
@@ -212,7 +216,7 @@ class TestInvariants:
         # the kernels see each day in group_device_days' order, whatever the input order
         def measures(rows):
             days, dd = device_days([("dev",) + tuple(r) for r in rows])
-            m = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+            m = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts)
             return m.tolist(), [day_box_and_hull(day.reports) for day in days]
 
         shuffled = list(rows)
@@ -250,8 +254,9 @@ class TestCanonicalPosition:
         rows = [(T0, 0.0, 0.0, 5.0)] + [(T0 + i * 3600, 0.01, 0.01, 5.0)
                                         for i in range(1, 12)]
         anchor = first_report(rows)
-        assert m_max(rows, 0.0) == pytest.approx(
-            oracle.haversine_km(anchor.lat, anchor.lon, 0.01, 0.01), rel=1e-12)
+        with mock.patch.object(metrics, "DEFAULT_TRIM_FRACTION", 0.0):
+            assert m_max(rows) == pytest.approx(
+                oracle.haversine_km(anchor.lat, anchor.lon, 0.01, 0.01), rel=1e-12)
 
 
 class TestDayMeasures:
@@ -269,5 +274,5 @@ class TestDayMeasures:
         assert day_box_and_hull(days[0].reports) == day_box_and_hull(direct)
         lat, lon = (np.array([r[j] for r in direct]) for j in (1, 2))
         one_day = np.array([0]), np.array([len(direct)])
-        assert (day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
-                == day_max_distances(lat, lon, *one_day, DEFAULT_TRIM_FRACTION)).all()
+        assert (day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts)
+                == day_max_distances(lat, lon, *one_day)).all()

@@ -1,13 +1,15 @@
 import datetime as dt
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobstats.aggregate import DEFAULT_BASELINE_END, DEFAULT_BASELINE_START, reduce_region_day
+from mobstats import aggregate
+from mobstats.aggregate import reduce_region_day
 from mobstats.collate import date_to_day_number
 from mobstats.errors import DataError
 from mobstats.geocode import RegionKey
@@ -175,9 +177,10 @@ class TestRoundTrip:
         # 100 * 20 / 1e-310 is past the float range: the index is null, not inf
         key = RegionKey("AA", "West", "", "W")
         days = [date_to_day_number(dt.date(2020, 3, d)) for d in (2, 9)]
-        records = reduce_region_day([key], np.zeros(2, np.int32), np.array(days, np.int64),
-                                    np.array([1e-310, 20.0]), dt.date(2020, 3, 2),
-                                    dt.date(2020, 3, 2))
+        with mock.patch.object(aggregate, "DEFAULT_BASELINE_START", dt.date(2020, 3, 2)), \
+                mock.patch.object(aggregate, "DEFAULT_BASELINE_END", dt.date(2020, 3, 2)):
+            records = reduce_region_day([key], np.zeros(2, np.int32), np.array(days, np.int64),
+                                        np.array([1e-310, 20.0]))
         assert [r.m50_index for r in records] == [100.0, None]
         p = tmp_path / "stats.ndjson"
         p.write_text(ndjson_text(records), encoding="utf-8")
@@ -265,8 +268,7 @@ def reduced(key, m_max=(0.2, 1.0, 1.8, 3.0, 4.0)):
     a baseline day."""
     day = date_to_day_number(dt.date(2020, 3, 2))
     (record,) = reduce_region_day([key], np.zeros(len(m_max), np.int32),
-                                  np.full(len(m_max), day), np.array(m_max),
-                                  DEFAULT_BASELINE_START, DEFAULT_BASELINE_END)
+                                  np.full(len(m_max), day), np.array(m_max))
     return record
 
 

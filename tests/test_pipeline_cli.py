@@ -271,13 +271,69 @@ class TestRun:
                               for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")))
         assert len(outputs) == 1
 
+    def test_respelled_lines_take_the_other_routes_and_write_the_same_bytes(self, tmp_path,
+                                                                             monkeypatch):
+        # generated lines are canonical and shorter than _WALK_WIDTH, so a plain run
+        # never accepts a row through parse_fields, matches a long line with
+        # _CANONICAL or merges per-line rows back into line order; the respelled
+        # copy does all three: device 0 mod 3 gets a non-ASCII id, 1 a "+" on its
+        # epoch and accuracy, 2 an ASCII id padded past _WALK_WIDTH bytes
+        small_cfg = small_scenario(tmp_path / "small")
+        (shard,) = Path(small_cfg["inputs"][0]).parent.glob("*.csv")
+        header, *lines = shard.read_text(encoding="utf-8").splitlines()
+        assert all(not isinstance(parse_fields(line), str) for line in lines)
+        devices = sorted({line.split(",")[0] for line in lines})
+
+        def respell(line):
+            device, epoch, lat, lon, acc = line.split(",")
+            style = devices.index(device) % 3
+            if style == 0:
+                device += "-ü"
+            elif style == 1:
+                epoch, acc = "+" + epoch, "+" + acc
+            else:
+                device = device.ljust(ingest._WALK_WIDTH, "~")
+            return ",".join((device, epoch, lat, lon, acc))
+
+        respelled = [respell(line) for line in lines]
+        long = [line for line in respelled if len(line) >= ingest._WALK_WIDTH]
+        assert long and all(ingest._CANONICAL.fullmatch(line.encode()) for line in long)
+
+        parse = ingest.parse_fields
+        parsed = []
+
+        def counting_parse(line):
+            row = parse(line)
+            parsed.append(not isinstance(row, str))
+            return row
+
+        monkeypatch.setattr(ingest, "parse_fields", counting_parse)
+        outputs, accepted = [], []
+        for name, data_lines in (("plain", lines), ("respelled", respelled)):
+            data = tmp_path / name
+            data.mkdir()
+            (data / "part-00.csv").write_text("\n".join([header, *data_lines]) + "\n",
+                                              encoding="utf-8")
+            out = tmp_path / f"out-{name}"
+            parsed.clear()
+            (report,) = run(PipelineConfig(inputs=[str(data / "*.csv")],
+                                           gazetteer=small_cfg["gazetteer"], output_dir=str(out)))
+            assert report["lines_malformed"] == 0
+            accepted.append(sum(parsed))
+            outputs.append([(out / f).read_bytes()
+                            for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")])
+        # the respelled run's rows come from parse_fields and the bulk parse both
+        assert accepted == [0, len(lines) - len(long)]
+        assert outputs[0] == outputs[1]
+        assert b'"m50":' in outputs[0][0]
+
     def test_production_m_max_matches_truth_sidecar(self, scenario, tmp_path, monkeypatch):
         captured = []
         reduce_region_day = aggregate.reduce_region_day
 
-        def capture(keys, region, day, m_max, *args):
+        def capture(keys, region, day, m_max):
             captured.extend(zip((keys[r] for r in region.tolist()), day.tolist(), m_max.tolist()))
-            return reduce_region_day(keys, region, day, m_max, *args)
+            return reduce_region_day(keys, region, day, m_max)
 
         monkeypatch.setattr(aggregate, "reduce_region_day", capture)
         run(base_config(scenario, tmp_path / "out"))

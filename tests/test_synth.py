@@ -14,7 +14,7 @@ from adapters import device_days, shard_rows, verdicts
 from mobstats import oracle, pipeline, synth
 from mobstats.errors import ConfigError
 from mobstats.ingest import parse_fields, read_shard
-from mobstats.metrics import DEFAULT_TRIM_FRACTION, day_box_and_hull, day_max_distances
+from mobstats.metrics import day_box_and_hull, day_max_distances
 from mobstats.synth import (
     ELIGIBLE_STYLES,
     HEADER,
@@ -205,7 +205,7 @@ class TestTruthSidecar:
         days, dd = device_days(rows)
         assert len(days) == len(truth)
         reasons = verdicts(dd)
-        m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts, DEFAULT_TRIM_FRACTION)
+        m_max = day_max_distances(dd.lat, dd.lon, dd.starts, dd.counts)
 
         for day, reason, day_m_max in zip(days, reasons, m_max.tolist()):
             t = truth[(day.device_id, day.local_date.isoformat())]
