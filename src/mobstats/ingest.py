@@ -13,19 +13,18 @@ range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 read_shard streams a shard in binary blocks into numpy columns, applies
 the accuracy filter (ACCURACY_MAX_M) and counts the shard's lines as read,
 malformed, accepted and rejected for accuracy. A line in the canonical
-form (see ``_CANONICAL``) is parsed in bulk and checked column-wise
+form (see ``_line_table``) is parsed in bulk and checked column-wise
 against ``_RANGE_RULES``; every other line is decoded and handed to
-parse_fields, the one per-line validation rule. A block's lines shorter
-than ``_WALK_WIDTH`` step together through the grammar's (state, byte)
-table, one numpy pass per byte position; a longer line is matched with
-``_CANONICAL`` itself.
+parse_fields, the one per-line validation rule. A block's lines step
+together through the grammar's (state, byte) table, one numpy pass per
+byte position, for at most ``_WALK_WIDTH`` passes: a line that long or
+longer is not canonical, and parse_fields reads it.
 """
 
 from __future__ import annotations
 
 import gzip
 import logging
-import re
 import zlib
 from itertools import compress
 from typing import BinaryIO, Iterator
@@ -55,18 +54,17 @@ _RANGE_RULES = (
 # shards are read in binary blocks of this size, never whole
 BLOCK_BYTES = 256 * 1024
 
-# the canonical line, parsed in bulk: five fields that int()/float() read
-# from bytes exactly as parse_fields reads them from text. A printable-ASCII
-# id without a comma, an unsigned epoch short enough for int64, and plain
-# decimal or exponent floats.
-_FLOAT = rb"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-_CANONICAL = re.compile(rb"[\x20-\x2b\x2d-\x7e]+,[0-9]{1,18}," + b",".join([_FLOAT] * 3))
-
 
 def _line_table() -> np.ndarray:
-    """_CANONICAL's grammar as a DFA: table[state << 8 | byte] is the next state.
-    State 0 rejects and 1 accepts, for good; a line starts in the last state and
-    its LF takes it to 1 if it is canonical. States are made back to front."""
+    """The canonical line as a DFA: table[state << 8 | byte] is the next state.
+
+    A canonical line is five fields that int()/float() read from bytes exactly
+    as parse_fields reads them from text, then its LF: a printable-ASCII id
+    without a comma, an unsigned epoch of 1 to 18 digits (short enough for
+    int64) and three plain decimal or exponent floats. State 0 rejects and 1
+    accepts, for good; a line starts in the last state and its LF takes it to
+    1 if it is canonical. States are made back to front.
+    """
     rows, d = [np.zeros(256, np.intp), np.ones(256, np.intp)], b"0123456789"
 
     def state(*edges: tuple[bytes, int | None]) -> int:  # a target of None: the new state
@@ -95,26 +93,22 @@ def _line_table() -> np.ndarray:
 
 _LINE_TABLE = _line_table()
 _LINE_START = len(_LINE_TABLE) // 256 - 1
-# lines at least this long are matched one by one: the walk takes as many
-# numpy passes as the block's longest walked line has bytes
+# the walk takes at most this many steps, one numpy pass each, so a line of
+# this many bytes or more never reaches its LF: it is not canonical
 _WALK_WIDTH = 96
 
 
 def _canonical(lines: list[bytes]) -> list[bool]:
-    """_CANONICAL.fullmatch's verdict on each line, which holds no LF."""
+    """Whether each line, which holds no LF, is canonical: the table walk's verdict."""
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-    short = lengths < _WALK_WIDTH
     # each line is followed by its LF; the padding keeps every step in the buffer
     buf = np.frombuffer(b"\n".join(lines) + b"\n" * _WALK_WIDTH, np.uint8)
     pos = np.cumsum(lengths + 1) - (lengths + 1)
     state = np.full(len(lines), _LINE_START, np.intp)
-    for _ in range(int(lengths[short].max(initial=-1)) + 1):
+    for _ in range(min(int(lengths.max(initial=-1)) + 1, _WALK_WIDTH)):
         state = _LINE_TABLE[(state << 8) | buf[pos]]
         pos += 1
-    ok = (state == 1).tolist()
-    for i in np.flatnonzero(~short).tolist():
-        ok[i] = _CANONICAL.fullmatch(lines[i]) is not None
-    return ok
+    return (state == 1).tolist()
 
 
 def parse_fields(line: str) -> RawReport | str:
@@ -193,7 +187,8 @@ def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
 
 
 def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
-    """Valid rows of one block, in line order, as [code, epoch, lat, lon, acc] columns."""
+    """Valid rows of one block as [code, epoch, lat, lon, acc] columns: the
+    canonical lines' rows, then parse_fields' rows, each in line order."""
     canonical = _canonical(lines)
     fast = list(compress(lines, canonical))
     fields = b",".join(fast).split(b",") if fast else []
@@ -201,32 +196,28 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
     local = {}
     for raw_id in dict.fromkeys(fields[0::5]):
         local[raw_id] = ids.setdefault(raw_id.decode("ascii"), len(ids))
-    cols = [
-        np.flatnonzero(canonical),  # the line, then a RawReport's fields with a code for the id
+    cols = [  # a RawReport's fields, with a code for the id
         np.fromiter(map(local.__getitem__, fields[0::5]), np.int32, n),
         np.fromiter(map(int, fields[1::5]), np.int64, n),
         *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
     ]
-    valid = np.logical_and.reduce([test(cols[1 + field]) for _, field, test in _RANGE_RULES])
+    valid = np.logical_and.reduce([test(cols[field]) for _, field, test in _RANGE_RULES])
     cols = [c[valid] for c in cols]
 
     slow = []
-    for i, ok in enumerate(canonical):
+    for line, ok in zip(lines, canonical):
         if ok:
             continue
-        row = parse_fields(lines[i].decode("utf-8", "surrogateescape"))
+        row = parse_fields(line.decode("utf-8", "surrogateescape"))
         if isinstance(row, str):
             log.debug("malformed line in %s: %s", path, row)
             continue
-        slow.append((i, ids.setdefault(row[0], len(ids))) + row[1:])
+        slow.append((ids.setdefault(row[0], len(ids)),) + row[1:])
     if slow:
-        # back into line order
-        for j, column in enumerate(zip(*slow)):
-            cols[j] = np.concatenate([cols[j], np.array(column, cols[j].dtype)])
-        order = np.argsort(cols[0], kind="stable")
-        cols = [c[order] for c in cols]
-    cols[4] = fold_lon(cols[4])
-    return cols[1:]
+        cols = [np.concatenate([c, np.array(column, c.dtype)])
+                for c, column in zip(cols, zip(*slow))]
+    cols[3] = fold_lon(cols[3])
+    return cols
 
 
 # the accuracy filter: a report whose accuracy_m exceeds this is rejected
@@ -235,8 +226,12 @@ ACCURACY_MAX_M = 50.0
 
 def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     """One shard's line counters, in run-report order, its device ids and its
-    accepted reports as [code, epoch, lat, lon] columns in file order, each
-    code indexing the ids. An id is listed only if it holds an accepted report.
+    accepted reports as [code, epoch, lat, lon] columns, each code indexing
+    the ids. An id is listed only if it holds an accepted report.
+
+    Rows, and ids in the order lines first name them, come block by block:
+    within a block from the canonical lines first, then from the lines
+    parse_fields reads, each in line order.
 
     A leading header line is skipped before any counting. IO and
     decompression failures raise OSError naming the shard; malformed data

@@ -3,8 +3,8 @@
 Scatter runs ingest.read_shard on each shard: its line counters, the
 device ids that hold an accepted report (the accuracy filter is the last
 use of accuracy) and its (code, epoch, lat, lon) rows. The parent numbers
-the run's distinct ids once, in the order the sorted shards first name
-them, and maps every shard's codes onto that numbering. Gather task b of
+the run's distinct ids once, as read_shard lists them, sorted shard by
+shard, and maps their codes onto that numbering. Gather task b of
 n = min(N_BUCKETS, devices) takes the rows whose code is b mod n, so all
 of a device's reports meet in one task. A forked worker inherits its
 tasks and the gazetteer; only results travel back through a pipe. The
@@ -74,6 +74,10 @@ class PipelineConfig:
                               "`mobstats compare`")
         if not self.gazetteer:
             raise ConfigError("no gazetteer path given")
+        # an int gazetteer would be opened as a file descriptor, and closed
+        for name, kind in (("gazetteer", str), ("output_dir", str), ("verbose_stats", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if type(self.workers) is not int or self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -88,7 +92,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     levels reduce from device-days, because medians do not compose upward.
     """
     gaz, shards, n, b = task
-    # the bucket's rows, shard by shard in file order
+    # the bucket's rows, shard by shard in read_shard's order
     mine = [columns[0] % n == b for columns in shards]
     dd = group_device_days(*(np.concatenate([c[m] for c, m in zip(column, mine)])
                              for column in zip(*shards)))
@@ -224,7 +228,7 @@ def run(cfg: PipelineConfig) -> list[dict]:
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.output_dir, name))
     scattered = map_tasks(read_shard, shards, cfg.workers)
-    # one numbering of the run's ids for every shard, in the order the shards first name them
+    # one numbering of the run's ids for every shard, in the order read_shard lists them
     code_of = {}
     for _, names, columns in scattered:
         columns[0] = np.array([code_of.setdefault(name, len(code_of)) for name in names],

@@ -20,7 +20,7 @@ from mobstats.metrics import REASON_SHORT_SPAN, REASON_TOO_FEW, day_rejections
 
 
 def shard_rows(shard: tuple) -> list[tuple]:
-    """read_shard's accepted reports as (device_id, epoch, lat, lon) tuples, in file order."""
+    """read_shard's accepted reports as (device_id, epoch, lat, lon) tuples, in its order."""
     _, ids, (code, *columns) = shard
     return list(zip([ids[c] for c in code.tolist()], *(c.tolist() for c in columns)))
 

@@ -1,11 +1,13 @@
 import gzip
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from adapters import shard_rows
+from mobstats import ingest
 from mobstats.ingest import MAX_EPOCH, parse_fields, read_shard
 from mobstats.synth import MALFORMED_LINES
 
@@ -175,6 +177,23 @@ class TestReadShard:
         p = write_shard(tmp_path / "s.csv", GOOD)
         epochs = [r[1] for r in shard_rows(read_shard(p))]
         assert epochs == [1584316800, 1584320400, 1584316900]
+
+    def test_rows_and_ids_in_route_order(self, tmp_path):
+        # block by block: the walked lines' rows and ids first, then parse_fields', each in
+        # line order; a non-ASCII id sends its line to parse_fields
+        p = tmp_path / "s.csv"
+        p.write_text("café,1,1.0,2.0,3.0\nd1,2,1.0,2.0,3.0\nbé,3,1.0,2.0,3.0\n"
+                     "d2,4,1.0,2.0,3.0\n", encoding="utf-8")
+        _, ids, (code, epoch, *_) = read_shard(str(p))
+        assert ids == ["d1", "d2", "café", "bé"]
+        assert code.tolist() == [0, 1, 2, 3]
+        assert epoch.tolist() == [2, 4, 1, 3]
+        # 40-byte reads make blocks of the first two lines and the last two
+        with mock.patch.object(ingest, "BLOCK_BYTES", 40):
+            _, ids, (code, epoch, *_) = read_shard(str(p))
+        assert ids == ["d1", "café", "d2", "bé"]
+        assert code.tolist() == [0, 1, 2, 3]
+        assert epoch.tolist() == [2, 1, 4, 3]
 
     @given(lines=st.lists(st.sampled_from(GOOD + [BAD, REJ] + list(MALFORMED_LINES)), max_size=40))
     def test_every_line_lands_in_exactly_one_bucket(self, tmp_path_factory, lines):

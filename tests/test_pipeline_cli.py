@@ -210,7 +210,7 @@ class TestRun:
         paths = [str(data / f"part-0{s}.csv") for s in range(3)]
         for path, text in zip(paths, (first, "".join(mixed[0::2]), "".join(mixed[1::2]))):
             Path(path).write_text(text)
-        rows, shards_of = [], {}  # every accepted row, shard by shard in file order
+        rows, shards_of = [], {}  # every accepted row, shard by shard in read_shard order
         named, shard_ids = set(), []  # the ids holding a row; each shard's row ids
         for s, path in enumerate(paths):
             _, ids, (code, epoch, lat, lon) = read_shard(path)
@@ -247,7 +247,7 @@ class TestRun:
         devices = [{id_of[c] for c in t[0]} for t in taken]
         assert sum(map(len, devices)) == len(shards_of)
         assert set().union(*devices) == set(shards_of)
-        # each task holds exactly its devices' rows, in shard and file order
+        # each task holds exactly its devices' rows, in shard and read_shard order
         for t, mine in zip(taken, devices):
             assert list(zip([id_of[c] for c in t[0]], *t[1:])) == [r for r in rows if r[0] in mine]
 
@@ -274,10 +274,10 @@ class TestRun:
     def test_respelled_lines_take_the_other_routes_and_write_the_same_bytes(self, tmp_path,
                                                                              monkeypatch):
         # generated lines are canonical and shorter than _WALK_WIDTH, so a plain run
-        # never accepts a row through parse_fields, matches a long line with
-        # _CANONICAL or merges per-line rows back into line order; the respelled
-        # copy does all three: device 0 mod 3 gets a non-ASCII id, 1 a "+" on its
-        # epoch and accuracy, 2 an ASCII id padded past _WALK_WIDTH bytes
+        # never accepts a row through parse_fields; the respelled copy sends three
+        # devices in four there, in blocks that mix both routes: device 0 mod 4 gets
+        # a non-ASCII id, 1 a "+" on its epoch and accuracy, 2 an ASCII id padded
+        # past _WALK_WIDTH bytes, and 3 keeps its canonical line
         small_cfg = small_scenario(tmp_path / "small")
         (shard,) = Path(small_cfg["inputs"][0]).parent.glob("*.csv")
         header, *lines = shard.read_text(encoding="utf-8").splitlines()
@@ -286,18 +286,19 @@ class TestRun:
 
         def respell(line):
             device, epoch, lat, lon, acc = line.split(",")
-            style = devices.index(device) % 3
+            style = devices.index(device) % 4
             if style == 0:
                 device += "-ü"
             elif style == 1:
                 epoch, acc = "+" + epoch, "+" + acc
-            else:
+            elif style == 2:
                 device = device.ljust(ingest._WALK_WIDTH, "~")
             return ",".join((device, epoch, lat, lon, acc))
 
         respelled = [respell(line) for line in lines]
-        long = [line for line in respelled if len(line) >= ingest._WALK_WIDTH]
-        assert long and all(ingest._CANONICAL.fullmatch(line.encode()) for line in long)
+        n_respelled = sum(a != b for a, b in zip(lines, respelled))
+        assert 0 < n_respelled < len(lines)
+        assert any(len(line) >= ingest._WALK_WIDTH for line in respelled)
 
         parse = ingest.parse_fields
         parsed = []
@@ -323,7 +324,7 @@ class TestRun:
             outputs.append([(out / f).read_bytes()
                             for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")])
         # the respelled run's rows come from parse_fields and the bulk parse both
-        assert accepted == [0, len(lines) - len(long)]
+        assert accepted == [0, n_respelled]
         assert outputs[0] == outputs[1]
         assert b'"m50":' in outputs[0][0]
 
@@ -428,6 +429,25 @@ class TestRun:
                 run(cfg)
             # rejected before any work: the earlier run's results survive
             assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_gazetteer_must_be_a_string(self, scenario, tmp_path):
+        # open(1) would read the caller's stdout as the gazetteer, then close it
+        with pytest.raises(ConfigError, match="gazetteer must be a str"):
+            run(base_config(scenario, tmp_path / "out", gazetteer=1))
+        os.fstat(1)
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_must_be_a_string(self, scenario, tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(pipeline, "load_gazetteer", loads.append)
+        with pytest.raises(ConfigError, match="output_dir must be a str"):
+            run(base_config(scenario, tmp_path / "out", output_dir=7))
+        assert loads == []
+
+    def test_verbose_stats_must_be_a_bool(self, scenario, tmp_path):
+        with pytest.raises(ConfigError, match="verbose_stats must be a bool"):
+            run(base_config(scenario, tmp_path / "out", verbose_stats="no"))
+        assert not (tmp_path / "out").exists()
 
     def test_two_datasets_and_compare(self, scenario, tmp_path):
         # one run per dataset, joined on their stats files
