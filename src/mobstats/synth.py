@@ -11,12 +11,15 @@ own task, which may run in a forked worker; the parent only sorts the
 tasks' truth records and sums their counts, so the bytes do not depend
 on the worker count.
 
-The "planned" trajectory style places one report at an exact prescribed
-distance from the day's first report, floor(0.1 n) decoys beyond it and
-the rest well inside it, making the trimmed max distance equal the
-prescribed value. Scaling the prescription per date then moves every
-region's median by that factor exactly, which pins down the expected
-mobility index (100 * scale) without tolerance gymnastics.
+The styles read the method's constants from metrics and ingest when
+called: "sparse" and "short" days fall short of DEFAULT_MIN_REPORTS and
+DEFAULT_MIN_SPAN_HOURS, accuracies lie 5 m either side of ACCURACY_MAX_M,
+and a "planned" day has one report at an exact prescribed distance from
+its first, floor(DEFAULT_TRIM_FRACTION n) decoys beyond it and the rest
+well inside it, making the trimmed max distance equal the prescription.
+Scaling the prescription per date then moves every region's median by
+that factor exactly, which pins down the expected mobility index
+(100 * scale) without tolerance gymnastics.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ import random
 from contextlib import suppress
 from dataclasses import dataclass
 
-from . import oracle
+from . import ingest, metrics, oracle
+from .collate import date_to_day_number, day_number_to_date
 from .errors import ConfigError
+from .geo import EARTH_RADIUS_KM
 from .pipeline import atomic_write, map_tasks
-
-EARTH_RADIUS_KM = 6371.0088
 
 HEADER = "device_id,epoch_s,lat,lon,accuracy_m"
 
@@ -63,19 +66,15 @@ Row = tuple[int, float, float, float]  # (epoch_s, lat, lon, accuracy_m)
 
 _DAY_START_S = 8 * 3600
 _DAY_END_S = 20 * 3600
-_SHORT_END_S = _DAY_START_S + 8 * 3600 - 60  # a minute short of the 8 h eligibility span
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
-_EPOCH_ORD_S = _EPOCH_ORDINAL * 86400
 
 
 # ---------------------------------------------------------------- toy world
 
-# four 4x4 degree counties in a 2x2 grid, nested inside two admin1 halves
-_TOY_ADMIN1 = (
-    ("West", "AA-W", 0.0, 4.0),
-    ("East", "AA-E", 4.0, 8.0),
-)
-_TOY_ADMIN2 = (
+# (admin1, admin2, region_id, lon0, lon1, lat0, lat1): two admin1 halves,
+# then four 4x4 degree counties in a 2x2 grid nested inside them
+_TOY_REGIONS = (
+    ("West", "", "AA-W", 0.0, 4.0, -4.0, 4.0),
+    ("East", "", "AA-E", 4.0, 8.0, -4.0, 4.0),
     ("West", "Westburg County", "AA-W-01", 0.0, 4.0, 0.0, 4.0),
     ("West", "Westfield County", "AA-W-02", 0.0, 4.0, -4.0, 0.0),
     ("East", "Eastburg County", "AA-E-01", 4.0, 8.0, 0.0, 4.0),
@@ -95,32 +94,13 @@ def _box_ring(lon0: float, lon1: float, lat0: float, lat1: float) -> list[list[f
 
 def toy_gazetteer_records() -> list[dict]:
     """Gazetteer records for the toy country AA: 2 admin1 halves, 4 counties."""
-    recs = []
-    for admin1, rid, lon0, lon1 in _TOY_ADMIN1:
-        recs.append(
-            {
-                "type": "region",
-                "country_code": "AA",
-                "admin1": admin1,
-                "admin2": "",
-                "region_id": rid,
-                "polygons": [_box_ring(lon0, lon1, -4.0, 4.0)],
-            }
-        )
-    for admin1, admin2, rid, lon0, lon1, lat0, lat1 in _TOY_ADMIN2:
-        recs.append(
-            {
-                "type": "region",
-                "country_code": "AA",
-                "admin1": admin1,
-                "admin2": admin2,
-                "region_id": rid,
-                "polygons": [_box_ring(lon0, lon1, lat0, lat1)],
-            }
-        )
-    for name, lat, lon, rid in _TOY_PLACES:
-        recs.append({"type": "place", "name": name, "lat": lat, "lon": lon, "region_id": rid})
-    return recs
+    regions = [
+        {"type": "region", "country_code": "AA", "admin1": admin1, "admin2": admin2,
+         "region_id": rid, "polygons": [_box_ring(lon0, lon1, lat0, lat1)]}
+        for admin1, admin2, rid, lon0, lon1, lat0, lat1 in _TOY_REGIONS
+    ]
+    return regions + [{"type": "place", "name": name, "lat": lat, "lon": lon, "region_id": rid}
+                      for name, lat, lon, rid in _TOY_PLACES]
 
 
 def write_toy_gazetteer(path: str) -> str:
@@ -149,18 +129,21 @@ def destination(lat: float, lon: float, bearing_deg: float, distance_km: float) 
     return math.degrees(phi2), lon2
 
 
-def _day_seconds(rng: random.Random, n: int, start: int = _DAY_START_S, end: int = _DAY_END_S) -> list[int]:
-    """n distinct seconds-of-day, first exactly at start, last exactly at end."""
+def _day_seconds(rng: random.Random, n: int, end: int = _DAY_END_S) -> list[int]:
+    """n distinct seconds-of-day, first exactly at 08:00, last exactly at end."""
     if n == 1:
-        return [start]
-    if n == 2:
-        return [start, end]
-    middle = rng.sample(range(start + 1, end), n - 2)
-    return [start] + sorted(middle) + [end]
+        return [_DAY_START_S]
+    middle = rng.sample(range(_DAY_START_S + 1, end), n - 2)
+    return [_DAY_START_S] + sorted(middle) + [end]
+
+
+def _short_end_s() -> int:
+    """The second of day a short day ends at: a minute short of the method's span."""
+    return _DAY_START_S + int(metrics.DEFAULT_MIN_SPAN_HOURS * 3600) - 60
 
 
 def _acc(rng: random.Random) -> float:
-    return round(rng.uniform(2.0, 45.0), 1)
+    return round(rng.uniform(2.0, ingest.ACCURACY_MAX_M - 5.0), 1)
 
 
 def day_rows(
@@ -171,7 +154,6 @@ def day_rows(
     day_start_epoch: int,
     n: int,
     target_km: float,
-    min_reports: int = 10,
 ) -> list[Row]:
     """Accepted-report rows for one device-day in the given style.
 
@@ -179,16 +161,12 @@ def day_rows(
     (home_lat, home_lon). Eligible styles span exactly 12 local hours.
     """
     if style == "sparse":
-        n = rng.randint(1, min_reports - 1)
-        secs = _day_seconds(rng, n)
-    elif style == "short":
-        secs = _day_seconds(rng, n, end=_SHORT_END_S)
-    else:
-        secs = _day_seconds(rng, n)
+        n = rng.randint(1, metrics.DEFAULT_MIN_REPORTS - 1)
+    secs = _day_seconds(rng, n, _short_end_s() if style == "short" else _DAY_END_S)
 
     pts: list[tuple[float, float]]
     if style == "planned":
-        k = int(0.10 * n)
+        k = int(metrics.DEFAULT_TRIM_FRACTION * n)
         others = [destination(home_lat, home_lon, rng.uniform(0.0, 360.0), target_km)]
         others += [
             destination(home_lat, home_lon, rng.uniform(0.0, 360.0), 2.0 * target_km)
@@ -229,7 +207,7 @@ def day_rows(
     return [(day_start_epoch + s, lat, lon, _acc(rng)) for s, (lat, lon) in zip(secs, pts)]
 
 
-def random_day_rows(rng: random.Random, style: str | None = None, day_number: int = 18330) -> list[Row]:
+def random_day_rows(rng: random.Random, style: str | None = None) -> list[Row]:
     """A self-contained random device-day for oracle-equivalence checks."""
     if style is None:
         style = rng.choice(STYLES)
@@ -240,7 +218,7 @@ def random_day_rows(rng: random.Random, style: str | None = None, day_number: in
         home_lat = rng.uniform(-80.0, 80.0)
         home_lon = rng.uniform(-170.0, 170.0)
     tz = oracle.solar_offset_hours(home_lon)
-    day_start = day_number * 86400 - 3600 * tz
+    day_start = 18330 * 86400 - 3600 * tz  # local midnight of 2020-03-09
     n = rng.randint(10, 40)
     target = rng.uniform(0.05, 25.0)
     return day_rows(rng, style, home_lat, home_lon, day_start, n, target)
@@ -271,13 +249,34 @@ class ScenarioSpec:
 
     def validate(self) -> None:
         """Raise ConfigError unless every knob is in the generator's domain."""
-        bad = [s for s in self.styles if s not in STYLES]
+        # exact types: a bool is not a count, and a datetime does not compare with a date
+        for names, kinds in (
+            (("seed", "devices", "reports_min", "reports_max", "shards"), (int,)),
+            (("base_mobility_km", "scale", "accuracy_reject_fraction", "malformed_fraction",
+              "ineligible_fraction"), (int, float)),
+            (("start_date", "end_date", "scale_start"), (dt.date,)),
+            (("styles",), (tuple, list)),
+            (("gzip_shards",), (bool,)),
+        ):
+            for name in names:
+                if type(getattr(self, name)) not in kinds:
+                    raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                                      f"got {getattr(self, name)!r}")
+        bad = [s for s in self.styles if s not in STYLES]  # so every style is a str
         if bad:
             raise ConfigError(f"unknown styles {bad}; choose from {STYLES}")
         if not self.styles:
             raise ConfigError(f"no styles given; choose from {STYLES}")
         if self.start_date > self.end_date:
             raise ConfigError(f"date range is empty: {self.start_date} > {self.end_date}")
+        # every epoch written, 08:00 to 20:00 local at a solar offset of -12 h
+        # to +12 h, must pass ingest's range rules: 0 <= epoch <= MAX_EPOCH
+        first = day_number_to_date(-((_DAY_START_S - 12 * 3600) // 86400))
+        last = day_number_to_date((ingest.MAX_EPOCH - 12 * 3600 - _DAY_END_S) // 86400)
+        if self.start_date < first or self.end_date > last:
+            raise ConfigError(f"dates must be within {first} and {last}, the days whose "
+                              f"reports ingest accepts at any solar offset, got "
+                              f"{self.start_date} to {self.end_date}")
         if self.devices < 1:
             raise ConfigError(f"devices must be >= 1, got {self.devices}")
         if self.shards < 1:
@@ -295,7 +294,7 @@ class ScenarioSpec:
         # a day holds up to reports_max + 2 reports, each at its own second of
         # the day's window, both ends included
         short = "short" in self.styles or self.ineligible_fraction > 0
-        free_s = (_SHORT_END_S if short else _DAY_END_S) - _DAY_START_S - 1
+        free_s = (_short_end_s() if short else _DAY_END_S) - _DAY_START_S - 1
         if self.reports_max > free_s:
             raise ConfigError(f"reports_max must be <= {free_s}, the free seconds in a "
                               f"{'short' if short else 'full'} day's window, got {self.reports_max}")
@@ -305,18 +304,14 @@ class ScenarioSpec:
         return self.scale if date >= self.scale_start else 1.0
 
     def dates(self) -> list[dt.date]:
-        out = []
-        d = self.start_date
-        while d <= self.end_date:
-            out.append(d)
-            d += dt.timedelta(days=1)
-        return out
+        days = (self.end_date - self.start_date).days + 1
+        return [self.start_date + dt.timedelta(days=i) for i in range(days)]
 
 
 def _device_home(rng: random.Random, style: str) -> tuple[float, float]:
     if style == "antimeridian":
         return rng.uniform(-60.0, 60.0), rng.choice((179.85, -179.85))
-    _, _, _, lon0, lon1, lat0, lat1 = _TOY_ADMIN2[rng.randrange(len(_TOY_ADMIN2))]
+    *_, lon0, lon1, lat0, lat1 = _TOY_REGIONS[2 + rng.randrange(4)]  # a county
     return rng.uniform(lat0 + 0.6, lat1 - 0.6), rng.uniform(lon0 + 0.6, lon1 - 0.6)
 
 
@@ -415,7 +410,7 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
                 if spec.ineligible_fraction and rng_day.random() < spec.ineligible_fraction:
                     day_style = rng_day.choice(INELIGIBLE_STYLES)
                 n = max(spec.reports_min, n_base + rng_day.randint(-2, 2))
-                day_start = date.toordinal() * 86400 - _EPOCH_ORD_S - 3600 * tz_home
+                day_start = date_to_day_number(date) * 86400 - 3600 * tz_home
                 rows = day_rows(
                     rng_day, day_style, home_lat, home_lon, day_start, n,
                     base_km * spec.scale_for(date),
@@ -429,7 +424,7 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
                         day_start + rng_day.randint(_DAY_START_S, _DAY_END_S),
                         home_lat,
                         home_lon,
-                        round(rng_day.uniform(55.0, 130.0), 1),
+                        round(rng_day.uniform(ingest.ACCURACY_MAX_M + 5.0, 130.0), 1),
                     )
                     for _ in range(n_rej)
                 ]
@@ -457,8 +452,7 @@ def _truth_records(device_id: str, rows: list[Row]) -> list[dict]:
         by_day.setdefault(oracle.local_day(row[0], tz), []).append(row)
     out = []
     for day_number in sorted(by_day):
-        date = dt.date.fromordinal(day_number + _EPOCH_ORDINAL)
-        rec = {"device_id": device_id, "date": date.isoformat()}
+        rec = {"device_id": device_id, "date": day_number_to_date(day_number).isoformat()}
         rec.update(oracle.oracle_metrics(by_day[day_number]))
         out.append(rec)
     return out

@@ -870,6 +870,8 @@ class TestCli:
         ["--styles", ""], ["--styles", ","],
         ["--devices", "1", "--styles", "short", "--reports-min", "28742", "--reports-max", "28742",
          "--start-date", "2020-03-02", "--end-date", "2020-03-02"],
+        ["--start-date", "1969-12-31", "--end-date", "1970-01-02"],
+        ["--start-date", "9999-12-31", "--end-date", "9999-12-31"],
     ])
     def test_generate_out_of_domain_value_exit_1_before_writing(self, tmp_path, capsys, args):
         out = tmp_path / "gen"

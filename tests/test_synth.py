@@ -8,13 +8,15 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adapters import device_days, shard_rows, verdicts
-from mobstats import oracle, pipeline, synth
+from mobstats import ingest, metrics, oracle, pipeline, synth
 from mobstats.errors import ConfigError
 from mobstats.ingest import parse_fields, read_shard
 from mobstats.metrics import day_box_and_hull, day_max_distances
+from mobstats.pipeline import PipelineConfig
 from mobstats.synth import (
     ELIGIBLE_STYLES,
     HEADER,
@@ -42,6 +44,17 @@ def file_hashes(root):
 def pin_workers(monkeypatch, workers):
     """Make generate ask map_tasks for `workers` instead of the usable CPUs."""
     monkeypatch.setattr(synth, "map_tasks", lambda fn, tasks, _: pipeline.map_tasks(fn, tasks, workers))
+
+
+def run_counters(result, out_dir):
+    """The counters a one-worker run over a generated tree reports, keyed as
+    its expected.json, and that file's counters."""
+    shards = os.path.join(os.path.dirname(result["shard_paths"][0]), "*")
+    (report,) = pipeline.run(PipelineConfig(inputs=[shards], gazetteer=result["gazetteer_path"],
+                                            output_dir=str(out_dir), workers=1))
+    with open(os.path.join(os.path.dirname(result["truth_path"]), "expected.json")) as fh:
+        expected = json.load(fh)
+    return {key: report[key] for key in expected}, expected
 
 
 def small_spec(**kwargs):
@@ -327,6 +340,8 @@ class TestScenarioSpec:
         spec = small_spec()
         assert spec.dates() == [dt.date(2020, 3, 2) + dt.timedelta(days=i)
                                 for i in range(4)]
+        # counted, not stepped past the end
+        assert ScenarioSpec(start_date=dt.date.max, end_date=dt.date.max).dates() == [dt.date.max]
 
     def test_lockdown_spec_windows(self):
         spec = ScenarioSpec(seed=1, devices=10, scale=0.3)
@@ -381,3 +396,75 @@ class TestDomain:
                           reports_max=28739, end_date=dt.date(2020, 3, 2))
         result = generate(spec, str(tmp_path))
         assert result["reports_accepted"] == 28741
+
+    # a field of the wrong type, against a tree generated beforehand. Unchecked,
+    # gzip_shards="no" writes .csv.gz shards, a float count fails inside the
+    # shard tasks after the old tree is removed, a str date does not compare
+    # with a date, and devices=True writes one device
+    @pytest.mark.parametrize("fields", [
+        dict(gzip_shards="no"), dict(devices=2.5), dict(shards=2.0), dict(reports_min=10.5),
+        dict(start_date="2020-02-17"), dict(devices=True), dict(end_date=dt.datetime(2020, 3, 5)),
+    ])
+    def test_wrong_type_raises_and_keeps_the_tree(self, tmp_path, fields):
+        generate(small_spec(), str(tmp_path))
+        before = file_hashes(tmp_path)
+        with pytest.raises(ConfigError):
+            generate(small_spec(**fields), str(tmp_path))
+        assert file_hashes(tmp_path) == before
+
+    # the first and last days whose every epoch, 08:00 to 20:00 at a solar
+    # offset of -12 h to +12 h, lies in 0..ingest.MAX_EPOCH
+    @pytest.mark.parametrize("day", [dt.date(1970, 1, 2), dt.date(9999, 12, 30)])
+    def test_date_edges_reconcile_with_run(self, tmp_path, day):
+        spec = small_spec(devices=24, styles=("antimeridian", "planned"), start_date=day,
+                          end_date=day, accuracy_reject_fraction=0.2)
+        got, expected = run_counters(generate(spec, str(tmp_path / "gen")), tmp_path / "out")
+        assert got == expected
+        assert expected["eligible_device_days"] == 24
+
+    @pytest.mark.parametrize("dates", [
+        dict(start_date=dt.date(1970, 1, 1)), dict(end_date=dt.date(9999, 12, 31)),
+        dict(start_date=dt.date(9999, 12, 31), end_date=dt.date(9999, 12, 31)),
+    ])
+    def test_day_beyond_the_date_domain_raises_and_keeps_the_tree(self, tmp_path, dates):
+        generate(small_spec(), str(tmp_path))
+        before = file_hashes(tmp_path)
+        with pytest.raises(ConfigError, match="1970-01-02 and 9999-12-30"):
+            generate(small_spec(**dates), str(tmp_path))
+        assert file_hashes(tmp_path) == before
+
+
+class TestMethodConstants:
+    """The ineligible styles, the planned style and the accuracy draws follow
+    the method's constants as their modules hold them when generate runs."""
+
+    def test_sparse_days_follow_min_reports(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_MIN_REPORTS", 5)
+        for seed in range(30):
+            rows = day_rows(random.Random(seed), "sparse", 1.0, 2.0, T0, 20, 5.0)
+            assert 1 <= len(rows) < 5
+
+    def test_short_days_follow_min_span(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_MIN_SPAN_HOURS", 6.0)
+        for seed in range(10):
+            rows = day_rows(random.Random(seed), "short", 1.0, 2.0, T0, 15, 5.0)
+            assert rows[-1][0] - rows[0][0] < 6 * 3600
+        # the free seconds of a short day's window shrink with it
+        with pytest.raises(ConfigError, match="<= 21539"):
+            ScenarioSpec(styles=("short",), reports_max=28739).validate()
+
+    def test_planned_days_follow_trim_fraction(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_TRIM_FRACTION", 0.2)
+        for seed in range(10):
+            n, target = 10 + 3 * seed, 4.0 + seed * 0.5
+            rows = day_rows(random.Random(seed), "planned", 1.5, 2.5, T0, n, target)
+            lat, lon = (np.array([r[i] for r in rows]) for i in (1, 2))
+            m_max = day_max_distances(lat, lon, np.array([0]), np.array([n]))
+            assert m_max[0] == pytest.approx(target, rel=1e-9)
+
+    def test_accuracy_draws_follow_the_filter(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "ACCURACY_MAX_M", 30.0)
+        spec = small_spec(accuracy_reject_fraction=0.3, malformed_fraction=0.05)
+        got, expected = run_counters(generate(spec, str(tmp_path / "gen")), tmp_path / "out")
+        assert got == expected
+        assert expected["reports_rejected_accuracy"] > 0
