@@ -5,11 +5,13 @@ closed polygon rings as [lon, lat] pairs, place records are named points.
 Containment uses even-odd ray casting with boundary points counting as
 inside; when several regions contain a point, the deepest admin level
 wins, then the smallest bounding box, the smallest region_id and the
-first listed. The loader turns the regions into arrays (one edge table,
-bounding boxes, winner ranks and a CSR grid over the boxes), and locate
-geocodes an array of points in one pass over them. A loaded gazetteer
-also holds the output key table: every region's key and admin1 twin,
-numbered once, so gather workers can hand the reduce integer key indices.
+first listed. The loader lists the regions in that winner order and turns
+them into arrays (one edge table, bounding boxes and a CSR grid over the
+boxes), so locate geocodes an array of points in one pass over them and
+takes the lowest containing index. A loaded gazetteer also holds the
+output key table: every region's key and admin1 twin, numbered once, and
+each region's row of key indices, so gather workers can hand the reduce
+integer key indices.
 """
 
 from __future__ import annotations
@@ -102,45 +104,43 @@ class RegionGrid:
 
 @dataclass(slots=True)
 class Gazetteer:
+    # in winner order: deepest level, smallest bbox area, smallest region_id, first listed
     regions: list[Region]
     places: list[Place]
-    admin1_ids: dict[tuple[str, str], str]  # (country_code, admin1) -> region_id
     # row r for region r: its bounding box (min_lon, min_lat, max_lon, max_lat),
     # and its ring edges (x1, y1, x2, y2) at edges[edge_ptr[r]:edge_ptr[r + 1]]
     bbox: np.ndarray
     edges: np.ndarray
     edge_ptr: np.ndarray
-    # rank[r] is region r's place in winner order (deepest level, smallest
-    # bbox area, smallest region_id, first listed); by_rank inverts it, -1 last
-    rank: np.ndarray
-    by_rank: np.ndarray
     grid: RegionGrid
     # the output key table: every region's key, then the admin1 twins no region holds
     keys: list[RegionKey]
-    region_key: np.ndarray  # region -> index of its key
-    # row k, for region key k: the key indices a device-day in that region feeds,
+    # row r, for region r: the key indices a device-day in that region feeds,
     # its admin1 twin's and, for a county, its own (-1 otherwise)
     key_rows: np.ndarray
 
 
-def _key_table(regions: list[Region], admin1_ids: dict[tuple[str, str], str]):
-    """(keys, region_key, key_rows) of a gazetteer, as Gazetteer describes them.
+def _key_table(listed: list[RegionKey]) -> tuple[list[RegionKey], np.ndarray]:
+    """(keys, key_rows) of the region keys as listed in the file, as Gazetteer describes them.
 
-    A region's admin1 twin is the admin1 record's key when the region has an
-    admin1 (region_id "" when the gazetteer holds no such record), else the
-    region itself: a country-only region counts at admin1 level.
+    A region's admin1 twin is the key of the last listed admin1 record with
+    its (country_code, admin1) when the region has an admin1 (region_id ""
+    when the gazetteer holds no such record), else the region itself: a
+    country-only region counts at admin1 level.
     """
+    a1_ids = {(k.country_code, k.admin1): k.region_id for k in listed if k.level == 1}
     key_index: dict[RegionKey, int] = {}
-    region_key = [key_index.setdefault(region.key, len(key_index)) for region in regions]
+    for key in listed:
+        key_index.setdefault(key, len(key_index))
     rows = []
-    for key, k in list(key_index.items()):
+    for key in listed:
         twin = key
         if key.admin1:
-            a1_id = admin1_ids.get((key.country_code, key.admin1), "")
+            a1_id = a1_ids.get((key.country_code, key.admin1), "")
             twin = RegionKey(key.country_code, key.admin1, "", a1_id)
-        rows.append((key_index.setdefault(twin, len(key_index)), k if key.admin2 else -1))
-    return (list(key_index), np.array(region_key, np.int32),
-            np.array(rows, np.int32).reshape(-1, 2))
+        rows.append((key_index.setdefault(twin, len(key_index)),
+                     key_index[key] if key.admin2 else -1))
+    return list(key_index), np.array(rows, np.int32)
 
 
 def _validate_ring(ring: list, region_id: str) -> np.ndarray:
@@ -238,30 +238,25 @@ def load_gazetteer(path: str) -> Gazetteer:
     if not parsed:
         # a gazetteer that can match nothing is almost surely a wrong path
         raise DataError(f"gazetteer {path}: no region records")
-    edges = _ring_edges([ring for _, rings in parsed for ring in rings])
-    edge_ptr = np.cumsum([0] + [sum(len(r) - 1 for r in rings) for _, rings in parsed])
-    # every ring point but the closing one starts an edge
-    starts = edge_ptr[:-1]
-    bbox = np.hstack((np.minimum.reduceat(edges[:, :2], starts),
-                      np.maximum.reduceat(edges[:, :2], starts))).reshape(-1, 4)
-    area = ((bbox[:, 2] - bbox[:, 0]) * (bbox[:, 3] - bbox[:, 1])).tolist()
+    # the maps from ids are built in file order, where the last listed record wins
     regions = [Region(key, rings) for key, rings in parsed]
-    order = sorted(range(len(regions)), key=lambda r: (
-        -regions[r].key.level, area[r], regions[r].key.region_id, r))
-    rank = np.empty(len(regions), np.intp)
-    rank[order] = np.arange(len(regions))
-
     by_id = {r.key.region_id: r.key for r in regions}
     places = [_validate_place(rec, lineno, by_id) for lineno, rec in places_raw]
+    keys, key_rows = _key_table([key for key, _ in parsed])
 
-    admin1_ids = {
-        (r.key.country_code, r.key.admin1): r.key.region_id
-        for r in regions
-        if r.key.level == 1
-    }
-    return Gazetteer(regions, places, admin1_ids, bbox, edges, edge_ptr, rank,
-                     np.array(order + [-1], np.int32), RegionGrid.build(bbox),
-                     *_key_table(regions, admin1_ids))
+    edges = _ring_edges([ring for r in regions for ring in r.rings])
+    # every ring point but the closing one starts an edge
+    n_edges = np.array([sum(len(ring) - 1 for ring in r.rings) for r in regions])
+    starts = np.cumsum(n_edges) - n_edges
+    bbox = np.hstack((np.minimum.reduceat(edges[:, :2], starts),
+                      np.maximum.reduceat(edges[:, :2], starts)))
+    area = ((bbox[:, 2] - bbox[:, 0]) * (bbox[:, 3] - bbox[:, 1])).tolist()
+    order = sorted(range(len(regions)), key=lambda r: (
+        -regions[r].key.level, area[r], regions[r].key.region_id, r))
+    return Gazetteer([regions[r] for r in order], places, bbox[order],
+                     edges[ranges(starts[order], n_edges[order])],
+                     np.concatenate(([0], np.cumsum(n_edges[order]))),
+                     RegionGrid.build(bbox[order]), keys, key_rows[order])
 
 
 def _ring_edges(rings: list) -> np.ndarray:
@@ -320,7 +315,7 @@ def locate(gaz: Gazetteer, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
 
     -1 where no region holds it. Each point's grid cell lists its candidate
     regions; those whose bounding box holds the point go through the edge
-    kernel, and the lowest rank among the regions that contain it wins.
+    kernel, and the lowest index among the regions that contain it wins.
     """
     x, y = np.asarray(lon, float), np.asarray(lat, float)
     grid = gaz.grid
@@ -336,8 +331,9 @@ def locate(gaz: Gazetteer, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     start = gaz.edge_ptr[region]
     inside = _pairs_inside(px[boxed], py[boxed], gaz.edges, start, gaz.edge_ptr[region + 1] - start)
     best = np.full(len(x), len(gaz.regions), np.intp)
-    np.minimum.at(best, point[inside], gaz.rank[region[inside]])
-    return gaz.by_rank[best]
+    np.minimum.at(best, point[inside], region[inside])
+    best[best == len(gaz.regions)] = -1
+    return best.astype(np.int32)
 
 
 def reverse_geocode(gaz: Gazetteer, p: GeoPoint) -> RegionKey | None:

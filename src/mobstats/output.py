@@ -2,8 +2,8 @@
 
 Each serialized table is an ordered (name, kind) field table; the writers
 and readers are loops over it, so a record's verbose values are written
-only under --verbose-stats. The writers format one field of all rows at
-a time, and the stats writers a region's fields once. Both formats carry identical values: m50
+only under --verbose-stats. Every writer formats one field of all rows at
+a time, through one cell helper. Both formats carry identical values: m50
 fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
 when absent). Records are written in the reduce's canonical order with a
 fixed key order, so identical inputs always produce byte-identical files.
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Sequence
 
 from .errors import DataError, numbered_lines
@@ -69,8 +69,6 @@ STATS_FIELDS: Fields = KEY_FIELDS + (
     ("m50", Kind(float, 3)),
     ("m50_index", Kind(float, 1, nullable=True)),
 )
-# the stats fields after the region's, which the writers format per row
-DAY_FIELDS: Fields = STATS_FIELDS[len(REGION_FIELDS):]
 # appended by --verbose-stats; None in records read from a file without them
 VERBOSE_FIELDS: Fields = tuple(
     (name, Kind(float, 3, nullable=True)) for name in ("m_max_mean", "m_max_q1", "m_max_q3")
@@ -100,18 +98,9 @@ class OutputRecord:
 region_of = attrgetter(*(name for name, _ in REGION_FIELDS))
 
 
-def _columns(rows: Sequence, fields: Fields, getter, in_csv: bool) -> list[list[str]]:
-    """Each field's cells over rows, in table order; getter(name) reads a row's value."""
-    return [kind.cells(map(getter(name), rows), in_csv) for name, kind in fields]
-
-
-def _stats_rows(records: Sequence[OutputRecord], verbose: bool, in_csv: bool):
-    """Each record's cells: its region's, formatted once per region, then its own."""
-    one_per_region = {region_of(r): r for r in records}
-    region_cells = dict(zip(one_per_region, zip(
-        *_columns(one_per_region.values(), REGION_FIELDS, attrgetter, in_csv))))
-    own = _columns(records, DAY_FIELDS + (VERBOSE_FIELDS if verbose else ()), attrgetter, in_csv)
-    return map(add, map(region_cells.__getitem__, map(region_of, records)), zip(*own))
+def _cells(rows: Sequence, fields: Fields, getter, in_csv: bool):
+    """Each row's cells in table order, formatted a field at a time; getter(name) reads a value."""
+    return zip(*(kind.cells(map(getter(name), rows), in_csv) for name, kind in fields))
 
 
 def _write_ndjson(rows: Iterable[Sequence[str]], fields: Fields, sink: IO[str]) -> None:
@@ -122,18 +111,19 @@ def _write_ndjson(rows: Iterable[Sequence[str]], fields: Fields, sink: IO[str]) 
 
 def write_ndjson(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
     fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
-    _write_ndjson(_stats_rows(records, verbose, in_csv=False), fields, sink)
+    _write_ndjson(_cells(records, fields, attrgetter, in_csv=False), fields, sink)
 
 
 def write_compare(rows: Sequence[dict], sink: IO[str]) -> None:
-    _write_ndjson(zip(*_columns(rows, COMPARE_FIELDS, itemgetter, False)), COMPARE_FIELDS, sink)
+    _write_ndjson(_cells(rows, COMPARE_FIELDS, itemgetter, in_csv=False), COMPARE_FIELDS, sink)
 
 
 def write_csv(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
     """Header plus one row per record, RFC-4180 quoting, LF line endings."""
+    fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(name for name, _ in STATS_FIELDS + (VERBOSE_FIELDS if verbose else ()))
-    writer.writerows(_stats_rows(records, verbose, in_csv=True))
+    writer.writerow(name for name, _ in fields)
+    writer.writerows(_cells(records, fields, attrgetter, in_csv=True))
 
 
 def _parse_record(cells: dict, where: str, in_csv: bool) -> OutputRecord:

@@ -106,7 +106,7 @@ def _gather_bucket(task: tuple) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.
     matched, region = eligible[region >= 0], region[region >= 0]
     m_max = day_max_distances(dd.lat, dd.lon, dd.starts[matched], dd.counts[matched])
 
-    rows = gaz.key_rows[gaz.region_key[region]].ravel()
+    rows = gaz.key_rows[region].ravel()
     keep = rows >= 0
     # the run report's device-day counters, in its order
     counters = {

@@ -298,6 +298,8 @@ def reference_gather(rows, gaz) -> tuple[dict, list]:
     by_device: dict[str, list] = {}
     for device_id, epoch, lat, lon in rows:
         by_device.setdefault(device_id, []).append((epoch, lat, lon))
+    a1_ids = {(r.key.country_code, r.key.admin1): r.key.region_id
+              for r in gaz.regions if r.key.level == 1}
     counters = dict.fromkeys(GATHER_COUNTERS, 0)
     records = []
     for device_id in sorted(by_device):
@@ -323,7 +325,7 @@ def reference_gather(rows, gaz) -> tuple[dict, list]:
                 counters["unmatched_geocode"] += 1
                 continue
             m_max = parent_m_max(day_rows, DEFAULT_TRIM_FRACTION)
-            a1_id = (gaz.admin1_ids.get((region.country_code, region.admin1), "")
+            a1_id = (a1_ids.get((region.country_code, region.admin1), "")
                      if region.admin1 else region.region_id)
             records.append((RegionKey(region.country_code, region.admin1, "", a1_id), date, m_max))
             if region.admin2:

@@ -13,6 +13,7 @@ from mobstats.cli import main
 from mobstats.errors import DataError
 from mobstats.geo import GeoPoint, convex_hull_xy
 from mobstats.geocode import RegionKey, _grid_cell, load_gazetteer, locate, reverse_geocode
+from mobstats.output import read_ndjson
 from mobstats.synth import toy_gazetteer_records, write_toy_gazetteer
 
 
@@ -46,7 +47,8 @@ class TestLoadGazetteer:
         r = gaz.regions[0]
         assert r.key == RegionKey("AA", "West", "", "R1")
         assert gaz.bbox[0].tolist() == [0.0, 0.0, 2.0, 2.0]
-        assert gaz.admin1_ids == {("AA", "West"): "R1"}
+        # an admin1 region is its own twin and feeds no county row
+        assert gaz.keys == [r.key] and gaz.key_rows.tolist() == [[0, -1]]
 
     def test_open_ring_rejected(self, tmp_path):
         ring = [[0, 0], [1, 0], [1, 1], [0, 1]]  # missing the closing point
@@ -150,7 +152,7 @@ class TestLoadGazetteer:
         # 2 admin1 regions, 4 admin2 counties, 4 places
         assert len(toy.regions) == 6
         assert len(toy.places) == 4
-        assert sorted(name for _, name in toy.admin1_ids) == ["East", "West"]
+        assert sorted(r.key.admin1 for r in toy.regions if r.key.level == 1) == ["East", "West"]
 
 
 class TestReverseGeocode:
@@ -285,10 +287,13 @@ class TestToyGazetteerRecords:
         p = write_gaz(tmp_path / "g.ndjson", recs)
         gaz = load_gazetteer(p)
         assert {r.key.level for r in gaz.regions} == {1, 2}
-        # every admin2 has a resolvable admin1 ancestor id
-        for r in gaz.regions:
+        # every admin2's twin is its admin1 region's key, and its own row is its key
+        admin1_keys = {r.key for r in gaz.regions if r.key.level == 1}
+        for r, (twin, own) in zip(gaz.regions, gaz.key_rows.tolist()):
             if r.key.level == 2:
-                assert (r.key.country_code, r.key.admin1) in gaz.admin1_ids
+                assert gaz.keys[twin] in admin1_keys
+                assert gaz.keys[twin].admin1 == r.key.admin1
+                assert gaz.keys[own] == r.key
 
 
 class TestRegionFieldTypes:
@@ -519,3 +524,74 @@ class TestLocate:
                      "--output-dir", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: data:")
         assert not out.exists()
+
+
+def bbox_area(rec):
+    xs, ys = zip(*(xy for ring in rec["polygons"] for xy in ring))
+    return (max(xs) - min(xs)) * (max(ys) - min(ys))
+
+
+class TestWinnerOrder:
+    def test_shuffled_file_loads_in_winner_order(self, tmp_path):
+        recs = [r for r in toy_gazetteer_records() if r["type"] == "region"] + [
+            region_rec("BB", [square_ring(20, 0, 30, 10)], country="BB"),
+            region_rec("Z", [square_ring(0, 0, 1, 1), square_ring(3, 3, 5, 5)],
+                       admin1="West", admin2="Holed"),
+            # a full tie, key and area: the first listed wins
+            region_rec("T", [square_ring(1, 1, 2, 2)], admin1="West", admin2="Tied"),
+            region_rec("T", [square_ring(2, 2, 3, 3)], admin1="West", admin2="Tied"),
+        ]
+        random.Random(3).shuffle(recs)
+        gaz = load_gazetteer(write_gaz(tmp_path / "g.ndjson", recs))
+        want = sorted(range(len(recs)), key=lambda i: (
+            -bool(recs[i]["admin1"]) - bool(recs[i]["admin2"]), bbox_area(recs[i]),
+            recs[i]["region_id"], i))
+        assert [[ring.tolist() for ring in r.rings] for r in gaz.regions] == \
+            [recs[i]["polygons"] for i in want]
+        assert [r.key.region_id for r in gaz.regions] == [
+            "T", "T", "AA-E-01", "AA-E-02", "AA-W-01", "AA-W-02", "Z", "AA-E", "AA-W", "BB"]
+        # the arrays and the key rows follow the same order
+        for r, (twin, own) in zip(gaz.regions, gaz.key_rows.tolist()):
+            assert gaz.keys[own] == r.key if r.key.level == 2 else own == -1
+            assert gaz.keys[twin].admin2 == "" and gaz.keys[twin].admin1 == r.key.admin1
+        assert_matches_linear_scan(gaz, probe_points(gaz, random.Random(4), n_random=500))
+
+
+class TestDuplicateRecords:
+    """How duplicate region records resolve: each map from an id keeps the last listed."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["small_last", "big_last"])
+    def test_last_listed_record_wins(self, tmp_path, reverse):
+        recs = [
+            region_rec("W-big", [square_ring(0, 0, 10, 10)], admin1="West"),
+            region_rec("W-small", [square_ring(0, 0, 4, 4)], admin1="West"),
+            region_rec("C1", [square_ring(1, 1, 2, 2)], admin1="West", admin2="C"),
+            # one full key twice, in two squares
+            region_rec("C2", [square_ring(5, 5, 6, 6)], admin1="West", admin2="D"),
+            region_rec("C2", [square_ring(7, 7, 8, 8)], admin1="West", admin2="D"),
+            # one region_id under two names
+            region_rec("C3", [square_ring(20, 20, 21, 21)], admin1="West", admin2="E"),
+            region_rec("C3", [square_ring(22, 22, 23, 23)], admin1="West", admin2="F"),
+        ]
+        if reverse:
+            recs.reverse()
+        twin_id, place_admin2 = ("W-big", "E") if reverse else ("W-small", "F")
+        place = {"type": "place", "name": "P", "lat": 20.5, "lon": 20.5, "region_id": "C3"}
+        path = write_gaz(tmp_path / "g.ndjson", recs + [place])
+        gaz = load_gazetteer(path)
+        assert gaz.places[0].region == RegionKey("AA", "West", place_admin2, "C3")
+        assert [k for k in gaz.keys if k.region_id == "C2"] == [RegionKey("AA", "West", "D", "C2")]
+
+        # one eligible day (11 reports over 10 h) per device: in C1 and in each C2 square
+        shard = tmp_path / "part-00.csv"
+        shard.write_text("".join(
+            f"{device},{1584316800 + 3600 * h},{at},{at},5.0\n"
+            for device, at in (("d1", 1.5), ("d2", 5.5), ("d3", 7.5)) for h in range(1, 12)),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(shard), "--gazetteer", path,
+                     "--output-dir", str(out)]) == 0
+        rows = [(r.admin_level, r.admin2, r.region_id, r.samples)
+                for r in read_ndjson(str(out / "stats.ndjson"))]
+        assert rows == [("admin1", "", twin_id, 3), ("admin2", "C", "C1", 1),
+                        ("admin2", "D", "C2", 2)]
