@@ -12,13 +12,13 @@ range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 
 read_shard streams a shard in binary blocks into numpy columns, applies
 the accuracy filter (ACCURACY_MAX_M) and counts the shard's lines as read,
-malformed, accepted and rejected for accuracy. A line in the canonical
-form (see ``_line_table``) is parsed in bulk and checked column-wise
-against ``_RANGE_RULES``; every other line is decoded and handed to
-parse_fields, the one per-line validation rule. A block's lines step
-together through the grammar's (state, byte) table, one numpy pass per
-byte position, for at most ``_WALK_WIDTH`` passes: a line that long or
-longer is not canonical, and parse_fields reads it.
+malformed, accepted and rejected for accuracy. A canonical line is parsed
+in bulk and checked column-wise against ``_RANGE_RULES``; every other line
+is decoded and handed to parse_fields, the one per-line validation rule. A
+line is canonical when it is ASCII and has four commas, a non-empty id, an
+epoch of 1 to 18 ASCII digits (so it fits int64) and three numbers float()
+reads: on ASCII, int() and float() read bytes exactly as parse_fields reads
+the same text, so the bulk route states no grammar of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import gzip
 import logging
 import zlib
-from itertools import compress
+from itertools import compress, repeat
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -53,62 +53,6 @@ _RANGE_RULES = (
 
 # shards are read in binary blocks of this size, never whole
 BLOCK_BYTES = 256 * 1024
-
-
-def _line_table() -> np.ndarray:
-    """The canonical line as a DFA: table[state << 8 | byte] is the next state.
-
-    A canonical line is five fields that int()/float() read from bytes exactly
-    as parse_fields reads them from text, then its LF: a printable-ASCII id
-    without a comma, an unsigned epoch of 1 to 18 digits (short enough for
-    int64) and three plain decimal or exponent floats. State 0 rejects and 1
-    accepts, for good; a line starts in the last state and its LF takes it to
-    1 if it is canonical. States are made back to front.
-    """
-    rows, d = [np.zeros(256, np.intp), np.ones(256, np.intp)], b"0123456789"
-
-    def state(*edges: tuple[bytes, int | None]) -> int:  # a target of None: the new state
-        rows.append(np.zeros(256, np.intp))
-        for chars, target in edges:
-            rows[-1][list(chars)] = len(rows) - 1 if target is None else target
-        return len(rows) - 1
-
-    def number(end: bytes, after: int) -> int:
-        # -?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?, then end
-        exp = state((d, None), (end, after))
-        e = state((b"+-", state((d, exp))), (d, exp))
-        frac = state((d, None), (b"eE", e), (end, after))  # digits and a point seen
-        whole = state((d, None), (b".", frac), (b"eE", e), (end, after))
-        point = state((d, frac))  # a leading point
-        return state((b"-", state((d, whole), (b".", point))), (d, whole), (b".", point))
-
-    numbers = number(b",", number(b",", number(b"\n", 1)))
-    epoch = state((b",", numbers))  # 18 digits seen
-    for _ in range(17):
-        epoch = state((d, epoch), (b",", numbers))
-    ids = bytes(range(0x20, 0x7F)).replace(b",", b"")
-    state((ids, state((ids, None), (b",", state((d, epoch))))))
-    return np.concatenate(rows)
-
-
-_LINE_TABLE = _line_table()
-_LINE_START = len(_LINE_TABLE) // 256 - 1
-# the walk takes at most this many steps, one numpy pass each, so a line of
-# this many bytes or more never reaches its LF: it is not canonical
-_WALK_WIDTH = 96
-
-
-def _canonical(lines: list[bytes]) -> list[bool]:
-    """Whether each line, which holds no LF, is canonical: the table walk's verdict."""
-    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-    # each line is followed by its LF; the padding keeps every step in the buffer
-    buf = np.frombuffer(b"\n".join(lines) + b"\n" * _WALK_WIDTH, np.uint8)
-    pos = np.cumsum(lengths + 1) - (lengths + 1)
-    state = np.full(len(lines), _LINE_START, np.intp)
-    for _ in range(min(int(lengths.max(initial=-1)) + 1, _WALK_WIDTH)):
-        state = _LINE_TABLE[(state << 8) | buf[pos]]
-        pos += 1
-    return (state == 1).tolist()
 
 
 def parse_fields(line: str) -> RawReport | str:
@@ -186,28 +130,53 @@ def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
             return
 
 
+def _readable(*numbers: bytes) -> bool:
+    """Whether float() reads each of a line's numbers."""
+    try:
+        for number in numbers:
+            float(number)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
     """Valid rows of one block as [code, epoch, lat, lon, acc] columns: the
     canonical lines' rows, then parse_fields' rows, each in line order."""
-    canonical = _canonical(lines)
-    fast = list(compress(lines, canonical))
-    fields = b",".join(fast).split(b",") if fast else []
-    n = len(fast)
+    n = len(lines)
+    canonical = np.fromiter(map(bytes.count, lines, repeat(b",")), np.intp, n) == 4
+    if not b"".join(lines).isascii():
+        canonical &= np.fromiter(map(bytes.isascii, lines), bool, n)
+    fields = b",".join(compress(lines, canonical)).split(b",") if canonical.any() else []
+    m = len(fields) // 5
+    keep = (np.fromiter(map(bool, fields[0::5]), bool, m)
+            & (np.fromiter(map(len, fields[1::5]), np.intp, m) <= 18)
+            & np.fromiter(map(bytes.isdigit, fields[1::5]), bool, m)).tolist()
+
+    while True:
+        try:
+            numbers = [np.fromiter(map(float, compress(fields[j::5], keep)), np.float64)
+                       for j in (2, 3, 4)]
+            break
+        except ValueError:  # a line whose number float() cannot read goes to parse_fields alone
+            readable = map(_readable, fields[2::5], fields[3::5], fields[4::5])
+            keep = [ok and r for ok, r in zip(keep, readable)]
+    canonical[canonical] = keep
+
+    raw_ids = list(compress(fields[0::5], keep))
     local = {}
-    for raw_id in dict.fromkeys(fields[0::5]):
+    for raw_id in dict.fromkeys(raw_ids):
         local[raw_id] = ids.setdefault(raw_id.decode("ascii"), len(ids))
     cols = [  # a RawReport's fields, with a code for the id
-        np.fromiter(map(local.__getitem__, fields[0::5]), np.int32, n),
-        np.fromiter(map(int, fields[1::5]), np.int64, n),
-        *(np.fromiter(map(float, fields[j::5]), np.float64, n) for j in (2, 3, 4)),
+        np.fromiter(map(local.__getitem__, raw_ids), np.int32, len(raw_ids)),
+        np.fromiter(map(int, compress(fields[1::5], keep)), np.int64, len(raw_ids)),
+        *numbers,
     ]
     valid = np.logical_and.reduce([test(cols[field]) for _, field, test in _RANGE_RULES])
     cols = [c[valid] for c in cols]
 
     slow = []
-    for line, ok in zip(lines, canonical):
-        if ok:
-            continue
+    for line in compress(lines, (~canonical).tolist()):
         row = parse_fields(line.decode("utf-8", "surrogateescape"))
         if isinstance(row, str):
             log.debug("malformed line in %s: %s", path, row)

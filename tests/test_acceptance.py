@@ -10,8 +10,11 @@ contract, and throughput.
 import datetime as dt
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
@@ -119,6 +122,22 @@ PUBLISHED_SHA256 = {
     "run_report.ndjson": "9c63f84bb4dae5eeb07cee427e2b0f5d067f0a86d0ded8a89c81784ddf375b53",
 }
 
+# `names` prints the CPU features numpy dispatches to at run time; any other
+# arguments check that all of them are off and run the CLI on them
+DISPATCH_CLI = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+if sys.argv[1] == "names":
+    print(" ".join(__cpu_dispatch__))
+    sys.exit()
+assert not any(__cpu_features__[name] for name in __cpu_dispatch__)
+from mobstats.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 class TestPublishedBytes:
     def test_reference_run_bytes_pinned(self, reference_run):
@@ -141,6 +160,20 @@ class TestPublishedBytes:
             shutil.copy(shard, data / name)
         run(PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=corpus["gazetteer_path"],
                            output_dir=str(tmp_path / "out"), workers=1))
+        assert hashes(tmp_path / "out") == PUBLISHED_SHA256
+
+    def test_no_simd_dispatch_gives_the_pinned_bytes(self, corpus, tmp_path):
+        """The corpus run with every CPU feature numpy dispatches to at run time
+        switched off, so its kernels take their baseline code: no byte changes."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(pipeline.__file__)),
+                          os.environ.get("PYTHONPATH")]))}
+        names = subprocess.run([sys.executable, "-c", DISPATCH_CLI, "names"], env=env, check=True,
+                               capture_output=True, text=True).stdout.strip()
+        subprocess.run([sys.executable, "-c", DISPATCH_CLI, "run", "--input", corpus["glob"],
+                        "--gazetteer", corpus["gazetteer_path"],
+                        "--output-dir", str(tmp_path / "out")],
+                       env={**env, "NPY_DISABLE_CPU_FEATURES": names}, check=True, timeout=600)
         assert hashes(tmp_path / "out") == PUBLISHED_SHA256
 
 

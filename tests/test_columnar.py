@@ -82,18 +82,26 @@ def reference_read(path: str) -> tuple[dict, list]:
     return counters, rows
 
 
-# an independent statement of the grammar the bulk path accepts
-_NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
-CANONICAL = re.compile(rf"[ -+\--~]+,\d{{1,18}},{_NUMBER},{_NUMBER},{_NUMBER}", re.ASCII)
+# an independent statement of the shape the bulk path takes
+EPOCH = re.compile(r"[0-9]{1,18}")
 
 
 def canonical(line: bytes) -> bool:
-    """Whether the bulk path takes a line: it fits the table walk and is in the grammar."""
-    return (len(line) < ingest._WALK_WIDTH
-            and CANONICAL.fullmatch(line.decode("utf-8", "surrogateescape")) is not None)
+    """Whether the bulk path takes a line: ASCII, five fields, a non-empty id, an
+    epoch of 1 to 18 digits and three numbers float() reads, whatever its length."""
+    if not line.isascii():
+        return False
+    parts = line.decode("ascii").split(",")
+    if len(parts) != 5 or not parts[0] or not EPOCH.fullmatch(parts[1]):
+        return False
+    try:
+        [float(part) for part in parts[2:]]
+    except ValueError:
+        return False
+    return True
 
 
-# near-misses of the canonical grammar, field by field; parse_fields decides them
+# near-misses of the canonical shape, field by field; parse_fields decides them
 NEAR_MISS_NUMBERS = ["+1", "1_0", " 1.5", "1.5 ", "1e999", "-1e999", "nan", "inf", "-0.0",
                      "180", "180.0", "-180", "90.0000001", "-90", "", "0x10", "1e", ".", "-",
                      "\u0661\u0662", "1,5", "50.0", "50.1", "0", "-0", "00012", "4e1", "1."]
@@ -119,8 +127,8 @@ def examples(values):
 
 short_ids = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
                                   blacklist_characters=","), min_size=1, max_size=8)
-# a padded id makes its line too long for the table walk
-ids = st.one_of(short_ids, short_ids.map(lambda s: s.ljust(ingest._WALK_WIDTH, "~")))
+# an id as long as a SHA-256 hex digest makes a line of about 100 bytes
+ids = st.one_of(short_ids, short_ids.map(lambda s: s.ljust(64, "~")))
 # 12 to 19 digits reach past ingest.MAX_EPOCH and past int64
 epochs = st.one_of(st.integers(0, 2**40), st.integers(10**11, 10**19 - 1)).map(str)
 numbers = st.one_of(
@@ -182,18 +190,30 @@ class TestReaderParity:
         assert (Counter(tuple(map(repr, r)) for r in shard_rows(got))
                 == Counter(tuple(map(repr, r)) for r in want_rows))
 
+    @staticmethod
+    def parse_fields_reads(lines):
+        """The lines of one block that _parse_block hands to parse_fields."""
+        calls = []
+        with mock.patch.object(ingest, "parse_fields",
+                               lambda line: calls.append(line) or parse_fields(line)):
+            ingest._parse_block(lines, {}, "s.csv")
+        return calls
+
     @settings(max_examples=300)
     @given(text_lines)
     @examples(NEAR_MISS_LINES)
     def test_canonical_grammar_is_the_independent_statement(self, line):
         encoded = line.encode("utf-8")
-        assert ingest._canonical([encoded]) == [canonical(encoded)]
+        assert self.parse_fields_reads([encoded]) == ([] if canonical(encoded) else [line])
 
     @settings(max_examples=300)
     @given(st.lists(byte_lines, max_size=40))
     @example([line.encode("utf-8") for line in NEAR_MISS_LINES])
     def test_table_walk_is_the_regex(self, lines):
-        assert ingest._canonical(lines) == list(map(canonical, lines))
+        # named for the byte-table walk this once held to a regex: a whole block's
+        # lines go to parse_fields exactly when the statement above rejects them
+        assert self.parse_fields_reads(lines) == [line.decode("utf-8", "surrogateescape")
+                                                  for line in lines if not canonical(line)]
 
     @staticmethod
     def line_of(length, canonical):
@@ -202,38 +222,55 @@ class TestReaderParity:
         return b"d" * (length - len(tail)) + tail
 
     @staticmethod
-    def per_line_rows(path, lines, walked):
+    def per_line_rows(path, lines, bulk):
         """read_shard's rows of a shard of `lines`, asserting that parse_fields reads
-        exactly the lines not walked and that the rows are the reference's."""
+        exactly the lines not on the bulk route and that the rows are the reference's."""
         path.write_bytes(b"\n".join(lines) + b"\n")
         calls = []
         with mock.patch.object(ingest, "parse_fields",
                                lambda line: calls.append(line) or parse_fields(line)):
             got = read_shard(str(path))
-        assert calls == [line.decode() for line, ok in zip(lines, walked) if not ok]
+        assert calls == [line.decode() for line, ok in zip(lines, bulk) if not ok]
         want_counters, want_rows = reference_read(str(path))
         assert got[0] == want_counters
         assert Counter(shard_rows(got)) == Counter(want_rows)
         return shard_rows(got)
 
-    def test_lines_around_the_walk_width(self, tmp_path):
-        # the walk covers lines up to _WALK_WIDTH - 1 bytes; parse_fields reads the rest
-        width = ingest._WALK_WIDTH
-        lines, want = [], []
-        for length in (width - 1, width, width + 1):
+    def test_line_length_does_not_change_the_route(self, tmp_path):
+        # lines of any length, one longer than a read block included, take the bulk
+        # route when canonical; parse_fields reads only the broken ones
+        lines, bulk = [], []
+        for length in (95, 96, 97, 1000, 2 * ingest.BLOCK_BYTES):
             for ok in (True, False):
                 lines += [b"d1,1,1.0,2.0,3.0", self.line_of(length, ok), b"x"]
-                want += [True, ok and length < width, False]
-        assert ingest._canonical(lines) == want
-        # six "d1" rows and one for each line_of(length, True)
-        assert len(self.per_line_rows(tmp_path / "s.csv", lines, want)) == 9
+                bulk += [True, ok, False]
+        # ten "d1" rows and one for each line_of(length, True)
+        assert len(self.per_line_rows(tmp_path / "s.csv", lines, bulk)) == 15
 
     def test_block_of_long_lines_only(self, tmp_path):
-        lines = [self.line_of(200, True), self.line_of(150, False),
-                 self.line_of(ingest._WALK_WIDTH, True)]
-        assert ingest._canonical(lines) == [False, False, False]
-        rows = self.per_line_rows(tmp_path / "s.csv", lines, [False] * 3)
-        assert [len(r[0]) for r in rows] == [200 - 23, ingest._WALK_WIDTH - 23]
+        lines = [self.line_of(200, True), self.line_of(150, False), self.line_of(96, True)]
+        rows = self.per_line_rows(tmp_path / "s.csv", lines, [True, False, True])
+        assert [len(r[0]) for r in rows] == [200 - 23, 96 - 23]
+
+    def test_an_unreadable_number_sends_only_its_line_to_parse_fields(self, tmp_path):
+        lines = [b"d1,1,1.0,2.0,3.0", b"d1,1,x,2,3", b"d2,2,+1.0,2_0, 3.0", b"d3,3,1,nan,4"]
+        rows = self.per_line_rows(tmp_path / "s.csv", lines, [True, False, True, True])
+        assert rows == [("d1", 1, 1.0, 2.0), ("d2", 2, 1.0, 20.0)]
+
+    def test_hash_long_ids_take_the_bulk_route(self, scenario, tmp_path):
+        # generated shards with every id padded to 64 characters, as long as a
+        # SHA-256 hex digest: parse_fields reads only the non-canonical lines
+        lengths = []
+        for k, shard in enumerate(scenario["shard_paths"]):
+            header, *lines = open(shard, "rb").read().splitlines()
+            for i, (device, comma, rest) in enumerate(line.partition(b",") for line in lines):
+                if device and comma:  # an empty id stays empty, so its line stays malformed
+                    lines[i] = device.ljust(64, b"~") + comma + rest
+            lengths += map(len, lines)
+            # the header is skipped, never parsed
+            self.per_line_rows(tmp_path / f"s{k}.csv", [header, *lines],
+                               [True] + list(map(canonical, lines)))
+        assert sum(length >= 96 for length in lengths) > 0.9 * len(lengths)
 
     def test_range_boundaries_match_parse_fields(self, tmp_path):
         numbers = ["90", "90.0", "-90", "-90.0", "90.0000001", "-90.0000001", "180", "180.0",

@@ -3,7 +3,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapters import shard_rows
@@ -71,6 +71,32 @@ class TestParseReportLine:
     def test_total_on_arbitrary_text(self, line):
         out = parse_fields(line.replace("\n", " "))
         assert isinstance(out, (tuple, str))
+
+
+def _read(convert, value) -> str:
+    """repr(convert(value)), which tells -0.0 from 0.0 and matches nan, or the error."""
+    try:
+        return repr(convert(value))
+    except ValueError:
+        return "ValueError"
+
+
+class TestBytesReadAsText:
+    """The bulk route reads ASCII bytes with int() and float(), and parse_fields reads
+    the same text: the two agree on every ASCII string, or the route would change
+    a value."""
+
+    @settings(max_examples=2000)
+    @given(st.text(st.sampled_from("0123456789.eE+-_ \t\x0b\x0c\x1c\x00iInNfFaA"),
+                   max_size=12))
+    @example("1\x1c")  # whitespace to str.isspace, not to the bytes parser
+    @example("\x0b-1_0.5e+2\x0c")
+    @example("1\x00")
+    @example("-InFiNiTy")
+    @example("nan")
+    def test_int_and_float_read_ascii_bytes_as_text(self, text):
+        for convert in (int, float):
+            assert _read(convert, text) == _read(convert, text.encode("ascii")), convert
 
 
 GOOD = [
@@ -179,7 +205,7 @@ class TestReadShard:
         assert epochs == [1584316800, 1584320400, 1584316900]
 
     def test_rows_and_ids_in_route_order(self, tmp_path):
-        # block by block: the walked lines' rows and ids first, then parse_fields', each in
+        # block by block: the canonical lines' rows and ids first, then parse_fields', each in
         # line order; a non-ASCII id sends its line to parse_fields
         p = tmp_path / "s.csv"
         p.write_text("café,1,1.0,2.0,3.0\nd1,2,1.0,2.0,3.0\nbé,3,1.0,2.0,3.0\n"

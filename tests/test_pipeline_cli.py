@@ -273,11 +273,11 @@ class TestRun:
 
     def test_respelled_lines_take_the_other_routes_and_write_the_same_bytes(self, tmp_path,
                                                                              monkeypatch):
-        # generated lines are canonical and shorter than _WALK_WIDTH, so a plain run
-        # never accepts a row through parse_fields; the respelled copy sends three
-        # devices in four there, in blocks that mix both routes: device 0 mod 4 gets
-        # a non-ASCII id, 1 a "+" on its epoch and accuracy, 2 an ASCII id padded
-        # past _WALK_WIDTH bytes, and 3 keeps its canonical line
+        # generated lines are canonical, so a plain run never accepts a row through
+        # parse_fields; the respelled copy sends half the devices there, in blocks
+        # that mix both routes: device 0 mod 4 gets a non-ASCII id and 1 a "+" on its
+        # epoch, while 2 gets an ASCII id padded to 100 characters, which keeps its
+        # line on the bulk route, and 3 keeps its line
         small_cfg = small_scenario(tmp_path / "small")
         (shard,) = Path(small_cfg["inputs"][0]).parent.glob("*.csv")
         header, *lines = shard.read_text(encoding="utf-8").splitlines()
@@ -292,13 +292,13 @@ class TestRun:
             elif style == 1:
                 epoch, acc = "+" + epoch, "+" + acc
             elif style == 2:
-                device = device.ljust(ingest._WALK_WIDTH, "~")
+                device = device.ljust(100, "~")
             return ",".join((device, epoch, lat, lon, acc))
 
         respelled = [respell(line) for line in lines]
-        n_respelled = sum(a != b for a, b in zip(lines, respelled))
-        assert 0 < n_respelled < len(lines)
-        assert any(len(line) >= ingest._WALK_WIDTH for line in respelled)
+        n_per_line = sum(devices.index(line.split(",")[0]) % 4 < 2 for line in lines)
+        assert 0 < n_per_line < len(lines)
+        assert any(len(line) > 100 for line in respelled)
 
         parse = ingest.parse_fields
         parsed = []
@@ -324,7 +324,7 @@ class TestRun:
             outputs.append([(out / f).read_bytes()
                             for f in ("stats.ndjson", "stats.csv", "run_report.ndjson")])
         # the respelled run's rows come from parse_fields and the bulk parse both
-        assert accepted == [0, n_respelled]
+        assert accepted == [0, n_per_line]
         assert outputs[0] == outputs[1]
         assert b'"m50":' in outputs[0][0]
 
