@@ -10,15 +10,18 @@ error naming the shard. A malformed line's reason is the first that fails:
 field_count, empty_device_id, bad_utf8, bad_epoch, bad_number, then the
 range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 
-read_shard streams a shard in binary blocks into numpy columns, applies
-the accuracy filter (ACCURACY_MAX_M) and counts the shard's lines as read,
-malformed, accepted and rejected for accuracy. A canonical line is parsed
-in bulk and checked column-wise against ``_RANGE_RULES``; every other line
-is decoded and handed to parse_fields, the one per-line validation rule. A
-line is canonical when it is ASCII and has four commas, a non-empty id, an
-epoch of 1 to 18 ASCII digits (so it fits int64) and three numbers float()
-reads: on ASCII, int() and float() read bytes exactly as parse_fields reads
-the same text, so the bulk route states no grammar of its own.
+read_shard streams a shard into numpy columns in binary blocks, each
+read on to its next LF (a shard whose lines all end in a lone CR is one
+block), applies the accuracy filter (ACCURACY_MAX_M) and counts the
+shard's lines as read, malformed, accepted and rejected for accuracy;
+each malformed line is logged at DEBUG with its reason. A canonical line
+is parsed in bulk and checked column-wise against ``_RANGE_RULES``; every
+other line is decoded and handed to parse_fields, the one per-line
+validation rule. A line is canonical when it is ASCII and has four
+commas, a non-empty id, an epoch of 1 to 18 ASCII digits (so it fits
+int64) and three numbers float() reads: on ASCII, int() and float() read
+bytes exactly as parse_fields reads the same text, so the bulk route
+states no grammar of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import gzip
 import logging
 import zlib
 from itertools import compress, repeat
-from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -51,7 +53,8 @@ _RANGE_RULES = (
     ("bad_accuracy", 4, lambda acc: (0.0 <= acc) & (acc < np.inf)),
 )
 
-# shards are read in binary blocks of this size, never whole
+# shards are read in binary blocks of this size, each run on to its next LF; a shard
+# whose lines all end in a lone CR has none and is read in one piece
 BLOCK_BYTES = 256 * 1024
 
 
@@ -100,36 +103,6 @@ def _looks_like_header(line: str) -> bool:
     return False
 
 
-def _line_blocks(fh: BinaryIO) -> Iterator[list[bytes]]:
-    """The shard's data lines, terminators removed, in lists of one block's worth.
-
-    Lines end at LF, CRLF or a lone CR, as in a newline="" text reader; a
-    blank line is a line, and so is a last line without a terminator. A
-    leading header line is dropped.
-    """
-    tail = b""
-    first = True
-    while True:
-        block = fh.read(BLOCK_BYTES)
-        data = tail + block
-        if block:
-            # a CR ending the data may be the first half of a CRLF: keep it back
-            end = len(data) - 1 if data.endswith(b"\r") else len(data)
-            cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
-            lines = data[:cut].splitlines()
-            tail = data[cut:]
-        else:
-            lines = data.splitlines()
-        if first and lines:
-            first = False
-            if _looks_like_header(lines[0].decode("utf-8", "surrogateescape")):
-                del lines[0]
-        if lines:
-            yield lines
-        if not block:
-            return
-
-
 def _readable(*numbers: bytes) -> bool:
     """Whether float() reads each of a line's numbers."""
     try:
@@ -172,7 +145,12 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
         np.fromiter(map(int, compress(fields[1::5], keep)), np.int64, len(raw_ids)),
         *numbers,
     ]
-    valid = np.logical_and.reduce([test(cols[field]) for _, field, test in _RANGE_RULES])
+    tests = [test(cols[field]) for _, field, test in _RANGE_RULES]
+    valid = np.logical_and.reduce(tests)
+    if log.isEnabledFor(logging.DEBUG):
+        first_failed = np.argmin(tests, axis=0)
+        for row in np.flatnonzero(~valid):
+            log.debug("malformed line in %s: %s", path, _RANGE_RULES[first_failed[row]][0])
     cols = [c[valid] for c in cols]
 
     slow = []
@@ -198,9 +176,9 @@ def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     accepted reports as [code, epoch, lat, lon] columns, each code indexing
     the ids. An id is listed only if it holds an accepted report.
 
-    Rows, and ids in the order lines first name them, come block by block:
-    within a block from the canonical lines first, then from the lines
-    parse_fields reads, each in line order.
+    Rows, and ids in the order lines first name them, come block by block
+    (BLOCK_BYTES read on to the next LF): within a block from the canonical
+    lines first, then from the lines parse_fields reads, each in line order.
 
     A leading header line is skipped before any counting. IO and
     decompression failures raise OSError naming the shard; malformed data
@@ -210,10 +188,14 @@ def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     lines_read, blocks = 0, []
     try:
         with gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb") as fh:
-            for lines in _line_blocks(fh):
+            # each block runs on to its next LF, so no line or CRLF is cut in two
+            while block := fh.read(BLOCK_BYTES) + fh.readline():
+                lines = block.splitlines()
+                if not blocks and _looks_like_header(lines[0].decode("utf-8", "surrogateescape")):
+                    del lines[0]
                 lines_read += len(lines)
                 blocks.append(_parse_block(lines, ids, path))
-    except (EOFError, zlib.error) as e:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise OSError(f"{path}: truncated or corrupt gzip data: {e}") from None
     # an empty block gives an empty shard its column types
     code, epoch, lat, lon, acc = (np.concatenate(c)

@@ -20,7 +20,7 @@ from time import perf_counter
 import pytest
 
 from adapters import contains, device_days, verdicts
-from mobstats import oracle, pipeline
+from mobstats import ingest, oracle, pipeline
 from mobstats.cli import main
 from mobstats.geo import convex_hull_xy, unwrap_lonlat
 from mobstats.metrics import day_box_and_hull, day_max_distances
@@ -161,6 +161,21 @@ class TestPublishedBytes:
         run(PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=corpus["gazetteer_path"],
                            output_dir=str(tmp_path / "out"), workers=1))
         assert hashes(tmp_path / "out") == PUBLISHED_SHA256
+
+    def test_lone_cr_line_ends_give_the_pinned_bytes(self, corpus, tmp_path, monkeypatch):
+        """The corpus's shards with every LF rewritten as a lone CR: a shard with
+        no LF is read in one piece, and no output byte changes, at the default
+        block size or a small one."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for shard in (corpus["root"] / "shards").glob("*.csv"):
+            (data / shard.name).write_bytes(shard.read_bytes().replace(b"\n", b"\r"))
+        for block_bytes in (ingest.BLOCK_BYTES, 64):
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"out-{block_bytes}"
+            run(PipelineConfig(inputs=[str(data / "*.csv")], gazetteer=corpus["gazetteer_path"],
+                               output_dir=str(out), workers=1))
+            assert hashes(out) == PUBLISHED_SHA256
 
     def test_no_simd_dispatch_gives_the_pinned_bytes(self, corpus, tmp_path):
         """The corpus run with every CPU feature numpy dispatches to at run time

@@ -1,4 +1,6 @@
 import gzip
+import logging
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from adapters import shard_rows
 from mobstats import ingest
 from mobstats.ingest import MAX_EPOCH, parse_fields, read_shard
-from mobstats.synth import MALFORMED_LINES
+from mobstats.synth import MALFORMED_LINES, ScenarioSpec, generate
 
 
 class TestParseReportLine:
@@ -174,7 +176,7 @@ class TestReadShard:
     def test_corrupt_gzip_raises(self, tmp_path):
         p = tmp_path / "s.csv.gz"
         p.write_bytes(b"this is not gzip data")
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match="s.csv.gz"):
             read_shard(str(p))
 
     def test_truncated_gzip_raises_oserror_naming_path(self, tmp_path):
@@ -214,12 +216,36 @@ class TestReadShard:
         assert ids == ["d1", "d2", "café", "bé"]
         assert code.tolist() == [0, 1, 2, 3]
         assert epoch.tolist() == [2, 4, 1, 3]
-        # 40-byte reads make blocks of the first two lines and the last two
-        with mock.patch.object(ingest, "BLOCK_BYTES", 40):
+        # 30-byte reads, each run on to its next LF, make blocks of the first two lines
+        # and the last two
+        with mock.patch.object(ingest, "BLOCK_BYTES", 30):
             _, ids, (code, epoch, *_) = read_shard(str(p))
         assert ids == ["d1", "café", "d2", "bé"]
         assert code.tolist() == [0, 1, 2, 3]
         assert epoch.tolist() == [2, 1, 4, 3]
+
+    def test_every_malformed_line_logs_its_reason(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="mobstats.ingest")
+        # canonical lines that fail a range rule: the bulk route names the rule
+        # parse_fields names, in line order
+        lines = ["d1,1,95.0,0.0,5.0", "d1,1,0.0,181.0,5.0", "d1,1,1.0,2.0,3.0",
+                 "d1,253402257600,0.0,0.0,5.0", "d1,1,0.0,0.0,-4.0", "d1,1,nan,0.0,inf",
+                 "d1,1,1,181,-1"]
+        p = write_shard(tmp_path / "s.csv", lines)
+        read_shard(p)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"malformed line in {p}: {parse_fields(ln)}" for ln in lines
+            if isinstance(parse_fields(ln), str)]
+        # generated shards: one record per malformed line, with parse_fields' reasons
+        spec = ScenarioSpec(seed=5, devices=12, shards=2, malformed_fraction=0.05)
+        for path in generate(spec, str(tmp_path / "g"))["shard_paths"]:
+            caplog.clear()
+            malformed = read_shard(path)[0]["lines_malformed"]
+            reasons = [r.getMessage().rpartition(": ")[2] for r in caplog.records]
+            assert len(reasons) == malformed > 0
+            with open(path, encoding="utf-8") as fh:
+                expected = [parse_fields(ln) for ln in fh.read().splitlines()[1:]]
+            assert Counter(reasons) == Counter(r for r in expected if isinstance(r, str))
 
     @given(lines=st.lists(st.sampled_from(GOOD + [BAD, REJ] + list(MALFORMED_LINES)), max_size=40))
     def test_every_line_lands_in_exactly_one_bucket(self, tmp_path_factory, lines):

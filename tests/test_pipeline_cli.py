@@ -28,6 +28,7 @@ from mobstats.ingest import ACCURACY_MAX_M, parse_fields, read_shard
 from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
+from test_columnar import reference_read
 
 
 @pytest.fixture(scope="module")
@@ -56,15 +57,11 @@ def base_config(scenario, out_dir, **overrides):
 
 
 def reconcile(report, shards):
-    """report's sums hold, and its line counters match the data lines of the run's
-    shards (a glob) and how many of them parse_fields calls malformed."""
-    lines = []
-    for path in sorted(glob.glob(shards)):
-        with open(path, "rb") as fh:
-            lines += [line for block in ingest._line_blocks(fh) for line in block]
-    malformed = sum(isinstance(parse_fields(line.decode("utf-8", "surrogateescape")), str)
-                    for line in lines)
-    assert (report["lines_read"], report["lines_malformed"]) == (len(lines), malformed)
+    """report's sums hold, and its line counters match those of the run's shards
+    (a glob) read line by line with reference_read."""
+    read = [reference_read(path)[0] for path in sorted(glob.glob(shards))]
+    assert (report["lines_read"], report["lines_malformed"]) == (
+        sum(c["lines_read"] for c in read), sum(c["lines_malformed"] for c in read))
     assert report["device_day_reports"] == report["reports_accepted"]
     assert report["device_days"] == (report["rejected_too_few_reports"]
                                      + report["rejected_short_span"]
@@ -640,7 +637,7 @@ class TestCli:
         assert err.startswith("error: io:")
         assert "nope.ndjson" in err
 
-    @pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate"])
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt_deflate", "bad_crc", "not_gzip"])
     def test_damaged_gzip_shard_exit_2_names_path(self, scenario, tmp_path, capsys, damage):
         data = tmp_path / "data"
         data.mkdir()
@@ -648,8 +645,12 @@ class TestCli:
         packed = gzip.compress(shard.read_bytes())
         if damage == "truncated":
             packed = packed[: len(packed) // 2]
-        else:
+        elif damage == "corrupt_deflate":
             packed = packed[:10] + b"\xff" * 64  # deflate block of reserved type 3
+        elif damage == "bad_crc":
+            packed = packed[:-8] + bytes(b ^ 0xff for b in packed[-8:-4]) + packed[-4:]
+        else:
+            packed = shard.read_bytes()
         (data / "part-00.csv.gz").write_bytes(packed)
         rc = main(["run", "--input", str(data / "*.csv.gz"),
                    "--gazetteer", scenario["gazetteer_path"],
