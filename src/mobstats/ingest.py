@@ -12,11 +12,12 @@ range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 
 read_shard streams a shard into numpy columns in binary blocks, each
 read on to its next LF (a shard whose lines all end in a lone CR is one
-block), applies the accuracy filter (ACCURACY_MAX_M) and counts the
-shard's lines as read, malformed, accepted and rejected for accuracy;
-each malformed line is logged at DEBUG with its reason. A canonical line
-is parsed in bulk and checked column-wise against ``_RANGE_RULES``; every
-other line is decoded and handed to parse_fields, the one per-line
+block), and counts its lines as read, malformed, accepted and rejected
+for accuracy; each malformed line is logged at DEBUG with its reason. A
+block applies the accuracy filter (ACCURACY_MAX_M), where accuracy
+stops, and numbers a device id at its first accepted report. A canonical
+line is parsed in bulk and checked column-wise against ``_RANGE_RULES``;
+every other line is decoded and handed to parse_fields, the one per-line
 validation rule. A line is canonical when it is ASCII and has four
 commas, a non-empty id, an epoch of 1 to 18 ASCII digits (so it fits
 int64) and three numbers float() reads: on ASCII, int() and float() read
@@ -52,6 +53,9 @@ _RANGE_RULES = (
     ("lon_range", 3, lon_ok),
     ("bad_accuracy", 4, lambda acc: (0.0 <= acc) & (acc < np.inf)),
 )
+
+# the accuracy filter: a report whose accuracy_m exceeds this is rejected
+ACCURACY_MAX_M = 50.0
 
 # shards are read in binary blocks of this size, each run on to its next LF; a shard
 # whose lines all end in a lone CR has none and is read in one piece
@@ -113,9 +117,10 @@ def _readable(*numbers: bytes) -> bool:
     return True
 
 
-def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
-    """Valid rows of one block as [code, epoch, lat, lon, acc] columns: the
-    canonical lines' rows, then parse_fields' rows, each in line order."""
+def _parse_block(lines: list[bytes], ids: dict[bytes, int], path: str) -> tuple[list, int]:
+    """One block's accepted reports as [code, epoch, lat, lon] columns, the canonical
+    lines' then parse_fields', each in line order, and its count of valid rows. An id
+    gets its code in ids when its first accepted report is read."""
     n = len(lines)
     canonical = np.fromiter(map(bytes.count, lines, repeat(b",")), np.intp, n) == 4
     if not b"".join(lines).isascii():
@@ -136,22 +141,16 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
             keep = [ok and r for ok, r in zip(keep, readable)]
     canonical[canonical] = keep
 
-    raw_ids = list(compress(fields[0::5], keep))
-    local = {}
-    for raw_id in dict.fromkeys(raw_ids):
-        local[raw_id] = ids.setdefault(raw_id.decode("ascii"), len(ids))
-    cols = [  # a RawReport's fields, with a code for the id
-        np.fromiter(map(local.__getitem__, raw_ids), np.int32, len(raw_ids)),
-        np.fromiter(map(int, compress(fields[1::5], keep)), np.int64, len(raw_ids)),
-        *numbers,
-    ]
+    cols = [list(compress(fields[0::5], keep)),  # a RawReport's fields
+            np.fromiter(map(int, compress(fields[1::5], keep)), np.int64), *numbers]
     tests = [test(cols[field]) for _, field, test in _RANGE_RULES]
     valid = np.logical_and.reduce(tests)
     if log.isEnabledFor(logging.DEBUG):
         first_failed = np.argmin(tests, axis=0)
         for row in np.flatnonzero(~valid):
             log.debug("malformed line in %s: %s", path, _RANGE_RULES[first_failed[row]][0])
-    cols = [c[valid] for c in cols]
+    names = list(compress(cols[0], valid.tolist()))
+    cols = [c[valid] for c in cols[1:]]
 
     slow = []
     for line in compress(lines, (~canonical).tolist()):
@@ -159,32 +158,37 @@ def _parse_block(lines: list[bytes], ids: dict[str, int], path: str) -> list:
         if isinstance(row, str):
             log.debug("malformed line in %s: %s", path, row)
             continue
-        slow.append((ids.setdefault(row[0], len(ids)),) + row[1:])
+        names.append(row[0].encode())  # exact: an id that is not UTF-8 is bad_utf8
+        slow.append(row[1:])
     if slow:
         cols = [np.concatenate([c, np.array(column, c.dtype)])
                 for c, column in zip(cols, zip(*slow))]
-    cols[3] = fold_lon(cols[3])
-    return cols
-
-
-# the accuracy filter: a report whose accuracy_m exceeds this is rejected
-ACCURACY_MAX_M = 50.0
+    # the accuracy filter; an id gets the next code at its first accepted report
+    accepted = cols[3] <= ACCURACY_MAX_M
+    names = list(compress(names, accepted.tolist()))
+    for name in dict.fromkeys(names):
+        ids.setdefault(name, len(ids))
+    code = np.fromiter(map(ids.__getitem__, names), np.int32, len(names))
+    epoch, lat, lon = (c[accepted] for c in cols[:3])
+    return [code, epoch, lat, fold_lon(lon)], len(accepted)
 
 
 def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     """One shard's line counters, in run-report order, its device ids and its
-    accepted reports as [code, epoch, lat, lon] columns, each code indexing
-    the ids. An id is listed only if it holds an accepted report.
+    accepted reports as [code, epoch, lat, lon] columns (accuracy stops at
+    the block), each code indexing the ids. An id is listed only if it holds
+    an accepted report.
 
-    Rows, and ids in the order lines first name them, come block by block
-    (BLOCK_BYTES read on to the next LF): within a block from the canonical
-    lines first, then from the lines parse_fields reads, each in line order.
+    Rows, and ids in the order their first accepted report is read, come
+    block by block (BLOCK_BYTES read on to the next LF): within a block from
+    the canonical lines first, then from the lines parse_fields reads, each
+    in line order.
 
     A leading header line is skipped before any counting. IO and
     decompression failures raise OSError naming the shard; malformed data
     lines, undecodable bytes included, never raise.
     """
-    ids: dict[str, int] = {}
+    ids: dict[bytes, int] = {}
     lines_read, blocks = 0, []
     try:
         with gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb") as fh:
@@ -198,17 +202,12 @@ def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise OSError(f"{path}: truncated or corrupt gzip data: {e}") from None
     # an empty block gives an empty shard its column types
-    code, epoch, lat, lon, acc = (np.concatenate(c)
-                                  for c in zip(*(blocks or [_parse_block([], ids, path)])))
-    keep = acc <= ACCURACY_MAX_M
-    accepted = int(np.count_nonzero(keep))
+    columns, valid = zip(*(blocks or [_parse_block([], ids, path)]))
+    code, epoch, lat, lon = map(np.concatenate, zip(*columns))
     counters = {
         "lines_read": lines_read,
-        "lines_malformed": lines_read - len(keep),
-        "reports_accepted": accepted,
-        "reports_rejected_accuracy": len(keep) - accepted,
+        "lines_malformed": lines_read - sum(valid),
+        "reports_accepted": len(code),
+        "reports_rejected_accuracy": sum(valid) - len(code),
     }
-    # the ids left holding a report, numbered again in their order
-    held = np.bincount(code[keep], minlength=len(ids)) > 0
-    code = (np.cumsum(held, dtype=np.int32) - 1)[code[keep]]
-    return counters, list(compress(ids, held)), [code, epoch[keep], lat[keep], lon[keep]]
+    return counters, list(map(bytes.decode, ids)), [code, epoch, lat, lon]

@@ -1,10 +1,10 @@
 """End-to-end batch pipeline over one dataset: scatter, gather, reduce, serialize.
 
 Scatter runs ingest.read_shard on each shard: its line counters, the
-device ids that hold an accepted report (the accuracy filter is the last
-use of accuracy) and its (code, epoch, lat, lon) rows. The parent numbers
-the run's distinct ids once, as read_shard lists them, sorted shard by
-shard, and maps their codes onto that numbering. Gather task b of
+device ids holding an accepted report, in the order the first one is
+read (accuracy stops at the reader's block), and its (code, epoch, lat,
+lon) rows. The parent numbers the run's distinct ids once, as read_shard
+lists them, sorted shard by shard, and maps codes onto it. Gather task b of
 n = min(N_BUCKETS, devices) takes the rows whose code is b mod n, so all
 of a device's reports meet in one task. A forked worker inherits its
 tasks and the gazetteer; only results travel back through a pipe. The

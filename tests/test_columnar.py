@@ -209,9 +209,9 @@ class TestReaderParity:
     @settings(max_examples=300)
     @given(st.lists(byte_lines, max_size=40))
     @example([line.encode("utf-8") for line in NEAR_MISS_LINES])
-    def test_table_walk_is_the_regex(self, lines):
-        # named for the byte-table walk this once held to a regex: a whole block's
-        # lines go to parse_fields exactly when the statement above rejects them
+    def test_parse_fields_reads_exactly_a_blocks_non_canonical_lines(self, lines):
+        # a whole block's lines go to parse_fields exactly when the statement above
+        # rejects them
         assert self.parse_fields_reads(lines) == [line.decode("utf-8", "surrogateescape")
                                                   for line in lines if not canonical(line)]
 

@@ -147,6 +147,28 @@ class TestReadShard:
         assert ids == ["d2", "d1"]
         assert code.tolist() == [0, 1]
 
+    def test_ids_listed_in_the_order_their_first_accepted_report_is_read(self, tmp_path):
+        # A's first line is over the accuracy cut, so B's accepted line is read first
+        p = write_shard(tmp_path / "s.csv", ["A,1,1.0,2.0,50.1", "B,2,1.0,2.0,3.0",
+                                             "A,3,1.0,2.0,3.0"])
+        _, ids, (code, epoch, *_) = read_shard(p)
+        assert ids == ["B", "A"]
+        assert list(zip([ids[c] for c in code.tolist()], epoch.tolist())) == [("B", 2), ("A", 3)]
+
+    def test_non_ascii_id_rejected_for_accuracy_is_not_listed(self, tmp_path):
+        p = write_shard(tmp_path / "s.csv", ["café,1,1.0,2.0,50.1", "d1,2,1.0,2.0,3.0"])
+        assert read_shard(p)[1] == ["d1"]
+        assert counters(p) == (2, 0, 1, 1)
+
+    def test_ascii_id_read_on_both_routes_gets_one_code(self, tmp_path):
+        # "+3" is not all digits, so its line goes to parse_fields and d2's stays bulk
+        p = write_shard(tmp_path / "s.csv", ["d1,1,1.0,2.0,3.0", "d1,+3,1.0,2.0,3.0",
+                                             "d2,2,1.0,2.0,3.0"])
+        _, ids, (code, epoch, *_) = read_shard(p)
+        assert ids == ["d1", "d2"]
+        assert code.tolist() == [0, 1, 0]
+        assert epoch.tolist() == [1, 2, 3]
+
     def test_gzip_twin_identical(self, tmp_path):
         lines = GOOD + [BAD, REJ]
         plain = write_shard(tmp_path / "a.csv", lines)
