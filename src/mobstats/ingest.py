@@ -3,10 +3,11 @@
 Wire format: UTF-8 text, one record per line as
 ``device_id,epoch_s,lat,lon,accuracy_m`` with no quoting; LF, CRLF and a
 lone CR each end a line. A ``.gz`` suffix means the shard is
-gzip-compressed. A first line whose second field is not an integer is
-treated as a vendor header and skipped silently. Bytes that are not UTF-8
-make their line malformed; a truncated or corrupt ``.gz`` stream is an IO
-error naming the shard. A malformed line's reason is the first that fails:
+gzip-compressed. A UTF-8 byte order mark opening the shard is dropped,
+then a first line whose second field is not an integer is treated as a
+vendor header and skipped silently. Bytes that are not UTF-8 make their
+line malformed; a truncated or corrupt ``.gz`` stream is an IO error
+naming the shard. A malformed line's reason is the first that fails:
 field_count, empty_device_id, bad_utf8, bad_epoch, bad_number, then the
 range rules of ``_RANGE_RULES`` in order. The coordinate domain is geo's.
 
@@ -27,6 +28,7 @@ states no grammar of its own.
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import logging
 import zlib
@@ -184,9 +186,9 @@ def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
     the canonical lines first, then from the lines parse_fields reads, each
     in line order.
 
-    A leading header line is skipped before any counting. IO and
-    decompression failures raise OSError naming the shard; malformed data
-    lines, undecodable bytes included, never raise.
+    A leading UTF-8 BOM, then a leading header line, are skipped before
+    any counting. IO and decompression failures raise OSError naming the
+    shard; malformed data lines, undecodable bytes included, never raise.
     """
     ids: dict[bytes, int] = {}
     lines_read, blocks = 0, []
@@ -194,8 +196,8 @@ def read_shard(path: str) -> tuple[dict, list[str], list[np.ndarray]]:
         with gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb") as fh:
             # each block runs on to its next LF, so no line or CRLF is cut in two
             while block := fh.read(BLOCK_BYTES) + fh.readline():
-                lines = block.splitlines()
-                if not blocks and _looks_like_header(lines[0].decode("utf-8", "surrogateescape")):
+                lines = (block if blocks else block.removeprefix(codecs.BOM_UTF8)).splitlines()
+                if not blocks and lines and _looks_like_header(lines[0].decode("utf-8", "surrogateescape")):
                     del lines[0]
                 lines_read += len(lines)
                 blocks.append(_parse_block(lines, ids, path))

@@ -40,11 +40,6 @@ def solar_offset_hours(lon: float) -> int:
     return -int(-x + 0.5)
 
 
-def local_day(epoch_s: int, tz_offset_hours: int) -> int:
-    """Local calendar day as days-since-epoch under a fixed hour offset."""
-    return (epoch_s + 3600 * tz_offset_hours) // 86400
-
-
 def unwrap_lons(lonlat: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
     """Antimeridian rule, independently restated: span > 180 shifts negatives."""
     lons = [x for x, _ in lonlat]

@@ -2,14 +2,14 @@
 
 Every trajectory is derived from named random.Random streams keyed by
 (seed, device) and (seed, device, date), so regenerating a scenario is
-byte-identical regardless of platform or iteration order. The sidecar's
-expected verdicts and metrics come from the independent reference
-implementations, applied with the same collation rules the pipeline uses
-(single per-device solar offset from the chronologically first accepted
-report), so they are comparable end-to-end. Each shard is written by its
-own task, which may run in a forked worker; the parent only sorts the
-tasks' truth records and sums their counts, so the bytes do not depend
-on the worker count.
+byte-identical regardless of platform or iteration order. The truth
+sidecar holds oracle.oracle_metrics of each generated day's accepted
+rows. A generated day is one of the pipeline's device-days: its reports
+fall from 08:00 to 20:00 local time at the home solar offset, the offset
+the pipeline takes from a device's first accepted report, which sits at
+home. Each shard is written by its own task, which may run in a forked
+worker; the parent only sorts the tasks' truth records and sums their
+counts, so the bytes do not depend on the worker count.
 
 The styles read the method's constants from metrics and ingest when
 called: "sparse" and "short" days fall short of DEFAULT_MIN_REPORTS and
@@ -328,8 +328,8 @@ def generate(spec: ScenarioSpec, out_dir: str) -> dict:
     complete tree.
 
     Returns the expected ingest counters and file paths. The sidecar holds
-    one NDJSON record per device-day with the reference verdict and metrics,
-    grouped exactly as the pipeline will group them.
+    one NDJSON record per generated device-day, sorted by device and date,
+    with the verdict and metrics oracle.oracle_metrics gives that day.
     """
     spec.validate()
     shards_dir = os.path.join(out_dir, "shards")
@@ -403,7 +403,6 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
             n_base = rng_d.randint(spec.reports_min, spec.reports_max)
             tz_home = oracle.solar_offset_hours(home_lon)
 
-            device_rows: list[Row] = []
             for date in dates:
                 rng_day = random.Random(f"{spec.seed}:day:{device_id}:{date.isoformat()}")
                 day_style = style
@@ -415,7 +414,9 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
                     rng_day, day_style, home_lat, home_lon, day_start, n,
                     base_km * spec.scale_for(date),
                 )
-                device_rows.extend(rows)
+                # looked up per day: perfbench's reference patches it
+                truth.append({"device_id": device_id, "date": date.isoformat(),
+                              **oracle.oracle_metrics(rows)})
                 accepted += len(rows)
 
                 n_rej = int(spec.accuracy_reject_fraction * len(rows))
@@ -435,24 +436,5 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
                         fh.write(rng_s.choice(MALFORMED_LINES) + "\n")
                         malformed += 1
                     fh.write(f"{device_id},{epoch},{lat!r},{lon!r},{acc!r}\n")
-
-            truth.extend(_truth_records(device_id, device_rows))
     os.replace(path + ".tmp", path)
     return truth, accepted, rejected, malformed
-
-
-def _truth_records(device_id: str, rows: list[Row]) -> list[dict]:
-    """Reference device-days for one device, grouped by the collation rules."""
-    if not rows:
-        return []
-    ordered = sorted(rows)
-    tz = oracle.solar_offset_hours(ordered[0][2])
-    by_day: dict[int, list[Row]] = {}
-    for row in ordered:
-        by_day.setdefault(oracle.local_day(row[0], tz), []).append(row)
-    out = []
-    for day_number in sorted(by_day):
-        rec = {"device_id": device_id, "date": day_number_to_date(day_number).isoformat()}
-        rec.update(oracle.oracle_metrics(by_day[day_number]))
-        out.append(rec)
-    return out

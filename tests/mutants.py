@@ -100,6 +100,15 @@ MUTANTS = [
      "        ids.setdefault(name, len(ids))\n"
      "    names = list(compress(names, accepted.tolist()))\n",
      "an id is numbered before the accuracy filter"),
+    ("src/mobstats/ingest.py",
+     "(block if blocks else block.removeprefix(codecs.BOM_UTF8))",
+     "block",
+     "a BOM opening a shard stays in its first line"),
+    # the generator's device-days
+    ("src/mobstats/synth.py",
+     "_DAY_END_S = 20 * 3600",
+     "_DAY_END_S = 26 * 3600",
+     "a generated day's window runs past local midnight"),
 ]
 
 

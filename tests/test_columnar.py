@@ -65,7 +65,8 @@ def reference_read(path: str) -> tuple[dict, list]:
                               "reports_rejected_accuracy"), 0)
     rows = []
     raw = gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
-    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    # utf-8-sig: a BOM opening the shard is not part of its first line
+    with io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         first = fh.readline()
         if not first:
             return counters, rows

@@ -1,3 +1,4 @@
+import codecs
 import gzip
 import logging
 from collections import Counter
@@ -110,16 +111,17 @@ BAD = "d3,1584316800,95.0,0.0,1.0"
 REJ = "d4,1584316800,40.0,-74.0,50.1"
 
 
-def write_shard(path, lines, header=None, compress=False):
+def write_shard(path, lines, header=None, compress=False, bom=False):
     text = ""
     if header is not None:
         text += header + "\n"
     text += "".join(line + "\n" for line in lines)
+    encoding = "utf-8-sig" if bom else "utf-8"  # utf-8-sig writes a BOM first
     if compress:
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
+        with gzip.open(path, "wt", encoding=encoding) as fh:
             fh.write(text)
     else:
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding=encoding)
     return str(path)
 
 
@@ -186,6 +188,27 @@ class TestReadShard:
         assert len(shard_rows(read_shard(p))) == 3
         # header is not a data line, so it lands in no counter
         assert counters(p) == (3, 0, 3, 0)
+
+    @pytest.mark.parametrize("header,suffix", [
+        (None, ".csv"), ("device_id,epoch_s,lat,lon,accuracy_m", ".csv"), (None, ".csv.gz"),
+    ], ids=["no-header", "header", "gzip"])
+    def test_leading_bom_dropped(self, tmp_path, header, suffix):
+        lines = GOOD + [BAD, REJ]
+        compress = suffix.endswith(".gz")
+        plain = write_shard(tmp_path / f"a{suffix}", lines, header, compress)
+        bom = write_shard(tmp_path / f"b{suffix}", lines, header, compress, bom=True)
+        opener = gzip.open if compress else open
+        with opener(bom, "rb") as fh:
+            assert fh.read(3) == codecs.BOM_UTF8
+        assert read_shard(bom)[1] == read_shard(plain)[1] == ["d1", "d2"]
+        assert shard_rows(read_shard(bom)) == shard_rows(read_shard(plain))
+        assert counters(bom) == counters(plain) == (5, 1, 3, 1)
+
+    def test_bom_alone_is_an_empty_shard(self, tmp_path):
+        p = write_shard(tmp_path / "s.csv", [], bom=True)
+        assert Path(p).read_bytes() == codecs.BOM_UTF8
+        assert shard_rows(read_shard(p)) == []
+        assert counters(p) == (0, 0, 0, 0)
 
     def test_first_data_line_not_eaten_as_header(self, tmp_path):
         p = write_shard(tmp_path / "s.csv", GOOD)
