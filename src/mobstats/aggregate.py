@@ -4,14 +4,16 @@ m50 is the median across a region-date's eligible device-days of the
 trimmed max-distance measure; m50_index = 100 * m50 / m50_norm, where
 m50_norm is the region's median weekday m50 inside the baseline window.
 The reduce takes columns (a key-table index, a local day number and
-m_max per device-day record), orders them with one lexsort into file
+m_max per device-day record), ranks the key table's geocode.RegionKey
+tuples as they are, orders the columns with one lexsort into file
 order, (country, admin1, admin2, date, region_id), and sorts each
 (region, date) group's m_max values with collate.segment_sort, so each
 group is a value-sorted segment. Quartiles and means are computed for
 all segments at once with numpy's own linear-quantile and pairwise-sum
 arithmetic, so they equal np.quantile and .mean() bit for bit; the
 baseline and the index are computed for all groups at once too. Each group
-becomes one output.OutputRecord; results do not depend on arrival order.
+becomes one output.OutputRecord, built positionally in STATS_FIELDS +
+VERBOSE_FIELDS order; results do not depend on arrival order.
 """
 
 from __future__ import annotations
@@ -77,13 +79,12 @@ def reduce_region_day(keys: Sequence[RegionKey], region: np.ndarray, day: np.nda
     """
     # the distinct keys in file order, compared as tuples: a joined string
     # could not tell "a\0" + "b" from "a" + "\0b"
-    fields = [(k.country_code, k.admin1, k.admin2, k.region_id) for k in keys]
-    distinct = sorted(set(fields))
-    rank = {f: i for i, f in enumerate(distinct)}
-    key = np.array([rank[f] for f in fields], np.int64)[region]
+    distinct = sorted(set(keys))
+    rank = {k: i for i, k in enumerate(distinct)}
+    key = np.array([rank[k] for k in keys], np.int64)[region]
     # a key's name rank: the rank of the first key with its (country, admin1, admin2)
     first: dict[tuple, int] = {}
-    name_rank = np.array([first.setdefault(f[:3], i) for i, f in enumerate(distinct)])
+    name_rank = np.array([first.setdefault(k[:3], i) for i, k in enumerate(distinct)])
     order = np.lexsort((key, day, name_rank[key]))
     key, day = key[order], day[order]
     starts, counts = runs(len(order), key, day)

@@ -78,10 +78,8 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--devices", type=int)
     p_gen.add_argument("--start-date", type=_parse_date, metavar="DATE")
     p_gen.add_argument("--end-date", type=_parse_date, metavar="DATE")
-    p_gen.add_argument("--base-mobility-km", type=float)
     p_gen.add_argument("--scale", type=float,
-                       help="mobility scale factor applied from --scale-start onward")
-    p_gen.add_argument("--scale-start", type=_parse_date, metavar="DATE")
+                       help="mobility scale factor from synth.SCALE_START (2020-03-09) on")
     p_gen.add_argument("--styles", type=_comma_list, help="comma list of device styles")
     p_gen.add_argument("--reports-min", type=int)
     p_gen.add_argument("--reports-max", type=int)

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .geo import GeoPoint, lat_ok, lon_ok
 EDGE_ROWS = 1 << 14
 
 
-@dataclass(frozen=True, slots=True)
-class RegionKey:
+class RegionKey(NamedTuple):
     country_code: str
     admin1: str
     admin2: str

@@ -1,13 +1,14 @@
 """The region-day row, OutputRecord, and its serialization to NDJSON and CSV.
 
-Each serialized table is an ordered (name, kind) field table; the writers
-and readers are loops over it, so a record's verbose values are written
-only under --verbose-stats. Every writer formats one field of all rows at
-a time, through one cell helper. Both formats carry identical values: m50
-fixed to 3 decimals, m50_index to 1 decimal (JSON null / empty CSV cell
-when absent). Records are written in the reduce's canonical order with a
-fixed key order, so identical inputs always produce byte-identical files.
-UTF-8, LF line endings.
+Each serialized table is an ordered (name, kind) field table, and its row
+type is a named tuple over the table's names, so the schema is stated
+once; the writers and readers are loops over it, so a record's verbose
+values are written only under --verbose-stats. Every writer formats one
+field of all rows at a time, through one cell helper. Both formats carry
+identical values: m50 fixed to 3 decimals, m50_index to 1 decimal (JSON
+null / empty CSV cell when absent). Records are written in the reduce's
+canonical order with a fixed key order, so identical inputs always
+produce byte-identical files. UTF-8, LF line endings.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
 from .errors import DataError, numbered_lines
@@ -78,29 +80,17 @@ COMPARE_FIELDS: Fields = KEY_FIELDS + tuple(
 ) + (("status", Kind(str)),)
 CSV_HEADER = [name for name, _ in STATS_FIELDS]
 
-
-@dataclass(slots=True)
-class OutputRecord:
-    country_code: str
-    admin_level: str  # "admin1" | "admin2"
-    admin1: str
-    admin2: str
-    region_id: str
-    date: str  # yyyy-mm-dd
-    samples: int
-    m50: float
-    m50_index: float | None
-    m_max_mean: float | None = None
-    m_max_q1: float | None = None
-    m_max_q3: float | None = None
-
+# admin_level is "admin1" or "admin2", date is yyyy-mm-dd
+OutputRecord = namedtuple("OutputRecord", [name for name, _ in STATS_FIELDS + VERBOSE_FIELDS],
+                          defaults=[None] * len(VERBOSE_FIELDS))
+CompareRow = namedtuple("CompareRow", [name for name, _ in COMPARE_FIELDS])
 
 region_of = attrgetter(*(name for name, _ in REGION_FIELDS))
 
 
-def _cells(rows: Sequence, fields: Fields, getter, in_csv: bool):
-    """Each row's cells in table order, formatted a field at a time; getter(name) reads a value."""
-    return zip(*(kind.cells(map(getter(name), rows), in_csv) for name, kind in fields))
+def _cells(rows: Sequence, fields: Fields, in_csv: bool):
+    """Each row's cells in table order, formatted a field at a time."""
+    return zip(*(kind.cells(map(attrgetter(name), rows), in_csv) for name, kind in fields))
 
 
 def _write_ndjson(rows: Iterable[Sequence[str]], fields: Fields, sink: IO[str]) -> None:
@@ -111,11 +101,11 @@ def _write_ndjson(rows: Iterable[Sequence[str]], fields: Fields, sink: IO[str]) 
 
 def write_ndjson(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
     fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
-    _write_ndjson(_cells(records, fields, attrgetter, in_csv=False), fields, sink)
+    _write_ndjson(_cells(records, fields, in_csv=False), fields, sink)
 
 
-def write_compare(rows: Sequence[dict], sink: IO[str]) -> None:
-    _write_ndjson(_cells(rows, COMPARE_FIELDS, itemgetter, in_csv=False), COMPARE_FIELDS, sink)
+def write_compare(rows: Sequence[CompareRow], sink: IO[str]) -> None:
+    _write_ndjson(_cells(rows, COMPARE_FIELDS, in_csv=False), COMPARE_FIELDS, sink)
 
 
 def write_csv(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = False) -> None:
@@ -123,7 +113,7 @@ def write_csv(records: Sequence[OutputRecord], sink: IO[str], verbose: bool = Fa
     fields = STATS_FIELDS + (VERBOSE_FIELDS if verbose else ())
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(name for name, _ in fields)
-    writer.writerows(_cells(records, fields, attrgetter, in_csv=True))
+    writer.writerows(_cells(records, fields, in_csv=True))
 
 
 def _parse_record(cells: dict, where: str, in_csv: bool) -> OutputRecord:

@@ -262,13 +262,14 @@ def run(cfg: PipelineConfig) -> list[dict]:
     return [report]
 
 
-def compare_stats(path_a: str, path_b: str) -> list[dict]:
+def compare_stats(path_a: str, path_b: str) -> list[output.CompareRow]:
     """Join two stats files on their KEY_FIELDS values; delta = index_b - index_a.
 
-    A path ending in .csv is read as CSV, any other as NDJSON. Rows missing
-    on either side, or missing an index, carry a null delta; status says
-    which side(s) the key appeared on. A key on two rows of one file is a
-    DataError naming the second row's path:line.
+    A path ending in .csv is read as CSV, any other as NDJSON. One
+    output.CompareRow per key, in key order. Rows missing on either side,
+    or missing an index, carry a null delta; status says which side(s) the
+    key appeared on. A key on two rows of one file is a DataError naming
+    the second row's path:line.
     """
     key_names = [name for name, _ in output.KEY_FIELDS]
     key_of = attrgetter(*key_names)
@@ -293,11 +294,7 @@ def compare_stats(path_a: str, path_b: str) -> list[dict]:
         ra, rb = a.get(key), b.get(key)
         idx_a = ra.m50_index if ra else None
         idx_b = rb.m50_index if rb else None
-        rows.append({
-            **dict(zip(key_names, key)),
-            "m50_index_a": idx_a,
-            "m50_index_b": idx_b,
-            "delta": idx_b - idx_a if idx_a is not None and idx_b is not None else None,
-            "status": "both" if ra and rb else ("only_a" if ra else "only_b"),
-        })
+        delta = idx_b - idx_a if idx_a is not None and idx_b is not None else None
+        status = "both" if ra and rb else ("only_a" if ra else "only_b")
+        rows.append(output.CompareRow(*key, idx_a, idx_b, delta, status))
     return rows

@@ -47,6 +47,11 @@ ELIGIBLE_STYLES = ("planned", "scatter", "collinear", "duplicates", "antimeridia
 INELIGIBLE_STYLES = ("sparse", "short")
 STYLES = ELIGIBLE_STYLES + INELIGIBLE_STYLES
 
+# a device's typical day's mobility before its +-10 % wobble, and the first
+# date ScenarioSpec.scale applies to
+BASE_MOBILITY_KM = 5.2
+SCALE_START = dt.date(2020, 3, 9)
+
 # every entry must fail validation; checked by tests
 MALFORMED_LINES = (
     "garbage",
@@ -235,9 +240,7 @@ class ScenarioSpec:
     devices: int = 48
     start_date: dt.date = dt.date(2020, 2, 17)
     end_date: dt.date = dt.date(2020, 3, 13)
-    base_mobility_km: float = 5.2
     scale: float = 1.0
-    scale_start: dt.date = dt.date(2020, 3, 9)
     styles: tuple[str, ...] = ("planned",)
     reports_min: int = 12
     reports_max: int = 24
@@ -252,9 +255,9 @@ class ScenarioSpec:
         # exact types: a bool is not a count, and a datetime does not compare with a date
         for names, kinds in (
             (("seed", "devices", "reports_min", "reports_max", "shards"), (int,)),
-            (("base_mobility_km", "scale", "accuracy_reject_fraction", "malformed_fraction",
-              "ineligible_fraction"), (int, float)),
-            (("start_date", "end_date", "scale_start"), (dt.date,)),
+            (("scale", "accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"),
+             (int, float)),
+            (("start_date", "end_date"), (dt.date,)),
             (("styles",), (tuple, list)),
             (("gzip_shards",), (bool,)),
         ):
@@ -287,8 +290,6 @@ class ScenarioSpec:
         for name in ("accuracy_reject_fraction", "malformed_fraction", "ineligible_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not 0.0 < self.base_mobility_km < math.inf:
-            raise ConfigError(f"base_mobility_km must be finite and > 0, got {self.base_mobility_km}")
         if not 0.0 <= self.scale < math.inf:
             raise ConfigError(f"scale must be finite and >= 0, got {self.scale}")
         # a day holds up to reports_max + 2 reports, each at its own second of
@@ -300,8 +301,8 @@ class ScenarioSpec:
                               f"{'short' if short else 'full'} day's window, got {self.reports_max}")
 
     def scale_for(self, date: dt.date) -> float:
-        """Mobility scale on date: 1.0 before scale_start, scale from it on."""
-        return self.scale if date >= self.scale_start else 1.0
+        """Mobility scale on date: 1.0 before SCALE_START, scale from it on."""
+        return self.scale if date >= SCALE_START else 1.0
 
     def dates(self) -> list[dt.date]:
         days = (self.end_date - self.start_date).days + 1
@@ -399,7 +400,7 @@ def _write_shard(task: tuple) -> tuple[list[dict], int, int, int]:
             style = rng_d.choice(spec.styles)
             home_lat, home_lon = _device_home(rng_d, style)
             wobble = rng_d.uniform(0.9, 1.1)
-            base_km = spec.base_mobility_km * wobble
+            base_km = BASE_MOBILITY_KM * wobble
             n_base = rng_d.randint(spec.reports_min, spec.reports_max)
             tz_home = oracle.solar_offset_hours(home_lon)
 

@@ -9,7 +9,9 @@ A mutant is (file, old text, new text, why). Its old text must occur
 exactly once in its file, so an edit that moves or rewrites the code under
 a mutant fails the check instead of letting the list go stale. Each
 mutant is applied alone to a temporary copy of the tree and tier-1 runs
-there with -x; the mutant is killed when tier-1 fails or times out.
+there with -x, each process under an address-space cap; the mutant is
+killed when tier-1 fails or times out, and an allocation past the cap
+fails its test instead of exhausting the machine's memory.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the list is stale, the unmutated copy does not collect, or tier-1 ends
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -34,6 +37,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT_S = 900  # about 20 times a full tier-1 run
+# RLIMIT_AS of tier-1 and every process it starts: the largest VmPeak of an
+# unmutated tier-1 run is about 234 MiB (pytest itself; the CLI subprocesses
+# about 107 MiB) on Python 3.11 and numpy 2.4, so 2 GiB leaves 8x room
+MEMORY_CAP_BYTES = 2 << 30
 
 MUTANTS = [
     # the method's rules
@@ -70,6 +77,10 @@ MUTANTS = [
      "-regions[r].key.level, -area[r],",
      "the largest bounding box wins"),
     ("src/mobstats/aggregate.py",
+     "distinct = sorted(set(keys))",
+     "distinct = sorted(set(keys), key=lambda k: (k[0] + k[1] + k[2], k[3]))",
+     "regions are ordered by their joined names, then region_id"),
+    ("src/mobstats/aggregate.py",
      "+ m50[by_key[w_starts + w_counts // 2]]) / 2",
      "+ m50[by_key[w_starts + (w_counts - 1) // 2]]) / 2",
      "an even-count baseline median takes the lower middle"),
@@ -104,11 +115,20 @@ MUTANTS = [
      "(block if blocks else block.removeprefix(codecs.BOM_UTF8))",
      "block",
      "a BOM opening a shard stays in its first line"),
+    # the output row
+    ("src/mobstats/output.py",
+     "defaults=[None] * len(VERBOSE_FIELDS)",
+     "defaults=[0.0] * len(VERBOSE_FIELDS)",
+     "a record built without its verbose fields holds 0.0 in them"),
     # the generator's device-days
     ("src/mobstats/synth.py",
      "_DAY_END_S = 20 * 3600",
      "_DAY_END_S = 26 * 3600",
      "a generated day's window runs past local midnight"),
+    ("src/mobstats/synth.py",
+     "return self.scale if date >= SCALE_START else 1.0",
+     "return self.scale if date > SCALE_START else 1.0",
+     "the scale applies from the day after SCALE_START"),
 ]
 
 
@@ -122,13 +142,17 @@ def stale() -> list[str]:
     return errors
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
+
+
 def tier1(tree: Path, *args: str) -> tuple[int | None, str]:
     """tier-1's exit status in tree (None if it timed out) and its stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([*TIER1, *args], cwd=tree, env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                            start_new_session=True)
+                            start_new_session=True, preexec_fn=_cap_memory)
     try:
         out, _ = proc.communicate(timeout=TIMEOUT_S)
         return proc.returncode, out

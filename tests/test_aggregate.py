@@ -197,13 +197,16 @@ class TestReduceRegionDay:
         assert s.m50_index == 100.0
 
     def test_file_order(self):
-        # two keys share (country, admin1, admin2), so the date sorts before region_id
+        # two keys share (country, admin1, admin2), so the date sorts before region_id;
+        # two keys' fields join to the same text, so they sort by admin1 before region_id
         twin = RegionKey("AA", "West", "Westburg", "W-00")
         rows = [rec(1.0, region=RegionKey("BB", "North", "", "N")),
                 rec(1.0, region=R1, date=MON + dt.timedelta(days=1)), rec(1.0, region=R1),
                 rec(1.0, region=twin, date=MON + dt.timedelta(days=1)), rec(1.0, region=twin),
                 rec(1.0, region=R2), rec(1.0, region=RegionKey("AA", "East", "Eastburg", "E-01")),
-                rec(1.0, region=R2, date=MON - dt.timedelta(days=1))]
+                rec(1.0, region=R2, date=MON - dt.timedelta(days=1)),
+                rec(1.0, region=RegionKey("AA", "a\x00", "b", "Z-0")),
+                rec(1.0, region=RegionKey("AA", "a", "\x00b", "Z-1"))]
         random.Random(3).shuffle(rows)
         keys = list(reduce_rows(rows))
         assert [(k.country_code, k.admin1, k.admin2, d.isoformat(), k.region_id)
@@ -215,6 +218,8 @@ class TestReduceRegionDay:
             ("AA", "West", "Westburg", "2020-03-02", "W-01"),
             ("AA", "West", "Westburg", "2020-03-03", "W-00"),
             ("AA", "West", "Westburg", "2020-03-03", "W-01"),
+            ("AA", "a", "\x00b", "2020-03-02", "Z-1"),
+            ("AA", "a\x00", "b", "2020-03-02", "Z-0"),
             ("BB", "North", "", "2020-03-02", "N"),
         ]
 

@@ -14,7 +14,11 @@ from mobstats.collate import date_to_day_number
 from mobstats.errors import DataError
 from mobstats.geocode import RegionKey
 from mobstats.output import (
+    COMPARE_FIELDS,
     CSV_HEADER,
+    STATS_FIELDS,
+    VERBOSE_FIELDS,
+    CompareRow,
     OutputRecord,
     read_csv,
     read_ndjson,
@@ -41,6 +45,12 @@ def csv_text(records, verbose=False):
     sink = io.StringIO()
     write_csv(records, sink, verbose=verbose)
     return sink.getvalue()
+
+
+class TestRowTypes:
+    def test_fields_are_the_field_tables_names(self):
+        assert OutputRecord._fields == tuple(name for name, _ in STATS_FIELDS + VERBOSE_FIELDS)
+        assert CompareRow._fields == tuple(name for name, _ in COMPARE_FIELDS)
 
 
 class TestWriteNdjson:

@@ -25,7 +25,7 @@ from mobstats.errors import ConfigError, DataError
 from mobstats.geo import GeoPoint
 from mobstats.geocode import load_gazetteer, reverse_geocode
 from mobstats.ingest import ACCURACY_MAX_M, parse_fields, read_shard
-from mobstats.output import read_csv, read_ndjson, write_compare, write_ndjson
+from mobstats.output import CompareRow, read_csv, read_ndjson, write_compare, write_ndjson
 from mobstats.pipeline import PipelineConfig, compare_stats, run
 from mobstats.synth import ELIGIBLE_STYLES, ScenarioSpec, generate, write_toy_gazetteer
 from test_columnar import reference_read
@@ -457,11 +457,11 @@ class TestRun:
         rows = compare_stats(*paths)
         assert len(rows) == len(a)
         for row in rows:
-            assert row["status"] == "both"
-            if row["m50_index_a"] is not None:
-                assert row["delta"] == 0.0
+            assert row.status == "both"
+            if row.m50_index_a is not None:
+                assert row.delta == 0.0
             else:
-                assert row["delta"] is None
+                assert row.delta is None
 
     def test_failed_run_leaves_no_earlier_results(self, scenario, tmp_path, capsys):
         out = tmp_path / "o"
@@ -512,8 +512,8 @@ class TestCompare:
         self.write_stats(a, records)
         self.write_stats(b, records)
         rows = compare_stats(a, b)
-        assert [r["delta"] for r in rows] == [0.0, 0.0]
-        assert {r["status"] for r in rows} == {"both"}
+        assert [r.delta for r in rows] == [0.0, 0.0]
+        assert {r.status for r in rows} == {"both"}
 
     def test_doubled_post_baseline_delta_equals_a_index(self, tmp_path):
         # if B's post-baseline m50 is twice A's, index_b = 2 * index_a,
@@ -525,9 +525,9 @@ class TestCompare:
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
         self.write_stats(a, a_recs)
         self.write_stats(b, b_recs)
-        rows = {r["date"]: r for r in compare_stats(a, b)}
-        assert rows["2020-03-02"]["delta"] == 0.0
-        assert rows["2020-03-09"]["delta"] == 50.0  # == A's index that day
+        rows = {r.date: r for r in compare_stats(a, b)}
+        assert rows["2020-03-02"].delta == 0.0
+        assert rows["2020-03-09"].delta == 50.0  # == A's index that day
 
     def test_disjoint_regions_flagged_without_deltas(self, tmp_path):
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
@@ -535,16 +535,16 @@ class TestCompare:
         self.write_stats(b, [self.make_record("2020-03-02", 100.0, region_id="E-01",
                                               admin2="Eastburg")])
         rows = compare_stats(a, b)
-        assert sorted(r["status"] for r in rows) == ["only_a", "only_b"]
-        assert all(r["delta"] is None for r in rows)
+        assert sorted(r.status for r in rows) == ["only_a", "only_b"]
+        assert all(r.delta is None for r in rows)
 
     def test_null_index_null_delta(self, tmp_path):
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
         self.write_stats(a, [self.make_record("2020-03-02", None)])
         self.write_stats(b, [self.make_record("2020-03-02", 100.0)])
         rows = compare_stats(a, b)
-        assert rows[0]["status"] == "both"
-        assert rows[0]["delta"] is None
+        assert rows[0].status == "both"
+        assert rows[0].delta is None
 
     def test_csv_stats_joined_and_duplicate_named_by_line(self, tmp_path):
         from mobstats.output import write_csv
@@ -558,13 +558,11 @@ class TestCompare:
             compare_stats(a, b)
         with open(a, "w", encoding="utf-8", newline="\n") as fh:
             write_csv(records, fh)
-        assert [r["delta"] for r in compare_stats(a, b)] == [0.0, 0.0]
+        assert [r.delta for r in compare_stats(a, b)] == [0.0, 0.0]
 
     def test_write_compare_format(self):
-        rows = [{"country_code": "AA", "admin_level": "admin2", "admin1": "West",
-                 "admin2": "Westburg", "region_id": "W-01", "date": "2020-03-09",
-                 "m50_index_a": 50.0, "m50_index_b": 100.0, "delta": 50.0,
-                 "status": "both"}]
+        rows = [CompareRow("AA", "admin2", "West", "Westburg", "W-01", "2020-03-09",
+                           50.0, 100.0, 50.0, "both")]
         sink = io.StringIO()
         write_compare(rows, sink)
         obj = json.loads(sink.getvalue())
@@ -572,10 +570,8 @@ class TestCompare:
         assert obj["status"] == "both"
 
     def test_write_compare_line_exact(self):
-        rows = [{"country_code": "AA", "admin_level": "admin2", "admin1": "West",
-                 "admin2": "Westburg", "region_id": "W-01", "date": "2020-03-09",
-                 "m50_index_a": 50.04, "m50_index_b": None, "delta": None,
-                 "status": "only_a"}]
+        rows = [CompareRow("AA", "admin2", "West", "Westburg", "W-01", "2020-03-09",
+                           50.04, None, None, "only_a")]
         sink = io.StringIO()
         write_compare(rows, sink)
         assert sink.getvalue() == (
@@ -865,9 +861,8 @@ class TestCli:
         ["--shards", "0"], ["--shards", "-1"], ["--reports-min", "0"],
         ["--reports-min", "30", "--reports-max", "10"], ["--malformed-fraction", "2"],
         ["--accuracy-reject-fraction", "-0.1"], ["--ineligible-fraction", "nan"],
-        ["--base-mobility-km", "nan"], ["--scale", "inf"],
-        ["--devices", "-2"], ["--devices", "0"], ["--base-mobility-km", "0"],
-        ["--base-mobility-km", "-1"], ["--scale", "-0.5"],
+        ["--scale", "nan"], ["--scale", "inf"], ["--devices", "-2"], ["--devices", "0"],
+        ["--scale", "-0.5"],
         ["--styles", ""], ["--styles", ","],
         ["--devices", "1", "--styles", "short", "--reports-min", "28742", "--reports-max", "28742",
          "--start-date", "2020-03-02", "--end-date", "2020-03-02"],

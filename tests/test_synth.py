@@ -345,15 +345,14 @@ class TestScenarioSpec:
 
     def test_lockdown_spec_windows(self):
         spec = ScenarioSpec(seed=1, devices=10, scale=0.3)
-        assert (spec.start_date, spec.scale_start, spec.end_date) == (
+        assert (spec.start_date, synth.SCALE_START, spec.end_date) == (
             dt.date(2020, 2, 17), dt.date(2020, 3, 9), dt.date(2020, 3, 13))
         assert [spec.scale_for(d) for d in spec.dates()] == [1.0] * 21 + [0.3] * 5
         assert spec.scale_for(dt.date(2020, 3, 14)) == 0.3
 
     def test_scale_for(self):
-        early = ScenarioSpec(start_date=dt.date(2020, 3, 2), scale=2.5,
-                             scale_start=dt.date(2020, 1, 1))
-        assert [early.scale_for(d) for d in early.dates()] == [2.5] * 12
+        scaled = ScenarioSpec(start_date=synth.SCALE_START, scale=2.5)
+        assert [scaled.scale_for(d) for d in scaled.dates()] == [2.5] * 5
         assert ScenarioSpec().scale_for(dt.date(2020, 3, 10)) == 1.0
 
 
@@ -365,9 +364,9 @@ ONE_DAY = dict(devices=1, end_date=dt.date(2020, 3, 2))
 OUT_OF_DOMAIN = [
     dict(shards=0), dict(shards=-1), dict(reports_min=0), dict(reports_min=30, reports_max=10),
     dict(malformed_fraction=2.0), dict(accuracy_reject_fraction=-0.1),
-    dict(ineligible_fraction=math.nan), dict(base_mobility_km=math.nan), dict(scale=math.inf),
-    dict(devices=-2), dict(devices=0), dict(base_mobility_km=0.0), dict(base_mobility_km=-1.0),
-    dict(scale=-0.5), dict(styles=()), dict(styles=("planned", "bogus")),
+    dict(ineligible_fraction=math.nan), dict(scale=math.nan), dict(scale=math.inf),
+    dict(devices=-2), dict(devices=0), dict(scale=-0.5), dict(styles=()),
+    dict(styles=("planned", "bogus")),
     dict(start_date=dt.date(2020, 3, 6), end_date=dt.date(2020, 3, 5)),
     dict(ONE_DAY, styles=("short",), reports_min=28742, reports_max=28742),
     dict(ONE_DAY, styles=("short",), reports_max=28740),
