@@ -223,7 +223,7 @@ def random_day_rows(rng: random.Random, style: str | None = None) -> list[Row]:
         home_lat = rng.uniform(-80.0, 80.0)
         home_lon = rng.uniform(-170.0, 170.0)
     tz = oracle.solar_offset_hours(home_lon)
-    day_start = 18330 * 86400 - 3600 * tz  # local midnight of 2020-03-09
+    day_start = date_to_day_number(dt.date(2020, 3, 9)) * 86400 - 3600 * tz  # local midnight
     n = rng.randint(10, 40)
     target = rng.uniform(0.05, 25.0)
     return day_rows(rng, style, home_lat, home_lon, day_start, n, target)

@@ -129,6 +129,16 @@ MUTANTS = [
      "return self.scale if date >= SCALE_START else 1.0",
      "return self.scale if date > SCALE_START else 1.0",
      "the scale applies from the day after SCALE_START"),
+    # the geometry
+    ("src/mobstats/geo.py",
+     "return abs(acc) / 2.0",
+     "return abs(acc)",
+     "the shoelace area is not halved"),
+    # the package root
+    ("src/mobstats/__init__.py",
+     'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+     "",
+     "numpy starts OpenBLAS's worker threads"),
 ]
 
 

@@ -22,7 +22,7 @@ import pytest
 from adapters import contains, device_days, verdicts
 from mobstats import ingest, oracle, pipeline
 from mobstats.cli import main
-from mobstats.geo import convex_hull_xy, unwrap_lonlat
+from mobstats.geo import convex_hull_xy, polygon_area, unwrap_lonlat
 from mobstats.metrics import day_box_and_hull, day_max_distances
 from mobstats.output import read_csv, read_ndjson
 from mobstats.pipeline import PipelineConfig, run
@@ -74,7 +74,9 @@ def oracle_sweep():
     """1000 random device-days run through the gather kernel, day_box_and_hull and the oracle.
 
     The days are one bucket: one group_device_days, day_rejections and
-    day_max_distances call covers them all, as in gather.
+    day_max_distances call covers them all, as in gather. Each eligible
+    day's box_hulls entry is day_box_and_hull's (m_bb, m_ch, a_bb, a_ch)
+    and its hull area before the clamp to a_bb.
     """
     t0 = perf_counter()
     days = eligible = 0
@@ -102,7 +104,8 @@ def oracle_sweep():
             assert close(got, want), (i, name, got, want)
             if abs(want) > 1e-9:
                 worst = max(worst, abs(got - want) / abs(want))
-        box_hulls.append(box_hull)
+        hull = convex_hull_xy(unwrap_lonlat([(r[2], r[1]) for r in built[k].reports]))
+        box_hulls.append((*box_hull, polygon_area(hull)))
         eligible += 1
     return {"elapsed": perf_counter() - t0, "days": days, "eligible": eligible,
             "worst_rel": worst, "box_hulls": box_hulls}
@@ -268,11 +271,13 @@ class TestGates:
 
     def test_5_geometry_invariants(self, corpus, oracle_sweep):
         # hull measure bounded by box measure on every eligible device-day,
-        # on both the metrics module's route and the oracle route
+        # on both the metrics module's route and the oracle route; both clamp
+        # a_ch to a_bb, so only the unclamped hull area tests the hull
         checked = 0
-        for m_bb, m_ch, a_bb, a_ch in oracle_sweep["box_hulls"]:
+        for m_bb, m_ch, a_bb, a_ch, hull_area in oracle_sweep["box_hulls"]:
             assert m_ch <= m_bb
             assert a_ch <= a_bb
+            assert hull_area <= a_bb * (1 + 1e-12)
             checked += 1
         with open(corpus["truth_path"], encoding="utf-8") as fh:
             for line in fh:
@@ -315,7 +320,9 @@ class TestGates:
                 assert got == oracle.winding_number_contains(ring, x, y)
                 cases += 1
         assert cases >= 10_000
-        print(f"PASS: gate 5 geometry: m_ch <= m_bb on {checked}/{checked} eligible "
+        swept = len(oracle_sweep["box_hulls"])
+        print(f"PASS: gate 5 geometry: unclamped hull area <= box area on {swept}/{swept} "
+              f"eligible sweep days, m_ch <= m_bb on {checked}/{checked} eligible "
               f"device-days, {hulls} hulls strictly convex CCW, point-in-polygon "
               f"matches the winding oracle on {cases} cases")
 

@@ -1046,20 +1046,20 @@ class TestCli:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
     def test_import_starts_no_blas_thread(self):
         # mobstats makes no BLAS call; OpenBLAS would start one worker per core
-        # as numpy loads. A value the caller set is left as it is.
-        code = ("import os, mobstats; "
+        # as numpy loads, which the pipeline's import does. A value the caller
+        # set is left as it is.
+        code = ("import os, sys, mobstats.pipeline; assert 'numpy' in sys.modules; "
                 "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         assert self.fresh_python(code, env) == "1 1"
         assert self.fresh_python(code, {**env, "OPENBLAS_NUM_THREADS": "2"}).split()[1] == "2"
 
-    def test_package_root_exports_resolve(self):
-        # a name left in __all__ after its definition goes breaks the star import
-        import mobstats
-        names: dict = {}
-        exec("from mobstats import *", names)
-        for name in mobstats.__all__:
-            assert names[name] is getattr(mobstats, name), name
+    def test_package_root_loads_no_module(self):
+        # the root only sets the BLAS thread count; each name is imported
+        # from the module that defines it
+        code = ("import sys, mobstats; "
+                "print([m for m in sys.modules if m.startswith(('numpy', 'mobstats.'))])")
+        assert self.fresh_python(code, os.environ) == "[]"
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_compare_duplicate_key_exit_3(self, tmp_path, capsys, side):
